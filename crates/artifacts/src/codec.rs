@@ -258,8 +258,14 @@ fn decode_payload(payload: &[u8]) -> Result<SynthesisOutcome, CodecError> {
             // schedule must replay cleanly through the net-semantics
             // oracle, so no byte pattern can revive an infeasible
             // "feasible" outcome into rendered tables or C code.
-            ezrt_sim::replay::replay(&tasknet, &schedule)
+            let replayed = ezrt_sim::replay::replay(&tasknet, &schedule)
                 .map_err(|error| malformed(format!("schedule fails replay: {error}")))?;
+            if replayed.firings != schedule.firings().len() {
+                return Err(malformed(format!(
+                    "schedule fails replay: it runs past the final marking at step {}",
+                    replayed.firings
+                )));
+            }
             Some(Solution::new(spec, schedule))
         }
         other => return Err(malformed(format!("solution flag {other}"))),
@@ -437,29 +443,36 @@ mod tests {
         // be rejected — the replay oracle, not the checksum, is the
         // feasibility gate.
         let (original, _) = encoded_small_control();
-        let spec = original.solution.as_ref().unwrap().spec().clone();
-        let bogus = SynthesisOutcome {
-            digest: original.digest,
-            feasible: true,
-            error: None,
-            fields: original.fields.clone(),
-            stats: original.stats.clone(),
-            replay_ok: Some(true),
-            solution: Some(Solution::new(
-                spec,
-                FeasibleSchedule::from_firings(vec![ScheduledFiring {
-                    transition: TransitionId::from_index(0),
-                    role: TransitionRole::Fork,
-                    delay: 999,
-                    at: 999,
-                }]),
-            )),
-        };
-        let error = decode_file(&encode_file(&bogus)).expect_err("replay gate rejects");
-        assert!(
-            matches!(&error, CodecError::Malformed(what) if what.contains("replay")),
-            "{error}"
-        );
+        let solution = original.solution.as_ref().unwrap();
+        let nonsense = vec![ScheduledFiring {
+            transition: TransitionId::from_index(0),
+            role: TransitionRole::Fork,
+            delay: 999,
+            at: 999,
+        }];
+        // The real schedule with one firing too many: the run reaches
+        // the final marking and does not end there.
+        let mut overlong = solution.schedule().firings().to_vec();
+        overlong.push(overlong[0]);
+        for firings in [nonsense, overlong] {
+            let bogus = SynthesisOutcome {
+                digest: original.digest,
+                feasible: true,
+                error: None,
+                fields: original.fields.clone(),
+                stats: original.stats.clone(),
+                replay_ok: Some(true),
+                solution: Some(Solution::new(
+                    solution.spec().clone(),
+                    FeasibleSchedule::from_firings(firings),
+                )),
+            };
+            let error = decode_file(&encode_file(&bogus)).expect_err("replay gate rejects");
+            assert!(
+                matches!(&error, CodecError::Malformed(what) if what.contains("replay")),
+                "{error}"
+            );
+        }
     }
 
     #[test]

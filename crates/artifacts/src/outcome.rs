@@ -39,8 +39,9 @@ pub struct SynthesisOutcome {
     /// The search counters of the run that produced this outcome.
     pub stats: SearchStats,
     /// `Some(true)` when the schedule replayed cleanly through the
-    /// `ezrt_sim::replay` net-semantics oracle, `Some(false)` when it
-    /// did not (a kernel bug), `None` for infeasible outcomes.
+    /// net-semantics oracle ([`ezrt_core::Outcome::replay_ok`]),
+    /// `Some(false)` when it did not (a kernel bug), `None` for
+    /// infeasible outcomes.
     pub replay_ok: Option<bool>,
     /// The feasible solution — spec + schedule, plus lazily re-derived
     /// net/timeline/table — that schedule-dependent artifacts render
@@ -133,8 +134,8 @@ impl Solution {
 }
 
 /// Runs the synthesis for `project` and packages the result for the
-/// cache: search, spec-level validation (the `violations` field),
-/// net-level replay verdict, rendered JSON fields, and the solution the
+/// cache: search and its net-level replay verdict, spec-level validation
+/// (the `violations` field), rendered JSON fields, and the solution the
 /// artifact renderers consume.
 pub fn compute_outcome(project: &Project, digest: SpecDigest) -> SynthesisOutcome {
     package(project, digest, project.synthesize())
@@ -167,7 +168,8 @@ pub fn compute_outcome_incremental(
     package(project, digest, result)
 }
 
-/// Packages a synthesis verdict for the cache.
+/// Packages a synthesis verdict for the cache. The replay verdict is the
+/// one the synthesis already computed; nothing is replayed here.
 fn package(
     project: &Project,
     digest: SpecDigest,
@@ -175,7 +177,6 @@ fn package(
 ) -> SynthesisOutcome {
     match result {
         Ok(outcome) => {
-            let replay_ok = ezrt_sim::replay::replay(&outcome.tasknet, &outcome.schedule).is_ok();
             let fields = report::success_fields(&digest, project, &outcome);
             let parts = outcome.into_parts();
             SynthesisOutcome {
@@ -184,7 +185,7 @@ fn package(
                 error: None,
                 fields,
                 stats: parts.stats.clone(),
-                replay_ok: Some(replay_ok),
+                replay_ok: Some(parts.replay_ok),
                 solution: Some(Solution::with_derived(
                     parts.spec,
                     parts.schedule,

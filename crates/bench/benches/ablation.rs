@@ -2,8 +2,8 @@
 //! devices the paper leans on:
 //!
 //! * X2: the partial-order reduction (Lilius-style pruning, §4.4.1)
-//!   at its three strengths — `off`, the `classic` all-or-nothing
-//!   class rule, and the default `stubborn`+sleep-set reduction;
+//!   at its two levels — `off` and the default `stubborn`+sleep-set
+//!   reduction;
 //! * X3: EDF branch ordering versus naive FIFO ordering.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -13,7 +13,7 @@ use ezrt_scheduler::{synthesize, synthesize_reference, BranchOrdering, PorLevel,
 use ezrt_spec::corpus::small_control;
 use std::hint::black_box;
 
-const POR_LEVELS: [PorLevel; 3] = [PorLevel::Stubborn, PorLevel::Classic, PorLevel::Off];
+const POR_LEVELS: [PorLevel; 2] = [PorLevel::Stubborn, PorLevel::Off];
 
 fn report_ablation_shape() {
     let specs: Vec<_> = SWEEP_SEEDS.iter().map(|&s| sweep_spec(6, s)).collect();
@@ -53,9 +53,9 @@ fn report_ablation_shape() {
 /// POR earns its keep on simultaneous-arrival waves: the mine pump
 /// releases all 10 tasks at t = 0 and six more at every 500-boundary,
 /// and without the reduction the search wanders the permutation lattice
-/// of those independent arrival firings. (Stubborn matches classic here
-/// — the pump's residual branching is genuinely dependent grant
-/// arbitration — which is itself a §4.4.1 data point.)
+/// of those independent arrival firings. (Stubborn matches off in
+/// visited states here — the pump's residual branching is genuinely
+/// dependent grant arbitration — which is itself a §4.4.1 data point.)
 fn report_mine_pump_por() {
     use ezrt_spec::corpus::mine_pump;
     let tasknet = translate(&mine_pump());
@@ -80,9 +80,10 @@ fn report_mine_pump_por() {
 }
 
 /// Exhaustive-search cost (infeasibility proof) at each reduction level:
-/// the classic-vs-off delta equals the arrival-permutation lattice the
-/// class rule collapses (2^k − k for k simultaneous arrivals), and
-/// stubborn trims the partially conflicting classes classic bails on.
+/// the stubborn-vs-off delta includes the arrival-permutation lattice
+/// the conflict-free class rule collapses (2^k − k for k simultaneous
+/// arrivals) and the partially conflicting classes the stubborn closure
+/// trims.
 fn report_infeasibility_proof_cost() {
     use ezrt_spec::SpecBuilder;
     let mut b = SpecBuilder::new("overload8");
@@ -111,15 +112,15 @@ fn report_infeasibility_proof_cost() {
 
 /// X6 — the packed-kernel ablation: the same search with the preserved
 /// value-typed kernel versus the packed one, on the mine pump. The
-/// reference engine implements the classic reduction, so both sides run
-/// `por=classic` and visit identical states (equivalence-tested); the
+/// reference engine implements no reduction, so both sides run
+/// `por=off` and visit identical states (equivalence-tested); the
 /// throughput delta is purely the state representation and duplicate
 /// detection.
 fn report_kernel_ablation() {
     use ezrt_spec::corpus::mine_pump;
     let tasknet = translate(&mine_pump());
     let config = SchedulerConfig {
-        por: PorLevel::Classic,
+        por: PorLevel::Off,
         ..SchedulerConfig::default()
     };
     let packed = synthesize(&tasknet, &config);

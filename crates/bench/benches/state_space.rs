@@ -128,7 +128,7 @@ fn report_parallel_scaling() {
     }
 }
 
-/// The stubborn-set reduction at and beyond one worker: classic versus
+/// The stubborn-set reduction at and beyond one worker: off versus
 /// stubborn state counts on the 10-task exhaustion proof, sequentially
 /// and at four workers sharing expansion summaries through the arena.
 /// The infeasible shape is where the reduction matters most — the proof
@@ -139,7 +139,7 @@ fn report_por_scaling() {
     let tasknet = translate(&sweep_spec(tasks, ezrt_bench::SWEEP_INFEASIBLE_SEED));
     eprintln!("[X2] partial-order reduction ({tasks} tasks, infeasibility proof):");
     for jobs in [1usize, 4] {
-        for por in [PorLevel::Classic, PorLevel::Stubborn] {
+        for por in [PorLevel::Off, PorLevel::Stubborn] {
             let config = SchedulerConfig {
                 por,
                 parallelism: Parallelism::new(jobs),
@@ -482,28 +482,28 @@ fn bench_state_space(c: &mut Criterion) {
             |b, _| b.iter(|| black_box(synthesize_parallel(black_box(&tasknet), &config))),
         );
     }
-    // The POR ablation arms on the largest size: the classic baseline
+    // The POR ablation arms on the largest size: the unreduced baseline
     // next to the default stubborn rows above, sequentially and at four
     // workers, so the reduction's wall-time effect is in every run.
     {
-        let classic = SchedulerConfig {
-            por: PorLevel::Classic,
+        let off = SchedulerConfig {
+            por: PorLevel::Off,
             ..SchedulerConfig::default()
         };
         group.bench_with_input(
-            BenchmarkId::new("synthesize_classic", tasks),
+            BenchmarkId::new("synthesize_por_off", tasks),
             &tasks,
-            |b, _| b.iter(|| black_box(synthesize(black_box(&tasknet), &classic))),
+            |b, _| b.iter(|| black_box(synthesize(black_box(&tasknet), &off))),
         );
-        let classic_j4 = SchedulerConfig {
-            por: PorLevel::Classic,
+        let off_j4 = SchedulerConfig {
+            por: PorLevel::Off,
             parallelism: Parallelism::new(4),
             ..SchedulerConfig::default()
         };
         group.bench_with_input(
-            BenchmarkId::new("synthesize_parallel_j4_classic", tasks),
+            BenchmarkId::new("synthesize_parallel_j4_por_off", tasks),
             &tasks,
-            |b, _| b.iter(|| black_box(synthesize_parallel(black_box(&tasknet), &classic_j4))),
+            |b, _| b.iter(|| black_box(synthesize_parallel(black_box(&tasknet), &off_j4))),
         );
     }
     // The edit-loop arm: the mine pump with one loosened deadline,

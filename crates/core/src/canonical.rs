@@ -254,11 +254,11 @@ fn write_config(out: &mut Canon, config: &SchedulerConfig) {
         DelayMode::Full => 2,
     });
     // One byte in the slot the old `partial_order_reduction` flag used:
-    // `Off` = 0 and `Classic` = 1 reproduce the old false/true bytes, so
-    // pre-stubborn digests stay valid for the levels that existed then.
+    // `Off` = 0 reproduces the old `false` byte. 1 belonged to the retired
+    // classic level and is never written again, so `Stubborn` keeps 2 and
+    // no digest moves.
     out.bytes.push(match config.por {
         PorLevel::Off => 0,
-        PorLevel::Classic => 1,
         PorLevel::Stubborn => 2,
     });
     out.u64(config.max_states as u64);
@@ -355,10 +355,6 @@ mod tests {
             },
             SchedulerConfig {
                 por: PorLevel::Off,
-                ..SchedulerConfig::default()
-            },
-            SchedulerConfig {
-                por: PorLevel::Classic,
                 ..SchedulerConfig::default()
             },
             SchedulerConfig {

@@ -3,10 +3,11 @@
 use ezrt_codegen::{CodeGenerator, GeneratedSource, ScheduleTable, Target};
 use ezrt_compose::{translate, TaskNet};
 use ezrt_dsl::ParseDslError;
+use ezrt_scheduler::replay::replay;
 use ezrt_scheduler::validate::ScheduleViolation;
 use ezrt_scheduler::{
-    synthesize, synthesize_parallel, synthesize_seeded, FeasibleSchedule, Parallelism, PorLevel,
-    SchedulerConfig, SearchStats, SynthesizeError, Timeline,
+    synthesize_parallel, synthesize_seeded, FeasibleSchedule, Parallelism, PorLevel,
+    SchedulerConfig, SearchStats, Synthesis, SynthesizeError, Timeline,
 };
 use ezrt_sim::dispatch::{execute, DispatchConfig};
 use ezrt_sim::ExecutionReport;
@@ -58,9 +59,8 @@ impl Project {
 
     /// Sets the partial-order reduction level (the CLI's `--por`).
     /// `Stubborn` — the default — prunes interleavings with stubborn
-    /// and sleep sets; `Classic` reproduces the reference search
-    /// byte-for-byte; `Off` disables even the classic bookkeeping
-    /// collapse.
+    /// and sleep sets; `Off` explores every candidate and reproduces the
+    /// value-typed reference search byte-for-byte.
     pub fn with_por(mut self, por: PorLevel) -> Self {
         self.config.por = por;
         self
@@ -166,13 +166,14 @@ impl Project {
 
     /// Runs the full synthesis: translation, pre-runtime search (the
     /// sequential DFS, or the parallel engine when
-    /// [`SchedulerConfig::parallelism`] asks for more than one job),
-    /// timeline reconstruction and schedule-table derivation.
+    /// [`SchedulerConfig::parallelism`] asks for more than one job), the
+    /// net-level replay oracle, timeline reconstruction and
+    /// schedule-table derivation.
     ///
-    /// Parallel results are double-checked before this returns: the
-    /// scheduler already re-validated the schedule against the
-    /// specification, and this method additionally replays it through the
-    /// `ezrt_sim::replay` net-semantics oracle.
+    /// Every result is replayed exactly once, through
+    /// [`replay`](ezrt_scheduler::replay::replay), and the verdict is kept
+    /// in [`Outcome::replay_ok`]; parallel results were additionally
+    /// re-validated against the specification by the scheduler.
     ///
     /// # Errors
     ///
@@ -189,35 +190,20 @@ impl Project {
             let _span = ezrt_obs::span("translate");
             translate(&self.spec)
         };
-        let synthesis = if self.config.parallelism.is_sequential() {
-            synthesize(&tasknet, &self.config)?
-        } else {
-            let synthesis = synthesize_parallel(&tasknet, &self.config)?;
-            let _span = ezrt_obs::span("replay-oracle");
-            if let Err(error) = ezrt_sim::replay::replay(&tasknet, &synthesis.schedule) {
-                panic!(
-                    "parallel synthesis produced a schedule the net-level replay oracle \
-                     rejects (kernel bug): {error}"
-                );
-            }
-            synthesis
-        };
-        let _derive = ezrt_obs::span("derive");
-        let timeline = Timeline::from_schedule(&tasknet, &synthesis.schedule);
-        let table = ScheduleTable::from_timeline(&self.spec, &timeline);
-        Ok(Outcome {
-            spec: self.spec.clone(),
-            tasknet,
-            schedule: synthesis.schedule,
-            stats: synthesis.stats,
-            timeline,
-            table,
-        })
+        // One job runs the sequential search itself.
+        let synthesis = synthesize_parallel(&tasknet, &self.config)?;
+        let outcome = self.outcome(tasknet, synthesis);
+        assert!(
+            outcome.replay_ok || self.config.parallelism.is_sequential(),
+            "parallel synthesis produced a schedule the net-level replay oracle \
+             rejects (kernel bug)"
+        );
+        Ok(outcome)
     }
 
     /// Incremental synthesis warm-started from a prior schedule: `prev`
-    /// is handed to the seeded search whole, which first tries a verbatim
-    /// oracle replay (one linear pass, no search machinery) and otherwise
+    /// is handed to the seeded search whole, which first replays it
+    /// verbatim (one linear pass, no search machinery) and otherwise
     /// truncates the seed at its first illegal step, re-validates every
     /// replayed firing as an ordinary DFS candidate and searches on from
     /// the replayed frontier. For an unchanged spec the whole schedule
@@ -227,10 +213,9 @@ impl Project {
     ///
     /// Sound by construction: seeding only permutes branch order at the
     /// replayed frames, so feasibility, infeasibility and budget
-    /// verdicts are the same as cold synthesis would produce — and as a
-    /// belt-and-braces check any seeded result is replayed end-to-end
-    /// through the oracle here, falling back to a cold
-    /// [`synthesize`](Self::synthesize) on rejection (never expected).
+    /// verdicts are the same as cold synthesis would produce. The result
+    /// is replayed once, like a cold one: a verbatim hit already *is*
+    /// that replay, and a searched result goes through the oracle here.
     ///
     /// The seeded path is sequential; configurations asking for more
     /// than one job route to the cold parallel engine, which beats
@@ -254,22 +239,25 @@ impl Project {
             translate(&self.spec)
         };
         let synthesis = synthesize_seeded(&tasknet, &self.config, prev.firings())?;
-        if synthesis.stats.incr_seed_hits > 0
-            && ezrt_sim::replay::replay(&tasknet, &synthesis.schedule).is_err()
-        {
-            return self.synthesize();
-        }
+        Ok(self.outcome(tasknet, synthesis))
+    }
+
+    /// Checks a search result with the replay oracle (unless it came out
+    /// of a replay) and derives its timeline and schedule table.
+    fn outcome(&self, tasknet: TaskNet, synthesis: Synthesis) -> Outcome {
+        let replay_ok = synthesis.replayed || replay(&tasknet, &synthesis.schedule).is_ok();
         let _derive = ezrt_obs::span("derive");
         let timeline = Timeline::from_schedule(&tasknet, &synthesis.schedule);
         let table = ScheduleTable::from_timeline(&self.spec, &timeline);
-        Ok(Outcome {
+        Outcome {
             spec: self.spec.clone(),
             tasknet,
             schedule: synthesis.schedule,
             stats: synthesis.stats,
+            replay_ok,
             timeline,
             table,
-        })
+        }
     }
 }
 
@@ -283,6 +271,9 @@ pub struct Outcome {
     pub schedule: FeasibleSchedule,
     /// Search statistics (the §5 numbers).
     pub stats: SearchStats,
+    /// Whether the schedule passed the net-level replay oracle (always
+    /// true unless the engine has a bug).
+    pub replay_ok: bool,
     /// The task-level execution timeline.
     pub timeline: Timeline,
     /// The Fig. 8 schedule table (first processor).
@@ -302,6 +293,8 @@ pub struct OutcomeParts {
     pub schedule: FeasibleSchedule,
     /// Search statistics.
     pub stats: SearchStats,
+    /// Whether the schedule passed the net-level replay oracle.
+    pub replay_ok: bool,
     /// The task-level execution timeline.
     pub timeline: Timeline,
     /// The Fig. 8 schedule table.
@@ -321,6 +314,7 @@ impl Outcome {
             tasknet: self.tasknet,
             schedule: self.schedule,
             stats: self.stats,
+            replay_ok: self.replay_ok,
             timeline: self.timeline,
             table: self.table,
         }
@@ -458,17 +452,18 @@ mod tests {
 
     #[test]
     fn with_por_reaches_the_scheduler() {
-        let classic = Project::new(small_control())
-            .with_por(PorLevel::Classic)
+        let off = Project::new(small_control())
+            .with_por(PorLevel::Off)
             .synthesize()
             .expect("feasible");
         let stubborn = Project::new(small_control())
             .synthesize()
             .expect("feasible");
-        // Stubborn never explores more than the classic reference and
-        // its schedule still passes the spec-level checker.
-        assert!(stubborn.stats.states_visited <= classic.stats.states_visited);
+        // Stubborn never explores more than the unreduced search and its
+        // schedule still passes the spec-level checker.
+        assert!(stubborn.stats.states_visited <= off.stats.states_visited);
         assert!(stubborn.validate().is_empty());
+        assert!(off.replay_ok && stubborn.replay_ok);
     }
 
     #[test]

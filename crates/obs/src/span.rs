@@ -135,6 +135,21 @@ fn start_span(name: &'static str) -> SpanGuard {
     }
 }
 
+impl SpanGuard {
+    /// Closes the span without recording it, leaving its time to the
+    /// enclosing span: for work that turned out not to be what the name
+    /// claims (a warm-start seed the replay rejects is search work, not
+    /// a replay of a result). Spans opened inside it keep its name in
+    /// their path.
+    pub fn discard(mut self) {
+        if let Some((sink, id, _)) = self.live.take() {
+            let mut spans = sink.lock().expect("thread spans poisoned");
+            spans.stack.retain(|&open| open != id);
+            spans.open -= 1;
+        }
+    }
+}
+
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some((sink, id, start)) = self.live.take() else {
@@ -352,6 +367,13 @@ mod tests {
             drain_spans().structure(),
             "outer ×3\n  inner ×3\n    leaf ×3\n  side ×3\n"
         );
+
+        // A discarded span records nothing; its parent still does.
+        {
+            let _outer = span("kept");
+            span("discarded").discard();
+        }
+        assert_eq!(drain_spans().structure(), "kept ×1\n");
 
         // Spans recorded on another thread land in the same drain,
         // after the first thread's roots (registration order).

@@ -18,30 +18,26 @@ pub enum BranchOrdering {
 }
 
 /// Which partial-order reduction the search applies (paper §4.4.1's
-/// state-space reduction, at three strengths).
+/// state-space reduction, on or off).
 ///
-/// Every level preserves completeness: `Infeasible` and budget verdicts
+/// Both levels preserve completeness: `Infeasible` and budget verdicts
 /// are identical across levels, and every returned schedule satisfies
-/// Def. 3.2 (the levels only prune *redundant interleavings* of commuting
+/// Def. 3.2 (reduction only prunes *redundant interleavings* of commuting
 /// firings, never distinct outcomes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PorLevel {
-    /// No reduction: every fireable candidate is explored. The baseline
-    /// for the ablation benchmarks.
-    Off,
-    /// The all-or-nothing class rule: a fireable set that is one
-    /// bookkeeping priority class *and* pairwise conflict-free collapses
-    /// to its single earliest candidate. This is the level the preserved
+    /// No reduction: every fireable candidate is explored. The level the
     /// value-typed reference engine implements, so equivalence tests pin
-    /// it.
-    Classic,
-    /// Stubborn-set + sleep-set reduction: partially conflicting
-    /// bookkeeping classes are cut down to a dependency-closed stubborn
-    /// subset (instead of classic's all-or-nothing bail-out), and sleep
-    /// sets threaded through the DFS skip sibling interleavings already
-    /// explored in a commuting order. Parallel workers additionally share
-    /// expansion summaries through the arena. Never explores more states
-    /// than [`Classic`](PorLevel::Classic); the default.
+    /// it, and the baseline for the ablation benchmarks.
+    Off,
+    /// Stubborn-set + sleep-set reduction: a conflict-free bookkeeping
+    /// class collapses to its single earliest candidate, a partially
+    /// conflicting one is cut down to a dependency-closed stubborn
+    /// subset, and sleep sets threaded through the DFS skip sibling
+    /// interleavings already explored in a commuting order. Parallel
+    /// workers additionally share expansion summaries through the arena.
+    /// Never explores more states than [`Off`](PorLevel::Off); the
+    /// default.
     #[default]
     Stubborn,
 }
@@ -51,17 +47,15 @@ impl PorLevel {
     pub fn parse(value: &str) -> Option<PorLevel> {
         match value {
             "off" => Some(PorLevel::Off),
-            "classic" => Some(PorLevel::Classic),
             "stubborn" => Some(PorLevel::Stubborn),
             _ => None,
         }
     }
 
-    /// The canonical lowercase name (`off` | `classic` | `stubborn`).
+    /// The canonical lowercase name (`off` | `stubborn`).
     pub fn name(self) -> &'static str {
         match self {
             PorLevel::Off => "off",
-            PorLevel::Classic => "classic",
             PorLevel::Stubborn => "stubborn",
         }
     }
@@ -110,11 +104,10 @@ pub struct SchedulerConfig {
     pub max_states: usize,
     /// Abort after this much wall-clock time.
     pub max_time: std::time::Duration,
-    /// Worker count for [`synthesize_parallel`](crate::synthesize_parallel)
-    /// (and the parallel reachability exploration). The sequential
-    /// [`synthesize`](crate::synthesize) ignores it, and one job — the
-    /// default — makes the parallel entry points delegate to the exact
-    /// sequential code path.
+    /// Worker count for [`synthesize_parallel`](crate::synthesize_parallel).
+    /// The sequential [`synthesize`](crate::synthesize) ignores it, and
+    /// one job — the default — makes `synthesize_parallel` delegate to
+    /// the exact sequential code path.
     pub parallelism: Parallelism,
 }
 
@@ -154,10 +147,11 @@ mod tests {
 
     #[test]
     fn por_levels_round_trip_their_names() {
-        for level in [PorLevel::Off, PorLevel::Classic, PorLevel::Stubborn] {
+        for level in [PorLevel::Off, PorLevel::Stubborn] {
             assert_eq!(PorLevel::parse(level.name()), Some(level));
             assert_eq!(level.to_string(), level.name());
         }
         assert_eq!(PorLevel::parse("aggressive"), None);
+        assert_eq!(PorLevel::parse("classic"), None, "retired level");
     }
 }

@@ -43,6 +43,7 @@ mod error;
 mod obs;
 pub mod parallel;
 pub mod reference;
+pub mod replay;
 mod schedule;
 mod search;
 mod stats;
@@ -51,6 +52,7 @@ pub mod validate;
 
 pub use config::{BranchOrdering, Parallelism, PorLevel, SchedulerConfig};
 pub use error::SynthesizeError;
+pub use obs::register_metrics;
 pub use parallel::synthesize_parallel;
 pub use reference::synthesize_reference;
 pub use schedule::{FeasibleSchedule, ScheduledFiring};

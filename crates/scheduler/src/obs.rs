@@ -15,7 +15,8 @@ use std::sync::OnceLock;
 /// How many search-loop ticks between frontier-depth samples.
 pub(crate) const DEPTH_SAMPLE_TICKS: u64 = 1024;
 
-/// The engine's cells in the global registry, created on first use.
+/// The engine's cells in the global registry, created by
+/// [`register_metrics`] or on first use.
 pub(crate) struct EngineMetrics {
     /// `ezrt_search_runs_total`.
     pub(crate) runs: Counter,
@@ -39,6 +40,14 @@ pub(crate) struct EngineMetrics {
     pub(crate) frontier_depth: Histogram,
     /// `ezrt_search_elapsed_micros`.
     pub(crate) elapsed_micros: Histogram,
+}
+
+/// Registers the engine's `ezrt_search_*` families in the process-wide
+/// [`ezrt_obs::global`] registry (idempotent). Searches register them on
+/// first use anyway; a long-running service calls this at start so that
+/// a scrape before its first search already lists every family.
+pub fn register_metrics() {
+    engine_metrics();
 }
 
 pub(crate) fn engine_metrics() -> &'static EngineMetrics {

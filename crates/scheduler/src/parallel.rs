@@ -3,14 +3,13 @@
 //!
 //! [`synthesize_parallel`] distributes root-level DFS subtrees (one work
 //! item per ordered root candidate) across
-//! [`std::thread::scope`] workers. Every worker runs the same
-//! depth-first loop as the sequential [`synthesize`](crate::synthesize) —
-//! identical candidate generation (the shared `candidates_from_packed`
-//! core of the search module), identical pruning rules —
-//! but states are interned into one shared
-//! [`ShardedArena`] and proven-dead states are
-//! memoized in one shared atomic bitset, so a subtree one worker proves
-//! fruitless is pruned by every other worker from then on.
+//! [`std::thread::scope`] workers. Every worker runs the sequential
+//! [`synthesize`](crate::synthesize)'s own DFS core, monomorphised over a
+//! shared store: states are interned into one shared [`ShardedArena`],
+//! proven-dead states are memoized in one shared atomic bitset (so a
+//! subtree one worker proves fruitless is pruned by every other worker
+//! from then on), and an [`ExpansionRegistry`] lets a worker skip a state
+//! a sibling already expanded under a no-larger sleep set.
 //!
 //! ## Work distribution: per-worker steal-half deques
 //!
@@ -39,42 +38,18 @@
 //!   all workers. Every winning schedule is re-checked against the
 //!   specification through the independent
 //!   [`validate`](crate::validate::check) oracle before it is returned
-//!   (and callers are expected to replay it through `ezrt_sim::replay`,
-//!   as `ezrt_core::Project` does).
+//!   (and callers are expected to replay it through
+//!   [`replay`](crate::replay::replay), as `ezrt_core::Project` does).
 //! * Infeasibility verdicts do not race: the space is exhausted by all
 //!   workers together before `Infeasible` is reported.
 //!
-//! # Examples
-//!
-//! A two-worker synthesis over the paper's Figure 3 task set; the result
-//! carries the aggregated [`SearchStats`], including the number of
-//! steal-half transfers the run needed:
-//!
-//! ```
-//! use ezrt_compose::translate;
-//! use ezrt_scheduler::{synthesize_parallel, Parallelism, SchedulerConfig};
-//! use ezrt_spec::corpus::figure3_spec;
-//!
-//! # fn main() -> Result<(), ezrt_scheduler::SynthesizeError> {
-//! let config = SchedulerConfig {
-//!     parallelism: Parallelism::new(2),
-//!     ..SchedulerConfig::default()
-//! };
-//! let synthesis = synthesize_parallel(&translate(&figure3_spec()), &config)?;
-//! assert!(synthesis.schedule.is_feasible());
-//! assert_eq!(synthesis.stats.jobs, 2);
-//! // A first-descent-solvable set rarely needs stealing, but the
-//! // counter is always present (and 0 on the sequential path).
-//! let _ = synthesis.stats.steals;
-//! # Ok(())
-//! # }
-//! ```
+//! [`synthesize_parallel`] has a two-worker example.
 
-use crate::config::{PorLevel, SchedulerConfig};
+use crate::config::SchedulerConfig;
 use crate::error::SynthesizeError;
 use crate::schedule::{FeasibleSchedule, ScheduledFiring};
 use crate::search::{
-    candidates_from_packed, child_sleep_into, InstanceCounters, MissedTasks, PorScratch, Synthesis,
+    candidates, Dfs, Exit, Frame, InstanceCounters, MissedTasks, PorScratch, Store, Synthesis,
 };
 use crate::stats::SearchStats;
 use crate::timeline::Timeline;
@@ -82,7 +57,6 @@ use crate::validate;
 use ezrt_compose::TaskNet;
 use ezrt_tpn::{
     ExpansionClaim, ExpansionRegistry, ShardedArena, StateId, Time, TimeBound, TransitionId,
-    WorkerExplorer,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -418,34 +392,70 @@ impl Drop for PanicGuard<'_, '_> {
     }
 }
 
-/// One worker-local DFS frame; `words` holds the frame's packed state so
-/// firing never reads back through the shared arena.
-#[derive(Default)]
-struct PFrame {
-    id: Option<StateId>,
-    words: Vec<u32>,
-    candidates: Vec<(TransitionId, Time)>,
-    next: usize,
-    now: Time,
-    /// The sleep set this frame's candidates were generated under.
-    sleep: Vec<u64>,
-    /// Whether this worker is responsible for the state's dead-marking.
-    /// `false` for work-item roots (siblings live in other items) and for
-    /// frames that donated candidates away.
-    owned: bool,
+/// One worker's view of the shared search state: the [`Store`] the DFS
+/// core runs on in parallel. Frames keep their packed state words and
+/// the worker fires into its own successor buffer, so it touches shared
+/// memory only to intern a successor.
+struct SharedStore<'s, 'a> {
+    shared: &'s Shared<'a>,
+    successor: Vec<u32>,
+    me: usize,
+    /// The global visited count as of this worker's latest visit.
+    seen: usize,
 }
 
-/// Per-worker counters, merged into the aggregate [`SearchStats`] after
-/// the scope joins.
-struct WorkerLocal {
-    backtracks: usize,
-    pruned_misses: usize,
-    pruned_dead: usize,
-    deadlocks: usize,
-    por_stubborn_skips: usize,
-    por_sleep_skips: usize,
-    por_overlap_skips: usize,
-    missed: MissedTasks,
+impl Store for SharedStore<'_, '_> {
+    const SHARED: bool = true;
+
+    fn fire(&mut self, parent: &Frame, t: TransitionId, q: Time) -> StateId {
+        let net = self.shared.tasknet.net();
+        net.fire_into(&parent.words, t, q, &mut self.successor);
+        self.shared.arena.intern(&self.successor).0
+    }
+
+    fn successor(&self, _id: StateId) -> &[u32] {
+        &self.successor
+    }
+
+    fn keep(&self, frame: &mut Frame) {
+        frame.words.clone_from(&self.successor);
+    }
+
+    fn is_dead(&self, id: StateId) -> bool {
+        self.shared.dead.contains(id)
+    }
+
+    fn mark_dead(&mut self, id: StateId) {
+        self.shared.dead.insert(id);
+    }
+
+    fn visit(&mut self) {
+        self.seen = self.shared.states.fetch_add(1, Ordering::Relaxed) + 1;
+    }
+
+    fn visited(&self) -> usize {
+        self.seen
+    }
+
+    fn covered(&self, id: StateId, sleep: &[u64]) -> bool {
+        self.shared.registry.claim(id, sleep) == ExpansionClaim::Covered
+    }
+
+    fn poll(
+        &mut self,
+        ticks: u64,
+        frames: &mut [Frame],
+        path: &[ScheduledFiring],
+        base: usize,
+    ) -> bool {
+        if self.shared.stop.load(Ordering::Acquire) {
+            return true;
+        }
+        if ticks.is_multiple_of(64) && self.shared.hungry.load(Ordering::Relaxed) > 0 {
+            donate(self.shared, self.me, frames, path, base);
+        }
+        false
+    }
 }
 
 /// Synthesizes a pre-runtime schedule with
@@ -513,15 +523,15 @@ fn synthesize_parallel_inner(
     let task_count = tasknet.spec().task_count();
 
     let arena = ShardedArena::new(net.layout(), jobs);
-    let mut seed = WorkerExplorer::new(net, &arena);
-    let s0 = seed.intern_initial();
-    let s0_words = seed.successor_words().to_vec();
+    let mut s0_words = vec![0; net.layout().words()];
+    net.write_initial_packed(&mut s0_words);
+    let (s0, _) = arena.intern(&s0_words);
 
     // Root-level distribution: one work item per ordered root candidate.
     let mut domains: Vec<(TransitionId, Time, TimeBound)> = Vec::new();
     let mut root_labels: Vec<(TransitionId, Time)> = Vec::new();
     let mut root_scratch = PorScratch::new();
-    let _root_info = candidates_from_packed(
+    candidates(
         tasknet,
         &s0_words,
         config,
@@ -577,7 +587,7 @@ fn synthesize_parallel_inner(
         );
     }
 
-    let locals: Vec<WorkerLocal> = std::thread::scope(|scope| {
+    let locals: Vec<(SearchStats, MissedTasks)> = std::thread::scope(|scope| {
         let shared = &shared;
         let handles: Vec<_> = (0..jobs)
             .map(|me| scope.spawn(move || worker(shared, me)))
@@ -603,7 +613,7 @@ fn synthesize_parallel_inner(
         ..SearchStats::default()
     };
     let mut missed = MissedTasks::new(task_count);
-    for local in &locals {
+    for (local, local_missed) in &locals {
         stats.backtracks += local.backtracks;
         stats.pruned_misses += local.pruned_misses;
         stats.pruned_dead += local.pruned_dead;
@@ -611,7 +621,7 @@ fn synthesize_parallel_inner(
         stats.por_stubborn_skips += local.por_stubborn_skips;
         stats.por_sleep_skips += local.por_sleep_skips;
         stats.por_overlap_skips += local.por_overlap_skips;
-        missed.merge(&local.missed);
+        missed.merge(local_missed);
     }
 
     let outcome = shared.outcome.into_inner().expect("outcome slot poisoned");
@@ -625,7 +635,11 @@ fn synthesize_parallel_inner(
                 "parallel synthesis produced a schedule the independent validator rejects \
                  (kernel bug): {violations:?}"
             );
-            Ok(Synthesis { schedule, stats })
+            Ok(Synthesis {
+                schedule,
+                stats,
+                replayed: false,
+            })
         }
         Some(Verdict::StateLimit) => Err(SynthesizeError::StateLimitExceeded {
             stats: Box::new(stats),
@@ -640,214 +654,39 @@ fn synthesize_parallel_inner(
     }
 }
 
-/// One worker: pop or steal work items, run the DFS under each, split
-/// the shallowest frontier when peers starve, stop on the shared flag.
-fn worker(shared: &Shared<'_>, me: usize) -> WorkerLocal {
+/// One worker: pop or steal work items and run the DFS core under each
+/// until the shared flag stops it; returns the worker's counters.
+fn worker(shared: &Shared<'_>, me: usize) -> (SearchStats, MissedTasks) {
     let _panic_guard = PanicGuard(shared);
-    let tasknet = shared.tasknet;
-    let config = shared.config;
-    let mut explorer = WorkerExplorer::new(tasknet.net(), &shared.arena);
-    let mut local = WorkerLocal {
-        backtracks: 0,
-        pruned_misses: 0,
-        pruned_dead: 0,
-        deadlocks: 0,
-        por_stubborn_skips: 0,
-        por_sleep_skips: 0,
-        por_overlap_skips: 0,
-        missed: MissedTasks::new(tasknet.spec().task_count()),
+    let store = SharedStore {
+        shared,
+        successor: vec![0; shared.arena.layout().words()],
+        me,
+        seen: 0,
     };
-    let mut frames: Vec<PFrame> = Vec::new();
-    let mut domains: Vec<(TransitionId, Time, TimeBound)> = Vec::new();
-    let mut counters = InstanceCounters::new(tasknet.spec().task_count());
-    let mut scratch = PorScratch::new();
-    let mut child_sleep: Vec<u64> = Vec::new();
-    let mut ticks: u64 = 0;
-    let engine = crate::obs::engine_metrics();
-
-    'items: while let Some(item) = shared.next_item(me) {
-        // Rebuild the path-dependent EDF counters for this subtree's
-        // prefix, then seed frame 0 with the item's single candidate.
-        counters.reset();
-        for firing in item.path.iter() {
-            counters.apply(firing.role);
-        }
-        // The worker's own growable copy of the shared prefix.
-        let mut path: Vec<ScheduledFiring> = item.path.to_vec();
-        let base_len = path.len();
-        if frames.is_empty() {
-            frames.push(PFrame::default());
-        }
-        let root = &mut frames[0];
-        root.id = Some(item.parent_id);
-        root.words.clear();
+    let mut dfs = Dfs::new(shared.tasknet, shared.config, shared.started, store);
+    while let Some(item) = shared.next_item(me) {
+        // The item's parent state is the root; its one label is the only
+        // candidate, and the siblings' dead-marking belongs to whoever
+        // owns the other items.
+        let root = dfs.root(item.parent_id, item.now, &item.path);
         root.words.extend_from_slice(&item.parent_words);
-        root.candidates.clear();
         root.candidates.push(item.label);
-        root.next = 0;
-        root.now = item.now;
-        root.sleep.clear();
         root.sleep.extend_from_slice(&item.sleep);
         root.owned = false;
-        let mut depth = 1usize;
-
-        loop {
-            ticks += 1;
-            if ticks.is_multiple_of(crate::obs::DEPTH_SAMPLE_TICKS) {
-                engine.frontier_depth.observe((base_len + depth) as u64);
-            }
-            if shared.stop.load(Ordering::Acquire) {
-                break 'items;
-            }
-            if ticks.is_multiple_of(4096) && shared.started.elapsed() > config.max_time {
-                shared.finish(Verdict::TimeLimit);
-                break 'items;
-            }
-            if ticks.is_multiple_of(64) && shared.hungry.load(Ordering::Relaxed) > 0 {
-                donate(shared, me, &mut frames, depth, &path, base_len);
-            }
-
-            if depth == 0 {
-                // This subtree is exhausted; its root's dead-marking (if
-                // any) belongs to whoever owns the sibling items.
-                continue 'items;
-            }
-
-            let (transition, delay, now) = {
-                let frame = &mut frames[depth - 1];
-                // Frame exhausted: dead if this worker owns the proof.
-                if frame.next >= frame.candidates.len() {
-                    // Sleep-assisted exhaustion still publishes a shared
-                    // dead mark: it is verdict-sound even while the
-                    // covering siblings are racing, because feasibility
-                    // from a state is prefix-independent, every slept
-                    // label is a live work item's (or in-stack frame's)
-                    // obligation, and obligations are never dropped.
-                    if frame.owned {
-                        shared
-                            .dead
-                            .insert(frame.id.expect("active frames hold a state"));
-                    }
-                    depth -= 1;
-                    if path.len() > base_len {
-                        let firing = path.pop().expect("local path is non-empty");
-                        counters.unapply(firing.role);
-                        local.backtracks += 1;
-                    }
-                    continue;
-                }
-                let (t, q) = frame.candidates[frame.next];
-                frame.next += 1;
-                (t, q, frame.now + q)
-            };
-
-            let (next_state, _) = explorer.fire_from(&frames[depth - 1].words, transition, delay);
-            if shared.dead.contains(next_state) {
-                local.pruned_dead += 1;
-                continue;
-            }
-            let total = shared.states.fetch_add(1, Ordering::Relaxed) + 1;
-            if total > config.max_states {
-                shared.finish(Verdict::StateLimit);
-                break 'items;
-            }
-
-            let successor = explorer.successor_words();
-            if tasknet.has_deadline_miss_packed(successor) {
-                local.pruned_misses += 1;
-                for task in tasknet.missed_tasks_packed_iter(successor) {
-                    local.missed.record(task);
-                }
-                shared.dead.insert(next_state);
-                continue;
-            }
-
-            let role = tasknet.role(transition);
-            let firing = ScheduledFiring {
-                transition,
-                role,
-                delay,
-                at: now,
-            };
-
-            if tasknet.is_final_packed(successor) {
-                path.push(firing);
+        match dfs.run() {
+            Exit::Exhausted => continue,
+            Exit::Feasible => {
+                let path = std::mem::take(&mut dfs.path);
                 shared.finish(Verdict::Feasible(FeasibleSchedule::new(path)));
-                break 'items;
             }
-
-            let parent = &frames[depth - 1];
-            child_sleep_into(
-                tasknet,
-                config,
-                &parent.sleep,
-                &parent.candidates[..parent.next - 1],
-                (transition, delay),
-                successor,
-                &mut scratch,
-                &mut child_sleep,
-            );
-            // Publish-or-skip through the shared registry: if a sibling
-            // already expanded this state under a sleep set no larger
-            // than ours, every candidate we would explore is already its
-            // obligation — drop the whole subtree. Guard: only when the
-            // parent frame still has other candidates. Skipping a frame's
-            // last candidate unwinds the whole stack, and on a feasible
-            // race (where the branch ordering's first choice is usually
-            // right) that trades one duplicated subtree for a deep detour
-            // through last-ranked siblings — duplicating, as the classic
-            // level would, is cheaper.
-            if config.por == PorLevel::Stubborn
-                && parent.next < parent.candidates.len()
-                && shared.registry.claim(next_state, &child_sleep) == ExpansionClaim::Covered
-            {
-                local.por_overlap_skips += 1;
-                continue;
-            }
-
-            counters.apply(role);
-            if depth == frames.len() {
-                frames.push(PFrame::default());
-            }
-            let frame = &mut frames[depth];
-            frame.id = Some(next_state);
-            frame.words.clear();
-            frame.words.extend_from_slice(successor);
-            frame.next = 0;
-            frame.now = now;
-            frame.owned = true;
-            let info = candidates_from_packed(
-                tasknet,
-                &frame.words,
-                config,
-                &counters,
-                &child_sleep,
-                true,
-                &mut scratch,
-                &mut domains,
-                &mut frame.candidates,
-            );
-            std::mem::swap(&mut frame.sleep, &mut child_sleep);
-            if frame.candidates.is_empty() {
-                counters.unapply(role);
-                if !info.fireable {
-                    // Non-final deadlock: dead end.
-                    local.deadlocks += 1;
-                }
-                // Sleep-covered or deadlocked: exhausted either way (see
-                // the exhaustion comment above for why the mark is sound
-                // while the covering siblings race).
-                shared.dead.insert(next_state);
-                continue;
-            }
-
-            path.push(firing);
-            depth += 1;
+            Exit::StateLimit => shared.finish(Verdict::StateLimit),
+            Exit::TimeLimit => shared.finish(Verdict::TimeLimit),
+            Exit::Stopped => {}
         }
+        break;
     }
-    local.por_stubborn_skips += scratch.stubborn_skips;
-    local.por_sleep_skips += scratch.sleep_skips;
-    local
+    (dfs.stats(), dfs.missed)
 }
 
 /// Splits unexplored sibling candidates off the donor's stack into the
@@ -858,15 +697,14 @@ fn worker(shared: &Shared<'_>, me: usize) -> WorkerLocal {
 fn donate(
     shared: &Shared<'_>,
     me: usize,
-    frames: &mut [PFrame],
-    depth: usize,
+    frames: &mut [Frame],
     path: &[ScheduledFiring],
-    base_len: usize,
+    base: usize,
 ) {
+    let depth = frames.len();
     let mut donated: Vec<WorkItem> = Vec::new();
-    for i in 0..depth {
+    for (i, frame) in frames.iter_mut().enumerate() {
         let keep = if i + 1 == depth { 1 } else { 0 };
-        let frame = &mut frames[i];
         let remaining = frame.candidates.len().saturating_sub(frame.next);
         if remaining <= keep {
             continue;
@@ -875,11 +713,11 @@ fn donate(
         // One shared copy of the parent state, prefix and sleep set for
         // all sibling items.
         let parent_words = Arc::new(frame.words.clone());
-        let prefix = Arc::new(path[..base_len + i].to_vec());
+        let prefix = Arc::new(path[..base + i].to_vec());
         let sleep = Arc::new(frame.sleep.clone());
         for &label in &frame.candidates[start..] {
             donated.push(WorkItem {
-                parent_id: frame.id.expect("active frames hold a state"),
+                parent_id: frame.state,
                 parent_words: Arc::clone(&parent_words),
                 label,
                 now: frame.now,

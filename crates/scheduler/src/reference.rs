@@ -6,9 +6,11 @@
 //! [`fire_unchecked`](ezrt_tpn::TimePetriNet::fire_unchecked) — exactly as
 //! it behaved before the packed kernel landed. It exists for two reasons:
 //!
-//! 1. **Equivalence testing**: the packed search must return byte-identical
-//!    schedules and identical `states_visited` counts (see
-//!    `tests/packed_equivalence.rs`).
+//! 1. **Equivalence testing**: at [`PorLevel::Off`](crate::PorLevel::Off)
+//!    the packed search must return byte-identical schedules and identical
+//!    `states_visited` counts (see `tests/packed_equivalence.rs`). The
+//!    reference implements no partial-order reduction at all — the
+//!    simplest oracle — so it ignores [`SchedulerConfig::por`].
 //! 2. **Benchmarking**: the old-versus-packed comparison in
 //!    `ezrt-bench` quantifies what the packed kernel buys.
 //!
@@ -20,7 +22,7 @@ use crate::schedule::{FeasibleSchedule, ScheduledFiring};
 use crate::search::Synthesis;
 use crate::search::{instance_deadline, role_rank, InstanceCounters};
 use crate::stats::SearchStats;
-use ezrt_compose::{Priority, TaskNet};
+use ezrt_compose::TaskNet;
 use ezrt_tpn::{State, Time, TimeBound, TransitionId};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -156,6 +158,7 @@ pub fn synthesize_reference(
             return Ok(Synthesis {
                 schedule: FeasibleSchedule::new(path),
                 stats,
+                replayed: false,
             });
         }
 
@@ -180,8 +183,8 @@ pub fn synthesize_reference(
 }
 
 /// Generates the ordered candidate labels of a state: the fireable set
-/// `FT(s)`, expanded to `(t, q)` pairs per the delay mode, reduced by the
-/// bookkeeping partial-order rule, and sorted by the branch ordering.
+/// `FT(s)`, expanded to `(t, q)` pairs per the delay mode and sorted by
+/// the branch ordering.
 fn candidates(
     tasknet: &TaskNet,
     state: &State,
@@ -219,25 +222,6 @@ fn candidates(
         }
     }
 
-    // Partial-order reduction: FT(s) is a single priority class by
-    // definition. If that class is bookkeeping (forced [0,0] or exact
-    // timed sources) and the members are pairwise conflict-free, their
-    // firing order cannot affect reachable schedules — explore only the
-    // earliest-delay candidate. The reference engine implements only the
-    // *classic* all-or-nothing rule: `PorLevel::Stubborn` is treated as
-    // classic here, so equivalence contracts pin `PorLevel::Classic`.
-    if config.por != crate::config::PorLevel::Off {
-        let class = Priority(net.transition(fireable[0]).priority());
-        if class.is_bookkeeping() && pairwise_independent(tasknet, &fireable) {
-            let best = labels
-                .iter()
-                .copied()
-                .min_by_key(|&(t, q)| (q, t.index()))
-                .expect("labels is non-empty");
-            return vec![best];
-        }
-    }
-
     match config.ordering {
         BranchOrdering::Fifo => {
             labels.sort_by_key(|&(t, q)| (q, t.index()));
@@ -254,19 +238,4 @@ fn candidates(
         }
     }
     labels
-}
-
-/// Pairwise structural independence: no two fireable transitions share an
-/// input place, so firing one cannot disable another.
-fn pairwise_independent(tasknet: &TaskNet, fireable: &[TransitionId]) -> bool {
-    let net = tasknet.net();
-    let mut seen = HashSet::new();
-    for &t in fireable {
-        for &(p, _) in net.pre_set(t) {
-            if !seen.insert(p) {
-                return false;
-            }
-        }
-    }
-    true
 }

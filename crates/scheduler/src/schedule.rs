@@ -45,7 +45,7 @@ impl FeasibleSchedule {
     /// bypassing the feasible-by-construction guarantee — the caller
     /// owns the feasibility obligation. The disk-cache decode path
     /// (`ezrt_artifacts::codec`) uses this and then replays the result
-    /// through the `ezrt_sim::replay` net-semantics oracle before
+    /// through the [`replay`](crate::replay::replay) net-semantics oracle before
     /// trusting it; anything else should get schedules from
     /// [`synthesize`](crate::synthesize).
     pub fn from_firings(firings: Vec<ScheduledFiring>) -> Self {
@@ -83,6 +83,12 @@ impl FeasibleSchedule {
         mut predicate: impl FnMut(&TransitionRole) -> bool + 'a,
     ) -> impl Iterator<Item = &'a ScheduledFiring> + 'a {
         self.firings.iter().filter(move |f| predicate(&f.role))
+    }
+}
+
+impl AsRef<[ScheduledFiring]> for FeasibleSchedule {
+    fn as_ref(&self) -> &[ScheduledFiring] {
+        &self.firings
     }
 }
 

@@ -1,14 +1,18 @@
 //! The depth-first schedule-synthesis search on the packed state kernel.
 //!
-//! The DFS walks the TLTS through
-//! [`Explorer`](ezrt_tpn::reachability::Explorer): states are interned to
-//! dense [`StateId`]s in a slab arena, successors are fired into reusable
-//! scratch buffers, the dead-set is a bitvector over ids, and frames pool
-//! their candidate vectors across pushes — so in the steady state the
-//! inner loop performs **zero heap allocations per explored successor**.
-//! The original value-typed search is preserved in
-//! [`reference`](crate::reference) and the two are equivalence-tested to
-//! return byte-identical schedules.
+//! One DFS core, [`Dfs`], serves every engine. Its loop fires a
+//! candidate of the top frame, then runs the dead, miss and final checks
+//! on the successor, then the child step: the child's sleep set and
+//! candidates, pushed as a new frame. The core is generic over a
+//! [`Store`], the place states are interned and memoized dead, and is
+//! monomorphised per store. The sequential search runs it on a [`Local`]
+//! store: an [`Explorer`] arena and a bitvector [`DeadSet`] over dense
+//! [`StateId`]s. The parallel workers (`crate::parallel`) run the same
+//! loop on a store shared between threads. Frames pool their candidate
+//! vectors across pushes, so in the steady state the loop performs
+//! **zero heap allocations per explored successor**. The original
+//! value-typed search is preserved in [`reference`](crate::reference) and
+//! the two are equivalence-tested to return byte-identical schedules.
 
 use crate::config::{BranchOrdering, PorLevel, SchedulerConfig};
 use crate::error::SynthesizeError;
@@ -29,33 +33,439 @@ pub struct Synthesis {
     pub schedule: FeasibleSchedule,
     /// Search counters.
     pub stats: SearchStats,
+    /// Whether `schedule` already passed the net-level
+    /// [`replay`](crate::replay::replay) oracle. True on the verbatim
+    /// warm-start path of [`synthesize_seeded`], whose result *is* a
+    /// replay, so callers that oracle-check every result
+    /// (`ezrt_core::Project`) do not replay it again.
+    pub replayed: bool,
 }
 
-/// One DFS frame over interned states. Frames are pooled: popping a frame
-/// leaves its candidate and sleep vectors allocated for the next push at
-/// that depth.
+/// One DFS frame. Frames are pooled: popping a frame leaves its vectors
+/// allocated for the next push at that depth.
 #[derive(Default)]
-struct Frame {
-    state: Option<StateId>,
-    candidates: Vec<(TransitionId, Time)>,
-    next: usize,
-    now: Time,
+pub(crate) struct Frame {
+    pub(crate) state: StateId,
+    /// The state's packed words, for stores whose arena cannot lend a
+    /// slice (the shared store); left empty by the [`Local`] store.
+    pub(crate) words: Vec<u32>,
+    pub(crate) candidates: Vec<(TransitionId, Time)>,
+    pub(crate) next: usize,
+    pub(crate) now: Time,
     /// The sleep set this frame's candidates were generated under
     /// (packed transition mask; empty ⇔ nothing asleep).
-    sleep: Vec<u64>,
+    pub(crate) sleep: Vec<u64>,
+    /// Whether exhausting this frame proves its state dead. False for a
+    /// parallel work item's root (its other candidates live in other
+    /// items) and for frames that donated candidates away.
+    pub(crate) owned: bool,
 }
 
-/// What [`candidates_from_packed`] learned about a frame beyond the
-/// candidate list itself.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FrameInfo {
-    /// Whether the raw fireable set `FT(s)` was non-empty. An empty
-    /// candidate list with `fireable == true` means every candidate was
-    /// asleep: the subtree is covered by a commuting sibling order, and
-    /// the state is exhausted *without* being a deadlock.
-    pub(crate) fireable: bool,
-    /// Whether the fireable class is bookkeeping priority.
-    pub(crate) bookkeeping: bool,
+/// Where the DFS core keeps its states: interning, the packed words of
+/// the latest successor, the dead-state memo and the visited count.
+pub(crate) trait Store {
+    /// Whether several workers search this store at once. A shared store
+    /// never lets the sleep filter drain a frame (see [`candidates`]) and
+    /// consults [`covered`](Self::covered) before each push.
+    const SHARED: bool;
+    /// Fires `(t, q)` out of `parent`'s state, interning the successor.
+    fn fire(&mut self, parent: &Frame, t: TransitionId, q: Time) -> StateId;
+    /// The packed words of `id`, the successor the last
+    /// [`fire`](Self::fire) returned.
+    fn successor(&self, id: StateId) -> &[u32];
+    /// Keeps the latest successor's words in the frame about to hold it.
+    fn keep(&self, _frame: &mut Frame) {}
+    /// Whether `id` is proven dead.
+    fn is_dead(&self, id: StateId) -> bool;
+    /// Memoizes `id` as dead.
+    fn mark_dead(&mut self, id: StateId);
+    /// Counts one visited state.
+    fn visit(&mut self);
+    /// States visited so far, as the `max_states` budget sees them.
+    fn visited(&self) -> usize;
+    /// Whether a sibling already expanded `id` under a sleep set no
+    /// larger than `sleep`, so the whole subtree can be skipped.
+    fn covered(&self, _id: StateId, _sleep: &[u64]) -> bool {
+        false
+    }
+    /// Called once per loop tick with the active frames; may split
+    /// unexplored candidates off to idle peers. True stops the search.
+    fn poll(
+        &mut self,
+        _ticks: u64,
+        _frames: &mut [Frame],
+        _path: &[ScheduledFiring],
+        _base: usize,
+    ) -> bool {
+        false
+    }
+}
+
+/// The sequential store: one [`Explorer`] arena and a [`DeadSet`].
+struct Local<'net> {
+    explorer: Explorer<'net>,
+    dead: DeadSet,
+    states: usize,
+}
+
+impl Store for Local<'_> {
+    const SHARED: bool = false;
+
+    fn fire(&mut self, parent: &Frame, t: TransitionId, q: Time) -> StateId {
+        self.explorer.fire(parent.state, t, q).0
+    }
+
+    fn successor(&self, id: StateId) -> &[u32] {
+        self.explorer.state(id)
+    }
+
+    fn is_dead(&self, id: StateId) -> bool {
+        self.dead.contains(id)
+    }
+
+    fn mark_dead(&mut self, id: StateId) {
+        self.dead.insert(id);
+    }
+
+    fn visit(&mut self) {
+        self.states += 1;
+    }
+
+    fn visited(&self) -> usize {
+        self.states
+    }
+}
+
+/// How a [`Dfs::run`] ended.
+pub(crate) enum Exit {
+    /// The final marking was reached; the path is the schedule.
+    Feasible,
+    /// Every frame was exhausted.
+    Exhausted,
+    /// The `max_states` budget ran out.
+    StateLimit,
+    /// The `max_time` budget ran out.
+    TimeLimit,
+    /// [`Store::poll`] asked the search to stop.
+    Stopped,
+}
+
+/// The DFS core: a frame stack over a [`Store`], plus the path, the EDF
+/// instance counters, the partial-order scratch and the run's counters.
+pub(crate) struct Dfs<'a, S> {
+    pub(crate) store: S,
+    tasknet: &'a TaskNet,
+    config: &'a SchedulerConfig,
+    started: Instant,
+    frames: Vec<Frame>,
+    /// Frames `0..depth` are active; `depth..frames.len()` are pooled
+    /// spares.
+    depth: usize,
+    /// The firings from `s0` to the top frame's state.
+    pub(crate) path: Vec<ScheduledFiring>,
+    /// The length of the path prefix that reached the root frame (non-zero
+    /// for parallel work items).
+    base: usize,
+    counters: InstanceCounters,
+    scratch: PorScratch,
+    domains: Vec<(TransitionId, Time, TimeBound)>,
+    /// The child-sleep staging buffer: computed against the parent frame,
+    /// then swapped into the child (both hot-loop allocation-free).
+    child_sleep: Vec<u64>,
+    ticks: u64,
+    /// Backtracks, prunes, deadlocks and registry skips of this core.
+    pub(crate) stats: SearchStats,
+    pub(crate) missed: MissedTasks,
+}
+
+impl<'a, S: Store> Dfs<'a, S> {
+    pub(crate) fn new(
+        tasknet: &'a TaskNet,
+        config: &'a SchedulerConfig,
+        started: Instant,
+        store: S,
+    ) -> Self {
+        let tasks = tasknet.spec().task_count();
+        Dfs {
+            store,
+            tasknet,
+            config,
+            started,
+            frames: Vec::new(),
+            depth: 0,
+            path: Vec::new(),
+            base: 0,
+            counters: InstanceCounters::new(tasks),
+            scratch: PorScratch::new(),
+            domains: Vec::new(),
+            child_sleep: Vec::new(),
+            ticks: 0,
+            stats: SearchStats::default(),
+            missed: MissedTasks::new(tasks),
+        }
+    }
+
+    /// Restarts the stack at `state`, reached at time `now` by `prefix`,
+    /// and returns the root frame — owned, with no candidates, sleep or
+    /// words yet — for the caller to fill in.
+    pub(crate) fn root(
+        &mut self,
+        state: StateId,
+        now: Time,
+        prefix: &[ScheduledFiring],
+    ) -> &mut Frame {
+        self.path.clear();
+        self.path.extend_from_slice(prefix);
+        self.base = prefix.len();
+        self.counters.reset();
+        for firing in prefix {
+            self.counters.apply(firing.role);
+        }
+        if self.frames.is_empty() {
+            self.frames.push(Frame::default());
+        }
+        self.depth = 1;
+        let root = &mut self.frames[0];
+        root.state = state;
+        root.words.clear();
+        root.candidates.clear();
+        root.next = 0;
+        root.now = now;
+        root.sleep.clear();
+        root.owned = true;
+        root
+    }
+
+    /// Runs the search from the current stack until it ends.
+    pub(crate) fn run(&mut self) -> Exit {
+        let engine = crate::obs::engine_metrics();
+        loop {
+            // Budget checks. The time budget is gated on the loop tick,
+            // not on states visited: long pruning streaks (dead-set hits,
+            // deadline misses) advance the tick every iteration but may
+            // not visit any fresh state, and must still hit the check.
+            self.ticks += 1;
+            if self.ticks.is_multiple_of(crate::obs::DEPTH_SAMPLE_TICKS) {
+                engine
+                    .frontier_depth
+                    .observe((self.base + self.depth) as u64);
+            }
+            if self.store.visited() > self.config.max_states {
+                return Exit::StateLimit;
+            }
+            if self.ticks.is_multiple_of(4096) && self.started.elapsed() > self.config.max_time {
+                return Exit::TimeLimit;
+            }
+            let active = &mut self.frames[..self.depth];
+            if self.store.poll(self.ticks, active, &self.path, self.base) {
+                return Exit::Stopped;
+            }
+            if self.depth == 0 {
+                return Exit::Exhausted;
+            }
+
+            let frame = &mut self.frames[self.depth - 1];
+            // Frame exhausted: its state is dead (if this frame owns the
+            // proof); backtrack. For racing workers a sleep-assisted
+            // exhaustion is still a sound shared dead mark: feasibility
+            // from a state is prefix-independent, every slept label is a
+            // live work item's (or in-stack frame's) obligation, and
+            // obligations are never dropped.
+            if frame.next >= frame.candidates.len() {
+                if frame.owned {
+                    self.store.mark_dead(frame.state);
+                }
+                self.depth -= 1;
+                if self.path.len() > self.base {
+                    let firing = self.path.pop().expect("the path is non-empty");
+                    self.counters.unapply(firing.role);
+                    self.stats.backtracks += 1;
+                }
+                continue;
+            }
+
+            let (transition, delay) = frame.candidates[frame.next];
+            frame.next += 1;
+            let now = frame.now + delay;
+            let next = self.store.fire(frame, transition, delay);
+            if self.store.is_dead(next) {
+                self.stats.pruned_dead += 1;
+                continue;
+            }
+            self.store.visit();
+
+            let packed = self.store.successor(next);
+            if self.tasknet.has_deadline_miss_packed(packed) {
+                self.stats.pruned_misses += 1;
+                for task in self.tasknet.missed_tasks_packed_iter(packed) {
+                    self.missed.record(task);
+                }
+                self.store.mark_dead(next);
+                continue;
+            }
+            let firing = ScheduledFiring {
+                transition,
+                role: self.tasknet.role(transition),
+                delay,
+                at: now,
+            };
+            if self.tasknet.is_final_packed(packed) {
+                self.path.push(firing);
+                return Exit::Feasible;
+            }
+
+            let Some(fireable) = self.push(firing, next) else {
+                self.stats.por_overlap_skips += 1;
+                continue;
+            };
+            if self.frames[self.depth - 1].candidates.is_empty() {
+                // Non-final deadlock, or every candidate asleep (the
+                // subtree is covered by a commuting sibling order). Either
+                // way the state is exhausted: pop it again and memoize it
+                // (the reachable TLTS is acyclic, so a sibling-order
+                // induction makes the dead mark sound).
+                self.depth -= 1;
+                self.path.pop();
+                self.counters.unapply(firing.role);
+                if !fireable {
+                    self.stats.deadlocks += 1;
+                }
+                self.store.mark_dead(next);
+            }
+        }
+    }
+
+    /// The child step: computes the sleep set of `next`, reached by
+    /// `firing` out of the top frame, then pushes its frame with its
+    /// candidates and extends the path. Returns whether the child's
+    /// `FT(s)` was non-empty (see [`candidates`]), or `None` (nothing
+    /// pushed) when the store reports a sibling already covers the child.
+    fn push(&mut self, firing: ScheduledFiring, next: StateId) -> Option<bool> {
+        let parent = &self.frames[self.depth - 1];
+        child_sleep_into(
+            self.tasknet,
+            self.config,
+            &parent.sleep,
+            &parent.candidates[..parent.next - 1],
+            (firing.transition, firing.delay),
+            self.store.successor(next),
+            &mut self.scratch,
+            &mut self.child_sleep,
+        );
+        // Publish-or-skip through a shared expansion registry: if a
+        // sibling already expanded this state under a sleep set no larger
+        // than ours, every candidate we would explore is already its
+        // obligation. Guard: only when the parent frame still has other
+        // candidates. Skipping a frame's last candidate unwinds the whole
+        // stack, and on a feasible race (where the branch ordering's first
+        // choice is usually right) that trades one duplicated subtree for
+        // a deep detour through last-ranked siblings.
+        if S::SHARED
+            && self.config.por == PorLevel::Stubborn
+            && parent.next < parent.candidates.len()
+            && self.store.covered(next, &self.child_sleep)
+        {
+            return None;
+        }
+
+        self.counters.apply(firing.role);
+        if self.depth == self.frames.len() {
+            self.frames.push(Frame::default());
+        }
+        let frame = &mut self.frames[self.depth];
+        frame.state = next;
+        frame.next = 0;
+        frame.now = firing.at;
+        frame.owned = true;
+        self.store.keep(frame);
+        std::mem::swap(&mut frame.sleep, &mut self.child_sleep);
+        let fireable = candidates(
+            self.tasknet,
+            self.store.successor(next),
+            self.config,
+            &self.counters,
+            &frame.sleep,
+            S::SHARED,
+            &mut self.scratch,
+            &mut self.domains,
+            &mut frame.candidates,
+        );
+        self.path.push(firing);
+        self.depth += 1;
+        Some(fireable)
+    }
+
+    /// The core's own counters, with the partial-order skips folded in.
+    pub(crate) fn stats(&self) -> SearchStats {
+        SearchStats {
+            por_stubborn_skips: self.scratch.stubborn_skips,
+            por_sleep_skips: self.scratch.sleep_skips,
+            ..self.stats.clone()
+        }
+    }
+}
+
+impl Dfs<'_, Local<'_>> {
+    /// Generates the root frame's candidates from its state and sleep set.
+    fn expand_root(&mut self) {
+        let root = &mut self.frames[0];
+        candidates(
+            self.tasknet,
+            self.store.successor(root.state),
+            self.config,
+            &self.counters,
+            &root.sleep,
+            false,
+            &mut self.scratch,
+            &mut self.domains,
+            &mut root.candidates,
+        );
+    }
+
+    /// Warm start: pushes each seeded firing through the child step, as
+    /// long as it is an ordinary candidate of the top frame and its
+    /// successor is miss-free, moving it to the front of that frame's
+    /// branch order. A firing that fails either check ends the prefix and
+    /// leaves its frame untouched, so the continuation from there is
+    /// exactly the cold search's; replayed frames keep their remaining
+    /// candidates in cold order behind the seed, preserving completeness.
+    /// Returns the number of firings replayed.
+    fn seed(&mut self, seed: &[ScheduledFiring]) -> usize {
+        let mut replayed = 0;
+        for firing in seed {
+            let frame = &mut self.frames[self.depth - 1];
+            let label = (firing.transition, firing.delay);
+            let Some(pos) = frame.candidates.iter().position(|&c| c == label) else {
+                break;
+            };
+            let next = self.store.fire(frame, firing.transition, firing.delay);
+            if self
+                .tasknet
+                .has_deadline_miss_packed(self.store.successor(next))
+            {
+                break;
+            }
+            // The reached state is never final: the verbatim replay that
+            // runs first would have accepted this prefix.
+            frame.candidates[..=pos].rotate_right(1);
+            frame.next = 1;
+            let firing = ScheduledFiring {
+                transition: firing.transition,
+                role: self.tasknet.role(firing.transition),
+                delay: firing.delay,
+                at: frame.now + firing.delay,
+            };
+            self.push(firing, next)
+                .expect("a local store covers no subtree");
+            replayed += 1;
+            if self.frames[self.depth - 1].candidates.is_empty() {
+                // Replayed into a state with no candidates (possible after
+                // an edit): the loop backtracks out of it normally.
+                break;
+            }
+        }
+        replayed
+    }
 }
 
 /// Reusable per-search scratch for the partial-order machinery: packed
@@ -181,9 +591,8 @@ impl InstanceCounters {
         }
     }
 
-    /// Clears all counters — used when a parallel worker re-seeds its DFS
-    /// from a new work item's path prefix.
-    pub(crate) fn reset(&mut self) {
+    /// Clears all counters — used when the DFS restarts from a new root.
+    fn reset(&mut self) {
         self.releases.fill(0);
         self.completed.fill(0);
     }
@@ -236,27 +645,28 @@ pub fn synthesize(
     tasknet: &TaskNet,
     config: &SchedulerConfig,
 ) -> Result<Synthesis, SynthesizeError> {
-    synthesize_with_seed(tasknet, config, &[])
+    synthesize_seeded(tasknet, config, &[])
 }
 
 /// [`synthesize`] warm-started from a prior schedule's legal prefix.
 ///
-/// The seed is first replayed verbatim against the oracle checks alone —
-/// raw `FT(s)`/`FD_s(t)` legality, miss-freedom, final marking — and when
-/// the whole run still goes through (an unchanged or loosened spec) that
-/// replay *is* the result: one linear pass, no DFS setup, `incr_replayed`
-/// firings and zero visited states. Otherwise the seeded DFS takes over:
-/// each seeded firing is accepted only if it is an ordinary member of the
-/// current frame's candidate list — the same `FT(s)`/`FD_s(t)` expansion,
-/// partial-order reduction and delay-mode filtering a cold search applies
-/// — and its successor is re-checked for deadline misses. Accepted
-/// firings are moved to the *front* of their frame's branch order and the
-/// DFS resumes from the replayed frontier; the rest of each frame is left
-/// exactly as a cold search would order it. Seeding therefore only
-/// permutes branch order at the replayed frames: the search still covers
-/// the same space, so `Infeasible` and budget verdicts remain sound, and
-/// a fully rejected seed (`incr_replayed == 0`) runs byte-identically to
-/// [`synthesize`].
+/// The seed is first replayed verbatim through the net-level
+/// [`replay`](crate::replay::replay) oracle — raw `FT(s)`/`FD_s(t)`
+/// legality, miss-freedom, stop at the final marking — and when the run
+/// reaches `MF` (an unchanged or loosened spec) that replay *is* the
+/// result: one linear pass, no DFS setup, `incr_replayed` firings, zero
+/// visited states and [`Synthesis::replayed`] set. Otherwise the seeded
+/// DFS takes over: each seeded firing is accepted only if it is an
+/// ordinary member of the current frame's candidate list — the same
+/// `FT(s)`/`FD_s(t)` expansion, partial-order reduction and delay-mode
+/// filtering a cold search applies — and its successor is re-checked for
+/// deadline misses. Accepted firings are moved to the *front* of their
+/// frame's branch order and the DFS resumes from the replayed frontier;
+/// the rest of each frame is left exactly as a cold search would order
+/// it. Seeding therefore only permutes branch order at the replayed
+/// frames: the search still covers the same space, so `Infeasible` and
+/// budget verdicts remain sound, and a fully rejected seed
+/// (`incr_replayed == 0`) runs byte-identically to [`synthesize`].
 ///
 /// On seeded runs [`SearchStats::states_visited`] counts only states the
 /// search generated *beyond* the replayed prefix (zero when the seed
@@ -272,71 +682,12 @@ pub fn synthesize_seeded(
     config: &SchedulerConfig,
     seed: &[ScheduledFiring],
 ) -> Result<Synthesis, SynthesizeError> {
-    synthesize_with_seed(tasknet, config, seed)
-}
-
-/// Replays `seed` verbatim on a fresh explorer with the *oracle* checks
-/// only — raw `FT(s)`/`FD_s(t)` legality, no deadline-miss place marked,
-/// final marking `MF` reached — and returns the replayed schedule when
-/// the whole run goes through (truncated early if a step already reaches
-/// `MF`). This costs one domain scan per step instead of the seeded
-/// DFS's full candidate construction, so resubmitting an unchanged (or
-/// loosened) spec is strictly cheaper than a cold search, not just
-/// smaller in states. Any `FT`/`FD`-legal miss-free run to `MF` is a
-/// feasible schedule by Def. 3.2 — branch-ordering and partial-order
-/// filters only shape *search* order — so skipping them here cannot
-/// admit an invalid result.
-fn replay_seed_verbatim(
-    tasknet: &TaskNet,
-    seed: &[ScheduledFiring],
-) -> Option<Vec<ScheduledFiring>> {
-    let net = tasknet.net();
-    let mut explorer = Explorer::new(net);
-    let mut domains: Vec<(TransitionId, Time, TimeBound)> = Vec::new();
-    let mut state = explorer.intern_initial();
-    let mut now: Time = 0;
-    let mut path = Vec::with_capacity(seed.len());
-
-    for firing in seed {
-        if firing.transition.index() >= net.transition_count() {
-            return None;
-        }
-        explorer.fireable_domains_into(state, &mut domains);
-        let &(_, dlb, upper) = domains.iter().find(|&&(t, _, _)| t == firing.transition)?;
-        if firing.delay < dlb || TimeBound::Finite(firing.delay) > upper {
-            return None;
-        }
-        let (next, _) = explorer.fire(state, firing.transition, firing.delay);
-        let packed = explorer.state(next);
-        if tasknet.has_deadline_miss_packed(packed) {
-            return None;
-        }
-        now += firing.delay;
-        path.push(ScheduledFiring {
-            transition: firing.transition,
-            role: tasknet.role(firing.transition),
-            delay: firing.delay,
-            at: now,
-        });
-        if tasknet.is_final_packed(packed) {
-            return Some(path);
-        }
-        state = next;
-    }
-    None
-}
-
-fn synthesize_with_seed(
-    tasknet: &TaskNet,
-    config: &SchedulerConfig,
-    seed: &[ScheduledFiring],
-) -> Result<Synthesis, SynthesizeError> {
     let _span = ezrt_obs::span(if seed.is_empty() {
         "search"
     } else {
         "seeded-search"
     });
-    let result = synthesize_with_seed_inner(tasknet, config, seed);
+    let result = synthesize_local(tasknet, config, seed);
     match &result {
         Ok(synthesis) => crate::obs::record_search(&synthesis.stats),
         Err(error) => crate::obs::record_search(error.stats()),
@@ -344,352 +695,111 @@ fn synthesize_with_seed(
     result
 }
 
-fn synthesize_with_seed_inner(
+fn synthesize_local(
     tasknet: &TaskNet,
     config: &SchedulerConfig,
     seed: &[ScheduledFiring],
 ) -> Result<Synthesis, SynthesizeError> {
-    let net = tasknet.net();
     let started = Instant::now();
+    let minimum_firings = tasknet.minimum_firing_count();
 
     // Fast path: when the prior schedule still runs through verbatim —
     // the overwhelmingly common case in an edit loop (unchanged spec, or
-    // a loosened constraint) — the oracle replay above settles it in one
-    // linear pass and the DFS machinery below is never set up.
+    // a loosened constraint) — the replay settles it in one linear pass
+    // and the DFS machinery is never set up. Any `FT`/`FD`-legal
+    // miss-free run to `MF` is a feasible schedule by Def. 3.2: branch
+    // ordering and partial-order filters only shape *search* order.
     if !seed.is_empty() {
-        if let Some(path) = replay_seed_verbatim(tasknet, seed) {
-            let mut stats = SearchStats {
-                minimum_firings: tasknet.minimum_firing_count(),
+        if let Ok(report) = crate::replay::replay(tasknet, seed) {
+            let mut at = 0;
+            let path = seed[..report.firings]
+                .iter()
+                .map(|firing| {
+                    at += firing.delay;
+                    ScheduledFiring {
+                        role: tasknet.role(firing.transition),
+                        at,
+                        ..*firing
+                    }
+                })
+                .collect();
+            let stats = SearchStats {
+                minimum_firings,
                 incr_seed_hits: 1,
-                incr_replayed: path.len(),
-                schedule_length: path.len(),
+                incr_replayed: report.firings,
+                schedule_length: report.firings,
+                elapsed: started.elapsed(),
                 ..SearchStats::default()
             };
-            stats.elapsed = started.elapsed();
             return Ok(Synthesis {
                 schedule: FeasibleSchedule::new(path),
                 stats,
+                replayed: true,
             });
         }
     }
-    let mut stats = SearchStats {
-        minimum_firings: tasknet.minimum_firing_count(),
-        ..SearchStats::default()
-    };
-    let mut explorer = Explorer::new(net);
-    let mut dead = DeadSet::default();
-    let mut counters = InstanceCounters::new(tasknet.spec().task_count());
-    let mut missed = MissedTasks::new(tasknet.spec().task_count());
-    let mut domains: Vec<(TransitionId, Time, TimeBound)> = Vec::new();
-    let mut scratch = PorScratch::new();
-    // The child-sleep staging buffer: computed against the parent frame,
-    // then swapped into the child (both hot-loop allocation-free).
-    let mut child_sleep: Vec<u64> = Vec::new();
 
+    let mut explorer = Explorer::new(tasknet.net());
     let s0 = explorer.intern_initial();
-    stats.states_visited = 1;
-    let mut frames: Vec<Frame> = vec![Frame {
-        state: Some(s0),
-        ..Frame::default()
-    }];
-    candidates_into(
-        tasknet,
-        &explorer,
-        s0,
-        config,
-        &counters,
-        &[],
-        &mut scratch,
-        &mut domains,
-        &mut frames[0].candidates,
-    );
-    // Frames `0..depth` are active; `depth..frames.len()` are pooled spares.
-    let mut depth: usize = 1;
-    let mut path: Vec<ScheduledFiring> = Vec::new();
-    let mut ticks: u64 = 0;
-
-    let finish_stats =
-        |stats: &mut SearchStats, dead: &DeadSet, explorer: &Explorer<'_>, scratch: &PorScratch| {
-            stats.elapsed = started.elapsed();
-            stats.dead_states = dead.len();
-            stats.dead_set_bytes = dead.resident_bytes() + explorer.arena().resident_bytes();
-            stats.por_stubborn_skips = scratch.stubborn_skips;
-            stats.por_sleep_skips = scratch.sleep_skips;
-        };
-
-    // Warm-start replay: force each seeded firing to the front of its
-    // frame's branch order, as long as it stays a legal candidate and its
-    // successor is miss-free. A firing that fails either check leaves its
-    // frame untouched, so the continuation from that frame is exactly the
-    // cold search's. Replayed frames keep their remaining candidates in
-    // cold order behind the seed, preserving completeness.
-    let mut replayed = 0usize;
-    for firing in seed {
-        if firing.transition.index() >= net.transition_count() {
-            break;
-        }
-        let frame = &mut frames[depth - 1];
-        let frame_state = frame.state.expect("active frames hold a state");
-        let Some(pos) = frame
-            .candidates
-            .iter()
-            .position(|&(t, q)| t == firing.transition && q == firing.delay)
-        else {
-            break;
-        };
-        let now = frame.now + firing.delay;
-        let (next_state, _) = explorer.fire(frame_state, firing.transition, firing.delay);
-        let packed = explorer.state(next_state);
-        if tasknet.has_deadline_miss_packed(packed) {
-            break;
-        }
-        let role = tasknet.role(firing.transition);
-        let accepted = ScheduledFiring {
-            transition: firing.transition,
-            role,
-            delay: firing.delay,
-            at: now,
-        };
-        if tasknet.is_final_packed(packed) {
-            // The whole prior schedule is still feasible verbatim: no
-            // fresh state was searched at all.
-            path.push(accepted);
-            stats.states_visited = 0;
-            stats.incr_seed_hits = 1;
-            stats.incr_replayed = replayed + 1;
-            stats.schedule_length = path.len();
-            finish_stats(&mut stats, &dead, &explorer, &scratch);
-            return Ok(Synthesis {
-                schedule: FeasibleSchedule::new(path),
-                stats,
-            });
-        }
-        let candidate = frame.candidates.remove(pos);
-        frame.candidates.insert(0, candidate);
-        frame.next = 1;
-        counters.apply(role);
-        // The seed firing is candidate 0 of its frame, so the child
-        // inherits no earlier-sibling sleep — only the parent's own.
-        let parent = &frames[depth - 1];
-        child_sleep_into(
-            tasknet,
-            config,
-            &parent.sleep,
-            &[],
-            (firing.transition, firing.delay),
-            packed,
-            &mut scratch,
-            &mut child_sleep,
-        );
-        if depth == frames.len() {
-            frames.push(Frame::default());
-        }
-        let frame = &mut frames[depth];
-        frame.state = Some(next_state);
-        frame.next = 0;
-        frame.now = now;
-        candidates_into(
-            tasknet,
-            &explorer,
-            next_state,
-            config,
-            &counters,
-            &child_sleep,
-            &mut scratch,
-            &mut domains,
-            &mut frame.candidates,
-        );
-        std::mem::swap(&mut frame.sleep, &mut child_sleep);
-        path.push(accepted);
-        depth += 1;
-        replayed += 1;
-        if frames[depth - 1].candidates.is_empty() {
-            // Replayed into a non-final deadlock (possible after an
-            // edit); the main loop backtracks out of it normally.
-            break;
-        }
-    }
+    let store = Local {
+        explorer,
+        dead: DeadSet::default(),
+        states: 1,
+    };
+    let mut dfs = Dfs::new(tasknet, config, started, store);
+    dfs.root(s0, 0, &[]);
+    dfs.expand_root();
+    let replayed = dfs.seed(seed);
     if replayed > 0 {
-        stats.incr_seed_hits = 1;
-        stats.incr_replayed = replayed;
+        dfs.stats.incr_seed_hits = 1;
+        dfs.stats.incr_replayed = replayed;
         // From here on, count only states the search adds on top of the
         // replayed prefix.
-        stats.states_visited = 0;
+        dfs.store.states = 0;
     }
 
-    let engine = crate::obs::engine_metrics();
-    loop {
-        // Budget checks. The time budget is gated on the loop tick, not on
-        // `states_visited`: long pruning streaks (dead-set hits, deadline
-        // misses) advance the tick every iteration but may not visit any
-        // fresh state, and must still hit the check.
-        ticks += 1;
-        if ticks.is_multiple_of(crate::obs::DEPTH_SAMPLE_TICKS) {
-            engine.frontier_depth.observe(depth as u64);
+    let exit = dfs.run();
+    let mut stats = Box::new(SearchStats {
+        minimum_firings,
+        states_visited: dfs.store.states,
+        elapsed: started.elapsed(),
+        dead_states: dfs.store.dead.len(),
+        dead_set_bytes: dfs.store.dead.resident_bytes()
+            + dfs.store.explorer.arena().resident_bytes(),
+        ..dfs.stats()
+    });
+    match exit {
+        Exit::Feasible => {
+            stats.schedule_length = dfs.path.len();
+            Ok(Synthesis {
+                schedule: FeasibleSchedule::new(std::mem::take(&mut dfs.path)),
+                stats: *stats,
+                replayed: false,
+            })
         }
-        if stats.states_visited > config.max_states {
-            finish_stats(&mut stats, &dead, &explorer, &scratch);
-            return Err(SynthesizeError::StateLimitExceeded {
-                stats: Box::new(stats),
-            });
-        }
-        if ticks.is_multiple_of(4096) && started.elapsed() > config.max_time {
-            finish_stats(&mut stats, &dead, &explorer, &scratch);
-            return Err(SynthesizeError::TimeLimitExceeded {
-                stats: Box::new(stats),
-            });
-        }
-
-        if depth == 0 {
-            finish_stats(&mut stats, &dead, &explorer, &scratch);
-            stats.schedule_length = 0;
-            return Err(SynthesizeError::Infeasible {
-                stats: Box::new(stats),
-                missed_tasks: missed.sorted_names(tasknet),
-            });
-        }
-        let frame = &mut frames[depth - 1];
-        let frame_state = frame.state.expect("active frames hold a state");
-
-        // Frame exhausted: this state is dead; backtrack.
-        if frame.next >= frame.candidates.len() {
-            dead.insert(frame_state);
-            depth -= 1;
-            if let Some(firing) = path.pop() {
-                counters.unapply(firing.role);
-                stats.backtracks += 1;
-            }
-            continue;
-        }
-
-        let (transition, delay) = frame.candidates[frame.next];
-        frame.next += 1;
-        let now = frame.now + delay;
-        let (next_state, _) = explorer.fire(frame_state, transition, delay);
-
-        if dead.contains(next_state) {
-            stats.pruned_dead += 1;
-            continue;
-        }
-        stats.states_visited += 1;
-
-        let packed = explorer.state(next_state);
-        if tasknet.has_deadline_miss_packed(packed) {
-            stats.pruned_misses += 1;
-            for task in tasknet.missed_tasks_packed_iter(packed) {
-                missed.record(task);
-            }
-            dead.insert(next_state);
-            continue;
-        }
-
-        let role = tasknet.role(transition);
-        let firing = ScheduledFiring {
-            transition,
-            role,
-            delay,
-            at: now,
-        };
-
-        if tasknet.is_final_packed(packed) {
-            path.push(firing);
-            stats.schedule_length = path.len();
-            finish_stats(&mut stats, &dead, &explorer, &scratch);
-            return Ok(Synthesis {
-                schedule: FeasibleSchedule::new(path),
-                stats,
-            });
-        }
-
-        counters.apply(role);
-        let parent = &frames[depth - 1];
-        child_sleep_into(
-            tasknet,
-            config,
-            &parent.sleep,
-            &parent.candidates[..parent.next - 1],
-            (transition, delay),
-            packed,
-            &mut scratch,
-            &mut child_sleep,
-        );
-        if depth == frames.len() {
-            frames.push(Frame::default());
-        }
-        let frame = &mut frames[depth];
-        frame.state = Some(next_state);
-        frame.next = 0;
-        frame.now = now;
-        let info = candidates_into(
-            tasknet,
-            &explorer,
-            next_state,
-            config,
-            &counters,
-            &child_sleep,
-            &mut scratch,
-            &mut domains,
-            &mut frame.candidates,
-        );
-        std::mem::swap(&mut frame.sleep, &mut child_sleep);
-        if frame.candidates.is_empty() {
-            counters.unapply(role);
-            if !info.fireable {
-                // Non-final deadlock: dead end.
-                stats.deadlocks += 1;
-            }
-            // Otherwise every candidate was asleep: the subtree is
-            // covered by a commuting sibling order. Either way the state
-            // is exhausted — memoize it (the reachable TLTS is acyclic,
-            // so a sibling-order induction makes the dead-mark sound).
-            dead.insert(next_state);
-            continue;
-        }
-
-        path.push(firing);
-        depth += 1;
+        Exit::Exhausted => Err(SynthesizeError::Infeasible {
+            stats,
+            missed_tasks: dfs.missed.sorted_names(tasknet),
+        }),
+        Exit::StateLimit => Err(SynthesizeError::StateLimitExceeded { stats }),
+        Exit::TimeLimit => Err(SynthesizeError::TimeLimitExceeded { stats }),
+        Exit::Stopped => unreachable!("a local store never stops the search"),
     }
 }
 
-/// Generates the ordered candidate labels of an interned state into the
+/// Generates the ordered candidate labels of a packed state into the
 /// caller's reusable buffer: the fireable set `FT(s)`, expanded to
 /// `(t, q)` pairs per the delay mode, filtered by the frame's sleep set,
 /// reduced by the configured partial-order rule, and sorted by the branch
-/// ordering.
+/// ordering. `never_empty` is a shared store's refusal to let the sleep
+/// filter drain a frame (see the filter comment below).
+///
+/// Returns whether the raw fireable set `FT(s)` was non-empty. No
+/// candidates from a non-empty `FT(s)` means every candidate was asleep:
+/// the subtree is covered by a commuting sibling order, and the state is
+/// exhausted *without* being a deadlock.
 #[allow(clippy::too_many_arguments)]
-fn candidates_into(
-    tasknet: &TaskNet,
-    explorer: &Explorer<'_>,
-    state: StateId,
-    config: &SchedulerConfig,
-    counters: &InstanceCounters,
-    sleep: &[u64],
-    scratch: &mut PorScratch,
-    domains: &mut Vec<(TransitionId, Time, TimeBound)>,
-    labels: &mut Vec<(TransitionId, Time)>,
-) -> FrameInfo {
-    candidates_from_packed(
-        tasknet,
-        explorer.state(state),
-        config,
-        counters,
-        sleep,
-        false,
-        scratch,
-        domains,
-        labels,
-    )
-}
-
-/// [`candidates_into`] over raw packed state words — the shared core both
-/// the sequential DFS (through an [`Explorer`]-interned id) and the
-/// parallel workers (through their own frame-resident state copies) drive,
-/// so candidate order is identical by construction across kernels.
-/// `never_empty` is the parallel workers' refusal to let the sleep filter
-/// drain a frame (see the filter comment below); the sequential DFS
-/// passes `false`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn candidates_from_packed(
+pub(crate) fn candidates(
     tasknet: &TaskNet,
     state: &[u32],
     config: &SchedulerConfig,
@@ -699,45 +809,40 @@ pub(crate) fn candidates_from_packed(
     scratch: &mut PorScratch,
     domains: &mut Vec<(TransitionId, Time, TimeBound)>,
     labels: &mut Vec<(TransitionId, Time)>,
-) -> FrameInfo {
+) -> bool {
     labels.clear();
     let net = tasknet.net();
     net.fireable_domains_into(state, domains);
     if domains.is_empty() {
-        return FrameInfo {
-            fireable: false,
-            bookkeeping: false,
-        };
+        return false;
     }
-    // FT(s) is a single priority class by construction (min-priority
-    // retention), so one memoized bit test classifies the whole frame.
-    let info = FrameInfo {
-        fireable: true,
-        bookkeeping: tasknet.is_bookkeeping_transition(domains[0].0),
-    };
 
     ezrt_tpn::reachability::expand_delay_labels(config.delay_mode, domains, labels);
+    if config.por == PorLevel::Off {
+        sort_labels(tasknet, config, counters, labels);
+        return true;
+    }
 
-    // Sleep filtering (stubborn level only): a sleeping candidate's
-    // delay-0 label replays an interleaving an earlier sibling order of
-    // some ancestor frame already covers — skip it outright. Only the
-    // delay-0 label is covered (the coverage is pinned to this instant),
-    // so later-delay labels of the same transition stay.
+    // Sleep filtering: a sleeping candidate's delay-0 label replays an
+    // interleaving an earlier sibling order of some ancestor frame
+    // already covers — skip it outright. Only the delay-0 label is
+    // covered (the coverage is pinned to this instant), so later-delay
+    // labels of the same transition stay.
     //
     // `never_empty` (parallel workers) refuses a filter that would drain
     // the frame: honoring a sleep set is always optional, and a racing
     // worker that empties a frame unwinds its whole stack — on a feasible
     // search that converts one skipped duplicate into a deep detour
     // through subtrees the branch ordering ranked last. Duplicating the
-    // covered candidate (as the classic level would) is cheaper.
-    if config.por == PorLevel::Stubborn && !sleep.is_empty() {
+    // covered candidate is cheaper.
+    if !sleep.is_empty() {
         let survives = |&(t, q): &(TransitionId, Time)| q != 0 || !test_bit(sleep, t.index());
         if !never_empty || labels.iter().any(survives) {
             let before = labels.len();
             labels.retain(survives);
             scratch.sleep_skips += before - labels.len();
             if labels.is_empty() {
-                return info;
+                return true;
             }
         }
     }
@@ -745,11 +850,11 @@ pub(crate) fn candidates_from_packed(
     // Partial-order reduction on bookkeeping classes (forced [0,0] or
     // exact timed sources; all members share one delay). Conflict-free
     // classes collapse to the single earliest candidate — firing order
-    // cannot affect reachable schedules. At the stubborn level a
-    // *partially* conflicting class is additionally cut to a
-    // dependency-closed stubborn subset instead of classic's
-    // all-or-nothing bail-out to full expansion.
-    if config.por != PorLevel::Off && info.bookkeeping {
+    // cannot affect reachable schedules. A partially conflicting class is
+    // cut to a dependency-closed stubborn subset.
+    // FT(s) is a single priority class by construction (min-priority
+    // retention), so one memoized bit test classifies the whole frame.
+    if tasknet.is_bookkeeping_transition(domains[0].0) {
         let deps = tasknet.deps();
         let words = deps.words_per_row();
         scratch.fireable.clear();
@@ -772,52 +877,47 @@ pub(crate) fn candidates_from_packed(
                 .copied()
                 .min_by_key(|&(t, q)| (q, t.index()))
                 .expect("labels is non-empty");
-            if config.por == PorLevel::Stubborn {
-                scratch.stubborn_skips += labels.len() - 1;
-            }
+            scratch.stubborn_skips += labels.len() - 1;
             labels.clear();
             labels.push(best);
-            return info;
+            return true;
         }
-        if config.por == PorLevel::Stubborn {
-            sort_labels(tasknet, config, counters, labels);
-            // Stubborn closure seeded from the first-explored candidate:
-            // add every candidate dependent on a member until fixpoint.
-            // Candidates outside the closure are independent of every
-            // member, so their subtrees commute past the whole set and
-            // are reached through it — dropping them here loses nothing.
-            // `retain` keeps sorted order, so the first descent matches
-            // classic's.
-            scratch.closure.clear();
-            scratch.closure.resize(words, 0);
-            set_bit(&mut scratch.closure, labels[0].0.index());
-            loop {
-                let mut grew = false;
-                for &(t, _) in labels.iter() {
-                    if !test_bit(&scratch.closure, t.index())
-                        && deps
-                            .dep_row(t)
-                            .iter()
-                            .zip(&scratch.closure)
-                            .any(|(row, member)| row & member != 0)
-                    {
-                        set_bit(&mut scratch.closure, t.index());
-                        grew = true;
-                    }
-                }
-                if !grew {
-                    break;
+        sort_labels(tasknet, config, counters, labels);
+        // Stubborn closure seeded from the first-explored candidate: add
+        // every candidate dependent on a member until fixpoint. Candidates
+        // outside the closure are independent of every member, so their
+        // subtrees commute past the whole set and are reached through it —
+        // dropping them here loses nothing. `retain` keeps sorted order,
+        // so the first candidate stays first.
+        scratch.closure.clear();
+        scratch.closure.resize(words, 0);
+        set_bit(&mut scratch.closure, labels[0].0.index());
+        loop {
+            let mut grew = false;
+            for &(t, _) in labels.iter() {
+                if !test_bit(&scratch.closure, t.index())
+                    && deps
+                        .dep_row(t)
+                        .iter()
+                        .zip(&scratch.closure)
+                        .any(|(row, member)| row & member != 0)
+                {
+                    set_bit(&mut scratch.closure, t.index());
+                    grew = true;
                 }
             }
-            let before = labels.len();
-            labels.retain(|&(t, _)| test_bit(&scratch.closure, t.index()));
-            scratch.stubborn_skips += before - labels.len();
-            return info;
+            if !grew {
+                break;
+            }
         }
+        let before = labels.len();
+        labels.retain(|&(t, _)| test_bit(&scratch.closure, t.index()));
+        scratch.stubborn_skips += before - labels.len();
+        return true;
     }
 
     sort_labels(tasknet, config, counters, labels);
-    info
+    true
 }
 
 /// Sorts candidate labels by the configured branch ordering.
@@ -1021,9 +1121,9 @@ mod tests {
             };
             synthesize(&tasknet, &config)
         };
-        let classic = synth(PorLevel::Classic).expect("classic is feasible");
+        let off = synth(PorLevel::Off).expect("off is feasible");
         let stubborn = synth(PorLevel::Stubborn).expect("stubborn must stay feasible");
-        assert!(stubborn.stats.states_visited <= classic.stats.states_visited);
+        assert!(stubborn.stats.states_visited <= off.stats.states_visited);
     }
 
     #[test]

@@ -13,15 +13,11 @@ use ezrt_spec::EzSpec;
 use ezrt_tpn::DelayMode;
 
 fn assert_equivalent(spec: &EzSpec, config: &SchedulerConfig, label: &str) {
-    // The reference engine only implements the classic all-or-nothing
-    // bookkeeping rule, so byte-identity is contracted at `Classic` (and
-    // `Off`); stubborn-set soundness is checked separately below.
+    // The reference engine implements no partial-order reduction, so
+    // byte-identity is contracted at `Off`; stubborn-set soundness is
+    // checked separately below.
     let config = SchedulerConfig {
-        por: if config.por == PorLevel::Off {
-            PorLevel::Off
-        } else {
-            PorLevel::Classic
-        },
+        por: PorLevel::Off,
         ..config.clone()
     };
     let config = &config;
@@ -163,15 +159,15 @@ fn state_limit_verdicts_are_identical() {
     assert_equivalent(&figure8_spec(), &config, "figure8 (state limit)");
 }
 
-/// Stubborn-set reduction is a strict refinement of the classic rule:
-/// same verdict and a state count that never exceeds the classic run,
-/// with schedules that still satisfy the spec's timing constraints.
+/// Stubborn-set reduction only prunes: the same verdict and missed tasks
+/// as the unreduced search, a state count that never exceeds it, and
+/// schedules that still satisfy the spec's timing constraints.
 fn assert_stubborn_sound(spec: &EzSpec, base: &SchedulerConfig, label: &str) {
     let tasknet = translate(spec);
-    let classic = synthesize(
+    let off = synthesize(
         &tasknet,
         &SchedulerConfig {
-            por: PorLevel::Classic,
+            por: PorLevel::Off,
             ..base.clone()
         },
     );
@@ -182,13 +178,13 @@ fn assert_stubborn_sound(spec: &EzSpec, base: &SchedulerConfig, label: &str) {
             ..base.clone()
         },
     );
-    match (stubborn, classic) {
-        (Ok(stubborn), Ok(classic)) => {
+    match (stubborn, off) {
+        (Ok(stubborn), Ok(off)) => {
             assert!(
-                stubborn.stats.states_visited <= classic.stats.states_visited,
+                stubborn.stats.states_visited <= off.stats.states_visited,
                 "{label}: stubborn visited more states ({} vs {})",
                 stubborn.stats.states_visited,
-                classic.stats.states_visited
+                off.stats.states_visited
             );
             let timeline = ezrt_scheduler::Timeline::from_schedule(&tasknet, &stubborn.schedule);
             let violations = ezrt_scheduler::validate::check(spec, &timeline);
@@ -197,7 +193,7 @@ fn assert_stubborn_sound(spec: &EzSpec, base: &SchedulerConfig, label: &str) {
                 "{label}: stubborn schedule violates the spec: {violations:?}"
             );
         }
-        (Err(stubborn), Err(classic)) => {
+        (Err(stubborn), Err(off)) => {
             if let (
                 SynthesizeError::Infeasible {
                     missed_tasks: a, ..
@@ -205,15 +201,15 @@ fn assert_stubborn_sound(spec: &EzSpec, base: &SchedulerConfig, label: &str) {
                 SynthesizeError::Infeasible {
                     missed_tasks: b, ..
                 },
-            ) = (&stubborn, &classic)
+            ) = (&stubborn, &off)
             {
                 assert_eq!(a, b, "{label}: stubborn missed tasks diverge");
             }
         }
-        (stubborn, classic) => panic!(
-            "{label}: stubborn verdict diverges: stubborn ok={} classic ok={}",
+        (stubborn, off) => panic!(
+            "{label}: stubborn verdict diverges: stubborn ok={} off ok={}",
             stubborn.is_ok(),
-            classic.is_ok()
+            off.is_ok()
         ),
     }
 }

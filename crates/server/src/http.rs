@@ -6,7 +6,7 @@
 //!
 //! | method | path           | behaviour                                        |
 //! |--------|----------------|--------------------------------------------------|
-//! | POST   | `/v1/schedule` | spec XML body → the `ezrt schedule --json` object plus `spec_digest` and `cache: "hit"\|"disk"\|"miss"`; `?jobs=N` overrides the synthesis worker count for a miss; `?por=off\|classic\|stubborn` overrides the partial-order reduction level (and, being result-relevant, keys its own cache entry); `?warm=<digest>` seeds a miss's search from that cached schedule (without the hint, a miss consults the structural ancestor index automatically) |
+//! | POST   | `/v1/schedule` | spec XML body → the `ezrt schedule --json` object plus `spec_digest` and `cache: "hit"\|"disk"\|"miss"`; `?jobs=N` overrides the synthesis worker count for a miss; `?por=off\|stubborn` overrides the partial-order reduction level (and, being result-relevant, keys its own cache entry); `?warm=<digest>` seeds a miss's search from that cached schedule (without the hint, a miss consults the structural ancestor index automatically) |
 //! | POST   | `/v1/check`    | spec XML body → parse/validation verdict and spec summary |
 //! | POST   | `/v1/table`    | spec XML body → the Fig. 8 schedule table (C array), byte-identical to `ezrt table` |
 //! | POST   | `/v1/codegen`  | spec XML body → the generated C translation unit; `?target=<t>` picks the target (default `posix_sim`) |
@@ -516,6 +516,9 @@ impl Server {
             None => None,
         };
         let registry = Registry::new();
+        // The engine's families live in the global registry; register
+        // them now so a scrape before the first search lists them too.
+        ezrt_scheduler::register_metrics();
         let metrics = HttpMetrics::register(&registry);
         let gauges = ServerGauges::register(&registry);
         let cache = ResultCache::with_disk(config.cache_capacity, shards, disk);
@@ -1350,10 +1353,7 @@ fn parse_project(shared: &Shared, request: &Request) -> Result<Project, Response
     let por = match query_value(&request.query, "por") {
         None => shared.scheduler.por,
         Some(value) => PorLevel::parse(value).ok_or_else(|| {
-            Response::error(
-                400,
-                &format!("por expects off|classic|stubborn, found {value:?}"),
-            )
+            Response::error(400, &format!("por expects off|stubborn, found {value:?}"))
         })?,
     };
     let project = Project::from_dsl(xml)

@@ -150,14 +150,13 @@ fn healthz_stats_and_routing() {
     );
     assert_eq!(status, 400);
     assert!(body.contains("jobs expects"), "{body}");
-    let (status, body) = request(
-        addr,
-        "POST",
-        "/v1/schedule?por=aggressive",
-        &small_control_xml(),
-    );
-    assert_eq!(status, 400);
-    assert!(body.contains("por expects"), "{body}");
+    // An unknown level and the retired `classic` level are both bad.
+    for level in ["aggressive", "classic"] {
+        let target = format!("/v1/schedule?por={level}");
+        let (status, body) = request(addr, "POST", &target, &small_control_xml());
+        assert_eq!(status, 400, "{level}");
+        assert!(body.contains("por expects off|stubborn"), "{body}");
+    }
 
     server.stop();
 }
@@ -172,15 +171,12 @@ fn por_query_selects_the_reduction_level() {
     // cache entry — the digests must differ while the verdicts agree.
     let (status, stubborn) = request(addr, "POST", "/v1/schedule?por=stubborn", &xml);
     assert_eq!(status, 200);
-    let (status, classic) = request(addr, "POST", "/v1/schedule?por=classic", &xml);
+    let (status, off) = request(addr, "POST", "/v1/schedule?por=off", &xml);
     assert_eq!(status, 200);
-    for body in [&stubborn, &classic] {
+    for body in [&stubborn, &off] {
         assert!(body.contains("\"feasible\": true"), "{body}");
     }
-    assert_ne!(
-        field(&stubborn, "spec_digest"),
-        field(&classic, "spec_digest")
-    );
+    assert_ne!(field(&stubborn, "spec_digest"), field(&off, "spec_digest"));
 
     // Without the override the server default (stubborn) applies and the
     // explicit request is a cache hit on the same digest.

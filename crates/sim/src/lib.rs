@@ -17,8 +17,9 @@
 //! The benchmark harness uses it to regenerate the pre-runtime-vs-online
 //! feasibility and jitter comparisons.
 //!
-//! The [`mod@replay`] module closes the loop at the net level: it replays a
-//! synthesized firing schedule through the same packed
+//! The [`mod@replay`] module closes the loop at the net level: it
+//! re-exports the scheduler's replay oracle, which re-runs a synthesized
+//! firing schedule through the same packed
 //! [`Explorer`](ezrt_tpn::reachability::Explorer) kernel the scheduler
 //! searched with, re-validating every firing against the TLTS semantics.
 //!

@@ -1,289 +1,12 @@
-//! Net-level replay of synthesized schedules on the packed kernel.
+//! Net-level replay of synthesized schedules.
 //!
 //! [`validate`](ezrt_scheduler::validate) re-checks a timeline against the
-//! *specification*; this module re-checks the firing schedule against the
-//! *net semantics*: every firing must be a member of `FT(s)` with a delay
-//! inside `FD_s(t)`, and the run must end in the desired final marking
-//! `MF`. The replay drives the same packed
-//! [`Explorer`] the synthesis search and
-//! the reachability exploration use, so it doubles as an end-to-end oracle
-//! for the shared kernel: a schedule produced by the DFS replays through
-//! the explorer without allocating per step.
+//! *specification*; [`replay`] re-checks the firing schedule against the
+//! *net semantics* — every firing a member of `FT(s)` with a delay inside
+//! `FD_s(t)`, no deadline-miss place marked, the run reaching the final
+//! marking `MF` — on the same packed kernel the search drives. The
+//! oracle lives in [`ezrt_scheduler::replay`], where it is also the
+//! verbatim warm-start path; this module re-exports it next to the
+//! simulator.
 
-use ezrt_compose::TaskNet;
-use ezrt_scheduler::{FeasibleSchedule, ScheduledFiring};
-use ezrt_tpn::reachability::Explorer;
-use ezrt_tpn::{Time, TimeBound, TransitionId};
-use std::fmt;
-
-/// Why a replay rejected a schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplayError {
-    /// A scheduled transition was not fireable in the state it was fired
-    /// from.
-    NotFireable {
-        /// Position of the offending firing in the schedule.
-        step: usize,
-        /// The transition that was not fireable.
-        transition: TransitionId,
-    },
-    /// A scheduled delay fell outside the firing domain.
-    DelayOutOfDomain {
-        /// Position of the offending firing in the schedule.
-        step: usize,
-        /// The transition whose delay was illegal.
-        transition: TransitionId,
-        /// The scheduled delay.
-        delay: Time,
-    },
-    /// The run completed but did not end in the final marking `MF`.
-    NotFinal,
-}
-
-impl fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReplayError::NotFireable { step, transition } => {
-                write!(f, "step {step}: {transition} is not fireable")
-            }
-            ReplayError::DelayOutOfDomain {
-                step,
-                transition,
-                delay,
-            } => write!(
-                f,
-                "step {step}: delay {delay} of {transition} is outside its firing domain"
-            ),
-            ReplayError::NotFinal => write!(f, "run did not end in the final marking MF"),
-        }
-    }
-}
-
-impl std::error::Error for ReplayError {}
-
-/// Statistics of a successful replay.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayReport {
-    /// Number of firings replayed.
-    pub firings: usize,
-    /// Number of distinct states on the run (deduplicated by the arena;
-    /// at most `firings + 1`).
-    pub distinct_states: usize,
-    /// The makespan of the replayed run (sum of delays).
-    pub makespan: Time,
-}
-
-/// Replays `schedule` on the translated net through the shared packed
-/// explorer, verifying each firing against `FT(s)` and `FD_s(t)` and the
-/// final state against `MF`.
-///
-/// # Errors
-///
-/// Returns the first [`ReplayError`] encountered; schedules produced by
-/// [`synthesize`](ezrt_scheduler::synthesize) always replay cleanly.
-///
-/// # Examples
-///
-/// ```
-/// use ezrt_compose::translate;
-/// use ezrt_scheduler::{synthesize, SchedulerConfig};
-/// use ezrt_sim::replay::replay;
-/// use ezrt_spec::corpus::small_control;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let tasknet = translate(&small_control());
-/// let synthesis = synthesize(&tasknet, &SchedulerConfig::default())?;
-/// let report = replay(&tasknet, &synthesis.schedule)?;
-/// assert_eq!(report.firings, synthesis.schedule.firings().len());
-/// assert_eq!(report.makespan, synthesis.schedule.makespan());
-/// # Ok(())
-/// # }
-/// ```
-pub fn replay(tasknet: &TaskNet, schedule: &FeasibleSchedule) -> Result<ReplayReport, ReplayError> {
-    let mut explorer = Explorer::new(tasknet.net());
-    let mut domains = Vec::new();
-    let mut state = explorer.intern_initial();
-    let mut makespan: Time = 0;
-
-    for (step, firing) in schedule.firings().iter().enumerate() {
-        explorer.fireable_domains_into(state, &mut domains);
-        let Some(&(_, dlb, upper)) = domains.iter().find(|&&(t, _, _)| t == firing.transition)
-        else {
-            return Err(ReplayError::NotFireable {
-                step,
-                transition: firing.transition,
-            });
-        };
-        if firing.delay < dlb || TimeBound::Finite(firing.delay) > upper {
-            return Err(ReplayError::DelayOutOfDomain {
-                step,
-                transition: firing.transition,
-                delay: firing.delay,
-            });
-        }
-        let (next, _) = explorer.fire(state, firing.transition, firing.delay);
-        state = next;
-        makespan += firing.delay;
-    }
-
-    if !tasknet.is_final_packed(explorer.state(state)) {
-        return Err(ReplayError::NotFinal);
-    }
-    Ok(ReplayReport {
-        firings: schedule.firings().len(),
-        distinct_states: explorer.arena().len(),
-        makespan,
-    })
-}
-
-/// The length of the longest prefix of `firings` that replays legally on
-/// `tasknet` from the initial state — each step a member of `FT(s)` with
-/// a delay inside `FD_s(t)` — stopping early after a step that already
-/// reaches the final marking `MF` (a complete run needs no extension).
-///
-/// This is the oracle half of incremental synthesis: a schedule cached
-/// for a *previous* version of a spec is truncated here to the part that
-/// is still meaningful on the *edited* spec's net, and the truncated
-/// prefix seeds the DFS (which re-validates every step again as an
-/// ordinary search candidate). Firings that reference transitions beyond
-/// the net's range — possible when an edit shrank the net — simply end
-/// the prefix; nothing here panics on foreign schedules.
-pub fn replay_prefix(tasknet: &TaskNet, firings: &[ScheduledFiring]) -> usize {
-    let mut explorer = Explorer::new(tasknet.net());
-    let mut domains = Vec::new();
-    let mut state = explorer.intern_initial();
-
-    for (step, firing) in firings.iter().enumerate() {
-        if firing.transition.index() >= tasknet.net().transition_count() {
-            return step;
-        }
-        explorer.fireable_domains_into(state, &mut domains);
-        let Some(&(_, dlb, upper)) = domains.iter().find(|&&(t, _, _)| t == firing.transition)
-        else {
-            return step;
-        };
-        if firing.delay < dlb || TimeBound::Finite(firing.delay) > upper {
-            return step;
-        }
-        let (next, _) = explorer.fire(state, firing.transition, firing.delay);
-        state = next;
-        if tasknet.is_final_packed(explorer.state(state)) {
-            return step + 1;
-        }
-    }
-    firings.len()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ezrt_compose::translate;
-    use ezrt_scheduler::{synthesize, ScheduledFiring, SchedulerConfig};
-    use ezrt_spec::corpus::{figure3_spec, figure8_spec, mine_pump, small_control};
-
-    #[test]
-    fn synthesized_schedules_replay_cleanly() {
-        for spec in [figure3_spec(), figure8_spec(), small_control()] {
-            let tasknet = translate(&spec);
-            let synthesis = synthesize(&tasknet, &SchedulerConfig::default()).expect("feasible");
-            let report = replay(&tasknet, &synthesis.schedule)
-                .unwrap_or_else(|e| panic!("{}: {e}", spec.name()));
-            assert_eq!(report.firings, synthesis.schedule.firings().len());
-            assert_eq!(report.makespan, synthesis.schedule.makespan());
-            assert!(report.distinct_states <= report.firings + 1);
-            assert!(report.distinct_states > 0);
-        }
-    }
-
-    #[test]
-    fn mine_pump_schedule_replays() {
-        let tasknet = translate(&mine_pump());
-        let synthesis = synthesize(&tasknet, &SchedulerConfig::default()).expect("feasible");
-        let report = replay(&tasknet, &synthesis.schedule).expect("replays");
-        assert_eq!(report.makespan, synthesis.schedule.makespan());
-    }
-
-    #[test]
-    fn truncated_schedules_are_rejected_as_not_final() {
-        let tasknet = translate(&small_control());
-        let synthesis = synthesize(&tasknet, &SchedulerConfig::default()).expect("feasible");
-        let mut firings = synthesis.schedule.firings().to_vec();
-        firings.pop();
-        let truncated = FeasibleSchedule::new_for_tests(firings);
-        assert_eq!(replay(&tasknet, &truncated), Err(ReplayError::NotFinal));
-    }
-
-    #[test]
-    fn corrupted_firings_are_rejected() {
-        let tasknet = translate(&small_control());
-        let synthesis = synthesize(&tasknet, &SchedulerConfig::default()).expect("feasible");
-        let firings = synthesis.schedule.firings();
-
-        // An out-of-domain delay on the first firing.
-        let mut bad_delay: Vec<ScheduledFiring> = firings.to_vec();
-        bad_delay[0].delay += 1_000_000;
-        let err = replay(&tasknet, &FeasibleSchedule::new_for_tests(bad_delay)).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ReplayError::DelayOutOfDomain { step: 0, .. }
-                    | ReplayError::NotFireable { step: 0, .. }
-            ),
-            "{err}"
-        );
-
-        // Re-firing the first transition twice in a row.
-        let mut repeated: Vec<ScheduledFiring> = firings.to_vec();
-        repeated[1] = repeated[0];
-        let err = replay(&tasknet, &FeasibleSchedule::new_for_tests(repeated)).unwrap_err();
-        assert!(
-            matches!(err, ReplayError::NotFireable { step: 1, .. }),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn replay_prefix_accepts_a_full_own_schedule() {
-        let tasknet = translate(&mine_pump());
-        let synthesis = synthesize(&tasknet, &SchedulerConfig::default()).expect("feasible");
-        let firings = synthesis.schedule.firings();
-        assert_eq!(replay_prefix(&tasknet, firings), firings.len());
-    }
-
-    #[test]
-    fn replay_prefix_truncates_at_the_first_illegal_step() {
-        let tasknet = translate(&small_control());
-        let synthesis = synthesize(&tasknet, &SchedulerConfig::default()).expect("feasible");
-
-        // A corrupted delay mid-schedule ends the prefix right there.
-        let mut firings = synthesis.schedule.firings().to_vec();
-        let mid = firings.len() / 2;
-        firings[mid].delay += 1_000_000;
-        assert_eq!(replay_prefix(&tasknet, &firings), mid);
-
-        // A transition index beyond the net's range — a schedule cached
-        // for a bigger spec — ends the prefix without panicking.
-        let mut foreign = synthesis.schedule.firings().to_vec();
-        foreign[0].transition = TransitionId::from_index(tasknet.net().transition_count() + 3);
-        assert_eq!(replay_prefix(&tasknet, &foreign), 0);
-
-        // The empty seed replays trivially.
-        assert_eq!(replay_prefix(&tasknet, &[]), 0);
-    }
-
-    #[test]
-    fn replay_errors_display_their_step() {
-        let err = ReplayError::NotFireable {
-            step: 3,
-            transition: TransitionId::from_index(7),
-        };
-        assert_eq!(err.to_string(), "step 3: t7 is not fireable");
-        let err = ReplayError::DelayOutOfDomain {
-            step: 5,
-            transition: TransitionId::from_index(1),
-            delay: 9,
-        };
-        assert!(err.to_string().contains("outside its firing domain"));
-        assert!(ReplayError::NotFinal.to_string().contains("final marking"));
-    }
-}
+pub use ezrt_scheduler::replay::{replay, ReplayError, ReplayReport};

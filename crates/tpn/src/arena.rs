@@ -111,7 +111,7 @@ impl StateLayout {
 /// Ids are assigned in interning order starting from zero, so explorers
 /// can maintain per-state side tables (dead bits, depths, parents) as
 /// plain vectors indexed by [`StateId::index`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateId(u32);
 
 impl StateId {

@@ -83,7 +83,7 @@ pub use interval::{TimeBound, TimeInterval};
 pub use marking::Marking;
 pub use net::{Place, TimePetriNet, TpnBuilder, Transition};
 pub use por::{DependencyMatrix, ExpansionClaim, ExpansionRegistry};
-pub use sharded::{Parallelism, ShardedArena, WorkerExplorer};
+pub use sharded::{Parallelism, ShardedArena};
 pub use state::{Firing, State};
 
 /// Discrete model time, in the specification's abstract *task time units*

@@ -4,8 +4,8 @@
 //! ([`Explorer`]) — the one state-space kernel every TLTS walker drives:
 //! the generic breadth-first exploration here ([`explore`], used for
 //! boundedness checks, deadlock hunting and state counting), the
-//! goal-directed depth-first synthesis search in `ezrt-scheduler`, and the
-//! schedule replay oracle in `ezrt-sim`. All of them walk the same TLTS
+//! goal-directed depth-first synthesis search in `ezrt-scheduler`, and its
+//! schedule replay oracle. All of them walk the same TLTS
 //! defined by [`TimePetriNet::fire`](crate::TimePetriNet::fire), and all
 //! of them do it through the packed representation of
 //! [`arena`](crate::arena): states live interned in a [`StateArena`],
@@ -18,11 +18,8 @@
 //! boundary API for small-scale semantic checks and property tests.
 
 use crate::arena::{StateArena, StateId, StateLayout};
-use crate::sharded::{Parallelism, ShardedArena, WorkerExplorer};
 use crate::{Firing, State, Time, TimeBound, TimePetriNet, TransitionId};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, RwLock};
 
 // The shared delay-enumeration mode lives at the crate root; re-exported
 // here because this is where explorers historically picked it up.
@@ -70,10 +67,8 @@ pub type SuccessorEdge = (Firing, StateId, bool);
 /// uses: domains order (ascending transition id), then ascending delay.
 ///
 /// This is the **single** delay-enumeration implementation behind
-/// [`Explorer::successors_into`], the per-worker
-/// [`WorkerExplorer`] and the scheduler's
-/// candidate generation, so label order agrees across the sequential and
-/// parallel kernels by construction.
+/// [`Explorer::successors_into`] and the scheduler's candidate
+/// generation, so label order agrees across explorers by construction.
 pub fn expand_delay_labels(
     mode: DelayMode,
     domains: &[(TransitionId, Time, TimeBound)],
@@ -354,368 +349,6 @@ pub fn explore(
     report
 }
 
-/// The per-level rendezvous of the pooled BFS workers: a
-/// generation-counted barrier. The driver bumps the generation to start a
-/// level and waits for all helpers to report completion; helpers sleep
-/// between levels, keeping their explorer handles and scratch buffers
-/// alive for the whole exploration (the predecessor design spawned fresh
-/// scoped threads — and therefore fresh scratch — per wide level).
-///
-/// Narrow levels never touch this gate: the driver drains them inline
-/// while the helpers stay parked, so deep-but-thin state spaces (the
-/// common shape: thousands of near-singleton levels between wide bursts)
-/// pay no synchronization at all.
-struct LevelGate {
-    state: Mutex<GateState>,
-    /// Signals helpers: a new level started, or shutdown.
-    start: Condvar,
-    /// Signals the driver: all helpers finished the level.
-    done: Condvar,
-    helpers: usize,
-}
-
-struct GateState {
-    generation: u64,
-    completed: usize,
-    shutdown: bool,
-}
-
-impl LevelGate {
-    fn new(helpers: usize) -> Self {
-        LevelGate {
-            state: Mutex::new(GateState {
-                generation: 0,
-                completed: 0,
-                shutdown: false,
-            }),
-            start: Condvar::new(),
-            done: Condvar::new(),
-            helpers,
-        }
-    }
-
-    /// Driver: open the next level for the helpers.
-    fn start_level(&self) {
-        let mut state = self.state.lock().expect("level gate poisoned");
-        state.generation += 1;
-        state.completed = 0;
-        drop(state);
-        self.start.notify_all();
-    }
-
-    /// Helper: block until a level newer than `seen` opens (returning its
-    /// generation) or the gate shuts down (returning `None`).
-    fn wait_for_level(&self, seen: u64) -> Option<u64> {
-        let mut state = self.state.lock().expect("level gate poisoned");
-        loop {
-            if state.shutdown {
-                return None;
-            }
-            if state.generation > seen {
-                return Some(state.generation);
-            }
-            state = self.start.wait(state).expect("level gate poisoned");
-        }
-    }
-
-    /// Helper: report this level's drain as finished. Poison-tolerant
-    /// because it also runs on unwind (see [`LevelDoneGuard`]).
-    fn level_done(&self) {
-        let mut state = match self.state.lock() {
-            Ok(state) => state,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        state.completed += 1;
-        if state.completed == self.helpers {
-            self.done.notify_one();
-        }
-    }
-
-    /// Driver: block until every helper finished the current level.
-    fn wait_level_complete(&self) {
-        let mut state = self.state.lock().expect("level gate poisoned");
-        while state.completed < self.helpers {
-            state = self.done.wait(state).expect("level gate poisoned");
-        }
-    }
-
-    /// Driver: release the helpers for good. Idempotent; also invoked on
-    /// unwind so a panicking driver can never strand parked helpers (the
-    /// scope join would otherwise hang instead of crashing).
-    fn shutdown(&self) {
-        let mut state = match self.state.lock() {
-            Ok(state) => state,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        state.shutdown = true;
-        drop(state);
-        self.start.notify_all();
-    }
-}
-
-/// Calls [`LevelGate::shutdown`] on drop — the driver holds one for its
-/// whole run, so helpers are released on both the normal exit path and a
-/// panicking unwind.
-struct GateShutdownGuard<'a>(&'a LevelGate);
-
-impl Drop for GateShutdownGuard<'_> {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
-/// Calls [`LevelGate::level_done`] on drop — helpers hold one across each
-/// drain, so the driver's completion wait terminates even if a drain
-/// panics (the panic then surfaces at the scope join, as a crash with its
-/// diagnostic, instead of deadlocking the driver).
-struct LevelDoneGuard<'a>(&'a LevelGate);
-
-impl Drop for LevelDoneGuard<'_> {
-    fn drop(&mut self) {
-        self.0.level_done();
-    }
-}
-
-/// Everything one BFS level's drain needs, shared across the worker team.
-struct LevelCtx<'a> {
-    net: &'a TimePetriNet,
-    arena: &'a ShardedArena,
-    mode: DelayMode,
-    max_states: usize,
-    place_count: usize,
-    /// The current level, read-shared during a drain; the driver swaps in
-    /// the next level between barriers, when no helper holds the lock.
-    frontier: &'a RwLock<Vec<StateId>>,
-    /// Claim cursor into `frontier`, reset by the driver per level.
-    cursor: &'a AtomicUsize,
-    /// Fresh states discovered this level, appended per-worker in bulk.
-    next: &'a Mutex<Vec<StateId>>,
-    visited: &'a AtomicUsize,
-    edges: &'a AtomicUsize,
-    deadlocks: &'a AtomicUsize,
-    truncated: &'a AtomicBool,
-    max_tokens: &'a AtomicU32,
-}
-
-/// Per-worker scratch that survives across levels — the point of the
-/// pooled team.
-struct LevelScratch {
-    words: Vec<u32>,
-    labels: Vec<(TransitionId, Time)>,
-    local_next: Vec<StateId>,
-}
-
-impl LevelScratch {
-    fn new() -> Self {
-        LevelScratch {
-            words: Vec::new(),
-            labels: Vec::new(),
-            local_next: Vec::new(),
-        }
-    }
-}
-
-/// Drains frontier states claimed through the shared cursor, interning
-/// successors and collecting this worker's share of the next level.
-fn drain_level(ctx: &LevelCtx<'_>, worker: &mut WorkerExplorer<'_>, scratch: &mut LevelScratch) {
-    let frontier = ctx.frontier.read().expect("frontier lock poisoned");
-    let mut local_edges = 0usize;
-    let mut local_deadlocks = 0usize;
-    let mut local_max_tokens = 0u32;
-    scratch.local_next.clear();
-    loop {
-        let i = ctx.cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(&id) = frontier.get(i) else { break };
-        worker.read_into(id, &mut scratch.words);
-        worker.successor_labels_into(&scratch.words, ctx.mode, &mut scratch.labels);
-        if scratch.labels.is_empty() {
-            local_deadlocks += 1;
-            continue;
-        }
-        for &(t, q) in &scratch.labels {
-            local_edges += 1;
-            let (successor, fresh) = worker.fire_from(&scratch.words, t, q);
-            if !fresh {
-                continue;
-            }
-            let admitted = ctx
-                .visited
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                    (v < ctx.max_states).then_some(v + 1)
-                })
-                .is_ok();
-            if !admitted {
-                ctx.truncated.store(true, Ordering::Relaxed);
-                continue;
-            }
-            for &tokens in &worker.successor_words()[..ctx.place_count] {
-                local_max_tokens = local_max_tokens.max(tokens);
-            }
-            scratch.local_next.push(successor);
-        }
-    }
-    drop(frontier);
-    ctx.edges.fetch_add(local_edges, Ordering::Relaxed);
-    ctx.deadlocks.fetch_add(local_deadlocks, Ordering::Relaxed);
-    ctx.max_tokens
-        .fetch_max(local_max_tokens, Ordering::Relaxed);
-    ctx.next
-        .lock()
-        .expect("frontier lock poisoned")
-        .append(&mut scratch.local_next);
-}
-
-/// Parallel breadth-first exploration: the multi-worker counterpart of
-/// [`explore`], distributing each BFS level over `parallelism.jobs()`
-/// workers that intern into one shared [`ShardedArena`].
-///
-/// The exploration is level-synchronized over a **persistent pooled
-/// worker team**: `jobs − 1` helper threads are spawned once and
-/// rendezvous with the driving thread through a generation-counted
-/// per-level barrier (the internal `LevelGate`), so explorer handles and scratch
-/// buffers live for the whole exploration instead of being re-created
-/// per level. Within a level, workers claim frontier states through an
-/// atomic cursor, generate successors into their per-worker scratch, and
-/// fresh states (first global intern wins) form the next level. Narrow
-/// levels are drained inline by the driver while the helpers stay
-/// parked. Because duplicate detection is a property of the shared
-/// arena, the *set* of visited states — and therefore every reported
-/// counter except truncation boundaries — is identical to the sequential
-/// exploration's for any worker count. With `Parallelism::SEQUENTIAL`
-/// this delegates to [`explore`] outright.
-///
-/// # Examples
-///
-/// ```
-/// use ezrt_tpn::{Parallelism, TpnBuilder, TimeInterval};
-/// use ezrt_tpn::reachability::{explore, explore_parallel, DelayMode, ExplorationLimits};
-///
-/// # fn main() -> Result<(), ezrt_tpn::BuildNetError> {
-/// let mut b = TpnBuilder::new("loop");
-/// let a = b.place_with_tokens("a", 1);
-/// let t = b.transition("t", TimeInterval::exact(1));
-/// b.arc_place_to_transition(a, t, 1);
-/// b.arc_transition_to_place(t, a, 1);
-/// let net = b.build()?;
-/// let limits = ExplorationLimits::default();
-/// let parallel = explore_parallel(&net, DelayMode::Earliest, limits, Parallelism::new(2));
-/// assert_eq!(parallel, explore(&net, DelayMode::Earliest, limits));
-/// # Ok(())
-/// # }
-/// ```
-pub fn explore_parallel(
-    net: &TimePetriNet,
-    mode: DelayMode,
-    limits: ExplorationLimits,
-    parallelism: Parallelism,
-) -> ReachabilityReport {
-    if parallelism.is_sequential() {
-        return explore(net, mode, limits);
-    }
-    let _span = ezrt_obs::span("explore-parallel");
-    let jobs = parallelism.jobs();
-    let place_count = net.layout().place_count();
-    let arena = ShardedArena::new(net.layout(), jobs);
-    let mut seed = WorkerExplorer::new(net, &arena);
-    let s0 = seed.intern_initial();
-
-    let visited = AtomicUsize::new(1);
-    let edges = AtomicUsize::new(0);
-    let deadlocks = AtomicUsize::new(0);
-    let truncated = AtomicBool::new(false);
-    let initial_max = seed.successor_words()[..place_count]
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(0);
-    let max_tokens = AtomicU32::new(initial_max);
-
-    let frontier: RwLock<Vec<StateId>> = RwLock::new(vec![s0]);
-    let next: Mutex<Vec<StateId>> = Mutex::new(Vec::new());
-    let cursor = AtomicUsize::new(0);
-    let gate = LevelGate::new(jobs - 1);
-    let ctx = LevelCtx {
-        net,
-        arena: &arena,
-        mode,
-        max_states: limits.max_states,
-        place_count,
-        frontier: &frontier,
-        cursor: &cursor,
-        next: &next,
-        visited: &visited,
-        edges: &edges,
-        deadlocks: &deadlocks,
-        truncated: &truncated,
-        max_tokens: &max_tokens,
-    };
-
-    std::thread::scope(|scope| {
-        // The persistent helper team: explorer handle and scratch are
-        // built once per thread and live across every level.
-        for _ in 1..jobs {
-            let (gate, ctx) = (&gate, &ctx);
-            scope.spawn(move || {
-                let mut worker = WorkerExplorer::new(ctx.net, ctx.arena);
-                let mut scratch = LevelScratch::new();
-                let mut seen = 0u64;
-                while let Some(generation) = gate.wait_for_level(seen) {
-                    seen = generation;
-                    let done = LevelDoneGuard(gate);
-                    drain_level(ctx, &mut worker, &mut scratch);
-                    drop(done);
-                }
-            });
-        }
-
-        // The driver: seed explorer reused, one level per iteration.
-        let _shutdown = GateShutdownGuard(&gate);
-        let mut driver = seed;
-        let mut scratch = LevelScratch::new();
-        let mut depth = 0usize;
-        loop {
-            let width = frontier.read().expect("frontier lock poisoned").len();
-            if width == 0 {
-                break;
-            }
-            if depth >= limits.max_depth {
-                truncated.store(true, Ordering::Relaxed);
-                break;
-            }
-            cursor.store(0, Ordering::Relaxed);
-            // Narrow levels are not worth waking the team for: the driver
-            // drains them alone while helpers stay parked, so deep-but-
-            // thin spaces pay no per-level synchronization. Wide levels
-            // open the gate and the driver participates as one worker.
-            if width < jobs * 4 {
-                drain_level(&ctx, &mut driver, &mut scratch);
-            } else {
-                gate.start_level();
-                drain_level(&ctx, &mut driver, &mut scratch);
-                gate.wait_level_complete();
-            }
-            // All workers are past their drains: no read guard is live,
-            // so the swap cannot deadlock or race a claim.
-            let mut current = frontier.write().expect("frontier lock poisoned");
-            let mut staged = next.lock().expect("frontier lock poisoned");
-            std::mem::swap(&mut *current, &mut *staged);
-            staged.clear();
-            drop(staged);
-            drop(current);
-            depth += 1;
-        }
-        // GateShutdownGuard releases the helpers here (and on unwind).
-    });
-
-    ReachabilityReport {
-        states_visited: visited.into_inner(),
-        edges: edges.into_inner(),
-        deadlocks: deadlocks.into_inner(),
-        max_place_tokens: max_tokens.into_inner(),
-        truncated: truncated.into_inner(),
-    }
-}
-
 fn track_tokens(report: &mut ReachabilityReport, explorer: &Explorer<'_>, id: StateId) {
     let place_count = explorer.layout().place_count();
     for &tokens in &explorer.state(id)[..place_count] {
@@ -828,50 +461,6 @@ mod tests {
         let net = b.build().unwrap();
         let report = explore(&net, DelayMode::Earliest, ExplorationLimits::default());
         assert_eq!(report.max_place_tokens, 7);
-    }
-
-    #[test]
-    fn parallel_exploration_matches_sequential_reports() {
-        let net = diamond();
-        for mode in [DelayMode::Earliest, DelayMode::Corners, DelayMode::Full] {
-            let sequential = explore(&net, mode, ExplorationLimits::default());
-            for jobs in [1, 2, 4] {
-                let parallel = explore_parallel(
-                    &net,
-                    mode,
-                    ExplorationLimits::default(),
-                    Parallelism::new(jobs),
-                );
-                assert_eq!(parallel, sequential, "{mode:?} at {jobs} jobs");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_exploration_truncates_on_limits() {
-        let net = diamond();
-        let by_states = explore_parallel(
-            &net,
-            DelayMode::Earliest,
-            ExplorationLimits {
-                max_states: 2,
-                max_depth: 100,
-            },
-            Parallelism::new(2),
-        );
-        assert!(by_states.truncated);
-        assert_eq!(by_states.states_visited, 2);
-
-        let by_depth = explore_parallel(
-            &net,
-            DelayMode::Earliest,
-            ExplorationLimits {
-                max_states: 100,
-                max_depth: 1,
-            },
-            Parallelism::new(2),
-        );
-        assert!(by_depth.truncated);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! The concurrent state-interning kernel: a sharded arena plus cheap
-//! per-worker explorer handles.
+//! The concurrent state-interning kernel: a sharded arena.
 //!
 //! [`StateArena`](crate::StateArena) is single-threaded by construction —
 //! one slab, one probe table, `&mut self` interning. Parallel exploration
@@ -27,12 +26,10 @@
 //! slack that id-indexed side tables (the schedulers' atomic dead-set)
 //! absorb as a few spare bits.
 //!
-//! Workers do not share scratch state: each holds a [`WorkerExplorer`], a
-//! cheap handle bundling the net, a reference to the shared arena and
-//! private successor buffers. Firing reads the parent's packed words from
-//! the worker's own frame (never from the arena), so in the steady state a
-//! worker only touches shared memory to intern a successor (one shard
-//! lock).
+//! Workers do not share scratch state: each fires into its own successor
+//! buffer from the parent's packed words in its own frame (never from the
+//! arena), so in the steady state a worker only touches shared memory to
+//! intern a successor (one shard lock).
 //!
 //! # Examples
 //!
@@ -73,15 +70,13 @@
 //! ```
 
 use crate::arena::{hash_words, StateId, StateLayout, EMPTY_SLOT};
-use crate::{DelayMode, Time, TimeBound, TimePetriNet, TransitionId};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Worker-count configuration shared by every parallel entry point in the
-/// workspace: the scheduler's `synthesize_parallel`, the reachability
-/// BFS ([`explore_parallel`](crate::reachability::explore_parallel)), the
-/// `ezrt` CLI's `--jobs` flag and the benchmark harness all consume this
-/// one type, so a thread-count choice travels unchanged across layers.
+/// workspace: the scheduler's `synthesize_parallel`, the `ezrt` CLI's
+/// `--jobs` flag and the benchmark harness all consume this one type, so
+/// a thread-count choice travels unchanged across layers.
 ///
 /// `jobs == 1` (the default) means strictly sequential execution through
 /// the exact single-threaded code paths — parallel entry points delegate,
@@ -175,70 +170,9 @@ impl Shard {
     }
 }
 
-/// Block-table entry packing: shard index in the high 16 bits, the base
-/// *local* slab index of the block's first state in the low 48.
-const LOCAL_BITS: u32 = 48;
-const LOCAL_MASK: u64 = (1 << LOCAL_BITS) - 1;
-
-/// Sentinel for a block-table slot that has been allocated but whose
-/// owning shard has not published its entry yet (never observable for ids
-/// actually returned by [`ShardedArena::intern`]).
-const UNCLAIMED_BLOCK: u64 = u64::MAX;
-
-/// The id-block table: maps a block index (`id / ID_BLOCK`) to the shard
-/// that owns the block and the shard-local slab index of the block's
-/// first state. Written once per claimed block (under the claiming
-/// shard's lock), read by [`ShardedArena::read_into`].
-///
-/// The slots live behind a `RwLock` only so the table can grow; the
-/// per-slot values are atomics, so both the once-per-block publish and
-/// every lookup run under the read lock (uncontended in the steady
-/// state). The write lock is taken once per geometric growth step.
-#[derive(Debug)]
-struct BlockTable {
-    slots: RwLock<Vec<AtomicU64>>,
-}
-
-impl BlockTable {
-    fn new() -> Self {
-        BlockTable {
-            slots: RwLock::new(Vec::new()),
-        }
-    }
-
-    /// Publishes `entry` for `block`, growing the table as needed.
-    fn publish(&self, block: usize, entry: u64) {
-        loop {
-            {
-                let slots = self.slots.read().expect("block table poisoned");
-                if let Some(slot) = slots.get(block) {
-                    slot.store(entry, Ordering::Release);
-                    return;
-                }
-            }
-            let mut slots = self.slots.write().expect("block table poisoned");
-            if block >= slots.len() {
-                let grown = (block + 1).max(slots.len() * 2).max(64);
-                let missing = grown - slots.len();
-                slots.extend(
-                    std::iter::repeat_with(|| AtomicU64::new(UNCLAIMED_BLOCK)).take(missing),
-                );
-            }
-        }
-    }
-
-    /// The published entry of `block`, if any.
-    fn get(&self, block: usize) -> Option<u64> {
-        let slots = self.slots.read().expect("block table poisoned");
-        let entry = slots.get(block)?.load(Ordering::Acquire);
-        (entry != UNCLAIMED_BLOCK).then_some(entry)
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.slots.read().expect("block table poisoned").capacity()
-            * std::mem::size_of::<AtomicU64>()
-    }
-}
+/// Shard routing uses the state hash's bits from here up; in-shard
+/// probing uses the low bits, so the two decisions stay independent.
+const SHARD_SHIFT: u32 = 48;
 
 /// A concurrently internable state arena: `N` independent
 /// slab-plus-probe-table shards keyed by state hash, handing out stable
@@ -249,9 +183,9 @@ impl BlockTable {
 /// current **id block** — a dense range of [`ID_BLOCK`](Self::ID_BLOCK)
 /// ids claimed from one global atomic cursor, so the global directory
 /// traffic of the predecessor design (one `RwLock` write per fresh state)
-/// is amortized down to one cursor bump and one block-table publish per
-/// `ID_BLOCK` fresh states per shard. Duplicate hits — the common case in
-/// saturating explorations — touch nothing but the shard.
+/// is amortized down to one cursor bump per `ID_BLOCK` fresh states per
+/// shard. Duplicate hits — the common case in saturating explorations —
+/// touch nothing but the shard.
 ///
 /// Ids are stable and unique, and the id space is *compact* rather than
 /// perfectly dense: every shard's current block may be partially used, so
@@ -259,11 +193,9 @@ impl BlockTable {
 /// [`id_upper_bound`](Self::id_upper_bound) are never issued. Id-indexed
 /// side tables should size by `id_upper_bound`, not [`len`](Self::len).
 ///
-/// Unlike [`StateArena`](crate::StateArena), reads copy out
-/// ([`read_into`](Self::read_into)) instead of borrowing: states live
-/// behind shard locks, and a copy of a few dozen words is cheaper than
-/// any sharable-borrow scheme that would need `unsafe` (which this crate
-/// forbids).
+/// Unlike [`StateArena`](crate::StateArena), the arena never lends a
+/// state back: states live behind shard locks, so workers keep the
+/// packed words of the states they expand themselves.
 ///
 /// # Examples
 ///
@@ -283,9 +215,6 @@ impl BlockTable {
 /// let (id, fresh) = arena.intern(&packed);
 /// assert!(fresh);
 /// assert_eq!(arena.intern(&packed), (id, false), "re-interning dedups");
-/// let mut out = Vec::new();
-/// arena.read_into(id, &mut out);
-/// assert_eq!(out, packed);
 /// # Ok(())
 /// # }
 /// ```
@@ -294,8 +223,6 @@ pub struct ShardedArena {
     layout: StateLayout,
     shards: Vec<Mutex<Shard>>,
     shard_mask: u64,
-    /// Block index → `(shard, base local index)`, published once per block.
-    blocks: BlockTable,
     /// The next unclaimed block index; `fetch_add` is the only global
     /// synchronization on the fresh-state path, once per `ID_BLOCK`
     /// fresh states per shard.
@@ -320,7 +247,6 @@ impl ShardedArena {
             layout,
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             shard_mask: shards as u64 - 1,
-            blocks: BlockTable::new(),
             next_block: AtomicUsize::new(0),
             len: AtomicUsize::new(0),
         }
@@ -375,9 +301,7 @@ impl ShardedArena {
         let words = self.layout.words();
         assert_eq!(state.len(), words, "state length mismatch");
         let hash = hash_words(state);
-        // Shard routing uses the high bits, in-shard probing the low bits,
-        // so the two decisions stay independent.
-        let shard_index = ((hash >> LOCAL_BITS) & self.shard_mask) as usize;
+        let shard_index = ((hash >> SHARD_SHIFT) & self.shard_mask) as usize;
         let mut shard = self.shards[shard_index]
             .lock()
             .expect("arena shard lock poisoned");
@@ -388,12 +312,8 @@ impl ShardedArena {
                 let local = shard.hashes.len();
                 if shard.block_next == shard.block_end {
                     // Current block exhausted (or none yet): claim the
-                    // next dense id range and publish where it lives.
-                    // Publishing before the first id of the block escapes
-                    // this shard lock keeps `read_into` race-free.
+                    // next dense id range.
                     let block = self.next_block.fetch_add(1, Ordering::AcqRel);
-                    self.blocks
-                        .publish(block, ((shard_index as u64) << LOCAL_BITS) | local as u64);
                     shard.block_next =
                         u32::try_from(block * Self::ID_BLOCK).expect("state id space exhausted");
                     shard.block_end = shard.block_next + Self::ID_BLOCK as u32;
@@ -422,177 +342,25 @@ impl ShardedArena {
         }
     }
 
-    /// Copies the packed words of an interned state into `out` (cleared
-    /// first).
-    ///
-    /// Within a block, ids and shard-local slab indices advance in
-    /// lockstep (both are assigned under the same shard lock), so the
-    /// lookup is the block table's `(shard, base local)` entry plus the
-    /// id's offset into its block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this arena's
-    /// [`intern`](Self::intern) (best effort: an id inside a claimed but
-    /// not fully issued block range may not be detected).
-    pub fn read_into(&self, id: StateId, out: &mut Vec<u32>) {
-        let block = id.index() / Self::ID_BLOCK;
-        let offset = id.index() % Self::ID_BLOCK;
-        let entry = self
-            .blocks
-            .get(block)
-            .expect("state id not produced by this arena");
-        let shard_index = (entry >> LOCAL_BITS) as usize;
-        let local = (entry & LOCAL_MASK) as usize + offset;
-        let words = self.layout.words();
-        let shard = self.shards[shard_index]
-            .lock()
-            .expect("arena shard lock poisoned");
-        let start = local * words;
-        assert!(
-            start + words <= shard.slab.len(),
-            "state id not produced by this arena"
-        );
-        out.clear();
-        out.extend_from_slice(&shard.slab[start..start + words]);
-    }
-
     /// Approximate resident size in bytes: every shard's slab, hash cache,
-    /// id map and probe table, plus the id-block table. Interned states
-    /// are never evicted, so the current size is also the peak.
+    /// id map and probe table. Interned states are never evicted, so the
+    /// current size is also the peak.
     pub fn resident_bytes(&self) -> usize {
-        let shards: usize = self
-            .shards
+        self.shards
             .iter()
             .map(|s| {
                 s.lock()
                     .expect("arena shard lock poisoned")
                     .resident_bytes()
             })
-            .sum();
-        shards + self.blocks.resident_bytes()
-    }
-}
-
-/// A cheap per-worker handle over shared interning state: the parallel
-/// counterpart of [`Explorer`](crate::reachability::Explorer).
-///
-/// Each worker owns one handle; the arena is shared. The firing and
-/// candidate-enumeration entry points take the parent state's packed words
-/// from the *caller* (workers keep their current frame's words in their
-/// own stack), so the only shared-memory traffic in the steady state is
-/// the intern of each generated successor.
-#[derive(Debug)]
-pub struct WorkerExplorer<'a> {
-    net: &'a TimePetriNet,
-    arena: &'a ShardedArena,
-    layout: StateLayout,
-    /// Scratch buffer `fire_into` writes successors into.
-    successor: Vec<u32>,
-    /// Scratch buffer for the fireable set with firing domains.
-    domains: Vec<(TransitionId, Time, TimeBound)>,
-}
-
-impl<'a> WorkerExplorer<'a> {
-    /// A handle for one worker over `net` and the shared `arena`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena's layout does not match the net's.
-    pub fn new(net: &'a TimePetriNet, arena: &'a ShardedArena) -> Self {
-        let layout = net.layout();
-        assert_eq!(layout, arena.layout(), "arena layout mismatch");
-        WorkerExplorer {
-            net,
-            arena,
-            layout,
-            successor: vec![0; layout.words()],
-            domains: Vec::new(),
-        }
-    }
-
-    /// The net being explored.
-    pub fn net(&self) -> &'a TimePetriNet {
-        self.net
-    }
-
-    /// The shared arena.
-    pub fn arena(&self) -> &'a ShardedArena {
-        self.arena
-    }
-
-    /// Interns the initial state `s0 = (m0, 0⃗)` and returns its id. The
-    /// packed words remain available via
-    /// [`successor_words`](Self::successor_words).
-    pub fn intern_initial(&mut self) -> StateId {
-        self.net.write_initial_packed(&mut self.successor);
-        self.arena.intern(&self.successor).0
-    }
-
-    /// Copies an interned state's packed words into `out`.
-    pub fn read_into(&self, id: StateId, out: &mut Vec<u32>) {
-        self.arena.read_into(id, out);
-    }
-
-    /// Fires `t` after `delay` from the packed parent state `src`,
-    /// interning the successor. Returns its id and whether it is globally
-    /// fresh; the successor's packed words stay in
-    /// [`successor_words`](Self::successor_words) until the next firing.
-    ///
-    /// Like [`TimePetriNet::fire_unchecked`], legality of the label is not
-    /// re-validated.
-    pub fn fire_from(&mut self, src: &[u32], t: TransitionId, delay: Time) -> (StateId, bool) {
-        self.net.fire_into(src, t, delay, &mut self.successor);
-        self.arena.intern(&self.successor)
-    }
-
-    /// The packed words of the most recently generated successor (or the
-    /// initial state right after [`intern_initial`](Self::intern_initial)).
-    pub fn successor_words(&self) -> &[u32] {
-        &self.successor
-    }
-
-    /// Computes the fireable set of the packed state `src` together with
-    /// the firing domains into the caller's reusable buffer (see
-    /// [`TimePetriNet::fireable_domains_into`]).
-    pub fn fireable_domains_into(
-        &self,
-        src: &[u32],
-        out: &mut Vec<(TransitionId, Time, TimeBound)>,
-    ) {
-        self.net.fireable_domains_into(src, out);
-    }
-
-    /// Enumerates the successor labels `(t, q)` of the packed state `src`
-    /// under `mode` into the caller's reusable buffer (cleared first), in
-    /// the same order as [`Explorer::successors_into`]
-    /// (ascending transition id, then ascending delay).
-    ///
-    /// [`Explorer::successors_into`]: crate::reachability::Explorer::successors_into
-    pub fn successor_labels_into(
-        &mut self,
-        src: &[u32],
-        mode: DelayMode,
-        out: &mut Vec<(TransitionId, Time)>,
-    ) {
-        out.clear();
-        let mut domains = std::mem::take(&mut self.domains);
-        self.net.fireable_domains_into(src, &mut domains);
-        crate::reachability::expand_delay_labels(mode, &domains, out);
-        self.domains = domains;
-    }
-
-    /// The packed state layout.
-    pub fn layout(&self) -> StateLayout {
-        self.layout
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reachability::Explorer;
-    use crate::{TimeInterval, TpnBuilder};
+    use crate::{TimeInterval, TimePetriNet, TpnBuilder};
 
     fn layout() -> StateLayout {
         StateLayout::of(&chain_net(1))
@@ -625,18 +393,17 @@ mod tests {
     fn interning_dedups_and_assigns_unique_bounded_ids() {
         let arena = ShardedArena::new(layout(), 4);
         let words = arena.layout().words();
-        let mut seen = Vec::new();
+        let mut indexes = Vec::new();
         for i in 0..100u32 {
             let mut state = vec![0u32; words];
             state[0] = i;
             let (id, fresh) = arena.intern(&state);
             assert!(fresh);
             assert_eq!(arena.intern(&state), (id, false));
-            seen.push((id, state));
+            indexes.push(id.index());
         }
         assert_eq!(arena.len(), 100);
         // Ids are unique and live below the advertised upper bound.
-        let mut indexes: Vec<usize> = seen.iter().map(|(id, _)| id.index()).collect();
         indexes.sort_unstable();
         indexes.dedup();
         assert_eq!(indexes.len(), 100, "ids are unique");
@@ -647,11 +414,6 @@ mod tests {
             arena.id_upper_bound() - arena.len()
                 <= arena.shard_count() * (ShardedArena::ID_BLOCK - 1)
         );
-        let mut out = Vec::new();
-        for (id, state) in &seen {
-            arena.read_into(*id, &mut out);
-            assert_eq!(&out, state);
-        }
         assert!(arena.resident_bytes() > 0);
     }
 
@@ -681,9 +443,8 @@ mod tests {
     #[test]
     fn contended_interning_never_aliases_ids_across_blocks() {
         // The regression this guards: two distinct states must never
-        // receive the same id (an id block handed to two shards, or an
-        // id-to-local offset drifting out of lockstep would both surface
-        // here as an id collision or a read_into mismatch).
+        // receive the same id (an id block handed to two shards would
+        // surface here as an id collision).
         let net = chain_net(1);
         let arena = ShardedArena::new(StateLayout::of(&net), 8);
         let words = arena.layout().words();
@@ -713,7 +474,6 @@ mod tests {
         let mut id_to_value: std::collections::HashMap<usize, u32> =
             std::collections::HashMap::new();
         let mut distinct_values: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        let mut out = Vec::new();
         for (id, value) in observed.into_iter().flatten() {
             if let Some(&prior) = id_to_value.get(&id.index()) {
                 assert_eq!(
@@ -726,8 +486,6 @@ mod tests {
                 id_to_value.insert(id.index(), value);
             }
             distinct_values.insert(value);
-            arena.read_into(id, &mut out);
-            assert_eq!(out[0], value, "read_into returned a different state");
         }
         assert_eq!(arena.len(), distinct_values.len());
         assert_eq!(id_to_value.len(), distinct_values.len());
@@ -790,51 +548,5 @@ mod tests {
         });
         assert_eq!(ids[0], ids[1]);
         assert_eq!(ids[1], ids[2]);
-    }
-
-    #[test]
-    fn worker_explorer_matches_sequential_explorer() {
-        let net = chain_net(3);
-        let arena = ShardedArena::new(net.layout(), 2);
-        let mut worker = WorkerExplorer::new(&net, &arena);
-        let mut sequential = Explorer::new(&net);
-
-        let w0 = worker.intern_initial();
-        let s0 = sequential.intern_initial();
-        let mut words = worker.successor_words().to_vec();
-
-        let mut labels = Vec::new();
-        let mut edges = Vec::new();
-        let mut state = w0;
-        let mut sstate = s0;
-        loop {
-            worker.successor_labels_into(&words, DelayMode::Earliest, &mut labels);
-            sequential.successors_into(sstate, DelayMode::Earliest, &mut edges);
-            assert_eq!(labels.len(), edges.len());
-            let Some(&(t, q)) = labels.first() else { break };
-            let (firing, snext, _) = edges[0];
-            assert_eq!((firing.transition(), firing.delay()), (t, q));
-            let (wnext, _) = worker.fire_from(&words, t, q);
-            words.clear();
-            words.extend_from_slice(worker.successor_words());
-            assert_eq!(sequential.state(snext), &words[..], "same packed state");
-            state = wnext;
-            sstate = snext;
-        }
-        let _ = state;
-        assert_eq!(arena.len(), sequential.arena().len());
-    }
-
-    #[test]
-    fn read_into_round_trips_through_shards() {
-        let net = chain_net(2);
-        let arena = ShardedArena::new(net.layout(), 8);
-        let mut worker = WorkerExplorer::new(&net, &arena);
-        let id = worker.intern_initial();
-        let initial = worker.successor_words().to_vec();
-        let mut out = Vec::new();
-        worker.read_into(id, &mut out);
-        assert_eq!(out, initial);
-        assert!(arena.shard_count() >= 8);
     }
 }

@@ -1,4 +1,4 @@
-//! Machine-readable partial-order-reduction benchmark: classic versus
+//! Machine-readable partial-order-reduction benchmark: off versus
 //! stubborn state counts on the mine pump and three 10-task sweep
 //! shapes, sequentially and at four workers. Prints one JSON object to
 //! stdout; `scripts/bench-summary.sh` redirects it into `BENCH_10.json`
@@ -73,7 +73,7 @@ fn main() {
     let mut rows = Vec::new();
     for (label, spec) in &workloads {
         for jobs in [1usize, 4] {
-            for por in [PorLevel::Classic, PorLevel::Stubborn] {
+            for por in [PorLevel::Off, PorLevel::Stubborn] {
                 eprintln!("por_summary: {label} jobs={jobs} por={por}...");
                 rows.push(run(label, spec, por, jobs));
             }
@@ -92,7 +92,7 @@ fn main() {
     println!("  ],");
     println!("  \"notes\": [");
     println!(
-        "    \"mine pump, jobs=1: classic and stubborn are expected to visit the SAME state \
+        "    \"mine pump, jobs=1: off and stubborn are expected to visit the SAME state \
          count — every residual branch point on the pump is genuinely dependent grant \
          arbitration (shared-resource conflicts), which no sound reduction may prune; the \
          sweeps are where independent interleavings exist to cut.\","
@@ -100,7 +100,7 @@ fn main() {
     println!(
         "    \"jobs=4: workers never let a sleep filter or a covered-frontier skip empty a \
          frame whose parent has no other candidates (it would unwind the whole racing stack), \
-         so the pump at four workers lands at parity with classic while the sweep shapes keep \
+         so the pump at four workers lands at parity with off while the sweep shapes keep \
          their reduction.\","
     );
     println!(

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Regenerates BENCH_10.json — the committed machine-readable summary of
-# the partial-order-reduction benchmark (ISSUE 10): classic vs stubborn
-# state counts on the mine pump and three 10-task sweep shapes, at one
-# and four workers. Run from the repository root:
+# the partial-order-reduction benchmark: off vs stubborn state counts on
+# the mine pump and three 10-task sweep shapes, at one and four workers.
+# Run from the repository root:
 #
 #   scripts/bench-summary.sh [output.json]
 #

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI smoke for the partial-order reduction: runs `ezrt schedule --json`
-# at por=classic and por=stubborn on the mine pump and one generated
-# sweep-family spec, and asserts (a) the verdicts agree and (b) stubborn
-# never visits more states than classic. Uses the real binary so the
+# at por=off and por=stubborn on every spec of the checked-in corpus
+# (tests/corpus/), and asserts (a) the verdicts agree and (b) stubborn
+# never visits more states than off.
+# Uses the real binary so the
 # whole CLI → core → scheduler plumbing of the `--por` knob is on the
 # hook, not just the library API.
 #
@@ -24,32 +25,32 @@ fail=0
 check() {
     spec="$1"
     # Infeasible verdicts exit nonzero but still print the JSON object.
-    classic=$("$bin" --por classic schedule "$spec" --json 2>/dev/null || true)
+    off=$("$bin" --por off schedule "$spec" --json 2>/dev/null || true)
     stubborn=$("$bin" --por stubborn schedule "$spec" --json 2>/dev/null || true)
-    classic_verdict=$(json_field "$classic" feasible)
+    off_verdict=$(json_field "$off" feasible)
     stubborn_verdict=$(json_field "$stubborn" feasible)
-    classic_states=$(json_field "$classic" states_visited)
+    off_states=$(json_field "$off" states_visited)
     stubborn_states=$(json_field "$stubborn" states_visited)
-    if [ -z "$classic_verdict" ] || [ -z "$stubborn_verdict" ]; then
-        echo "FAIL $spec: missing feasible field (classic='$classic_verdict' stubborn='$stubborn_verdict')" >&2
+    if [ -z "$off_verdict" ] || [ -z "$stubborn_verdict" ]; then
+        echo "FAIL $spec: missing feasible field (off='$off_verdict' stubborn='$stubborn_verdict')" >&2
         fail=1
         return
     fi
-    if [ "$classic_verdict" != "$stubborn_verdict" ]; then
-        echo "FAIL $spec: verdicts diverge (classic=$classic_verdict stubborn=$stubborn_verdict)" >&2
+    if [ "$off_verdict" != "$stubborn_verdict" ]; then
+        echo "FAIL $spec: verdicts diverge (off=$off_verdict stubborn=$stubborn_verdict)" >&2
         fail=1
         return
     fi
-    if [ "$stubborn_states" -gt "$classic_states" ]; then
-        echo "FAIL $spec: stubborn visited $stubborn_states > classic $classic_states" >&2
+    if [ "$stubborn_states" -gt "$off_states" ]; then
+        echo "FAIL $spec: stubborn visited $stubborn_states > off $off_states" >&2
         fail=1
         return
     fi
-    echo "ok   $spec: verdict=$classic_verdict states classic=$classic_states stubborn=$stubborn_states"
+    echo "ok   $spec: verdict=$off_verdict states off=$off_states stubborn=$stubborn_states"
 }
 
-check tests/corpus/feasible__mine-pump.xml
-check tests/corpus/feasible__near-harmonic.xml
-check tests/corpus/infeasible__clique-overload.xml
+for spec in tests/corpus/*.xml; do
+    check "$spec"
+done
 
 exit "$fail"

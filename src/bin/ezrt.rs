@@ -22,7 +22,7 @@
 //! ```
 //!
 //! The global `--jobs N` flag runs the synthesis on `N` worker threads
-//! (default 1, the sequential search) and `--por off|classic|stubborn`
+//! (default 1, the sequential search) and `--por off|stubborn`
 //! selects the partial-order reduction level (default `stubborn`);
 //! `ezrt schedule --json` emits the
 //! search statistics as one flat JSON object for scripting, including
@@ -79,7 +79,7 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     let por = match take_option_value(&mut args, "--por")? {
         Some(value) => ezrealtime::scheduler::PorLevel::parse(&value)
-            .ok_or_else(|| format!("--por expects off|classic|stubborn, found {value:?}"))?,
+            .ok_or_else(|| format!("--por expects off|stubborn, found {value:?}"))?,
         None => ezrealtime::scheduler::PorLevel::default(),
     };
     let json = take_flag(&mut args, "--json");
@@ -284,10 +284,10 @@ fn usage() -> String {
      global flags:\n\
      \x20 --jobs N        synthesis worker threads (default 1 = sequential;\n\
      \x20                 N > 1 races DFS subtrees, first feasible schedule wins)\n\
-     \x20 --por LEVEL     partial-order reduction: off | classic | stubborn\n\
-     \x20                 (default stubborn: stubborn + sleep sets; classic\n\
+     \x20 --por LEVEL     partial-order reduction: off | stubborn\n\
+     \x20                 (default stubborn: stubborn + sleep sets; off\n\
      \x20                 reproduces the reference search byte-for-byte;\n\
-     \x20                 verdicts are identical at every level)\n\
+     \x20                 verdicts are identical at both levels)\n\
      \x20 --cache-dir DIR persistent digest store shared by schedule/table/\n\
      \x20                 codegen/gantt/pnml/sweep, serve and batch: results\n\
      \x20                 found there are reused, fresh results are written back\n\

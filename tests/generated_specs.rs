@@ -66,13 +66,13 @@ fn family() -> impl Strategy<Value = (Family, u64)> {
 /// A budget generous enough that tiny specs always reach a real
 /// verdict: budget exhaustion would otherwise let two backends
 /// "diverge" merely by counting states differently near the cliff.
-/// Byte-identity against the reference kernel is contracted at the
-/// classic POR level (the only rule the reference implements); the
+/// Byte-identity against the reference kernel is contracted with
+/// partial-order reduction off (the reference implements none); the
 /// stubborn level gets its own soundness arm below.
 fn config() -> SchedulerConfig {
     SchedulerConfig {
         max_states: 200_000,
-        por: PorLevel::Classic,
+        por: PorLevel::Off,
         ..SchedulerConfig::default()
     }
 }
@@ -134,7 +134,7 @@ proptest! {
         }
 
         // Stubborn-set + sleep-set reduction must reach the same verdict
-        // and infeasibility proof as the classic rule while never
+        // and infeasibility proof as the unreduced search while never
         // visiting more states — and its schedules must satisfy the same
         // simulation oracle.
         let stubborn = synthesize(
@@ -142,35 +142,35 @@ proptest! {
             &SchedulerConfig { por: PorLevel::Stubborn, ..config.clone() },
         );
         match (&stubborn, &packed) {
-            (Ok(stubborn), Ok(classic)) => {
+            (Ok(stubborn), Ok(off)) => {
                 prop_assert!(
-                    stubborn.stats.states_visited <= classic.stats.states_visited,
+                    stubborn.stats.states_visited <= off.stats.states_visited,
                     "{}: stubborn visited more states ({} vs {})",
-                    label, stubborn.stats.states_visited, classic.stats.states_visited
+                    label, stubborn.stats.states_visited, off.stats.states_visited
                 );
                 let report = replay(&tasknet, &stubborn.schedule)
                     .map_err(|e| format!("{label}: oracle rejects stubborn schedule: {e}"));
                 prop_assert!(report.is_ok(), "{:?}", report);
             }
-            (Err(stubborn), Err(classic)) => {
+            (Err(stubborn), Err(off)) => {
                 prop_assert_eq!(
                     std::mem::discriminant(stubborn),
-                    std::mem::discriminant(classic),
-                    "{}: stubborn error kind diverges: {} vs {}", label, stubborn, classic
+                    std::mem::discriminant(off),
+                    "{}: stubborn error kind diverges: {} vs {}", label, stubborn, off
                 );
                 if let (
                     SynthesizeError::Infeasible { missed_tasks: a, .. },
                     SynthesizeError::Infeasible { missed_tasks: b, .. },
-                ) = (stubborn, classic)
+                ) = (stubborn, off)
                 {
                     prop_assert_eq!(a, b, "{}: stubborn missed tasks", label);
                 }
             }
-            (stubborn, classic) => {
+            (stubborn, off) => {
                 prop_assert!(
                     false,
-                    "{}: stubborn verdict diverges: stubborn ok={} classic ok={}",
-                    label, stubborn.is_ok(), classic.is_ok()
+                    "{}: stubborn verdict diverges: stubborn ok={} off ok={}",
+                    label, stubborn.is_ok(), off.is_ok()
                 );
             }
         }

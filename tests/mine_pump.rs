@@ -1,6 +1,7 @@
 //! The §5 case study as an integration test: every number the paper
 //! reports has its counterpart asserted here, up to the documented
-//! block-encoding factor (see EXPERIMENTS.md).
+//! block-encoding factor (see `crates/bench/src/bin/paper_tables.rs`,
+//! which regenerates the paper's tables, and ARCHITECTURE.md).
 
 use ezrealtime::core::Project;
 use ezrealtime::scheduler::{BranchOrdering, SchedulerConfig};

@@ -39,8 +39,13 @@ pub const MAGIC: &[u8; 8] = b"EZRTCHE\0";
 /// discarded (and re-synthesized) instead of misread. Version 2 added
 /// the incremental-synthesis counters (`incr_*`) to the stats block and
 /// the sub-digest report fields; version 3 added the partial-order
-/// reduction counters (`por_*`).
-pub const FORMAT_VERSION: u32 = 3;
+/// reduction counters (`por_*`); version 4 writes the stats block as a
+/// fingerprint of the counter table, one `u64` per
+/// [`SearchStats::COUNTERS`] entry in table order, then the elapsed
+/// nanoseconds, and failure reports carry every counter. The
+/// fingerprint rejects a file written under another table, so adding a
+/// counter needs no bump here.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Why a cache file could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,25 +144,11 @@ fn encode_payload(outcome: &SynthesisOutcome) -> Vec<u8> {
         w.str(value);
     }
 
-    let stats = &outcome.stats;
-    w.u64(stats.states_visited as u64);
-    w.u64(stats.schedule_length as u64);
-    w.u64(stats.minimum_firings);
-    w.u64(stats.backtracks as u64);
-    w.u64(stats.pruned_misses as u64);
-    w.u64(stats.pruned_dead as u64);
-    w.u64(stats.deadlocks as u64);
-    w.u64(stats.dead_states as u64);
-    w.u64(stats.dead_set_bytes as u64);
-    w.u128(stats.elapsed.as_nanos());
-    w.u64(stats.jobs as u64);
-    w.u64(stats.steals as u64);
-    w.u64(stats.incr_seed_hits as u64);
-    w.u64(stats.incr_replayed as u64);
-    w.u64(stats.incr_states_saved as u64);
-    w.u64(stats.por_stubborn_skips as u64);
-    w.u64(stats.por_sleep_skips as u64);
-    w.u64(stats.por_overlap_skips as u64);
+    w.u64(counter_layout());
+    for counter in SearchStats::COUNTERS {
+        w.u64((counter.get)(&outcome.stats));
+    }
+    w.u128(outcome.stats.elapsed.as_nanos());
 
     match &outcome.solution {
         None => w.u8(0),
@@ -200,26 +191,16 @@ fn decode_payload(payload: &[u8]) -> Result<SynthesisOutcome, CodecError> {
         fields.push((key, r.str()?));
     }
 
-    let stats = SearchStats {
-        states_visited: r.u64()? as usize,
-        schedule_length: r.u64()? as usize,
-        minimum_firings: r.u64()?,
-        backtracks: r.u64()? as usize,
-        pruned_misses: r.u64()? as usize,
-        pruned_dead: r.u64()? as usize,
-        deadlocks: r.u64()? as usize,
-        dead_states: r.u64()? as usize,
-        dead_set_bytes: r.u64()? as usize,
-        elapsed: duration_from_nanos(r.u128()?),
-        jobs: r.u64()? as usize,
-        steals: r.u64()? as usize,
-        incr_seed_hits: r.u64()? as usize,
-        incr_replayed: r.u64()? as usize,
-        incr_states_saved: r.u64()? as usize,
-        por_stubborn_skips: r.u64()? as usize,
-        por_sleep_skips: r.u64()? as usize,
-        por_overlap_skips: r.u64()? as usize,
-    };
+    if r.u64()? != counter_layout() {
+        return Err(malformed(
+            "written under another search counter table".to_owned(),
+        ));
+    }
+    let mut stats = SearchStats::default();
+    for counter in SearchStats::COUNTERS {
+        (counter.set)(&mut stats, r.u64()?);
+    }
+    stats.elapsed = duration_from_nanos(r.u128()?);
 
     let solution = match r.u8()? {
         0 => None,
@@ -282,9 +263,19 @@ fn decode_payload(payload: &[u8]) -> Result<SynthesisOutcome, CodecError> {
         error,
         fields,
         stats,
+        // Only cacheable outcomes are written.
+        cacheable: true,
         replay_ok,
         solution,
     })
+}
+
+/// A fingerprint of the counter table's field names, in order. It heads
+/// the stats block, so a file written under another table is rejected
+/// instead of misread, without a version bump.
+fn counter_layout() -> u64 {
+    let names: Vec<&str> = SearchStats::COUNTERS.iter().map(|c| c.field).collect();
+    SpecDigest::of(names.join(",").as_bytes()).fnv64()
 }
 
 fn malformed(what: String) -> CodecError {
@@ -403,6 +394,18 @@ mod tests {
     }
 
     #[test]
+    fn every_counter_keeps_its_own_slot() {
+        // Distinct nonzero values: two swapped slots cannot round-trip.
+        let (mut original, _) = encoded_small_control();
+        for (slot, counter) in SearchStats::COUNTERS.iter().enumerate() {
+            (counter.set)(&mut original.stats, 1_000 + slot as u64);
+        }
+        original.stats.elapsed = Duration::new(3, 456_789);
+        let decoded = decode_file(&encode_file(&original)).expect("decodes");
+        assert_eq!(decoded.stats, original.stats);
+    }
+
+    #[test]
     fn truncation_is_detected_at_every_length() {
         let (_, bytes) = encoded_small_control();
         // Every strict prefix fails — never panics, never half-decodes.
@@ -418,12 +421,14 @@ mod tests {
         bad_magic[0] ^= 0xff;
         assert_eq!(decode_file(&bad_magic).err(), Some(CodecError::BadMagic));
 
-        let mut stale = bytes.clone();
-        stale[8] = FORMAT_VERSION as u8 + 1;
-        assert!(matches!(
-            decode_file(&stale),
-            Err(CodecError::StaleVersion(_))
-        ));
+        for version in [3, FORMAT_VERSION + 1] {
+            let mut stale = bytes.clone();
+            stale[8..12].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                decode_file(&stale).err(),
+                Some(CodecError::StaleVersion(version))
+            );
+        }
 
         let mut corrupt = bytes.clone();
         let mid = 20 + (bytes.len() - 28) / 2;
@@ -461,6 +466,7 @@ mod tests {
                 error: None,
                 fields: original.fields.clone(),
                 stats: original.stats.clone(),
+                cacheable: true,
                 replay_ok: Some(true),
                 solution: Some(Solution::new(
                     solution.spec().clone(),

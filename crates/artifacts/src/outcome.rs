@@ -16,7 +16,7 @@ use crate::report::{self, JsonFields};
 use ezrt_codegen::ScheduleTable;
 use ezrt_compose::{translate, TaskNet};
 use ezrt_core::Project;
-use ezrt_scheduler::{FeasibleSchedule, SearchStats, Timeline};
+use ezrt_scheduler::{FeasibleSchedule, SearchStats, SynthesizeError, Timeline};
 use ezrt_spec::EzSpec;
 use std::sync::OnceLock;
 
@@ -38,6 +38,11 @@ pub struct SynthesisOutcome {
     pub fields: JsonFields,
     /// The search counters of the run that produced this outcome.
     pub stats: SearchStats,
+    /// `false` for a verdict that depends on load rather than on the
+    /// spec (a time-budget abort): no cache tier may keep it, so a
+    /// later request searches again. A state-budget abort is
+    /// deterministic and stays cacheable.
+    pub cacheable: bool,
     /// `Some(true)` when the schedule replayed cleanly through the
     /// net-semantics oracle ([`ezrt_core::Outcome::replay_ok`]),
     /// `Some(false)` when it did not (a kernel bug), `None` for
@@ -173,7 +178,7 @@ pub fn compute_outcome_incremental(
 fn package(
     project: &Project,
     digest: SpecDigest,
-    result: Result<ezrt_core::Outcome, ezrt_scheduler::SynthesizeError>,
+    result: Result<ezrt_core::Outcome, SynthesizeError>,
 ) -> SynthesisOutcome {
     match result {
         Ok(outcome) => {
@@ -185,6 +190,7 @@ fn package(
                 error: None,
                 fields,
                 stats: parts.stats.clone(),
+                cacheable: true,
                 replay_ok: Some(parts.replay_ok),
                 solution: Some(Solution::with_derived(
                     parts.spec,
@@ -203,6 +209,7 @@ fn package(
             error: Some(error.to_string()),
             fields: report::failure_fields(&digest, &error),
             stats: error.stats().clone(),
+            cacheable: !matches!(error, SynthesizeError::TimeLimitExceeded { .. }),
             replay_ok: None,
             solution: None,
         },

@@ -9,7 +9,7 @@
 
 use crate::digest::{format_task_subdigests, structure_digest, task_subdigests, SpecDigest};
 use ezrt_core::{Outcome, Project};
-use ezrt_scheduler::SynthesizeError;
+use ezrt_scheduler::{SearchStats, SynthesizeError};
 
 /// An ordered list of `(key, rendered JSON value)` pairs — the one flat
 /// object every surface prints. Values are pre-rendered JSON fragments
@@ -45,8 +45,7 @@ pub fn json_string(text: &str) -> String {
 /// produced the result (all zero on cold runs).
 pub fn success_fields(digest: &SpecDigest, project: &Project, outcome: &Outcome) -> JsonFields {
     let stats = &outcome.stats;
-    let violations = outcome.validate().len();
-    vec![
+    let mut fields = vec![
         ("feasible", "true".to_owned()),
         ("spec_digest", json_string(&digest.to_hex())),
         (
@@ -59,45 +58,42 @@ pub fn success_fields(digest: &SpecDigest, project: &Project, outcome: &Outcome)
         ),
         ("firings", outcome.schedule.firings().len().to_string()),
         ("makespan", outcome.schedule.makespan().to_string()),
-        ("states_visited", stats.states_visited.to_string()),
+    ];
+    push_counters(&mut fields, stats);
+    fields.extend([
         ("minimum_states", stats.minimum_states().to_string()),
         ("overhead_ratio", format!("{:.6}", stats.overhead_ratio())),
-        ("backtracks", stats.backtracks.to_string()),
-        ("pruned_misses", stats.pruned_misses.to_string()),
-        ("pruned_dead", stats.pruned_dead.to_string()),
-        ("dead_states", stats.dead_states.to_string()),
-        ("peak_dead_set_bytes", stats.dead_set_bytes.to_string()),
-        (
-            "states_per_second",
-            format!("{:.1}", stats.states_per_second()),
-        ),
-        (
-            "wall_time_ms",
-            format!("{:.3}", stats.elapsed.as_secs_f64() * 1e3),
-        ),
-        ("jobs", stats.jobs.to_string()),
-        ("steals", stats.steals.to_string()),
-        ("incr_seed_hits", stats.incr_seed_hits.to_string()),
-        ("incr_replayed", stats.incr_replayed.to_string()),
-        ("incr_states_saved", stats.incr_states_saved.to_string()),
-        ("por_stubborn_skips", stats.por_stubborn_skips.to_string()),
-        ("por_sleep_skips", stats.por_sleep_skips.to_string()),
-        ("por_overlap_skips", stats.por_overlap_skips.to_string()),
-        ("violations", violations.to_string()),
-    ]
+    ]);
+    push_rates(&mut fields, stats);
+    fields.push(("violations", outcome.validate().len().to_string()));
+    fields
 }
 
 /// The field list for a failed synthesis: `feasible: false`, the error
 /// text and the search counters gathered before the failure.
 pub fn failure_fields(digest: &SpecDigest, error: &SynthesizeError) -> JsonFields {
-    let stats = error.stats();
-    vec![
+    let mut fields = vec![
         ("feasible", "false".to_owned()),
         ("spec_digest", json_string(&digest.to_hex())),
         ("error", json_string(&error.to_string())),
-        ("states_visited", stats.states_visited.to_string()),
-        ("dead_states", stats.dead_states.to_string()),
-        ("peak_dead_set_bytes", stats.dead_set_bytes.to_string()),
+    ];
+    push_counters(&mut fields, error.stats());
+    push_rates(&mut fields, error.stats());
+    fields
+}
+
+/// Appends every counter with a report key, in table order.
+fn push_counters(fields: &mut JsonFields, stats: &SearchStats) {
+    for counter in SearchStats::COUNTERS {
+        if let Some(key) = counter.report_key {
+            fields.push((key, (counter.get)(stats).to_string()));
+        }
+    }
+}
+
+/// Appends the two wall-clock fields.
+fn push_rates(fields: &mut JsonFields, stats: &SearchStats) {
+    fields.extend([
         (
             "states_per_second",
             format!("{:.1}", stats.states_per_second()),
@@ -106,20 +102,12 @@ pub fn failure_fields(digest: &SpecDigest, error: &SynthesizeError) -> JsonField
             "wall_time_ms",
             format!("{:.3}", stats.elapsed.as_secs_f64() * 1e3),
         ),
-        ("jobs", stats.jobs.to_string()),
-        ("steals", stats.steals.to_string()),
-        ("por_stubborn_skips", stats.por_stubborn_skips.to_string()),
-        ("por_sleep_skips", stats.por_sleep_skips.to_string()),
-        ("por_overlap_skips", stats.por_overlap_skips.to_string()),
-    ]
+    ]);
 }
 
-/// Every field key the outcome renderers above can emit, as `'static`
-/// strings. The disk-cache codec decodes keys through this table so a
-/// persisted [`JsonFields`] list can be rebuilt without leaking memory;
-/// an unknown key means the file was written by an incompatible build
-/// and the entry is discarded (re-synthesized) rather than guessed at.
-pub const FIELD_KEYS: &[&str] = &[
+/// Every field key the renderers above emit besides the counters'
+/// report keys.
+const OTHER_KEYS: &[&str] = &[
     "feasible",
     "spec_digest",
     "structure_digest",
@@ -127,31 +115,26 @@ pub const FIELD_KEYS: &[&str] = &[
     "error",
     "firings",
     "makespan",
-    "states_visited",
     "minimum_states",
     "overhead_ratio",
-    "backtracks",
-    "pruned_misses",
-    "pruned_dead",
-    "dead_states",
-    "peak_dead_set_bytes",
     "states_per_second",
     "wall_time_ms",
-    "jobs",
-    "steals",
-    "incr_seed_hits",
-    "incr_replayed",
-    "incr_states_saved",
-    "por_stubborn_skips",
-    "por_sleep_skips",
-    "por_overlap_skips",
     "violations",
 ];
 
-/// Interns `name` to its `'static` counterpart in [`FIELD_KEYS`], or
-/// `None` when the key is not one the renderers emit.
+/// Interns `name` to the `'static` key the renderers above emit, or
+/// `None` when they emit no such key. The disk-cache codec decodes keys
+/// through this, so a persisted [`JsonFields`] list can be rebuilt
+/// without leaking memory; an unknown key means the file was written by
+/// an incompatible build and the entry is discarded (re-synthesized)
+/// rather than guessed at.
 pub fn static_key(name: &str) -> Option<&'static str> {
-    FIELD_KEYS.iter().find(|key| **key == name).copied()
+    let counters = SearchStats::COUNTERS.iter().filter_map(|c| c.report_key);
+    OTHER_KEYS
+        .iter()
+        .copied()
+        .chain(counters)
+        .find(|key| *key == name)
 }
 
 /// Renders the fields as the CLI's pretty flat object: one key per

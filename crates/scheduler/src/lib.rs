@@ -57,5 +57,5 @@ pub use parallel::synthesize_parallel;
 pub use reference::synthesize_reference;
 pub use schedule::{FeasibleSchedule, ScheduledFiring};
 pub use search::{synthesize, synthesize_seeded, Synthesis};
-pub use stats::SearchStats;
+pub use stats::{SearchCounter, SearchStats};
 pub use timeline::{Slice, Timeline};

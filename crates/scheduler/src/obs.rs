@@ -8,7 +8,7 @@
 //! *run* plus three per depth sample — invisible next to a single state
 //! expansion.
 
-use crate::stats::SearchStats;
+use crate::stats::{SearchCounter, SearchStats};
 use ezrt_obs::{Counter, Histogram};
 use std::sync::OnceLock;
 
@@ -20,20 +20,11 @@ pub(crate) const DEPTH_SAMPLE_TICKS: u64 = 1024;
 pub(crate) struct EngineMetrics {
     /// `ezrt_search_runs_total`.
     pub(crate) runs: Counter,
-    /// `ezrt_search_states_total`.
-    pub(crate) states: Counter,
-    /// `ezrt_search_backtracks_total`.
-    pub(crate) backtracks: Counter,
-    /// `ezrt_search_steals_total`.
-    pub(crate) steals: Counter,
+    /// One cell per [`SearchStats::COUNTERS`] entry with an engine
+    /// family, in table order.
+    pub(crate) counters: Vec<(&'static SearchCounter, Counter)>,
     /// `ezrt_search_donation_stalls_total`.
     pub(crate) donation_stalls: Counter,
-    /// `ezrt_search_por_stubborn_skips_total`.
-    pub(crate) por_stubborn_skips: Counter,
-    /// `ezrt_search_por_sleep_skips_total`.
-    pub(crate) por_sleep_skips: Counter,
-    /// `ezrt_search_por_overlap_skips_total`.
-    pub(crate) por_overlap_skips: Counter,
     /// `ezrt_search_states_per_second`.
     pub(crate) states_per_second: Histogram,
     /// `ezrt_search_frontier_depth`.
@@ -59,33 +50,16 @@ pub(crate) fn engine_metrics() -> &'static EngineMetrics {
                 "ezrt_search_runs_total",
                 "Completed synthesis searches (feasible, infeasible or budget-aborted).",
             ),
-            states: registry.counter(
-                "ezrt_search_states_total",
-                "States visited, summed over all searches and workers.",
-            ),
-            backtracks: registry.counter(
-                "ezrt_search_backtracks_total",
-                "Backtracking steps, summed over all searches and workers.",
-            ),
-            steals: registry.counter(
-                "ezrt_search_steals_total",
-                "Steal-half transfers between parallel search workers.",
-            ),
+            counters: SearchStats::COUNTERS
+                .iter()
+                .filter_map(|counter| {
+                    let family = counter.engine_family?;
+                    Some((counter, registry.counter(family, counter.help)))
+                })
+                .collect(),
             donation_stalls: registry.counter(
                 "ezrt_search_donation_stalls_total",
                 "Times a parallel worker parked with every deque empty, waiting for a donation.",
-            ),
-            por_stubborn_skips: registry.counter(
-                "ezrt_search_por_stubborn_skips_total",
-                "Candidates dropped by stubborn-set reduction, summed over all searches.",
-            ),
-            por_sleep_skips: registry.counter(
-                "ezrt_search_por_sleep_skips_total",
-                "Candidates dropped by sleep-set filtering, summed over all searches.",
-            ),
-            por_overlap_skips: registry.counter(
-                "ezrt_search_por_overlap_skips_total",
-                "Subtrees dropped by the shared expansion registry of parallel workers.",
             ),
             states_per_second: registry.histogram(
                 "ezrt_search_states_per_second",
@@ -107,16 +81,9 @@ pub(crate) fn engine_metrics() -> &'static EngineMetrics {
 pub(crate) fn record_search(stats: &SearchStats) {
     let metrics = engine_metrics();
     metrics.runs.inc();
-    metrics.states.add(stats.states_visited as u64);
-    metrics.backtracks.add(stats.backtracks as u64);
-    metrics.steals.add(stats.steals as u64);
-    metrics
-        .por_stubborn_skips
-        .add(stats.por_stubborn_skips as u64);
-    metrics.por_sleep_skips.add(stats.por_sleep_skips as u64);
-    metrics
-        .por_overlap_skips
-        .add(stats.por_overlap_skips as u64);
+    for (counter, cell) in &metrics.counters {
+        cell.add((counter.get)(stats));
+    }
     metrics
         .states_per_second
         .observe(stats.states_per_second() as u64);
@@ -140,11 +107,16 @@ mod tests {
             ..SearchStats::default()
         };
         record_search(&stats);
-        let metrics = engine_metrics();
-        assert!(metrics.runs.get() > before);
-        assert!(metrics.states.get() >= 100);
+        assert!(engine_metrics().runs.get() > before);
+        // The table's first counter is `states_visited`.
+        let (counter, states) = &engine_metrics().counters[0];
+        assert_eq!((counter.get)(&stats), 100);
+        assert!(states.get() >= 100);
         let rendered = ezrt_obs::render_prometheus(&[ezrt_obs::global()]);
         assert!(rendered.contains("ezrt_search_runs_total"), "{rendered}");
+        for family in SearchStats::COUNTERS.iter().filter_map(|c| c.engine_family) {
+            assert!(rendered.contains(family), "{family} in {rendered}");
+        }
         assert!(
             rendered.contains("ezrt_search_elapsed_micros_bucket"),
             "{rendered}"

@@ -598,6 +598,8 @@ fn synthesize_parallel_inner(
             .collect()
     });
 
+    // Each worker's own counters count it as one job, so their sum
+    // gives `jobs`.
     let mut stats = SearchStats {
         states_visited: shared.states.load(Ordering::Relaxed),
         minimum_firings: tasknet.minimum_firing_count(),
@@ -606,7 +608,7 @@ fn synthesize_parallel_inner(
             + shared.arena.resident_bytes()
             + shared.registry.resident_bytes(),
         elapsed: started.elapsed(),
-        jobs,
+        jobs: 0,
         steals: shared.steals.load(Ordering::Relaxed),
         por_stubborn_skips: root_scratch.stubborn_skips,
         por_sleep_skips: root_scratch.sleep_skips,
@@ -614,13 +616,7 @@ fn synthesize_parallel_inner(
     };
     let mut missed = MissedTasks::new(task_count);
     for (local, local_missed) in &locals {
-        stats.backtracks += local.backtracks;
-        stats.pruned_misses += local.pruned_misses;
-        stats.pruned_dead += local.pruned_dead;
-        stats.deadlocks += local.deadlocks;
-        stats.por_stubborn_skips += local.por_stubborn_skips;
-        stats.por_sleep_skips += local.por_sleep_skips;
-        stats.por_overlap_skips += local.por_overlap_skips;
+        stats.absorb(local);
         missed.merge(local_missed);
     }
 

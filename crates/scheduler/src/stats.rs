@@ -1,114 +1,179 @@
-//! Search statistics, mirroring the measurements reported in paper §5.
+//! Search statistics, mirroring the measurements reported in paper §5,
+//! and the one table of search counters every surface reports from.
 
 use std::time::Duration;
 
-/// Counters collected by one [`synthesize`](crate::synthesize) run.
-///
-/// The paper reports for the mine pump: *"searched 3268 states (where
-/// minimum number of states is 3130) in 330 ms"*. The corresponding
-/// fields here are [`states_visited`](Self::states_visited),
-/// [`minimum_states`](Self::minimum_states) and
-/// [`elapsed`](Self::elapsed); this reproduction's block encoding fires
-/// six transitions per non-preemptive instance where the paper's fires
-/// about four, so absolute counts differ by a constant factor while the
-/// visited-to-minimum ratio is comparable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SearchStats {
+/// One search counter of [`SearchStats`] and the surfaces it feeds.
+/// [`SearchStats::COUNTERS`] lists them all, in field order; the report,
+/// the disk codec, the engine metrics and the server's per-miss counters
+/// iterate it instead of naming counters.
+#[derive(Debug, Clone, Copy)]
+pub struct SearchCounter {
+    /// The [`SearchStats`] field name; also the counter's `/v1/stats`
+    /// key when it has a [`server_family`](Self::server_family).
+    pub field: &'static str,
+    /// Its key in the `schedule --json` report, if it is reported there.
+    pub report_key: Option<&'static str>,
+    /// The process-wide `ezrt_search_*` family summing it over every
+    /// search, if any.
+    pub engine_family: Option<&'static str>,
+    /// The per-server family summing it over schedule misses, if any.
+    pub server_family: Option<&'static str>,
+    /// The help text of every family the counter feeds.
+    pub help: &'static str,
+    /// Reads the counter.
+    pub get: fn(&SearchStats) -> u64,
+    /// Overwrites the counter.
+    pub set: fn(&mut SearchStats, u64),
+}
+
+/// Defines [`SearchStats`] from one line per counter: field, type,
+/// default, report key, engine family, server family, help.
+macro_rules! search_counters {
+    ($(
+        $(#[$doc:meta])*
+        $field:ident: $ty:ty = $default:literal,
+            $report:expr, $engine:expr, $server:expr, $help:literal;
+    )*) => {
+        /// Counters collected by one [`synthesize`](crate::synthesize) run.
+        ///
+        /// The paper reports for the mine pump: *"searched 3268 states
+        /// (where minimum number of states is 3130) in 330 ms"*. The
+        /// corresponding fields here are
+        /// [`states_visited`](Self::states_visited),
+        /// [`minimum_states`](Self::minimum_states) and
+        /// [`elapsed`](Self::elapsed); this reproduction's block encoding
+        /// fires six transitions per non-preemptive instance where the
+        /// paper's fires about four, so absolute counts differ by a
+        /// constant factor while the visited-to-minimum ratio is
+        /// comparable.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct SearchStats {
+            $($(#[$doc])* pub $field: $ty,)*
+            /// Wall-clock time spent searching.
+            pub elapsed: Duration,
+        }
+
+        impl Default for SearchStats {
+            fn default() -> Self {
+                SearchStats {
+                    $($field: $default,)*
+                    elapsed: Duration::ZERO,
+                }
+            }
+        }
+
+        impl SearchStats {
+            /// Every counter, in field order (the disk codec's slot order).
+            pub const COUNTERS: &'static [SearchCounter] = &[$(SearchCounter {
+                field: stringify!($field),
+                report_key: $report,
+                engine_family: $engine,
+                server_family: $server,
+                help: $help,
+                get: |stats| stats.$field as u64,
+                set: |stats, value| stats.$field = value as $ty,
+            },)*];
+
+            /// Adds `other`'s counters and elapsed time to these: the
+            /// statistics of both runs together (parallel workers fold
+            /// into one total this way, and each worker counts one job).
+            pub fn absorb(&mut self, other: &SearchStats) {
+                $(self.$field += other.$field;)*
+                self.elapsed += other.elapsed;
+            }
+        }
+    };
+}
+
+// Columns: field: type = default, report key, engine family, server
+// family, help. Adding a counter is one entry here plus a test.
+search_counters! {
     /// Distinct states generated by the search, counting the initial
     /// state and pruned (deadline-missing / dead) successors.
-    pub states_visited: usize,
+    states_visited: usize = 0, Some("states_visited"), Some("ezrt_search_states_total"), None,
+        "States visited, counting the initial state and pruned successors.";
     /// Length of the feasible firing schedule found (number of firings),
     /// or the deepest depth reached when infeasible.
-    pub schedule_length: usize,
+    schedule_length: usize = 0, None, None, None,
+        "Firings in the schedule found.";
     /// The forced lower bound on the schedule length: every
     /// deadline-respecting run fires exactly this many transitions (see
     /// `TaskNet::minimum_firing_count`). `minimum_states` is this plus
     /// one (states on the path, including the initial state).
-    pub minimum_firings: u64,
+    minimum_firings: u64 = 0, None, None, None,
+        "Firings every deadline-respecting run makes.";
     /// Number of backtracking steps (frames popped after exhausting their
     /// candidates).
-    pub backtracks: usize,
+    backtracks: usize = 0, Some("backtracks"), Some("ezrt_search_backtracks_total"), None,
+        "Backtracking steps: frames popped after exhausting their candidates.";
     /// Successor states discarded because a deadline-miss place was
     /// marked.
-    pub pruned_misses: usize,
+    pruned_misses: usize = 0, Some("pruned_misses"), None, None,
+        "Successors discarded because a deadline-miss place was marked.";
     /// Successor states discarded because they were already proven dead.
-    pub pruned_dead: usize,
+    pruned_dead: usize = 0, Some("pruned_dead"), None, None,
+        "Successors discarded because they were already proven dead.";
     /// Non-final deadlock states encountered.
-    pub deadlocks: usize,
+    deadlocks: usize = 0, None, None, None,
+        "Non-final deadlock states encountered.";
     /// States proven dead (exhausted, deadline-missing or deadlocked) and
     /// memoized for pruning.
-    pub dead_states: usize,
+    dead_states: usize = 0, Some("dead_states"), None, None,
+        "States proven dead and memoized for pruning.";
     /// Resident bytes of the duplicate-detection structures when the
     /// search ended: the interned state arena plus the dead-state index.
     /// These structures only grow, so this is also their peak size.
-    pub dead_set_bytes: usize,
-    /// Wall-clock time spent searching.
-    pub elapsed: Duration,
+    dead_set_bytes: usize = 0, Some("peak_dead_set_bytes"), None, None,
+        "Resident bytes of the state arena and dead-state index at the end of the search.";
     /// Number of worker threads that searched: 1 for the sequential
     /// kernels, the configured
     /// [`Parallelism::jobs`](ezrt_tpn::Parallelism::jobs) for
     /// [`synthesize_parallel`](crate::synthesize_parallel). Counter fields
     /// aggregate over all workers.
-    pub jobs: usize,
+    jobs: usize = 1, Some("jobs"), None, None,
+        "Worker threads that searched.";
     /// Steal-half transfers between worker deques during a parallel
     /// search (always 0 on the sequential path): how often a worker ran
     /// out of local work and took half of a peer's queued items. High
     /// values relative to `states_visited` mean the workload splits into
     /// many short subtrees.
-    pub steals: usize,
+    steals: usize = 0, Some("steals"), Some("ezrt_search_steals_total"), None,
+        "Steal-half transfers between parallel search workers.";
     /// 1 when a warm-start seed was accepted (at least one seeded firing
     /// replayed) by [`synthesize_seeded`](crate::synthesize_seeded), else
     /// 0. On seeded runs [`states_visited`](Self::states_visited) counts
     /// only *fresh* search states — zero when the seed replayed to the
     /// final marking verbatim.
-    pub incr_seed_hits: usize,
+    incr_seed_hits: usize = 0, Some("incr_seed_hits"), None, Some("ezrt_incr_seed_hits_total"),
+        "Searches warm-started from an ancestor's schedule prefix.";
     /// Number of seeded firings replayed before the search took over
     /// (the warm prefix length). 0 on cold runs and rejected seeds.
-    pub incr_replayed: usize,
+    incr_replayed: usize = 0, Some("incr_replayed"), None, Some("ezrt_incr_replayed_total"),
+        "Seeded firings replayed before the search took over.";
     /// States the warm start avoided relative to the ancestor run the
     /// seed came from. The scheduler itself leaves this 0 — it is filled
     /// by layers that know the ancestor's own `states_visited` (the
     /// artifact cache), as `ancestor.states_visited - states_visited`.
-    pub incr_states_saved: usize,
+    incr_states_saved: usize = 0, Some("incr_states_saved"), None, Some("ezrt_incr_states_saved_total"),
+        "States warm starts avoided visiting, relative to their ancestor's run.";
     /// Candidate labels dropped by stubborn-set reduction (a partially
     /// conflicting bookkeeping class cut to its dependency-closed subset,
     /// or a conflict-free class collapsed to one candidate). 0 below
     /// [`PorLevel::Stubborn`](crate::PorLevel::Stubborn).
-    pub por_stubborn_skips: usize,
+    por_stubborn_skips: usize = 0, Some("por_stubborn_skips"), Some("ezrt_search_por_stubborn_skips_total"), Some("ezrt_http_por_stubborn_skips_total"),
+        "Candidates dropped by stubborn-set reduction.";
     /// Candidate labels dropped because they were in a frame's sleep set
     /// (their subtree was already explored in a commuting sibling order).
     /// 0 below [`PorLevel::Stubborn`](crate::PorLevel::Stubborn).
-    pub por_sleep_skips: usize,
+    por_sleep_skips: usize = 0, Some("por_sleep_skips"), Some("ezrt_search_por_sleep_skips_total"), Some("ezrt_http_por_sleep_skips_total"),
+        "Candidates dropped by sleep-set filtering.";
     /// Whole subtrees a parallel worker skipped because a sibling had
     /// already expanded the same state under a no-larger sleep set
     /// (published through the shared expansion registry). Always 0 on the
     /// sequential path.
-    pub por_overlap_skips: usize,
-}
-
-impl Default for SearchStats {
-    fn default() -> Self {
-        SearchStats {
-            states_visited: 0,
-            schedule_length: 0,
-            minimum_firings: 0,
-            backtracks: 0,
-            pruned_misses: 0,
-            pruned_dead: 0,
-            deadlocks: 0,
-            dead_states: 0,
-            dead_set_bytes: 0,
-            elapsed: Duration::ZERO,
-            jobs: 1,
-            steals: 0,
-            incr_seed_hits: 0,
-            incr_replayed: 0,
-            incr_states_saved: 0,
-            por_stubborn_skips: 0,
-            por_sleep_skips: 0,
-            por_overlap_skips: 0,
-        }
-    }
+    por_overlap_skips: usize = 0, Some("por_overlap_skips"), Some("ezrt_search_por_overlap_skips_total"), Some("ezrt_http_por_overlap_skips_total"),
+        "Subtrees a parallel worker skipped as already expanded by another worker.";
 }
 
 impl SearchStats {
@@ -182,5 +247,64 @@ mod tests {
         };
         // minimum_firings = 0 → minimum_states = 1, ratio = 10.
         assert!((stats.overhead_ratio() - 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn every_counter_reads_and_writes_its_own_field() {
+        let mut stats = SearchStats::default();
+        for (slot, counter) in SearchStats::COUNTERS.iter().enumerate() {
+            (counter.set)(&mut stats, 100 + slot as u64);
+        }
+        for (slot, counter) in SearchStats::COUNTERS.iter().enumerate() {
+            assert_eq!(
+                (counter.get)(&stats),
+                100 + slot as u64,
+                "{}",
+                counter.field
+            );
+        }
+        assert_eq!(stats.states_visited, 100);
+        assert_eq!(stats.por_overlap_skips, 99 + SearchStats::COUNTERS.len());
+    }
+
+    #[test]
+    fn table_names_are_unique() {
+        let mut names: Vec<&str> = Vec::new();
+        for counter in SearchStats::COUNTERS {
+            names.push(counter.field);
+            names.extend(counter.report_key);
+            names.extend(counter.engine_family);
+            names.extend(counter.server_family);
+        }
+        let count = names.len();
+        names.sort_unstable();
+        names.dedup();
+        // A report key may repeat its own field name, nothing else.
+        let repeats = SearchStats::COUNTERS
+            .iter()
+            .filter(|counter| counter.report_key == Some(counter.field))
+            .count();
+        assert_eq!(names.len(), count - repeats);
+    }
+
+    #[test]
+    fn absorb_sums_two_runs() {
+        let mut total = SearchStats {
+            states_visited: 10,
+            backtracks: 2,
+            elapsed: Duration::from_millis(3),
+            ..SearchStats::default()
+        };
+        total.absorb(&SearchStats {
+            states_visited: 5,
+            steals: 1,
+            elapsed: Duration::from_millis(4),
+            ..SearchStats::default()
+        });
+        assert_eq!(total.states_visited, 15);
+        assert_eq!(total.backtracks, 2);
+        assert_eq!(total.steals, 1);
+        assert_eq!(total.jobs, 2);
+        assert_eq!(total.elapsed, Duration::from_millis(7));
     }
 }

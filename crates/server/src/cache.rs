@@ -14,7 +14,9 @@
 //! so concurrent requests share one disk load exactly as they would
 //! share one synthesis. A fresh synthesis is persisted to disk after it
 //! completes, so a restarted process (or another process sharing the
-//! directory) finds it.
+//! directory) finds it. An outcome whose verdict depends on load (a
+//! time-budget abort, see [`SynthesisOutcome::cacheable`]) is handed to
+//! its flight's waiters and enters no tier.
 //!
 //! Reporting: a request served from a *completed* memory entry is a
 //! `hit`; one revived from the disk tier is a `disk`; a request that
@@ -354,7 +356,7 @@ impl ResultCache {
                             self.misses.inc();
                             (produce(), Lookup::Miss)
                         });
-                        if lookup == Lookup::Miss {
+                        if lookup == Lookup::Miss && outcome.cacheable {
                             if let Some(disk) = &self.disk {
                                 disk.store(&outcome);
                             }
@@ -432,7 +434,9 @@ impl ResultCache {
 
     /// Runs `produce` (disk revival or synthesis) for an in-flight slot
     /// this call owns, publishes the result with its resolution, and
-    /// cleans the slot up even if `produce` panics.
+    /// cleans the slot up even if `produce` panics. The flight's waiters
+    /// receive the result even when it is not cacheable; only the memory
+    /// tier skips it.
     fn run_compute<F>(
         &self,
         digest: SpecDigest,
@@ -490,9 +494,10 @@ impl ResultCache {
     }
 
     /// Inserts a completed outcome into its memory shard (when memory
-    /// caching is enabled), LRU-evicting over capacity.
+    /// caching is enabled and the outcome is cacheable), LRU-evicting
+    /// over capacity.
     fn insert_completed(&self, digest: SpecDigest, outcome: &Arc<SynthesisOutcome>) {
-        if self.capacity == 0 {
+        if self.capacity == 0 || !outcome.cacheable {
             return;
         }
         let tick = self.next_tick();
@@ -556,6 +561,7 @@ mod tests {
             error: None,
             fields: vec![("feasible", "true".to_owned())],
             stats: ezrt_scheduler::SearchStats::default(),
+            cacheable: true,
             replay_ok: Some(true),
             solution: None,
         }
@@ -616,6 +622,45 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.joined, threads as u64 - 1);
         assert_eq!(stats.inflight, 0);
+    }
+
+    #[test]
+    fn load_dependent_outcomes_reach_their_waiters_but_no_tier() {
+        let cache = ResultCache::new(8, 1);
+        let d = digest_of(3);
+        let uncacheable = || SynthesisOutcome {
+            cacheable: false,
+            ..stub_outcome(d)
+        };
+        let threads = 3;
+        let barrier = Barrier::new(threads);
+        let pointers: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let (outcome, _) = cache.get_or_compute(d, || {
+                            std::thread::sleep(std::time::Duration::from_millis(150));
+                            uncacheable()
+                        });
+                        Arc::as_ptr(&outcome) as u64
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(pointers.iter().all(|ptr| *ptr == pointers[0]));
+        let (outcome, lookup) = cache.get_or_compute(d, uncacheable);
+        assert_eq!(lookup, Lookup::Miss, "nothing was kept");
+        for _ in 0..2 {
+            let artifact = cache
+                .render_artifact(&outcome, ArtifactKind::ReportJson)
+                .expect("renders");
+            assert!(!artifact.cached);
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.misses), (0, 2));
+        assert_eq!(cache.rendered_stats().entries, 0);
     }
 
     #[test]

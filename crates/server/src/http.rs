@@ -72,7 +72,7 @@ use crate::sweep::{run_sweep, SweepOptions};
 use ezrt_artifacts::{ArtifactKind, RenderError};
 use ezrt_core::Project;
 use ezrt_obs::{Counter, Gauge, Histogram, Registry};
-use ezrt_scheduler::{PorLevel, SchedulerConfig};
+use ezrt_scheduler::{PorLevel, SchedulerConfig, SearchCounter, SearchStats};
 use ezrt_spec::sweep::SweepGrid;
 use ezrt_tpn::Parallelism;
 use std::collections::VecDeque;
@@ -176,8 +176,8 @@ struct Shared {
     registry: Registry,
     /// Per-request latency/size histograms, registered in `registry`.
     metrics: HttpMetrics,
-    /// Scrape-time gauges (entry counts, resident bytes), set from a
-    /// [`StatsSnapshot`] on each `/v1/metrics` render.
+    /// Scrape-time gauges (entry counts, resident bytes), set on each
+    /// `/v1/metrics` render.
     gauges: ServerGauges,
     /// The NDJSON access log (`--log-file`), line-buffered.
     log: Option<Mutex<LineWriter<std::fs::File>>>,
@@ -194,22 +194,10 @@ struct Shared {
     http_errors: Counter,
     /// `304 Not Modified` responses (conditional hits).
     not_modified: Counter,
-    /// Schedule misses whose search was warm-started from an ancestor's
-    /// schedule prefix (cold misses and cache hits do not count).
-    incr_seed_hits: Counter,
-    /// Total seeded firings accepted by warm-started searches.
-    incr_replayed: Counter,
-    /// Total states warm starts avoided visiting, summed over seeded
-    /// misses (`ancestor.states_visited - states_visited` per miss).
-    incr_states_saved: Counter,
-    /// Candidates pruned from partially conflicting bookkeeping classes
-    /// by the stubborn-set rule, summed over schedule misses.
-    por_stubborn_skips: Counter,
-    /// Candidates filtered by sleep sets, summed over schedule misses.
-    por_sleep_skips: Counter,
-    /// Frontiers skipped because another worker's expansion summary
-    /// already covered them, summed over schedule misses.
-    por_overlap_skips: Counter,
+    /// Per-miss search counters: one cell per [`SearchStats::COUNTERS`]
+    /// entry with a server family, in table order, summed over the
+    /// searches schedule misses ran.
+    search_counters: Vec<(&'static SearchCounter, Counter)>,
 }
 
 /// The HTTP layer's latency and size histograms (all microseconds
@@ -285,8 +273,8 @@ impl HttpMetrics {
     }
 }
 
-/// Gauges `/v1/metrics` sets from a fresh [`StatsSnapshot`] at scrape
-/// time (resident counts move both ways, so they cannot be counters).
+/// Gauges `/v1/metrics` sets at scrape time (resident counts move both
+/// ways, so they cannot be counters).
 #[derive(Debug)]
 struct ServerGauges {
     uptime_seconds: Gauge,
@@ -329,78 +317,22 @@ impl ServerGauges {
         }
     }
 
-    fn set_from(&self, snapshot: &StatsSnapshot) {
-        self.uptime_seconds.set(snapshot.uptime.as_secs());
-        self.workers.set(snapshot.workers as u64);
-        self.cache_entries.set(snapshot.cache.entries as u64);
-        self.cache_inflight.set(snapshot.cache.inflight as u64);
-        self.cache_capacity.set(snapshot.cache.capacity as u64);
-        self.rendered_entries.set(snapshot.rendered.entries as u64);
-        self.rendered_bytes.set(snapshot.rendered.bytes);
-        self.rendered_capacity
-            .set(snapshot.rendered.capacity as u64);
+    /// Reads each value the gauges show once and sets them.
+    fn refresh(&self, shared: &Shared) {
+        let cache = shared.cache.stats();
+        let rendered = shared.cache.rendered_stats();
+        self.uptime_seconds.set(shared.started.elapsed().as_secs());
+        self.workers.set(shared.workers as u64);
+        self.cache_entries.set(cache.entries as u64);
+        self.cache_inflight.set(cache.inflight as u64);
+        self.cache_capacity.set(cache.capacity as u64);
+        self.rendered_entries.set(rendered.entries as u64);
+        self.rendered_bytes.set(rendered.bytes);
+        self.rendered_capacity.set(rendered.capacity as u64);
     }
-}
-
-/// One gather of every value `/v1/stats` and `/v1/metrics` expose:
-/// each counter cell is read exactly once per response, so one rendered
-/// body cannot contradict itself by re-reading a moving counter
-/// mid-render (the old field-by-field reads under traffic could).
-struct StatsSnapshot {
-    uptime: Duration,
-    workers: usize,
-    default_jobs: usize,
-    default_por: &'static str,
-    max_pending: usize,
-    connections: u64,
-    requests: u64,
-    shed_connections: u64,
-    schedule_requests: u64,
-    artifact_requests: u64,
-    sweep_requests: u64,
-    sweep_points: u64,
-    http_errors: u64,
-    not_modified: u64,
-    incr_seed_hits: u64,
-    incr_replayed: u64,
-    incr_states_saved: u64,
-    por_stubborn_skips: u64,
-    por_sleep_skips: u64,
-    por_overlap_skips: u64,
-    cache: crate::cache::CacheStats,
-    rendered: crate::rendered::RenderedStats,
-    disk: crate::disk::DiskStats,
 }
 
 impl Shared {
-    fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            uptime: self.started.elapsed(),
-            workers: self.workers,
-            default_jobs: self.scheduler.parallelism.jobs(),
-            default_por: self.scheduler.por.name(),
-            max_pending: self.max_pending,
-            connections: self.connections.get(),
-            requests: self.requests.get(),
-            shed_connections: self.shed_connections.get(),
-            schedule_requests: self.schedule_requests.get(),
-            artifact_requests: self.artifact_requests.get(),
-            sweep_requests: self.sweep_requests.get(),
-            sweep_points: self.sweep_points.get(),
-            http_errors: self.http_errors.get(),
-            not_modified: self.not_modified.get(),
-            incr_seed_hits: self.incr_seed_hits.get(),
-            incr_replayed: self.incr_replayed.get(),
-            incr_states_saved: self.incr_states_saved.get(),
-            por_stubborn_skips: self.por_stubborn_skips.get(),
-            por_sleep_skips: self.por_sleep_skips.get(),
-            por_overlap_skips: self.por_overlap_skips.get(),
-            cache: self.cache.stats(),
-            rendered: self.cache.rendered_stats(),
-            disk: self.cache.disk_stats().unwrap_or_default(),
-        }
-    }
-
     /// Appends one NDJSON line for a routed request to the access log,
     /// when one is configured. Schema (one object per line): `t_micros`
     /// (since server start), `method`, `path`, `status`, `digest`,
@@ -569,30 +501,10 @@ impl Server {
                 "ezrt_http_not_modified_total",
                 "304 Not Modified responses (conditional hits).",
             ),
-            incr_seed_hits: counter(
-                "ezrt_incr_seed_hits_total",
-                "Schedule misses warm-started from an ancestor's schedule prefix.",
-            ),
-            incr_replayed: counter(
-                "ezrt_incr_replayed_total",
-                "Seeded firings accepted by warm-started searches.",
-            ),
-            incr_states_saved: counter(
-                "ezrt_incr_states_saved_total",
-                "States warm starts avoided visiting, summed over seeded misses.",
-            ),
-            por_stubborn_skips: counter(
-                "ezrt_http_por_stubborn_skips_total",
-                "Candidates pruned by the stubborn-set rule, summed over schedule misses.",
-            ),
-            por_sleep_skips: counter(
-                "ezrt_http_por_sleep_skips_total",
-                "Candidates filtered by sleep sets, summed over schedule misses.",
-            ),
-            por_overlap_skips: counter(
-                "ezrt_http_por_overlap_skips_total",
-                "Frontiers skipped as covered by another worker, summed over schedule misses.",
-            ),
+            search_counters: SearchStats::COUNTERS
+                .iter()
+                .filter_map(|c| Some((c, counter(c.server_family?, c.help))))
+                .collect(),
             registry,
             metrics,
             gauges,
@@ -1424,15 +1336,9 @@ fn schedule(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> R
     // only outcomes that actually hold a schedule become warm-start
     // ancestors for later structural neighbours.
     if lookup == Lookup::Miss {
-        let stats = &outcome.stats;
-        shared.incr_seed_hits.add(stats.incr_seed_hits as u64);
-        shared.incr_replayed.add(stats.incr_replayed as u64);
-        shared.incr_states_saved.add(stats.incr_states_saved as u64);
-        shared
-            .por_stubborn_skips
-            .add(stats.por_stubborn_skips as u64);
-        shared.por_sleep_skips.add(stats.por_sleep_skips as u64);
-        shared.por_overlap_skips.add(stats.por_overlap_skips as u64);
+        for (counter, cell) in &shared.search_counters {
+            cell.add((counter.get)(&outcome.stats));
+        }
     }
     if outcome.feasible && matches!(lookup, Lookup::Miss | Lookup::Disk) {
         shared.cache.note_ancestor(structure, digest);
@@ -1693,76 +1599,84 @@ fn check(request: &Request, timing: &mut RequestTiming) -> Response {
     Response::json(200, report::render_pretty(&fields))
 }
 
-/// `GET /v1/stats`: the human-facing JSON counters, rendered from one
-/// [`StatsSnapshot`] so every field reflects the same instant. The
-/// field list, order and formatting are frozen — clients parse this.
+/// `GET /v1/stats`: the human-facing JSON counters. Each cell is read
+/// once per response, so one body cannot contradict itself by
+/// re-reading a moving counter mid-render. The field list, order and
+/// formatting are frozen — clients parse this.
 fn stats(shared: &Shared) -> Response {
-    let snap = shared.snapshot();
-    let fields: JsonFields = vec![
+    let connections = shared.connections.get();
+    let requests = shared.requests.get();
+    let mut fields: JsonFields = vec![
         ("status", "\"ok\"".to_owned()),
         (
             "uptime_ms",
-            format!("{:.3}", snap.uptime.as_secs_f64() * 1e3),
+            format!("{:.3}", shared.started.elapsed().as_secs_f64() * 1e3),
         ),
-        ("workers", snap.workers.to_string()),
-        ("default_jobs", snap.default_jobs.to_string()),
-        ("default_por", report::json_string(snap.default_por)),
-        ("connections", snap.connections.to_string()),
-        ("requests", snap.requests.to_string()),
+        ("workers", shared.workers.to_string()),
+        (
+            "default_jobs",
+            shared.scheduler.parallelism.jobs().to_string(),
+        ),
+        (
+            "default_por",
+            report::json_string(shared.scheduler.por.name()),
+        ),
+        ("connections", connections.to_string()),
+        ("requests", requests.to_string()),
         (
             "requests_per_connection",
-            format!(
-                "{:.3}",
-                snap.requests as f64 / snap.connections.max(1) as f64
-            ),
+            format!("{:.3}", requests as f64 / connections.max(1) as f64),
         ),
-        ("max_pending", snap.max_pending.to_string()),
-        ("shed_connections", snap.shed_connections.to_string()),
-        ("schedule_requests", snap.schedule_requests.to_string()),
-        ("artifact_requests", snap.artifact_requests.to_string()),
-        ("sweep_requests", snap.sweep_requests.to_string()),
-        ("sweep_points", snap.sweep_points.to_string()),
-        ("http_errors", snap.http_errors.to_string()),
-        ("not_modified", snap.not_modified.to_string()),
-        ("incr_seed_hits", snap.incr_seed_hits.to_string()),
-        ("incr_replayed", snap.incr_replayed.to_string()),
-        ("incr_states_saved", snap.incr_states_saved.to_string()),
-        ("por_stubborn_skips", snap.por_stubborn_skips.to_string()),
-        ("por_sleep_skips", snap.por_sleep_skips.to_string()),
-        ("por_overlap_skips", snap.por_overlap_skips.to_string()),
-        ("cache_capacity", snap.cache.capacity.to_string()),
-        ("cache_entries", snap.cache.entries.to_string()),
-        ("cache_inflight", snap.cache.inflight.to_string()),
-        ("cache_hits", snap.cache.hits.to_string()),
-        ("cache_disk_hits", snap.cache.disk_hits.to_string()),
-        ("cache_misses", snap.cache.misses.to_string()),
-        ("cache_joined", snap.cache.joined.to_string()),
-        ("cache_evictions", snap.cache.evictions.to_string()),
-        ("rendered_capacity", snap.rendered.capacity.to_string()),
-        ("rendered_entries", snap.rendered.entries.to_string()),
-        ("rendered_hits", snap.rendered.hits.to_string()),
-        ("rendered_misses", snap.rendered.misses.to_string()),
-        ("rendered_evictions", snap.rendered.evictions.to_string()),
-        ("rendered_bytes", snap.rendered.bytes.to_string()),
-        ("disk_writes", snap.disk.writes.to_string()),
-        ("disk_load_errors", snap.disk.load_errors.to_string()),
-        ("disk_gc_evicted", snap.disk.gc_evicted.to_string()),
-        ("disk_gc_reaped", snap.disk.gc_reaped.to_string()),
-        (
-            "disk_gc_reclaimed_bytes",
-            snap.disk.gc_reclaimed_bytes.to_string(),
-        ),
+        ("max_pending", shared.max_pending.to_string()),
     ];
+    for (key, cell) in [
+        ("shed_connections", &shared.shed_connections),
+        ("schedule_requests", &shared.schedule_requests),
+        ("artifact_requests", &shared.artifact_requests),
+        ("sweep_requests", &shared.sweep_requests),
+        ("sweep_points", &shared.sweep_points),
+        ("http_errors", &shared.http_errors),
+        ("not_modified", &shared.not_modified),
+    ] {
+        fields.push((key, cell.get().to_string()));
+    }
+    for (counter, cell) in &shared.search_counters {
+        fields.push((counter.field, cell.get().to_string()));
+    }
+    let cache = shared.cache.stats();
+    let rendered = shared.cache.rendered_stats();
+    let disk = shared.cache.disk_stats().unwrap_or_default();
+    for (key, value) in [
+        ("cache_capacity", cache.capacity as u64),
+        ("cache_entries", cache.entries as u64),
+        ("cache_inflight", cache.inflight as u64),
+        ("cache_hits", cache.hits),
+        ("cache_disk_hits", cache.disk_hits),
+        ("cache_misses", cache.misses),
+        ("cache_joined", cache.joined),
+        ("cache_evictions", cache.evictions),
+        ("rendered_capacity", rendered.capacity as u64),
+        ("rendered_entries", rendered.entries as u64),
+        ("rendered_hits", rendered.hits),
+        ("rendered_misses", rendered.misses),
+        ("rendered_evictions", rendered.evictions),
+        ("rendered_bytes", rendered.bytes),
+        ("disk_writes", disk.writes),
+        ("disk_load_errors", disk.load_errors),
+        ("disk_gc_evicted", disk.gc_evicted),
+        ("disk_gc_reaped", disk.gc_reaped),
+        ("disk_gc_reclaimed_bytes", disk.gc_reclaimed_bytes),
+    ] {
+        fields.push((key, value.to_string()));
+    }
     Response::json(200, report::render_pretty(&fields))
 }
 
 /// `GET /v1/metrics`: Prometheus text exposition (version 0.0.4) of the
 /// per-server registry merged with the process-wide engine registry.
-/// Scrape-time gauges are refreshed from a [`StatsSnapshot`] first, so
-/// counters and gauges in one scrape agree.
+/// Scrape-time gauges are refreshed first.
 fn metrics(shared: &Shared) -> Response {
-    let snap = shared.snapshot();
-    shared.gauges.set_from(&snap);
+    shared.gauges.refresh(shared);
     let text = ezrt_obs::render_prometheus(&[&shared.registry, ezrt_obs::global()]);
     let mut response = Response::json(200, text);
     response.content_type = "text/plain; version=0.0.4";

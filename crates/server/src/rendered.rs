@@ -138,7 +138,7 @@ impl RenderedCache {
     }
 
     /// Serves `kind` of `outcome` from the rendered tier, rendering and
-    /// storing on a miss.
+    /// storing on a miss (never storing a non-cacheable outcome's bytes).
     ///
     /// # Errors
     ///
@@ -150,7 +150,9 @@ impl RenderedCache {
         kind: ArtifactKind,
     ) -> Result<RenderedArtifact, RenderError> {
         let key = (outcome.digest, kind);
-        if self.capacity > 0 {
+        // A load-dependent outcome is never cached, nor are its bytes.
+        let cached = self.capacity > 0 && outcome.cacheable;
+        if cached {
             let mut shard = self.shard(&key).lock().expect("rendered shard poisoned");
             if let Some(entry) = shard.get_mut(&key) {
                 entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
@@ -168,7 +170,7 @@ impl RenderedCache {
         let artifact = render(outcome, kind)?;
         self.misses.inc();
         let bytes: Arc<[u8]> = artifact.text.into_bytes().into();
-        if self.capacity > 0 {
+        if cached {
             self.insert(key, &bytes);
         }
         Ok(RenderedArtifact {

@@ -112,9 +112,14 @@ fn stale_version_tags_are_ignored_and_resynthesized() {
     assert_eq!(drive(&disk_cache(&dir)), Lookup::Miss);
     let path = entry_path(&dir);
     let mut bytes = std::fs::read(&path).expect("entry exists");
-    // The version tag is the u32 right after the 8-byte magic.
-    bytes[8] = bytes[8].wrapping_add(1);
+    // The version tag is the u32 right after the 8-byte magic; 3 is the
+    // format before the counter table.
+    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
     std::fs::write(&path, &bytes).expect("stale version");
+    assert_eq!(
+        ezrt_artifacts::codec::decode_file(&bytes).err(),
+        Some(ezrt_artifacts::codec::CodecError::StaleVersion(3))
+    );
 
     let cache = disk_cache(&dir);
     assert_eq!(drive(&cache), Lookup::Miss, "stale version re-misses");

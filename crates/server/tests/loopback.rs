@@ -3,6 +3,7 @@
 //! cache behaviours the service exists for — singleflight coalescing,
 //! hit/miss reporting, LRU eviction.
 
+use ezrt_scheduler::{SchedulerConfig, SearchStats};
 use ezrt_server::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -104,13 +105,16 @@ fn healthz_stats_and_routing() {
 
     let (status, body) = request(addr, "GET", "/v1/stats", "");
     assert_eq!(status, 200);
+    // Every search counter with a server family is served under its
+    // field name.
+    let search_keys = SearchStats::COUNTERS
+        .iter()
+        .filter(|counter| counter.server_family.is_some())
+        .map(|counter| counter.field);
     for key in [
         "uptime_ms",
         "workers",
         "default_por",
-        "por_stubborn_skips",
-        "por_sleep_skips",
-        "por_overlap_skips",
         "cache_hits",
         "cache_misses",
         "cache_joined",
@@ -124,7 +128,10 @@ fn healthz_stats_and_routing() {
         "disk_gc_evicted",
         "disk_gc_reaped",
         "disk_gc_reclaimed_bytes",
-    ] {
+    ]
+    .into_iter()
+    .chain(search_keys)
+    {
         assert!(
             body.contains(&format!("\"{key}\": ")),
             "missing {key}: {body}"
@@ -157,6 +164,98 @@ fn healthz_stats_and_routing() {
         assert_eq!(status, 400, "{level}");
         assert!(body.contains("por expects off|stubborn"), "{body}");
     }
+
+    server.stop();
+}
+
+/// The exact `/v1/stats` body of a fresh server with a fixed config:
+/// every key, in order, with its number format. Clients parse this
+/// body, so a change here is a breaking change. Only `uptime_ms` moves
+/// between runs; it is checked for its three-decimal format and then
+/// masked.
+#[test]
+fn stats_body_is_frozen_for_a_fresh_server() {
+    let server = server(ServerConfig {
+        workers: 3,
+        cache_capacity: 100,
+        max_pending: 64,
+        ..ServerConfig::default()
+    });
+    let addr = server.addr();
+
+    // Two requests down one connection, so the stats request makes 3
+    // over 2 connections and the ratio has a fractional part.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout");
+    for _ in 0..2 {
+        let (status, _, _, _) = keep_alive_request(&mut stream, "GET", "/v1/healthz", "");
+        assert_eq!(status, 200);
+    }
+    drop(stream);
+    let (status, body) = request(addr, "GET", "/v1/stats", "");
+    assert_eq!(status, 200);
+
+    let uptime = field(&body, "uptime_ms");
+    let (whole, fraction) = uptime.split_once('.').expect("uptime has a decimal point");
+    assert!(
+        !whole.is_empty() && whole.bytes().all(|b| b.is_ascii_digit()),
+        "{uptime}"
+    );
+    assert!(
+        fraction.len() == 3 && fraction.bytes().all(|b| b.is_ascii_digit()),
+        "{uptime}"
+    );
+    let masked = body.replacen(
+        &format!("\"uptime_ms\": {uptime},"),
+        "\"uptime_ms\": UPTIME,",
+        1,
+    );
+    let expected = "{
+  \"status\": \"ok\",
+  \"uptime_ms\": UPTIME,
+  \"workers\": 3,
+  \"default_jobs\": 1,
+  \"default_por\": \"stubborn\",
+  \"connections\": 2,
+  \"requests\": 3,
+  \"requests_per_connection\": 1.500,
+  \"max_pending\": 64,
+  \"shed_connections\": 0,
+  \"schedule_requests\": 0,
+  \"artifact_requests\": 0,
+  \"sweep_requests\": 0,
+  \"sweep_points\": 0,
+  \"http_errors\": 0,
+  \"not_modified\": 0,
+  \"incr_seed_hits\": 0,
+  \"incr_replayed\": 0,
+  \"incr_states_saved\": 0,
+  \"por_stubborn_skips\": 0,
+  \"por_sleep_skips\": 0,
+  \"por_overlap_skips\": 0,
+  \"cache_capacity\": 100,
+  \"cache_entries\": 0,
+  \"cache_inflight\": 0,
+  \"cache_hits\": 0,
+  \"cache_disk_hits\": 0,
+  \"cache_misses\": 0,
+  \"cache_joined\": 0,
+  \"cache_evictions\": 0,
+  \"rendered_capacity\": 400,
+  \"rendered_entries\": 0,
+  \"rendered_hits\": 0,
+  \"rendered_misses\": 0,
+  \"rendered_evictions\": 0,
+  \"rendered_bytes\": 0,
+  \"disk_writes\": 0,
+  \"disk_load_errors\": 0,
+  \"disk_gc_evicted\": 0,
+  \"disk_gc_reaped\": 0,
+  \"disk_gc_reclaimed_bytes\": 0
+}";
+    assert_eq!(masked, expected);
 
     server.stop();
 }
@@ -291,6 +390,38 @@ fn concurrent_identical_requests_singleflight_onto_one_synthesis() {
     assert_eq!(field(&after, "cache"), "\"hit\"");
 
     server.stop();
+}
+
+/// A search cut off by the time budget has a load-dependent verdict: no
+/// tier keeps it, so the same request searches again.
+#[test]
+fn time_budget_aborts_are_never_cached() {
+    let dir = std::env::temp_dir().join(format!("ezrt_time_budget_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = server(ServerConfig {
+        scheduler: SchedulerConfig {
+            max_time: Duration::from_millis(1),
+            ..SchedulerConfig::default()
+        },
+        cache_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let addr = server.addr();
+    let xml = heavy_spec_xml();
+    for _ in 0..2 {
+        let (status, body) = request(addr, "POST", "/v1/schedule", &xml);
+        assert_eq!(status, 200);
+        assert!(body.contains("time limit exceeded"), "{body}");
+        assert_eq!(field(&body, "cache"), "\"miss\"");
+    }
+    let (_, stats) = request(addr, "GET", "/v1/stats", "");
+    assert_eq!(field(&stats, "cache_entries"), "0", "{stats}");
+    assert_eq!(field(&stats, "cache_misses"), "2", "{stats}");
+    assert_eq!(field(&stats, "disk_writes"), "0", "{stats}");
+    server.stop();
+    let files = std::fs::read_dir(&dir).expect("cache dir exists").count();
+    assert_eq!(files, 0, "nothing persisted under {}", dir.display());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

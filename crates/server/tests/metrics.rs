@@ -4,6 +4,7 @@
 //! log. Counters are asserted by *delta between scrapes* so the tests
 //! hold regardless of what other requests the same server has answered.
 
+use ezrt_scheduler::SearchStats;
 use ezrt_server::{Server, ServerConfig};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -175,8 +176,13 @@ fn metrics_exposition_covers_every_subsystem_and_counters_move() {
     let addr = server.addr();
 
     let before = scrape(addr);
-    // Every subsystem the issue promises must announce its families on
-    // a fresh server, before any traffic.
+    // Every subsystem must announce its families on a fresh server,
+    // before any traffic: the search counters' engine and server
+    // families from the counter table, the rest by name.
+    let table_families = SearchStats::COUNTERS
+        .iter()
+        .flat_map(|counter| [counter.engine_family, counter.server_family])
+        .flatten();
     for family in [
         "ezrt_cache_hits_total",
         "ezrt_cache_misses_total",
@@ -189,12 +195,12 @@ fn metrics_exposition_covers_every_subsystem_and_counters_move() {
         "ezrt_http_not_modified_total",
         "ezrt_sweep_requests_total",
         "ezrt_sweep_points_total",
-        "ezrt_incr_seed_hits_total",
         "ezrt_search_runs_total",
-        "ezrt_search_states_total",
-        "ezrt_search_steals_total",
         "ezrt_search_donation_stalls_total",
-    ] {
+    ]
+    .into_iter()
+    .chain(table_families)
+    {
         assert_eq!(
             before.types.get(family).map(String::as_str),
             Some("counter"),

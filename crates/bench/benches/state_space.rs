@@ -271,21 +271,39 @@ struct BaselineShard {
 
 const BASELINE_EMPTY: u32 = u32::MAX;
 
-/// The kernel's FxHash-style multiply-mix (`ezrt_tpn::arena::hash_words`
-/// is crate-private), reproduced verbatim so the two microbench arms pay
-/// the same hashing cost and differ only in the directory strategy.
+/// The kernel's four-lane multiply-mix with its finalizer
+/// (`ezrt_tpn::arena::hash_words` is crate-private), reproduced verbatim
+/// so the two microbench arms pay the same hashing cost and differ only
+/// in the directory strategy.
 fn baseline_hash(words: &[u32]) -> u64 {
-    const SEED: u64 = 0x51_7C_C1_B7_27_22_0A_95;
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut chunks = words.chunks_exact(2);
-    for pair in &mut chunks {
-        let v = u64::from(pair[0]) | (u64::from(pair[1]) << 32);
-        hash = (hash.rotate_left(5) ^ v).wrapping_mul(SEED);
+    const K: u64 = 0x51_7C_C1_B7_27_22_0A_95;
+    fn mix(lane: u64, v: u64) -> u64 {
+        (lane.rotate_left(5) ^ v).wrapping_mul(K)
     }
-    if let [last] = chunks.remainder() {
-        hash = (hash.rotate_left(5) ^ u64::from(*last)).wrapping_mul(SEED);
+    let pair = |p: &[u32]| u64::from(p[0]) | (u64::from(p[1]) << 32);
+    let mut lanes: [u64; 4] = [
+        0xCBF2_9CE4_8422_2325,
+        0x243F_6A88_85A3_08D3,
+        0x1319_8A2E_0370_7344,
+        0xA409_3822_299F_31D0,
+    ];
+    let mut blocks = words.chunks_exact(8);
+    for block in &mut blocks {
+        lanes[0] = mix(lanes[0], pair(&block[0..2]));
+        lanes[1] = mix(lanes[1], pair(&block[2..4]));
+        lanes[2] = mix(lanes[2], pair(&block[4..6]));
+        lanes[3] = mix(lanes[3], pair(&block[6..8]));
     }
-    hash
+    for (i, &word) in blocks.remainder().iter().enumerate() {
+        lanes[i % 4] = mix(lanes[i % 4], u64::from(word));
+    }
+    let mut hash = mix(mix(mix(lanes[0], lanes[1]), lanes[2]), lanes[3]) ^ words.len() as u64;
+    // The murmur3 64-bit finalizer.
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    hash ^ (hash >> 33)
 }
 
 impl RwLockDirectoryArena {

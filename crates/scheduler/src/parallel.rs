@@ -407,9 +407,22 @@ struct SharedStore<'s, 'a> {
 impl Store for SharedStore<'_, '_> {
     const SHARED: bool = true;
 
-    fn fire(&mut self, parent: &Frame, t: TransitionId, q: Time) -> StateId {
+    fn fire(
+        &mut self,
+        parent: &Frame,
+        t: TransitionId,
+        q: Time,
+        enabled: &mut Vec<u64>,
+    ) -> StateId {
         let net = self.shared.tasknet.net();
-        net.fire_into(&parent.words, t, q, &mut self.successor);
+        net.fire_into(
+            &parent.words,
+            &parent.enabled,
+            t,
+            q,
+            &mut self.successor,
+            enabled,
+        );
         self.shared.arena.intern(&self.successor).0
     }
 
@@ -526,6 +539,8 @@ fn synthesize_parallel_inner(
     let mut s0_words = vec![0; net.layout().words()];
     net.write_initial_packed(&mut s0_words);
     let (s0, _) = arena.intern(&s0_words);
+    let mut s0_enabled = Vec::new();
+    net.enabled_into(&s0_words, &mut s0_enabled);
 
     // Root-level distribution: one work item per ordered root candidate.
     let mut domains: Vec<(TransitionId, Time, TimeBound)> = Vec::new();
@@ -534,6 +549,7 @@ fn synthesize_parallel_inner(
     candidates(
         tasknet,
         &s0_words,
+        &s0_enabled,
         config,
         &InstanceCounters::new(task_count),
         &[],
@@ -664,9 +680,14 @@ fn worker(shared: &Shared<'_>, me: usize) -> (SearchStats, MissedTasks) {
     while let Some(item) = shared.next_item(me) {
         // The item's parent state is the root; its one label is the only
         // candidate, and the siblings' dead-marking belongs to whoever
-        // owns the other items.
+        // owns the other items. Items carry no enabled set: the root
+        // rescans its own.
         let root = dfs.root(item.parent_id, item.now, &item.path);
         root.words.extend_from_slice(&item.parent_words);
+        shared
+            .tasknet
+            .net()
+            .enabled_into(&root.words, &mut root.enabled);
         root.candidates.push(item.label);
         root.sleep.extend_from_slice(&item.sleep);
         root.owned = false;

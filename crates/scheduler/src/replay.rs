@@ -138,10 +138,12 @@ fn walk(tasknet: &TaskNet, firings: &[ScheduledFiring]) -> Result<ReplayReport, 
     let mut explorer = Explorer::new(tasknet.net());
     let mut domains = Vec::new();
     let mut state = explorer.intern_initial();
+    let (mut enabled, mut next_enabled) = (Vec::new(), Vec::new());
+    explorer.enabled_into(state, &mut enabled);
     let mut makespan: Time = 0;
 
     for (step, firing) in firings.iter().enumerate() {
-        explorer.fireable_domains_into(state, &mut domains);
+        explorer.fireable_domains_into(state, &enabled, &mut domains);
         let Some(&(_, dlb, upper)) = domains.iter().find(|&&(t, _, _)| t == firing.transition)
         else {
             return Err(ReplayError::NotFireable {
@@ -156,7 +158,16 @@ fn walk(tasknet: &TaskNet, firings: &[ScheduledFiring]) -> Result<ReplayReport, 
                 delay: firing.delay,
             });
         }
-        state = explorer.fire(state, firing.transition, firing.delay).0;
+        state = explorer
+            .fire(
+                state,
+                &enabled,
+                firing.transition,
+                firing.delay,
+                &mut next_enabled,
+            )
+            .0;
+        std::mem::swap(&mut enabled, &mut next_enabled);
         makespan += firing.delay;
         let packed = explorer.state(state);
         if tasknet.has_deadline_miss_packed(packed) {
@@ -268,11 +279,13 @@ mod tests {
         let net = tasknet.net();
         let mut explorer = Explorer::new(net);
         let mut state = explorer.intern_initial();
+        let (mut enabled, mut next_enabled) = (Vec::new(), Vec::new());
+        explorer.enabled_into(state, &mut enabled);
         let mut domains = Vec::new();
         let mut run = Vec::new();
         let mut at = 0;
         loop {
-            explorer.fireable_domains_into(state, &mut domains);
+            explorer.fireable_domains_into(state, &enabled, &mut domains);
             let Some(&(t, dlb, _)) = domains.first() else {
                 panic!("no deadline miss before the run deadlocked")
             };
@@ -283,7 +296,8 @@ mod tests {
                 delay: dlb,
                 at,
             });
-            state = explorer.fire(state, t, dlb).0;
+            state = explorer.fire(state, &enabled, t, dlb, &mut next_enabled).0;
+            std::mem::swap(&mut enabled, &mut next_enabled);
             if tasknet.has_deadline_miss_packed(explorer.state(state)) {
                 break;
             }

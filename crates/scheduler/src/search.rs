@@ -8,7 +8,9 @@
 //! monomorphised per store. The sequential search runs it on a [`Local`]
 //! store: an [`Explorer`] arena and a bitvector [`DeadSet`] over dense
 //! [`StateId`]s. The parallel workers (`crate::parallel`) run the same
-//! loop on a store shared between threads. Frames pool their candidate
+//! loop on a store shared between threads. Each frame carries its state's
+//! enabled set, which the store derives from the parent frame's set on
+//! every firing, so no step rescans every transition. Frames pool their
 //! vectors across pushes, so in the steady state the loop performs
 //! **zero heap allocations per explored successor**. The original
 //! value-typed search is preserved in [`reference`](crate::reference) and
@@ -20,7 +22,7 @@ use crate::schedule::{FeasibleSchedule, ScheduledFiring};
 use crate::stats::SearchStats;
 use ezrt_compose::{TaskNet, TransitionRole};
 use ezrt_spec::TaskId;
-use ezrt_tpn::por::{set_bit, test_bit};
+use ezrt_tpn::por::{iter_bits, set_bit, test_bit};
 use ezrt_tpn::reachability::Explorer;
 use ezrt_tpn::{StateId, Time, TimeBound, TransitionId};
 use std::time::Instant;
@@ -49,6 +51,9 @@ pub(crate) struct Frame {
     /// The state's packed words, for stores whose arena cannot lend a
     /// slice (the shared store); left empty by the [`Local`] store.
     pub(crate) words: Vec<u32>,
+    /// The state's enabled set `ET(m)` (packed transition mask), derived
+    /// from the parent frame's by [`Store::fire`].
+    pub(crate) enabled: Vec<u64>,
     pub(crate) candidates: Vec<(TransitionId, Time)>,
     pub(crate) next: usize,
     pub(crate) now: Time,
@@ -68,8 +73,10 @@ pub(crate) trait Store {
     /// never lets the sleep filter drain a frame (see [`candidates`]) and
     /// consults [`covered`](Self::covered) before each push.
     const SHARED: bool;
-    /// Fires `(t, q)` out of `parent`'s state, interning the successor.
-    fn fire(&mut self, parent: &Frame, t: TransitionId, q: Time) -> StateId;
+    /// Fires `(t, q)` out of `parent`'s state, interning the successor and
+    /// handing its enabled set to `enabled`.
+    fn fire(&mut self, parent: &Frame, t: TransitionId, q: Time, enabled: &mut Vec<u64>)
+        -> StateId;
     /// The packed words of `id`, the successor the last
     /// [`fire`](Self::fire) returned.
     fn successor(&self, id: StateId) -> &[u32];
@@ -111,8 +118,16 @@ struct Local<'net> {
 impl Store for Local<'_> {
     const SHARED: bool = false;
 
-    fn fire(&mut self, parent: &Frame, t: TransitionId, q: Time) -> StateId {
-        self.explorer.fire(parent.state, t, q).0
+    fn fire(
+        &mut self,
+        parent: &Frame,
+        t: TransitionId,
+        q: Time,
+        enabled: &mut Vec<u64>,
+    ) -> StateId {
+        self.explorer
+            .fire(parent.state, &parent.enabled, t, q, enabled)
+            .0
     }
 
     fn successor(&self, id: StateId) -> &[u32] {
@@ -172,6 +187,8 @@ pub(crate) struct Dfs<'a, S> {
     /// The child-sleep staging buffer: computed against the parent frame,
     /// then swapped into the child (both hot-loop allocation-free).
     child_sleep: Vec<u64>,
+    /// The latest successor's enabled set, staged the same way.
+    child_enabled: Vec<u64>,
     ticks: u64,
     /// Backtracks, prunes, deadlocks and registry skips of this core.
     pub(crate) stats: SearchStats,
@@ -199,6 +216,7 @@ impl<'a, S: Store> Dfs<'a, S> {
             scratch: PorScratch::new(),
             domains: Vec::new(),
             child_sleep: Vec::new(),
+            child_enabled: Vec::new(),
             ticks: 0,
             stats: SearchStats::default(),
             missed: MissedTasks::new(tasks),
@@ -206,8 +224,8 @@ impl<'a, S: Store> Dfs<'a, S> {
     }
 
     /// Restarts the stack at `state`, reached at time `now` by `prefix`,
-    /// and returns the root frame — owned, with no candidates, sleep or
-    /// words yet — for the caller to fill in.
+    /// and returns the root frame — owned, with no candidates, sleep,
+    /// words or enabled set yet — for the caller to fill in.
     pub(crate) fn root(
         &mut self,
         state: StateId,
@@ -228,6 +246,7 @@ impl<'a, S: Store> Dfs<'a, S> {
         let root = &mut self.frames[0];
         root.state = state;
         root.words.clear();
+        root.enabled.clear();
         root.candidates.clear();
         root.next = 0;
         root.now = now;
@@ -287,7 +306,9 @@ impl<'a, S: Store> Dfs<'a, S> {
             let (transition, delay) = frame.candidates[frame.next];
             frame.next += 1;
             let now = frame.now + delay;
-            let next = self.store.fire(frame, transition, delay);
+            let next = self
+                .store
+                .fire(frame, transition, delay, &mut self.child_enabled);
             if self.store.is_dead(next) {
                 self.stats.pruned_dead += 1;
                 continue;
@@ -349,6 +370,7 @@ impl<'a, S: Store> Dfs<'a, S> {
             &parent.candidates[..parent.next - 1],
             (firing.transition, firing.delay),
             self.store.successor(next),
+            &self.child_enabled,
             &mut self.scratch,
             &mut self.child_sleep,
         );
@@ -379,9 +401,11 @@ impl<'a, S: Store> Dfs<'a, S> {
         frame.owned = true;
         self.store.keep(frame);
         std::mem::swap(&mut frame.sleep, &mut self.child_sleep);
+        std::mem::swap(&mut frame.enabled, &mut self.child_enabled);
         let fireable = candidates(
             self.tasknet,
             self.store.successor(next),
+            &frame.enabled,
             self.config,
             &self.counters,
             &frame.sleep,
@@ -406,12 +430,17 @@ impl<'a, S: Store> Dfs<'a, S> {
 }
 
 impl Dfs<'_, Local<'_>> {
-    /// Generates the root frame's candidates from its state and sleep set.
+    /// Scans the root frame's enabled set and generates its candidates
+    /// from its state and sleep set.
     fn expand_root(&mut self) {
         let root = &mut self.frames[0];
+        self.store
+            .explorer
+            .enabled_into(root.state, &mut root.enabled);
         candidates(
             self.tasknet,
             self.store.successor(root.state),
+            &root.enabled,
             self.config,
             &self.counters,
             &root.sleep,
@@ -438,7 +467,12 @@ impl Dfs<'_, Local<'_>> {
             let Some(pos) = frame.candidates.iter().position(|&c| c == label) else {
                 break;
             };
-            let next = self.store.fire(frame, firing.transition, firing.delay);
+            let next = self.store.fire(
+                frame,
+                firing.transition,
+                firing.delay,
+                &mut self.child_enabled,
+            );
             if self
                 .tasknet
                 .has_deadline_miss_packed(self.store.successor(next))
@@ -787,12 +821,13 @@ fn synthesize_local(
     }
 }
 
-/// Generates the ordered candidate labels of a packed state into the
-/// caller's reusable buffer: the fireable set `FT(s)`, expanded to
-/// `(t, q)` pairs per the delay mode, filtered by the frame's sleep set,
-/// reduced by the configured partial-order rule, and sorted by the branch
-/// ordering. `never_empty` is a shared store's refusal to let the sleep
-/// filter drain a frame (see the filter comment below).
+/// Generates the ordered candidate labels of a packed state, whose
+/// enabled set is `enabled`, into the caller's reusable buffer: the
+/// fireable set `FT(s)`, expanded to `(t, q)` pairs per the delay mode,
+/// filtered by the frame's sleep set, reduced by the configured
+/// partial-order rule, and sorted by the branch ordering. `never_empty`
+/// is a shared store's refusal to let the sleep filter drain a frame (see
+/// the filter comment below).
 ///
 /// Returns whether the raw fireable set `FT(s)` was non-empty. No
 /// candidates from a non-empty `FT(s)` means every candidate was asleep:
@@ -802,6 +837,7 @@ fn synthesize_local(
 pub(crate) fn candidates(
     tasknet: &TaskNet,
     state: &[u32],
+    enabled: &[u64],
     config: &SchedulerConfig,
     counters: &InstanceCounters,
     sleep: &[u64],
@@ -812,7 +848,7 @@ pub(crate) fn candidates(
 ) -> bool {
     labels.clear();
     let net = tasknet.net();
-    net.fireable_domains_into(state, domains);
+    net.fireable_domains_into(state, enabled, domains);
     if domains.is_empty() {
         return false;
     }
@@ -990,6 +1026,7 @@ pub(crate) fn child_sleep_into(
     earlier: &[(TransitionId, Time)],
     fired: (TransitionId, Time),
     child_state: &[u32],
+    child_enabled: &[u64],
     scratch: &mut PorScratch,
     out: &mut Vec<u64>,
 ) {
@@ -1014,18 +1051,17 @@ pub(crate) fn child_sleep_into(
         *word &= !dependent;
     }
     if out.iter().any(|&word| word != 0) {
-        // Urgency-floor guard: one enabled-set scan of the child, then a
-        // per-entry floor over the scan with the entry and its conflict
+        // Urgency-floor guard: one walk of the child's enabled set, then
+        // a per-entry floor over it with the entry and its conflict
         // partners masked out.
         let net = tasknet.net();
         let layout = net.layout();
         scratch.dubs.clear();
         let mut min_dub = TimeBound::Infinite;
-        for (t, transition) in net.transitions() {
-            if !net.is_enabled_packed(child_state, t) {
-                continue;
-            }
-            let dub = transition
+        for k in iter_bits(child_enabled) {
+            let t = TransitionId::from_index(k);
+            let dub = net
+                .transition(t)
                 .interval()
                 .dynamic_upper_bound(layout.clock(child_state, t));
             min_dub = min_dub.min(dub);

@@ -5,6 +5,7 @@ use crate::error::{BuildNetError, FireError};
 use crate::ids::{PlaceId, TransitionId};
 use crate::interval::{TimeBound, TimeInterval};
 use crate::marking::Marking;
+use crate::por::{iter_bits, set_bit};
 use crate::state::{Firing, State};
 use crate::Time;
 
@@ -298,6 +299,24 @@ impl TpnBuilder {
             }
         }
 
+        // Firing `t` changes tokens only on pre(t) ∪ post(t), so only the
+        // consumers of those places can change enabledness.
+        let affected = self
+            .pre
+            .iter()
+            .zip(&self.post)
+            .map(|(pre, post)| {
+                let mut touched: Vec<TransitionId> = pre
+                    .iter()
+                    .chain(post)
+                    .flat_map(|&(p, _)| consumers[p.index()].iter().copied())
+                    .collect();
+                touched.sort_unstable();
+                touched.dedup();
+                touched
+            })
+            .collect();
+
         let initial = Marking::from_vec(self.places.iter().map(|p| p.initial_tokens).collect());
         Ok(TimePetriNet {
             name: self.name,
@@ -307,6 +326,7 @@ impl TpnBuilder {
             post: self.post,
             consumers,
             producers,
+            affected,
             initial,
         })
     }
@@ -340,6 +360,10 @@ pub struct TimePetriNet {
     post: Vec<Vec<(PlaceId, u32)>>,
     consumers: Vec<Vec<TransitionId>>,
     producers: Vec<Vec<TransitionId>>,
+    /// Per transition `t`: the consumers of every place in
+    /// `pre(t) ∪ post(t)`, ascending — the only transitions whose
+    /// enabledness firing `t` can change.
+    affected: Vec<Vec<TransitionId>>,
     initial: Marking,
 }
 
@@ -617,76 +641,47 @@ impl TimePetriNet {
             .all(|&(p, w)| state[p.index()] >= w)
     }
 
-    /// Packed counterpart of [`min_dynamic_upper_bound`](Self::min_dynamic_upper_bound).
-    pub fn min_dynamic_upper_bound_packed(&self, state: &[u32]) -> TimeBound {
-        let layout = self.layout();
-        let mut min = TimeBound::Infinite;
-        for (k, transition) in self.transitions.iter().enumerate() {
-            let t = TransitionId::from_index(k);
-            if !self.is_enabled_packed(state, t) {
-                continue;
-            }
-            let dub = transition
-                .interval
-                .dynamic_upper_bound(layout.clock(state, t));
-            min = min.min(dub);
-        }
-        min
-    }
-
-    /// Packed counterpart of [`fireable`](Self::fireable): computes the
-    /// fireable set `FT(s)` into the caller's reusable buffer instead of a
-    /// fresh vector.
-    pub fn fireable_into(&self, state: &[u32], out: &mut Vec<TransitionId>) {
+    /// Writes the enabled set `ET(m)` of the packed `state` into `out` as
+    /// a transition bitmask (bit `k` ⇔ `t_k` enabled; see
+    /// [`por::test_bit`](crate::por::test_bit)).
+    ///
+    /// This is the kernel's only full scan of the transitions. Walkers
+    /// call it once per start state and then carry each state's set
+    /// through [`fire_into`](Self::fire_into), which derives a
+    /// successor's set from its parent's.
+    pub fn enabled_into(&self, state: &[u32], out: &mut Vec<u64>) {
         out.clear();
-        let layout = self.layout();
-        let min_dub = self.min_dynamic_upper_bound_packed(state);
-        let mut best_priority = u32::MAX;
-        for (k, transition) in self.transitions.iter().enumerate() {
-            let t = TransitionId::from_index(k);
-            if !self.is_enabled_packed(state, t) {
-                continue;
+        out.resize(self.transitions.len().div_ceil(64), 0);
+        for k in 0..self.transitions.len() {
+            if self.is_enabled_packed(state, TransitionId::from_index(k)) {
+                set_bit(out, k);
             }
-            let dlb = transition
-                .interval
-                .dynamic_lower_bound(layout.clock(state, t));
-            if TimeBound::Finite(dlb) > min_dub {
-                continue;
-            }
-            best_priority = best_priority.min(transition.priority);
-            out.push(t);
         }
-        out.retain(|&t| self.transitions[t.index()].priority == best_priority);
     }
 
     /// The one-pass hot-path primitive behind candidate enumeration:
     /// computes the fireable set `FT(s)` *together with* the shared firing
     /// domains — `(t, DLB(t), min_k DUB(t_k))` triples — into the caller's
-    /// reusable buffer.
-    ///
-    /// Equivalent to calling [`fireable_into`](Self::fireable_into) and
-    /// then [`firing_domain_packed`](Self::firing_domain_packed) per
-    /// member, but scans the transition array once instead of once per
-    /// member (the domain's upper bound is the same `min DUB` for every
-    /// fireable transition).
+    /// reusable buffer, walking only the members of `enabled`, the state's
+    /// enabled set (from [`enabled_into`](Self::enabled_into) or
+    /// [`fire_into`](Self::fire_into)). The domain's upper bound is the
+    /// same `min DUB` for every fireable transition.
     pub fn fireable_domains_into(
         &self,
         state: &[u32],
+        enabled: &[u64],
         out: &mut Vec<(TransitionId, Time, TimeBound)>,
     ) {
         out.clear();
         let layout = self.layout();
         // Single pass: enabled transitions with their DLBs, and min DUB.
         let mut min_dub = TimeBound::Infinite;
-        for (k, transition) in self.transitions.iter().enumerate() {
+        for k in iter_bits(enabled) {
             let t = TransitionId::from_index(k);
-            if !self.is_enabled_packed(state, t) {
-                continue;
-            }
+            let interval = self.transitions[k].interval;
             let clock = layout.clock(state, t);
-            min_dub = min_dub.min(transition.interval.dynamic_upper_bound(clock));
-            let dlb = transition.interval.dynamic_lower_bound(clock);
-            out.push((t, dlb, TimeBound::Infinite));
+            min_dub = min_dub.min(interval.dynamic_upper_bound(clock));
+            out.push((t, interval.dynamic_lower_bound(clock), TimeBound::Infinite));
         }
         // Urgency filter, then the minimal (= highest) priority class.
         out.retain(|&(_, dlb, _)| TimeBound::Finite(dlb) <= min_dub);
@@ -700,24 +695,16 @@ impl TimePetriNet {
         }
     }
 
-    /// Packed counterpart of [`firing_domain`](Self::firing_domain).
-    pub fn firing_domain_packed(
-        &self,
-        state: &[u32],
-        t: TransitionId,
-    ) -> Option<(Time, TimeBound)> {
-        if !self.is_enabled_packed(state, t) {
-            return None;
-        }
-        let dlb = self.transitions[t.index()]
-            .interval
-            .dynamic_lower_bound(self.layout().clock(state, t));
-        Some((dlb, self.min_dynamic_upper_bound_packed(state)))
-    }
-
     /// Packed counterpart of [`fire_unchecked`](Self::fire_unchecked):
-    /// fires `t` after `delay` time units from the packed `src` state into
-    /// the caller's `dst` scratch buffer, allocating nothing.
+    /// fires `t` after `delay` time units from the packed `src` state,
+    /// whose enabled set is `src_enabled`, into the caller's `dst` scratch
+    /// buffer, and writes the successor's enabled set into `dst_enabled`.
+    /// Allocates nothing once `dst_enabled` has its size.
+    ///
+    /// The successor's set is the parent's with only the transitions
+    /// next to `pre(t) ∪ post(t)` re-tested; every other transition's
+    /// input places kept their tokens. Debug builds cross-check it
+    /// against [`enabled_into`](Self::enabled_into).
     ///
     /// Like `fire_unchecked`, fireability and the firing domain are *not*
     /// validated — explorers enumerate only legal labels.
@@ -726,13 +713,22 @@ impl TimePetriNet {
     ///
     /// Panics if `t` is not enabled in `src` (token removal underflows) or
     /// the buffer lengths do not match the layout.
-    pub fn fire_into(&self, src: &[u32], t: TransitionId, delay: Time, dst: &mut [u32]) {
+    pub fn fire_into(
+        &self,
+        src: &[u32],
+        src_enabled: &[u64],
+        t: TransitionId,
+        delay: Time,
+        dst: &mut [u32],
+        dst_enabled: &mut Vec<u64>,
+    ) {
         let layout = self.layout();
         assert_eq!(src.len(), layout.words(), "source length mismatch");
         assert_eq!(dst.len(), layout.words(), "destination length mismatch");
 
         // 1. Token flow: m'(p) = m(p) − W(p,t) + W(t,p).
-        dst[..self.places.len()].copy_from_slice(&src[..self.places.len()]);
+        let places = self.places.len();
+        dst[..places].copy_from_slice(&src[..places]);
         for &(p, w) in &self.pre[t.index()] {
             let slot = &mut dst[p.index()];
             *slot = slot
@@ -744,18 +740,41 @@ impl TimePetriNet {
             *slot = slot.checked_add(w).expect("token count overflow");
         }
 
-        // 2. Clocks: zero for the disabled (normalization), the fired and
-        // the newly enabled; advance by `delay` for the persistent.
-        for k in 0..self.transitions.len() {
-            let tk = TransitionId::from_index(k);
-            let persistent =
-                tk != t && self.is_enabled_packed(dst, tk) && self.is_enabled_packed(src, tk);
-            let clock = if persistent {
-                layout.clock(src, tk) + delay
+        // 2. ET(m'): the parent's set, re-tested where tokens moved.
+        dst_enabled.clear();
+        dst_enabled.extend_from_slice(src_enabled);
+        for &k in &self.affected[t.index()] {
+            let bit = 1u64 << (k.index() % 64);
+            if self.is_enabled_packed(dst, k) {
+                dst_enabled[k.index() / 64] |= bit;
             } else {
-                0
-            };
-            layout.set_clock(dst, tk, clock);
+                dst_enabled[k.index() / 64] &= !bit;
+            }
+        }
+        debug_assert_eq!(
+            *dst_enabled,
+            {
+                let mut scanned = Vec::new();
+                self.enabled_into(dst, &mut scanned);
+                scanned
+            },
+            "the carried enabled set drifted from a full scan"
+        );
+
+        // 3. Clocks: zero for the disabled (normalization), the fired and
+        // the newly enabled; advance by `delay` for the persistent, those
+        // enabled before and after other than `t`.
+        dst[places..].fill(0);
+        for (w, (&before, &after)) in src_enabled.iter().zip(dst_enabled.iter()).enumerate() {
+            let mut persistent = before & after;
+            if w == t.index() / 64 {
+                persistent &= !(1u64 << (t.index() % 64));
+            }
+            while persistent != 0 {
+                let tk = TransitionId::from_index(w * 64 + persistent.trailing_zeros() as usize);
+                persistent &= persistent - 1;
+                layout.set_clock(dst, tk, layout.clock(src, tk) + delay);
+            }
         }
     }
 }
@@ -763,6 +782,7 @@ impl TimePetriNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::por::test_bit;
 
     /// The classic 2-transition conflict: one token, two consumers with
     /// different intervals and priorities.
@@ -1019,35 +1039,61 @@ mod tests {
         let s0 = net.initial_state();
 
         assert!(net.is_enabled_packed(&packed, fast));
-        assert_eq!(
-            net.min_dynamic_upper_bound_packed(&packed),
-            net.min_dynamic_upper_bound(&s0)
-        );
-        let mut fireable = Vec::new();
-        net.fireable_into(&packed, &mut fireable);
-        assert_eq!(fireable, net.fireable(&s0));
-        assert_eq!(
-            net.firing_domain_packed(&packed, fast),
-            net.firing_domain(&s0, fast)
-        );
-        assert_eq!(
-            net.firing_domain_packed(&packed, slow),
-            net.firing_domain(&s0, slow)
-        );
+        let mut enabled = Vec::new();
+        net.enabled_into(&packed, &mut enabled);
+        assert_eq!(enabled, vec![0b11], "both conflict partners are enabled");
+        let mut domains = Vec::new();
+        net.fireable_domains_into(&packed, &enabled, &mut domains);
+        let (dlb, upper) = net.firing_domain(&s0, fast).unwrap();
+        assert_eq!(domains, vec![(fast, dlb, upper)]);
+        assert_eq!(net.fireable(&s0), vec![fast]);
 
         let mut successor = vec![0u32; layout.words()];
-        net.fire_into(&packed, fast, 3, &mut successor);
+        let mut successor_enabled = Vec::new();
+        net.fire_into(
+            &packed,
+            &enabled,
+            fast,
+            3,
+            &mut successor,
+            &mut successor_enabled,
+        );
         assert_eq!(layout.unpack(&successor), net.fire_unchecked(&s0, fast, 3));
+        assert!(!test_bit(&successor_enabled, slow.index()));
+        assert_eq!(successor_enabled, vec![0]);
     }
 
     #[test]
-    fn fireable_into_reuses_the_buffer() {
+    fn fireable_domains_into_reuses_the_buffer() {
         let (net, fast, _) = conflict_net();
         let mut packed = vec![0u32; net.layout().words()];
         net.write_initial_packed(&mut packed);
-        let mut buffer = vec![TransitionId::from_index(9); 4];
-        net.fireable_into(&packed, &mut buffer);
-        assert_eq!(buffer, vec![fast], "buffer is cleared before filling");
+        let mut enabled = vec![u64::MAX; 3];
+        net.enabled_into(&packed, &mut enabled);
+        assert_eq!(enabled.len(), 1, "the set is resized to the net");
+        let mut buffer = vec![(TransitionId::from_index(9), 0, TimeBound::Infinite); 4];
+        net.fireable_domains_into(&packed, &enabled, &mut buffer);
+        assert_eq!(buffer.len(), 1, "buffer is cleared before filling");
+        assert_eq!(buffer[0].0, fast);
+    }
+
+    #[test]
+    fn affected_covers_the_consumers_next_to_a_firing() {
+        let mut b = TpnBuilder::new("affected");
+        let p = b.place_with_tokens("p", 1);
+        let q = b.place("q");
+        let r = b.place_with_tokens("r", 1);
+        let t = b.transition("t", TimeInterval::immediate());
+        let u = b.transition("u", TimeInterval::immediate());
+        let v = b.transition("v", TimeInterval::immediate());
+        b.arc_place_to_transition(p, t, 1);
+        b.arc_transition_to_place(t, q, 1);
+        b.arc_place_to_transition(q, u, 1);
+        b.arc_place_to_transition(r, v, 1);
+        let net = b.build().unwrap();
+        assert_eq!(net.affected[t.index()], vec![t, u]);
+        assert_eq!(net.affected[u.index()], vec![u]);
+        assert_eq!(net.affected[v.index()], vec![v]);
     }
 
     #[test]
@@ -1063,10 +1109,13 @@ mod tests {
         let layout = net.layout();
         let mut packed = vec![0u32; layout.words()];
         let mut next = vec![0u32; layout.words()];
+        let (mut enabled, mut next_enabled) = (Vec::new(), Vec::new());
         net.write_initial_packed(&mut packed);
-        net.fire_into(&packed, ta, 3, &mut next);
+        net.enabled_into(&packed, &mut enabled);
+        net.fire_into(&packed, &enabled, ta, 3, &mut next, &mut next_enabled);
         assert_eq!(layout.clock(&next, tb), 3, "tb stayed enabled");
         assert_eq!(layout.clock(&next, ta), 0, "ta disabled; normalized");
+        assert!(test_bit(&next_enabled, tb.index()) && !test_bit(&next_enabled, ta.index()));
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! successors are generated into reusable scratch buffers with
 //! [`TimePetriNet::fire_into`], and set membership is integer arithmetic
 //! over [`StateId`]s — no heap allocation per successor in the steady
-//! state.
+//! state. Walkers carry each state's enabled set (a transition bitmask)
+//! beside its id: it is scanned once at the start state
+//! ([`Explorer::enabled_into`]) and derived from the parent's set on every
+//! firing after that.
 //!
 //! The value-typed [`successors`] function remains as the ergonomic
 //! boundary API for small-scale semantic checks and property tests.
@@ -99,6 +102,10 @@ pub fn expand_delay_labels(
 /// exactly once no matter how many paths reach it, and every consumer
 /// (DFS, BFS, replay) shares identical TLTS semantics.
 ///
+/// Enabled sets are not interned: the caller keeps each state's set next
+/// to its id and passes it in, and every firing hands back the
+/// successor's set.
+///
 /// # Examples
 ///
 /// ```
@@ -115,9 +122,12 @@ pub fn expand_delay_labels(
 ///
 /// let mut explorer = Explorer::new(&net);
 /// let s0 = explorer.intern_initial();
-/// let mut successors = Vec::new();
-/// explorer.successors_into(s0, DelayMode::Earliest, &mut successors);
+/// let mut enabled = Vec::new();
+/// explorer.enabled_into(s0, &mut enabled);
+/// let (mut successors, mut sets) = (Vec::new(), Vec::new());
+/// explorer.successors_into(s0, &enabled, DelayMode::Earliest, &mut successors, &mut sets);
 /// let (firing, next, fresh) = successors[0];
+/// assert_eq!(sets, enabled, "the loop keeps `t` enabled");
 /// assert_eq!(firing.delay(), 1);
 /// assert_eq!(next, s0, "the self-loop dedups back to the initial state");
 /// assert!(!fresh);
@@ -131,6 +141,8 @@ pub struct Explorer<'net> {
     arena: StateArena,
     /// Scratch buffer `fire_into` writes successors into.
     successor: Vec<u32>,
+    /// Scratch buffer for the successor's enabled set.
+    successor_enabled: Vec<u64>,
     /// Scratch buffer for the fireable set with firing domains.
     domains: Vec<(TransitionId, Time, TimeBound)>,
     /// Scratch buffer for the expanded labels.
@@ -146,6 +158,7 @@ impl<'net> Explorer<'net> {
             layout,
             arena: StateArena::new(layout),
             successor: vec![0; layout.words()],
+            successor_enabled: Vec::new(),
             domains: Vec::new(),
             labels: Vec::new(),
         }
@@ -189,61 +202,86 @@ impl<'net> Explorer<'net> {
         self.arena.intern(&self.successor)
     }
 
-    /// Computes the fireable set `FT(s)` of an interned state into the
-    /// caller's reusable buffer.
-    pub fn fireable_into(&self, id: StateId, out: &mut Vec<TransitionId>) {
-        self.net.fireable_into(self.arena.get(id), out);
+    /// Writes the enabled set of an interned state into `out` — the one
+    /// full scan (see [`TimePetriNet::enabled_into`]), for start states
+    /// that have no parent set to derive theirs from.
+    pub fn enabled_into(&self, id: StateId, out: &mut Vec<u64>) {
+        self.net.enabled_into(self.arena.get(id), out);
     }
 
-    /// Computes the fireable set of an interned state together with the
-    /// firing domains, `(t, DLB(t), min DUB)` triples, in one pass over
-    /// the net (see [`TimePetriNet::fireable_domains_into`]).
+    /// Computes the fireable set of an interned state, whose enabled set
+    /// is `enabled`, together with the firing domains, `(t, DLB(t),
+    /// min DUB)` triples (see [`TimePetriNet::fireable_domains_into`]).
     pub fn fireable_domains_into(
         &self,
         id: StateId,
+        enabled: &[u64],
         out: &mut Vec<(TransitionId, Time, TimeBound)>,
     ) {
-        self.net.fireable_domains_into(self.arena.get(id), out);
+        self.net
+            .fireable_domains_into(self.arena.get(id), enabled, out);
     }
 
-    /// The firing domain `FD_s(t)` of an interned state, or `None` when
-    /// `t` is disabled.
-    pub fn firing_domain(&self, id: StateId, t: TransitionId) -> Option<(Time, TimeBound)> {
-        self.net.firing_domain_packed(self.arena.get(id), t)
-    }
-
-    /// Fires `t` after `delay` from the interned state `from`, interning
-    /// the successor. Returns its id and whether it is a fresh state.
+    /// Fires `t` after `delay` from the interned state `from`, whose
+    /// enabled set is `enabled`, interning the successor and writing its
+    /// enabled set into `successor_enabled`. Returns the successor's id
+    /// and whether it is a fresh state.
     ///
     /// Like [`TimePetriNet::fire_unchecked`], legality of the label is not
     /// re-validated.
-    pub fn fire(&mut self, from: StateId, t: TransitionId, delay: Time) -> (StateId, bool) {
-        self.net
-            .fire_into(self.arena.get(from), t, delay, &mut self.successor);
+    pub fn fire(
+        &mut self,
+        from: StateId,
+        enabled: &[u64],
+        t: TransitionId,
+        delay: Time,
+        successor_enabled: &mut Vec<u64>,
+    ) -> (StateId, bool) {
+        self.net.fire_into(
+            self.arena.get(from),
+            enabled,
+            t,
+            delay,
+            &mut self.successor,
+            successor_enabled,
+        );
         self.arena.intern(&self.successor)
     }
 
-    /// Enumerates the successor edges of an interned state under `mode`
-    /// into the caller's reusable buffer (cleared first).
+    /// Enumerates the successor edges of an interned state, whose enabled
+    /// set is `enabled`, under `mode` into the caller's reusable buffer
+    /// (cleared first). The successors' enabled sets go to `sets`
+    /// (cleared first), back to back in edge order, `enabled.len()` words
+    /// each.
     ///
     /// Every edge is legal with respect to `FT(s)` and `FD_s(t)`; the
     /// buffer is left empty exactly when the state is a deadlock. Edge
     /// order matches the value-typed [`successors`]: ascending transition
     /// id, then ascending delay.
-    pub fn successors_into(&mut self, id: StateId, mode: DelayMode, out: &mut Vec<SuccessorEdge>) {
+    pub fn successors_into(
+        &mut self,
+        id: StateId,
+        enabled: &[u64],
+        mode: DelayMode,
+        out: &mut Vec<SuccessorEdge>,
+        sets: &mut Vec<u64>,
+    ) {
         out.clear();
+        sets.clear();
         let mut domains = std::mem::take(&mut self.domains);
         let mut labels = std::mem::take(&mut self.labels);
-        self.net
-            .fireable_domains_into(self.arena.get(id), &mut domains);
+        let mut successor_enabled = std::mem::take(&mut self.successor_enabled);
+        self.fireable_domains_into(id, enabled, &mut domains);
         labels.clear();
         expand_delay_labels(mode, &domains, &mut labels);
         for &(t, q) in &labels {
-            let (next, fresh) = self.fire(id, t, q);
+            let (next, fresh) = self.fire(id, enabled, t, q, &mut successor_enabled);
             out.push((Firing::new(t, q), next, fresh));
+            sets.extend_from_slice(&successor_enabled);
         }
         self.domains = domains;
         self.labels = labels;
+        self.successor_enabled = successor_enabled;
     }
 }
 
@@ -308,7 +346,9 @@ pub fn explore(
     let _span = ezrt_obs::span("explore");
     let mut explorer = Explorer::new(net);
     let mut queue: VecDeque<(StateId, usize)> = VecDeque::new();
-    let mut edges: Vec<SuccessorEdge> = Vec::new();
+    // The queued states' enabled sets, back to back in queue order.
+    let mut queued_sets: VecDeque<u64> = VecDeque::new();
+    let (mut enabled, mut edges, mut sets) = (Vec::new(), Vec::new(), Vec::new());
     let mut report = ReachabilityReport {
         states_visited: 0,
         edges: 0,
@@ -319,20 +359,25 @@ pub fn explore(
 
     let s0 = explorer.intern_initial();
     track_tokens(&mut report, &explorer, s0);
+    explorer.enabled_into(s0, &mut enabled);
+    let set_words = enabled.len();
     queue.push_back((s0, 0));
+    queued_sets.extend(&enabled);
     report.states_visited = 1;
 
     while let Some((id, depth)) = queue.pop_front() {
+        enabled.clear();
+        enabled.extend(queued_sets.drain(..set_words));
         if depth >= limits.max_depth {
             report.truncated = true;
             continue;
         }
-        explorer.successors_into(id, mode, &mut edges);
+        explorer.successors_into(id, &enabled, mode, &mut edges, &mut sets);
         if edges.is_empty() {
             report.deadlocks += 1;
             continue;
         }
-        for &(_, next, fresh) in &edges {
+        for (&(_, next, fresh), set) in edges.iter().zip(sets.chunks_exact(set_words)) {
             report.edges += 1;
             if !fresh {
                 continue;
@@ -344,6 +389,7 @@ pub fn explore(
             track_tokens(&mut report, &explorer, next);
             report.states_visited += 1;
             queue.push_back((next, depth + 1));
+            queued_sets.extend(set);
         }
     }
     report
@@ -468,9 +514,11 @@ mod tests {
         let net = diamond();
         let mut explorer = Explorer::new(&net);
         let s0 = explorer.intern_initial();
+        let (mut enabled, mut sets) = (Vec::new(), Vec::new());
+        explorer.enabled_into(s0, &mut enabled);
         for mode in [DelayMode::Earliest, DelayMode::Corners, DelayMode::Full] {
             let mut packed_edges = Vec::new();
-            explorer.successors_into(s0, mode, &mut packed_edges);
+            explorer.successors_into(s0, &enabled, mode, &mut packed_edges, &mut sets);
             let value_edges = successors(&net, &net.initial_state(), mode);
             assert_eq!(packed_edges.len(), value_edges.len());
             for ((firing_p, next_p, _), (firing_v, next_v)) in packed_edges.iter().zip(&value_edges)
@@ -486,9 +534,11 @@ mod tests {
         let net = diamond();
         let mut explorer = Explorer::new(&net);
         let s0 = explorer.intern_initial();
+        let (mut enabled, mut left) = (Vec::new(), Vec::new());
+        explorer.enabled_into(s0, &mut enabled);
         let tl = net.transition_id("tl").unwrap();
-        let (left_a, fresh_a) = explorer.fire(s0, tl, 0);
-        let (left_b, fresh_b) = explorer.fire(s0, tl, 0);
+        let (left_a, fresh_a) = explorer.fire(s0, &enabled, tl, 0, &mut left);
+        let (left_b, fresh_b) = explorer.fire(s0, &enabled, tl, 0, &mut left);
         assert!(fresh_a);
         assert!(!fresh_b);
         assert_eq!(left_a, left_b);
@@ -503,11 +553,13 @@ mod tests {
         let value = explorer.unpack(s0);
         assert_eq!(value, net.initial_state());
         assert_eq!(explorer.intern_state(&value), (s0, false));
-        let mut fireable = Vec::new();
-        explorer.fireable_into(s0, &mut fireable);
+        let (mut enabled, mut domains) = (Vec::new(), Vec::new());
+        explorer.enabled_into(s0, &mut enabled);
+        explorer.fireable_domains_into(s0, &enabled, &mut domains);
+        let fireable: Vec<_> = domains.iter().map(|&(t, _, _)| t).collect();
         assert_eq!(fireable, net.fireable(&value));
-        for &t in &fireable {
-            assert_eq!(explorer.firing_domain(s0, t), net.firing_domain(&value, t));
+        for &(t, dlb, upper) in &domains {
+            assert_eq!(Some((dlb, upper)), net.firing_domain(&value, t));
         }
     }
 }

@@ -1,11 +1,15 @@
 //! Packed-kernel oracles: the packed firing/enumeration API must agree
-//! with the value-typed boundary API on arbitrary nets, and the delay
+//! with the value-typed boundary API on arbitrary nets, the enabled sets
+//! it carries from state to state must equal full scans, and the delay
 //! modes must visit monotonically growing state spaces.
 
 use ezrt_compose::translate;
 use ezrt_spec::corpus::{figure3_spec, figure4_spec, figure8_spec, small_control};
+use ezrt_tpn::por::test_bit;
 use ezrt_tpn::reachability::{explore, successors, ExplorationLimits, Explorer};
-use ezrt_tpn::{DelayMode, StateLayout, TimeInterval, TimePetriNet, TpnBuilder};
+use ezrt_tpn::{
+    DelayMode, StateLayout, TimeBound, TimeInterval, TimePetriNet, TpnBuilder, TransitionId,
+};
 use proptest::prelude::*;
 
 /// A compact random-net description that is always well-formed.
@@ -179,10 +183,11 @@ proptest! {
         let mut explorer = Explorer::new(&net);
         let mut id = explorer.intern_initial();
         let mut state = net.initial_state();
-        let mut edges = Vec::new();
+        let (mut enabled, mut edges, mut sets) = (Vec::new(), Vec::new(), Vec::new());
+        explorer.enabled_into(id, &mut enabled);
         for choice in choices {
             for mode in MODES {
-                explorer.successors_into(id, mode, &mut edges);
+                explorer.successors_into(id, &enabled, mode, &mut edges, &mut sets);
                 let value_edges = successors(&net, &state, mode);
                 prop_assert_eq!(edges.len(), value_edges.len());
                 for ((firing_p, next_p, _), (firing_v, next_v)) in
@@ -192,13 +197,14 @@ proptest! {
                     prop_assert_eq!(&explorer.unpack(*next_p), next_v);
                 }
             }
-            explorer.successors_into(id, DelayMode::Full, &mut edges);
+            explorer.successors_into(id, &enabled, DelayMode::Full, &mut edges, &mut sets);
             if edges.is_empty() {
                 break; // deadlock
             }
             let pick = choice.index(edges.len());
             let (firing, next_id, _) = edges[pick];
             id = next_id;
+            enabled = sets.chunks_exact(enabled.len()).nth(pick).expect("one set per edge").to_vec();
             state = net.fire_unchecked(&state, firing.transition(), firing.delay());
         }
     }
@@ -225,7 +231,8 @@ proptest! {
         let layout = StateLayout::of(&net);
         let mut explorer = Explorer::new(&net);
         let mut id = explorer.intern_initial();
-        let mut edges = Vec::new();
+        let (mut enabled, mut edges, mut sets) = (Vec::new(), Vec::new(), Vec::new());
+        explorer.enabled_into(id, &mut enabled);
         for choice in choices {
             let value = explorer.unpack(id);
             let mut packed = vec![0u32; layout.words()];
@@ -233,11 +240,72 @@ proptest! {
             prop_assert_eq!(&packed[..], explorer.state(id));
             prop_assert_eq!(explorer.intern_state(&value), (id, false));
 
-            explorer.successors_into(id, DelayMode::Earliest, &mut edges);
+            explorer.successors_into(id, &enabled, DelayMode::Earliest, &mut edges, &mut sets);
             if edges.is_empty() {
                 break;
             }
-            id = edges[choice.index(edges.len())].1;
+            let pick = choice.index(edges.len());
+            id = edges[pick].1;
+            enabled = sets.chunks_exact(enabled.len()).nth(pick).expect("one set per edge").to_vec();
+        }
+    }
+
+    /// Along random walks on random nets, the enabled set `fire_into`
+    /// carries from state to state equals a full scan of each state and
+    /// the value API's `ET(m)`; the one-pass fireable domains equal
+    /// `FT(s)`, `FD_s(t)` and `min DUB`; and every packed successor
+    /// equals `fire_unchecked`.
+    #[test]
+    fn carried_enabled_sets_match_full_scans(
+        desc in random_net_strategy(),
+        choices in prop::collection::vec((any::<prop::sample::Index>(), 0u64..4), 16),
+    ) {
+        let net = build(&desc);
+        let layout = net.layout();
+        let mut words = vec![0u32; layout.words()];
+        let mut next = vec![0u32; layout.words()];
+        net.write_initial_packed(&mut words);
+        let mut state = net.initial_state();
+        let (mut enabled, mut next_enabled) = (Vec::new(), Vec::new());
+        let (mut scanned, mut domains) = (Vec::new(), Vec::new());
+        net.enabled_into(&words, &mut enabled);
+        for (choice, extra) in choices {
+            net.enabled_into(&words, &mut scanned);
+            prop_assert_eq!(&enabled, &scanned);
+            let members: Vec<TransitionId> = net
+                .transitions()
+                .map(|(t, _)| t)
+                .filter(|t| test_bit(&enabled, t.index()))
+                .collect();
+            prop_assert_eq!(&members, &net.enabled(state.marking()));
+
+            net.fireable_domains_into(&words, &enabled, &mut domains);
+            let fireable: Vec<TransitionId> = domains.iter().map(|&(t, _, _)| t).collect();
+            prop_assert_eq!(fireable, net.fireable(&state));
+            for &(t, dlb, upper) in &domains {
+                prop_assert_eq!(Some((dlb, upper)), net.firing_domain(&state, t));
+                prop_assert_eq!(upper, net.min_dynamic_upper_bound(&state));
+            }
+            for (t, _) in net.transitions() {
+                prop_assert_eq!(
+                    net.firing_domain(&state, t).is_some(),
+                    test_bit(&enabled, t.index())
+                );
+            }
+
+            if domains.is_empty() {
+                break; // deadlock
+            }
+            let (t, dlb, upper) = domains[choice.index(domains.len())];
+            let delay = match upper {
+                TimeBound::Finite(ub) => dlb + extra.min(ub - dlb),
+                TimeBound::Infinite => dlb + extra,
+            };
+            net.fire_into(&words, &enabled, t, delay, &mut next, &mut next_enabled);
+            state = net.fire_unchecked(&state, t, delay);
+            prop_assert_eq!(&layout.unpack(&next), &state);
+            std::mem::swap(&mut words, &mut next);
+            std::mem::swap(&mut enabled, &mut next_enabled);
         }
     }
 }

@@ -174,12 +174,14 @@ pub fn compute_outcome_incremental(
 }
 
 /// Packages a synthesis verdict for the cache. The replay verdict is the
-/// one the synthesis already computed; nothing is replayed here.
+/// one the synthesis already computed; nothing is replayed here. Traced
+/// as one `package` span, which holds the report fields' `validate`.
 fn package(
     project: &Project,
     digest: SpecDigest,
     result: Result<ezrt_core::Outcome, SynthesizeError>,
 ) -> SynthesisOutcome {
+    let _span = ezrt_obs::span("package");
     match result {
         Ok(outcome) => {
             let fields = report::success_fields(&digest, project, &outcome);

@@ -40,6 +40,11 @@ impl Slice {
 /// The task-level execution timeline reconstructed from a feasible
 /// firing schedule.
 ///
+/// Besides its slices, a timeline keeps one summary per executed
+/// instance, built once on construction, so the per-instance queries
+/// ([`instance_start`](Self::instance_start) and its siblings) are a
+/// binary search rather than a scan of every slice.
+///
 /// # Examples
 ///
 /// ```
@@ -63,7 +68,55 @@ impl Slice {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Timeline {
     slices: Vec<Slice>,
+    /// One span per executed instance, sorted by `(task, instance)`: the
+    /// index behind the `instance_*` queries.
+    spans: Vec<InstanceSpan>,
     hyperperiod: Time,
+}
+
+/// The summary of one executed instance's slices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct InstanceSpan {
+    task: TaskId,
+    instance: u64,
+    /// The start of its first slice.
+    start: Time,
+    /// The end of its last slice.
+    end: Time,
+    /// Total processor time of its slices.
+    executed: Time,
+    /// Number of its slices.
+    slices: usize,
+}
+
+impl InstanceSpan {
+    fn of(slice: &Slice) -> Self {
+        InstanceSpan {
+            task: slice.task,
+            instance: slice.instance,
+            start: slice.start,
+            end: slice.end,
+            executed: slice.duration(),
+            slices: 1,
+        }
+    }
+
+    fn key(&self) -> (TaskId, u64) {
+        (self.task, self.instance)
+    }
+
+    /// Folds `other` into `self` when both summarize the same instance;
+    /// returns whether it did.
+    fn fold(&mut self, other: &InstanceSpan) -> bool {
+        if self.key() != other.key() {
+            return false;
+        }
+        self.start = self.start.min(other.start);
+        self.end = self.end.max(other.end);
+        self.executed += other.executed;
+        self.slices += other.slices;
+        true
+    }
 }
 
 impl Timeline {
@@ -74,8 +127,12 @@ impl Timeline {
     pub fn from_slices(slices: impl IntoIterator<Item = Slice>, hyperperiod: Time) -> Self {
         let mut slices: Vec<Slice> = slices.into_iter().collect();
         slices.sort_by_key(|s| (s.start, s.processor, s.task));
+        let mut spans: Vec<InstanceSpan> = slices.iter().map(InstanceSpan::of).collect();
+        spans.sort_unstable_by_key(InstanceSpan::key);
+        spans.dedup_by(|next, kept| kept.fold(next));
         Timeline {
             slices,
+            spans,
             hyperperiod,
         }
     }
@@ -133,16 +190,21 @@ impl Timeline {
                 _ => merged.push(slice),
             }
         }
-        // Resumed flags: every slice of an instance after its first.
-        let mut previous: Option<(TaskId, u64)> = None;
+        // Resumed flags: every slice of an instance after its first. The
+        // same pass, still in `(task, instance)` order, builds the index.
+        let mut spans: Vec<InstanceSpan> = Vec::with_capacity(merged.len());
         for slice in &mut merged {
-            slice.resumed = previous == Some((slice.task, slice.instance));
-            previous = Some((slice.task, slice.instance));
+            let span = InstanceSpan::of(slice);
+            slice.resumed = spans.last_mut().is_some_and(|last| last.fold(&span));
+            if !slice.resumed {
+                spans.push(span);
+            }
         }
         merged.sort_by_key(|s| (s.start, s.processor, s.task));
 
         Timeline {
             slices: merged,
+            spans,
             hyperperiod: spec.hyperperiod(),
         }
     }
@@ -162,29 +224,34 @@ impl Timeline {
         self.slices.iter().filter(move |s| s.task == task)
     }
 
+    /// The index entry of `(task, instance)`, if it executed at all.
+    fn span(&self, task: TaskId, instance: u64) -> Option<&InstanceSpan> {
+        self.spans
+            .binary_search_by_key(&(task, instance), InstanceSpan::key)
+            .ok()
+            .map(|at| &self.spans[at])
+    }
+
     /// The start of the first slice of `(task, instance)`.
     pub fn instance_start(&self, task: TaskId, instance: u64) -> Option<Time> {
-        self.slices_of(task)
-            .filter(|s| s.instance == instance)
-            .map(|s| s.start)
-            .min()
+        self.span(task, instance).map(|s| s.start)
     }
 
     /// The end of the last slice of `(task, instance)` — its completion
     /// time.
     pub fn instance_completion(&self, task: TaskId, instance: u64) -> Option<Time> {
-        self.slices_of(task)
-            .filter(|s| s.instance == instance)
-            .map(|s| s.end)
-            .max()
+        self.span(task, instance).map(|s| s.end)
     }
 
     /// Total processor time given to `(task, instance)`.
     pub fn instance_execution(&self, task: TaskId, instance: u64) -> Time {
-        self.slices_of(task)
-            .filter(|s| s.instance == instance)
-            .map(Slice::duration)
-            .sum()
+        self.span(task, instance).map_or(0, |s| s.executed)
+    }
+
+    /// The number of slices `(task, instance)` executed in: 1 for an
+    /// instance that ran uninterrupted, 0 for one that never ran.
+    pub fn instance_slice_count(&self, task: TaskId, instance: u64) -> usize {
+        self.span(task, instance).map_or(0, |s| s.slices)
     }
 
     /// Number of preemptions: slices that resume an earlier-started

@@ -161,8 +161,9 @@ impl fmt::Display for ScheduleViolation {
 }
 
 /// Checks `timeline` against `spec`, returning every violation found
-/// (empty means the schedule is valid).
+/// (empty means the schedule is valid). Traced as one `validate` span.
 pub fn check(spec: &EzSpec, timeline: &Timeline) -> Vec<ScheduleViolation> {
+    let _span = ezrt_obs::span("validate");
     let mut violations = Vec::new();
     check_instances(spec, timeline, &mut violations);
     check_processor_overlap(spec, timeline, &mut violations);
@@ -214,10 +215,7 @@ fn check_instances(spec: &EzSpec, timeline: &Timeline, out: &mut Vec<ScheduleVio
                 });
             }
             if info.method() == SchedulingMethod::NonPreemptive {
-                let slices = timeline
-                    .slices_of(task)
-                    .filter(|s| s.instance == instance)
-                    .count();
+                let slices = timeline.instance_slice_count(task, instance);
                 if slices != 1 {
                     out.push(ScheduleViolation::FragmentedNonPreemptive {
                         task: name(spec, task),
@@ -325,9 +323,10 @@ fn check_messages(spec: &EzSpec, timeline: &Timeline, out: &mut Vec<ScheduleViol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{synthesize, SchedulerConfig, Timeline};
+    use crate::{synthesize, SchedulerConfig, Slice, Timeline};
     use ezrt_compose::translate;
     use ezrt_spec::corpus::{figure3_spec, figure4_spec, figure8_spec, small_control};
+    use ezrt_spec::SpecBuilder;
 
     fn checked(spec: &EzSpec) -> Vec<ScheduleViolation> {
         let tasknet = translate(spec);
@@ -371,6 +370,212 @@ mod tests {
             .filter(|v| matches!(v, ScheduleViolation::WrongExecutionTime { .. }))
             .count();
         assert_eq!(wrong_exec as u64, spec.total_instances());
+    }
+
+    /// A slice of `task`'s `instance` on the task's own processor.
+    fn slice(spec: &EzSpec, task: &str, instance: u64, start: Time, end: Time) -> Slice {
+        let task = spec.task_id(task).expect("fixture task");
+        Slice {
+            task,
+            instance,
+            processor: spec.task(task).processor(),
+            start,
+            end,
+            resumed: false,
+        }
+    }
+
+    /// `slice`, marked as resuming an earlier slice of its instance.
+    fn resumed(spec: &EzSpec, task: &str, instance: u64, start: Time, end: Time) -> Slice {
+        Slice {
+            resumed: true,
+            ..slice(spec, task, instance, start, end)
+        }
+    }
+
+    /// Checks hand-built `slices` against `spec`.
+    fn fixture(spec: &EzSpec, slices: Vec<Slice>) -> Vec<ScheduleViolation> {
+        check(spec, &Timeline::from_slices(slices, spec.hyperperiod()))
+    }
+
+    #[test]
+    fn a_start_before_the_release_is_reported() {
+        let spec = SpecBuilder::new("early")
+            .task("a", |t| t.release(2).computation(2).deadline(8).period(10))
+            .build()
+            .unwrap();
+        assert_eq!(
+            fixture(&spec, vec![slice(&spec, "a", 0, 1, 3)]),
+            vec![ScheduleViolation::StartedTooEarly {
+                task: "a".into(),
+                instance: 0,
+                start: 1,
+                earliest: 2,
+            }]
+        );
+    }
+
+    #[test]
+    fn a_completion_after_the_deadline_is_reported() {
+        // The second instance of `a` (arrival 10, deadline 14) ends at
+        // 15; the first is on time.
+        let spec = SpecBuilder::new("late")
+            .task("a", |t| t.computation(2).deadline(4).period(10))
+            .task("b", |t| t.computation(1).deadline(20).period(20))
+            .build()
+            .unwrap();
+        let slices = vec![
+            slice(&spec, "a", 0, 0, 2),
+            slice(&spec, "b", 0, 2, 3),
+            slice(&spec, "a", 1, 13, 15),
+        ];
+        assert_eq!(
+            fixture(&spec, slices),
+            vec![ScheduleViolation::DeadlineMissed {
+                task: "a".into(),
+                instance: 1,
+                completion: 15,
+                deadline: 14,
+            }]
+        );
+    }
+
+    #[test]
+    fn a_split_non_preemptive_instance_is_reported() {
+        let spec = SpecBuilder::new("split")
+            .task("a", |t| t.computation(3).deadline(10).period(10))
+            .task("b", |t| {
+                t.preemptive().computation(3).deadline(10).period(10)
+            })
+            .build()
+            .unwrap();
+        // Both run in two slices; only the non-preemptive one is wrong.
+        let slices = vec![
+            slice(&spec, "a", 0, 0, 1),
+            slice(&spec, "b", 0, 1, 2),
+            resumed(&spec, "a", 0, 2, 4),
+            resumed(&spec, "b", 0, 4, 6),
+        ];
+        assert_eq!(
+            fixture(&spec, slices),
+            vec![ScheduleViolation::FragmentedNonPreemptive {
+                task: "a".into(),
+                instance: 0,
+                slices: 2,
+            }]
+        );
+    }
+
+    #[test]
+    fn overlapping_slices_on_one_processor_are_reported() {
+        // `a` and `b` share the default processor and overlap at 1;
+        // `c` runs at the same time on a processor of its own.
+        let spec = SpecBuilder::new("overlap")
+            .processor("p0")
+            .processor("p1")
+            .task("a", |t| {
+                t.computation(2).deadline(10).period(10).on_processor("p0")
+            })
+            .task("b", |t| {
+                t.computation(2).deadline(10).period(10).on_processor("p0")
+            })
+            .task("c", |t| {
+                t.computation(3).deadline(10).period(10).on_processor("p1")
+            })
+            .build()
+            .unwrap();
+        let slices = vec![
+            slice(&spec, "a", 0, 0, 2),
+            slice(&spec, "b", 0, 1, 3),
+            slice(&spec, "c", 0, 0, 3),
+        ];
+        assert_eq!(
+            fixture(&spec, slices),
+            vec![ScheduleViolation::ProcessorOverlap {
+                first: "a".into(),
+                second: "b".into(),
+                at: 1,
+            }]
+        );
+    }
+
+    #[test]
+    fn a_successor_before_its_predecessor_is_reported() {
+        // Instance 0 keeps the order; instance 1 of `b` runs first.
+        let spec = SpecBuilder::new("order")
+            .task("a", |t| t.computation(2).deadline(10).period(10))
+            .task("b", |t| t.computation(2).deadline(10).period(10))
+            .task("slow", |t| t.computation(1).deadline(20).period(20))
+            .precedes("a", "b")
+            .build()
+            .unwrap();
+        let slices = vec![
+            slice(&spec, "a", 0, 0, 2),
+            slice(&spec, "b", 0, 2, 4),
+            slice(&spec, "slow", 0, 4, 5),
+            slice(&spec, "b", 1, 10, 12),
+            slice(&spec, "a", 1, 12, 14),
+        ];
+        assert_eq!(
+            fixture(&spec, slices),
+            vec![ScheduleViolation::PrecedenceViolated {
+                predecessor: "a".into(),
+                successor: "b".into(),
+                instance: 1,
+            }]
+        );
+    }
+
+    #[test]
+    fn interleaved_exclusive_windows_are_reported() {
+        // `b` runs inside the window of the preempted `a`.
+        let spec = SpecBuilder::new("exclusive")
+            .task("a", |t| {
+                t.preemptive().computation(2).deadline(10).period(10)
+            })
+            .task("b", |t| t.computation(2).deadline(10).period(10))
+            .excludes("a", "b")
+            .build()
+            .unwrap();
+        let slices = vec![
+            slice(&spec, "a", 0, 0, 1),
+            slice(&spec, "b", 0, 1, 3),
+            resumed(&spec, "a", 0, 3, 4),
+        ];
+        assert_eq!(
+            fixture(&spec, slices),
+            vec![ScheduleViolation::ExclusionViolated {
+                first: "a".into(),
+                second: "b".into(),
+            }]
+        );
+    }
+
+    #[test]
+    fn a_receiver_before_the_delivery_is_reported() {
+        // Sent at 2, delivered at 2 + 1 + 2 = 5, received at 3.
+        let spec = SpecBuilder::new("message")
+            .processor("tx")
+            .processor("rx")
+            .task("a", |t| {
+                t.computation(2).deadline(10).period(10).on_processor("tx")
+            })
+            .task("b", |t| {
+                t.computation(2).deadline(10).period(10).on_processor("rx")
+            })
+            .message("m", "a", "b", "bus", 1, 2)
+            .build()
+            .unwrap();
+        let slices = vec![slice(&spec, "a", 0, 0, 2), slice(&spec, "b", 0, 3, 5)];
+        assert_eq!(
+            fixture(&spec, slices),
+            vec![ScheduleViolation::MessageTooEarly {
+                message: "m".into(),
+                instance: 0,
+                start: 3,
+                delivered: 5,
+            }]
+        );
     }
 
     #[test]

@@ -617,8 +617,8 @@ fn keep_alive_connections_are_capped_per_connection() {
 
 #[test]
 fn overload_is_shed_with_503_retry_after() {
-    // One worker, a queue bound of one: while the worker chews on a
-    // slow synthesis, the first extra connection queues and the second
+    // One worker, a queue bound of one: while the worker is busy with
+    // one request, the first extra connection queues and the second
     // must be shed instead of queueing unboundedly.
     let server = server(ServerConfig {
         scheduler: ezrt_scheduler::SchedulerConfig {
@@ -632,9 +632,12 @@ fn overload_is_shed_with_503_retry_after() {
     let addr = server.addr();
     let xml = heavy_spec_xml();
 
-    // Occupy the single worker: the busy request is fully written
+    // Occupy the single worker: the busy request's head is written
     // before anything else connects, so the worker deterministically
-    // picks it (the oldest queued connection) and starts synthesizing.
+    // picks it (the oldest queued connection), and its body is held
+    // back until the shed is asserted, so the worker stays blocked on
+    // the read however fast the synthesis would be. The server waits
+    // up to its 10 s IO timeout for the body.
     let mut busy = TcpStream::connect(addr).expect("connect busy");
     busy.set_read_timeout(Some(Duration::from_secs(120)))
         .expect("read timeout");
@@ -643,7 +646,6 @@ fn overload_is_shed_with_503_retry_after() {
         xml.len()
     );
     busy.write_all(head.as_bytes()).expect("write busy head");
-    busy.write_all(xml.as_bytes()).expect("write busy body");
     std::thread::sleep(Duration::from_millis(300));
 
     // Fills the accept queue (the worker is busy, nobody pops).
@@ -660,6 +662,7 @@ fn overload_is_shed_with_503_retry_after() {
     assert!(close, "shed connections are closed");
     assert!(body.contains("accept queue full"), "{body}");
 
+    busy.write_all(xml.as_bytes()).expect("write busy body");
     drop(queued); // the worker will see EOF and move on
     let mut raw = String::new();
     busy.read_to_string(&mut raw).expect("busy response");

@@ -56,10 +56,14 @@ fn sequential_span_tree_structure_is_deterministic() {
     );
 }
 
-/// The number of `replay` spans anywhere under `node`.
-fn replay_spans(node: &SpanNode) -> u64 {
-    let own = if node.name == "replay" { node.count } else { 0 };
-    own + node.children.iter().map(replay_spans).sum::<u64>()
+/// The number of `name` spans anywhere under `node`.
+fn spans_named(node: &SpanNode, name: &str) -> u64 {
+    let own = if node.name == name { node.count } else { 0 };
+    own + node
+        .children
+        .iter()
+        .map(|child| spans_named(child, name))
+        .sum::<u64>()
 }
 
 /// Runs `synthesis` traced and returns its outcome with the number of
@@ -70,7 +74,8 @@ fn count_replays(synthesis: impl FnOnce() -> Outcome) -> (Outcome, u64) {
     let outcome = synthesis();
     ezrealtime::obs::set_tracing(false);
     let tree = ezrealtime::obs::drain_spans();
-    (outcome, tree.roots.iter().map(replay_spans).sum())
+    let replays = tree.roots.iter().map(|root| spans_named(root, "replay"));
+    (outcome, replays.sum())
 }
 
 /// The mine pump with the first `<tag>from</tag>` element set to `to`
@@ -122,6 +127,38 @@ fn each_feasible_result_is_replayed_once() {
     );
     assert!(warm.replay_ok);
     assert_eq!(replays, 1, "warm start, searched");
+}
+
+/// Packaging a result for the cache, and the validation behind its
+/// `violations` field, each get one span per feasible compile, so the
+/// report-field time is attributed rather than left in no span.
+#[test]
+fn each_feasible_compile_is_packaged_and_validated_once() {
+    let _turn = TRACING
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let document = std::fs::read_to_string(spec_path()).expect("read corpus spec");
+    let project = Project::from_dsl(&document).expect("corpus spec parses");
+    let digest = ezrealtime::artifacts::project_digest(&project);
+    ezrealtime::obs::drain_spans();
+    ezrealtime::obs::set_tracing(true);
+    let outcome = ezrealtime::artifacts::compute_outcome(&project, digest);
+    ezrealtime::obs::set_tracing(false);
+    let tree = ezrealtime::obs::drain_spans();
+    assert!(outcome.feasible);
+    let count = |name: &str| -> u64 { tree.roots.iter().map(|root| spans_named(root, name)).sum() };
+    assert_eq!(count("package"), 1, "{}", tree.structure());
+    assert_eq!(count("validate"), 1, "{}", tree.structure());
+    let package = tree
+        .roots
+        .iter()
+        .find(|root| root.name == "package")
+        .expect("package is a root span");
+    assert_eq!(
+        spans_named(package, "validate"),
+        1,
+        "validate sits in package"
+    );
 }
 
 #[test]

@@ -4,12 +4,12 @@
 //! Usage:
 //!
 //! ```text
-//! paper_tables [--exp t1|s5|f3|f4|f8|x4|xp|all]
+//! paper_tables [--exp t1|s5|f3|f4|f8|x4|all]
 //! ```
 
 use ezrt_compose::translate;
 use ezrt_core::Project;
-use ezrt_scheduler::{synthesize, synthesize_parallel, Parallelism, SchedulerConfig};
+use ezrt_scheduler::{synthesize, SchedulerConfig};
 use ezrt_sim::{simulate_online, OnlinePolicy};
 use ezrt_spec::corpus::{figure3_spec, figure4_spec, figure8_spec, mine_pump};
 use std::time::Instant;
@@ -30,7 +30,6 @@ fn main() {
         "f4" => figure_4(),
         "f8" => figure_8(),
         "x4" => experiment_x4(),
-        "xp" => experiment_xp(),
         "all" => {
             table_1();
             section_5();
@@ -38,10 +37,9 @@ fn main() {
             figure_4();
             figure_8();
             experiment_x4();
-            experiment_xp();
         }
         other => {
-            eprintln!("unknown experiment {other:?}; use t1|s5|f3|f4|f8|x4|xp|all");
+            eprintln!("unknown experiment {other:?}; use t1|s5|f3|f4|f8|x4|all");
             std::process::exit(2);
         }
     }
@@ -225,76 +223,6 @@ fn experiment_x4() {
             "  {:<6} {:>10}/{} {:>6}/{} {:>6}/{} {:>6}/{}",
             util, wins[0], n, wins[1], n, wins[2], n, wins[3], n
         );
-    }
-    println!();
-}
-
-/// Experiment XP: the parallel synthesis engine, one row per worker
-/// count. Every parallel-found schedule is re-checked through the
-/// net-semantics replay oracle before its row is printed. Wall time is
-/// the end-to-end metric; `visited` aggregates over all workers, so it
-/// grows with speculative exploration (first feasible schedule wins).
-fn experiment_xp() {
-    println!("== XP: parallel synthesis scaling (--jobs) ==");
-    println!(
-        "host: {} core(s) available",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    let workloads: Vec<(&str, ezrt_spec::EzSpec)> = vec![
-        ("mine pump", mine_pump()),
-        (
-            "10-task sweep (feasible)",
-            ezrt_bench::sweep_spec(10, ezrt_bench::SWEEP_FEASIBLE_SEED),
-        ),
-    ];
-    for (name, spec) in workloads {
-        let tasknet = translate(&spec);
-        let started = Instant::now();
-        let Ok(sequential) = synthesize(&tasknet, &SchedulerConfig::default()) else {
-            println!("{name}: sequential synthesis infeasible; skipping");
-            continue;
-        };
-        let sequential_wall = started.elapsed();
-        println!("{name}:");
-        println!(
-            "  {:<8} {:>12} {:>12} {:>10} {:>8} {:>8}",
-            "jobs", "wall (ms)", "visited", "speedup", "steals", "oracle"
-        );
-        println!(
-            "  {:<8} {:>12.1} {:>12} {:>10} {:>8} {:>8}",
-            "seq",
-            sequential_wall.as_secs_f64() * 1e3,
-            sequential.stats.states_visited,
-            "1.00x",
-            "-",
-            "-"
-        );
-        for jobs in [1usize, 2, 4] {
-            let config = SchedulerConfig {
-                parallelism: Parallelism::new(jobs),
-                ..SchedulerConfig::default()
-            };
-            let started = Instant::now();
-            match synthesize_parallel(&tasknet, &config) {
-                Ok(synthesis) => {
-                    let wall = started.elapsed();
-                    let oracle = match ezrt_sim::replay::replay(&tasknet, &synthesis.schedule) {
-                        Ok(_) => "ok",
-                        Err(_) => "FAIL",
-                    };
-                    println!(
-                        "  {:<8} {:>12.1} {:>12} {:>9.2}x {:>8} {:>8}",
-                        jobs,
-                        wall.as_secs_f64() * 1e3,
-                        synthesis.stats.states_visited,
-                        sequential_wall.as_secs_f64() / wall.as_secs_f64().max(1e-9),
-                        synthesis.stats.steals,
-                        oracle
-                    );
-                }
-                Err(e) => println!("  {jobs:<8} {e}"),
-            }
-        }
     }
     println!();
 }

@@ -7,9 +7,9 @@
 //! can change a synthesis *result*: every metamodel field of the spec
 //! and the result-relevant scheduler knobs (branch ordering, delay
 //! mode, partial-order reduction, state/time budgets). It deliberately
-//! excludes [`Parallelism`](ezrt_scheduler::Parallelism): worker count
-//! only changes how fast a miss is computed, never which key it
-//! belongs to, so cached results are shared across `--jobs` values.
+//! excludes [`Parallelism`](ezrt_scheduler::Parallelism): the fan-out
+//! width never changes a result, so cached results are shared across
+//! `--jobs` values.
 //!
 //! The encoding is self-delimiting (length-prefixed strings, tagged
 //! sections, fixed-width little-endian integers), so no two distinct

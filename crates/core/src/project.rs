@@ -6,8 +6,8 @@ use ezrt_dsl::ParseDslError;
 use ezrt_scheduler::replay::replay;
 use ezrt_scheduler::validate::ScheduleViolation;
 use ezrt_scheduler::{
-    synthesize_parallel, synthesize_seeded, FeasibleSchedule, Parallelism, PorLevel,
-    SchedulerConfig, SearchStats, Synthesis, SynthesizeError, Timeline,
+    synthesize, synthesize_seeded, FeasibleSchedule, Parallelism, PorLevel, SchedulerConfig,
+    SearchStats, Synthesis, SynthesizeError, Timeline,
 };
 use ezrt_sim::dispatch::{execute, DispatchConfig};
 use ezrt_sim::ExecutionReport;
@@ -49,9 +49,9 @@ impl Project {
         self
     }
 
-    /// Sets the synthesis worker count (the CLI's `--jobs`). One job —
-    /// the default — runs the sequential search; more jobs route
-    /// [`synthesize`](Self::synthesize) through the parallel engine.
+    /// Sets [`SchedulerConfig::parallelism`] (the CLI's `--jobs`), the
+    /// point fan-out width `ezrt sweep` and `/v1/sweep` read. It never
+    /// changes a result: every search is sequential.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.config.parallelism = Parallelism::new(jobs);
         self
@@ -90,9 +90,8 @@ impl Project {
     ///
     /// Two XML documents that parse to the same specification
     /// (whitespace, attribute order) serialize identically, and
-    /// [`Parallelism`] is deliberately excluded: the worker count only
-    /// changes how fast a result is computed, never which result it is
-    /// keyed under.
+    /// [`Parallelism`] is deliberately excluded: the fan-out width never
+    /// changes a result.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         crate::canonical::canonical_bytes(&self.spec, &self.config)
     }
@@ -164,41 +163,26 @@ impl Project {
         ezrt_dsl::to_xml(&self.spec)
     }
 
-    /// Runs the full synthesis: translation, pre-runtime search (the
-    /// sequential DFS, or the parallel engine when
-    /// [`SchedulerConfig::parallelism`] asks for more than one job), the
+    /// Runs the full synthesis: translation, the pre-runtime search, the
     /// net-level replay oracle, timeline reconstruction and
     /// schedule-table derivation.
     ///
     /// Every result is replayed exactly once, through
     /// [`replay`](ezrt_scheduler::replay::replay), and the verdict is kept
-    /// in [`Outcome::replay_ok`]; parallel results were additionally
-    /// re-validated against the specification by the scheduler.
+    /// in [`Outcome::replay_ok`].
     ///
     /// # Errors
     ///
     /// Returns [`SynthesizeError`] when no feasible schedule exists or a
     /// search budget is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a parallel-found schedule fails the replay oracle — a
-    /// kernel bug, never a property of the specification.
     pub fn synthesize(&self) -> Result<Outcome, SynthesizeError> {
         let _span = ezrt_obs::span("synthesize");
         let tasknet = {
             let _span = ezrt_obs::span("translate");
             translate(&self.spec)
         };
-        // One job runs the sequential search itself.
-        let synthesis = synthesize_parallel(&tasknet, &self.config)?;
-        let outcome = self.outcome(tasknet, synthesis);
-        assert!(
-            outcome.replay_ok || self.config.parallelism.is_sequential(),
-            "parallel synthesis produced a schedule the net-level replay oracle \
-             rejects (kernel bug)"
-        );
-        Ok(outcome)
+        let synthesis = synthesize(&tasknet, &self.config)?;
+        Ok(self.outcome(tasknet, synthesis))
     }
 
     /// Incremental synthesis warm-started from a prior schedule: `prev`
@@ -217,10 +201,6 @@ impl Project {
     /// is replayed once, like a cold one: a verbatim hit already *is*
     /// that replay, and a searched result goes through the oracle here.
     ///
-    /// The seeded path is sequential; configurations asking for more
-    /// than one job route to the cold parallel engine, which beats
-    /// prefix reuse at its own game on big misses.
-    ///
     /// # Errors
     ///
     /// Returns [`SynthesizeError`] when no feasible schedule exists or a
@@ -230,9 +210,6 @@ impl Project {
         &self,
         prev: &FeasibleSchedule,
     ) -> Result<Outcome, SynthesizeError> {
-        if !self.config.parallelism.is_sequential() {
-            return self.synthesize();
-        }
         let _span = ezrt_obs::span("synthesize-incremental");
         let tasknet = {
             let _span = ezrt_obs::span("translate");
@@ -428,26 +405,21 @@ mod tests {
     }
 
     #[test]
-    fn parallel_project_synthesis_validates_and_executes() {
+    fn jobs_do_not_change_the_synthesis() {
+        let sequential = Project::new(small_control()).synthesize().unwrap();
         for jobs in [2, 4] {
             let outcome = Project::new(small_control())
                 .with_jobs(jobs)
                 .synthesize()
                 .expect("feasible");
-            assert_eq!(outcome.stats.jobs, jobs);
+            assert_eq!(outcome.schedule, sequential.schedule);
+            assert_eq!(
+                outcome.stats.states_visited,
+                sequential.stats.states_visited
+            );
             assert!(outcome.validate().is_empty());
             assert!(outcome.execute().is_timely());
         }
-        // with_jobs(1) stays on the sequential path.
-        let sequential = Project::new(small_control())
-            .with_jobs(1)
-            .synthesize()
-            .expect("feasible");
-        assert_eq!(sequential.stats.jobs, 1);
-        assert_eq!(
-            sequential.schedule,
-            Project::new(small_control()).synthesize().unwrap().schedule
-        );
     }
 
     #[test]

@@ -1,7 +1,36 @@
 //! Search configuration.
 
 pub use ezrt_tpn::DelayMode;
-pub use ezrt_tpn::Parallelism;
+
+/// The fan-out width of `ezrt batch`, `ezrt sweep` and `POST /v1/sweep`
+/// (the CLI's `--jobs`): how many specs or sweep points are synthesized
+/// at once. Each of them runs one sequential search, so the width never
+/// changes a result, only how many run side by side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Parallelism {
+    jobs: usize,
+}
+
+impl Parallelism {
+    /// One spec or point at a time.
+    pub const SEQUENTIAL: Parallelism = Parallelism { jobs: 1 };
+
+    /// `jobs` at a time; zero is clamped to one.
+    pub fn new(jobs: usize) -> Self {
+        Parallelism { jobs: jobs.max(1) }
+    }
+
+    /// The configured width (always ≥ 1).
+    pub fn jobs(self) -> usize {
+        self.jobs
+    }
+}
+
+impl Default for Parallelism {
+    fn default() -> Self {
+        Parallelism::SEQUENTIAL
+    }
+}
 
 /// How the depth-first search orders sibling branches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,10 +63,8 @@ pub enum PorLevel {
     /// class collapses to its single earliest candidate, a partially
     /// conflicting one is cut down to a dependency-closed stubborn
     /// subset, and sleep sets threaded through the DFS skip sibling
-    /// interleavings already explored in a commuting order. Parallel
-    /// workers additionally share expansion summaries through the arena.
-    /// Never explores more states than [`Off`](PorLevel::Off); the
-    /// default.
+    /// interleavings already explored in a commuting order. Never
+    /// explores more states than [`Off`](PorLevel::Off); the default.
     #[default]
     Stubborn,
 }
@@ -104,10 +131,8 @@ pub struct SchedulerConfig {
     pub max_states: usize,
     /// Abort after this much wall-clock time.
     pub max_time: std::time::Duration,
-    /// Worker count for [`synthesize_parallel`](crate::synthesize_parallel).
-    /// The sequential [`synthesize`](crate::synthesize) ignores it, and
-    /// one job — the default — makes `synthesize_parallel` delegate to
-    /// the exact sequential code path.
+    /// The fan-out width of `batch`, `sweep` and `/v1/sweep`. The search
+    /// itself is always sequential and ignores it.
     pub parallelism: Parallelism,
 }
 
@@ -135,7 +160,14 @@ mod tests {
         assert_eq!(config.delay_mode, DelayMode::Earliest);
         assert_eq!(config.por, PorLevel::Stubborn);
         assert!(config.max_states >= 1_000_000);
-        assert!(config.parallelism.is_sequential(), "sequential by default");
+        assert_eq!(config.parallelism, Parallelism::SEQUENTIAL);
+    }
+
+    #[test]
+    fn parallelism_clamps_and_defaults() {
+        assert_eq!(Parallelism::default(), Parallelism::SEQUENTIAL);
+        assert_eq!(Parallelism::new(0).jobs(), 1);
+        assert_eq!(Parallelism::new(4).jobs(), 4);
     }
 
     #[test]

@@ -41,7 +41,6 @@
 mod config;
 mod error;
 mod obs;
-pub mod parallel;
 pub mod reference;
 pub mod replay;
 mod schedule;
@@ -53,9 +52,8 @@ pub mod validate;
 pub use config::{BranchOrdering, Parallelism, PorLevel, SchedulerConfig};
 pub use error::SynthesizeError;
 pub use obs::register_metrics;
-pub use parallel::synthesize_parallel;
 pub use reference::synthesize_reference;
 pub use schedule::{FeasibleSchedule, ScheduledFiring};
-pub use search::{synthesize, synthesize_seeded, Synthesis};
+pub use search::{synthesize, synthesize_parallel, synthesize_seeded, Synthesis};
 pub use stats::{SearchCounter, SearchStats};
 pub use timeline::{Slice, Timeline};

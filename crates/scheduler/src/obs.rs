@@ -1,9 +1,9 @@
 //! Search-engine metrics, recorded into the process-wide
 //! [`ezrt_obs::global`] registry.
 //!
-//! Every completed search — sequential, seeded or parallel, feasible or
-//! not — records its run counters once; the DFS loops additionally
-//! sample their frontier depth every 1024 ticks. All cells are relaxed
+//! Every completed search — cold or seeded, feasible or not — records
+//! its run counters once; the DFS loop additionally samples its frontier
+//! depth every 1024 ticks. All cells are relaxed
 //! atomics, so the cost is a handful of uncontended `fetch_add`s per
 //! *run* plus three per depth sample — invisible next to a single state
 //! expansion.
@@ -23,8 +23,6 @@ pub(crate) struct EngineMetrics {
     /// One cell per [`SearchStats::COUNTERS`] entry with an engine
     /// family, in table order.
     pub(crate) counters: Vec<(&'static SearchCounter, Counter)>,
-    /// `ezrt_search_donation_stalls_total`.
-    pub(crate) donation_stalls: Counter,
     /// `ezrt_search_states_per_second`.
     pub(crate) states_per_second: Histogram,
     /// `ezrt_search_frontier_depth`.
@@ -57,10 +55,6 @@ pub(crate) fn engine_metrics() -> &'static EngineMetrics {
                     Some((counter, registry.counter(family, counter.help)))
                 })
                 .collect(),
-            donation_stalls: registry.counter(
-                "ezrt_search_donation_stalls_total",
-                "Times a parallel worker parked with every deque empty, waiting for a donation.",
-            ),
             states_per_second: registry.histogram(
                 "ezrt_search_states_per_second",
                 "Exploration throughput of completed searches, in states per second.",
@@ -102,7 +96,7 @@ mod tests {
         let before = engine_metrics().runs.get();
         let stats = SearchStats {
             states_visited: 100,
-            steals: 3,
+            backtracks: 3,
             elapsed: Duration::from_millis(10),
             ..SearchStats::default()
         };

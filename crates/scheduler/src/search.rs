@@ -1,20 +1,17 @@
 //! The depth-first schedule-synthesis search on the packed state kernel.
 //!
-//! One DFS core, [`Dfs`], serves every engine. Its loop fires a
-//! candidate of the top frame, then runs the dead, miss and final checks
-//! on the successor, then the child step: the child's sleep set and
-//! candidates, pushed as a new frame. The core is generic over a
-//! [`Store`], the place states are interned and memoized dead, and is
-//! monomorphised per store. The sequential search runs it on a [`Local`]
-//! store: an [`Explorer`] arena and a bitvector [`DeadSet`] over dense
-//! [`StateId`]s. The parallel workers (`crate::parallel`) run the same
-//! loop on a store shared between threads. Each frame carries its state's
-//! enabled set, which the store derives from the parent frame's set on
-//! every firing, so no step rescans every transition. Frames pool their
-//! vectors across pushes, so in the steady state the loop performs
-//! **zero heap allocations per explored successor**. The original
-//! value-typed search is preserved in [`reference`](crate::reference) and
-//! the two are equivalence-tested to return byte-identical schedules.
+//! One DFS core, [`Dfs`], runs every search. Its loop fires a candidate
+//! of the top frame, then runs the dead, miss and final checks on the
+//! successor, then the child step: the child's sleep set and candidates,
+//! pushed as a new frame. States are interned in an [`Explorer`] arena
+//! and memoized dead in a bitvector [`DeadSet`] over dense [`StateId`]s.
+//! Each frame carries its state's enabled set, which the explorer derives
+//! from the parent frame's set on every firing, so no step rescans every
+//! transition. Frames pool their vectors across pushes, so in the steady
+//! state the loop performs **zero heap allocations per explored
+//! successor**. The original value-typed search is preserved in
+//! [`reference`](crate::reference) and the two are equivalence-tested to
+//! return byte-identical schedules.
 
 use crate::config::{BranchOrdering, PorLevel, SchedulerConfig};
 use crate::error::SynthesizeError;
@@ -46,113 +43,21 @@ pub struct Synthesis {
 /// One DFS frame. Frames are pooled: popping a frame leaves its vectors
 /// allocated for the next push at that depth.
 #[derive(Default)]
-pub(crate) struct Frame {
-    pub(crate) state: StateId,
-    /// The state's packed words, for stores whose arena cannot lend a
-    /// slice (the shared store); left empty by the [`Local`] store.
-    pub(crate) words: Vec<u32>,
+struct Frame {
+    state: StateId,
     /// The state's enabled set `ET(m)` (packed transition mask), derived
-    /// from the parent frame's by [`Store::fire`].
-    pub(crate) enabled: Vec<u64>,
-    pub(crate) candidates: Vec<(TransitionId, Time)>,
-    pub(crate) next: usize,
-    pub(crate) now: Time,
+    /// from the parent frame's by [`Explorer::fire`].
+    enabled: Vec<u64>,
+    candidates: Vec<(TransitionId, Time)>,
+    next: usize,
+    now: Time,
     /// The sleep set this frame's candidates were generated under
     /// (packed transition mask; empty ⇔ nothing asleep).
-    pub(crate) sleep: Vec<u64>,
-    /// Whether exhausting this frame proves its state dead. False for a
-    /// parallel work item's root (its other candidates live in other
-    /// items) and for frames that donated candidates away.
-    pub(crate) owned: bool,
-}
-
-/// Where the DFS core keeps its states: interning, the packed words of
-/// the latest successor, the dead-state memo and the visited count.
-pub(crate) trait Store {
-    /// Whether several workers search this store at once. A shared store
-    /// never lets the sleep filter drain a frame (see [`candidates`]) and
-    /// consults [`covered`](Self::covered) before each push.
-    const SHARED: bool;
-    /// Fires `(t, q)` out of `parent`'s state, interning the successor and
-    /// handing its enabled set to `enabled`.
-    fn fire(&mut self, parent: &Frame, t: TransitionId, q: Time, enabled: &mut Vec<u64>)
-        -> StateId;
-    /// The packed words of `id`, the successor the last
-    /// [`fire`](Self::fire) returned.
-    fn successor(&self, id: StateId) -> &[u32];
-    /// Keeps the latest successor's words in the frame about to hold it.
-    fn keep(&self, _frame: &mut Frame) {}
-    /// Whether `id` is proven dead.
-    fn is_dead(&self, id: StateId) -> bool;
-    /// Memoizes `id` as dead.
-    fn mark_dead(&mut self, id: StateId);
-    /// Counts one visited state.
-    fn visit(&mut self);
-    /// States visited so far, as the `max_states` budget sees them.
-    fn visited(&self) -> usize;
-    /// Whether a sibling already expanded `id` under a sleep set no
-    /// larger than `sleep`, so the whole subtree can be skipped.
-    fn covered(&self, _id: StateId, _sleep: &[u64]) -> bool {
-        false
-    }
-    /// Called once per loop tick with the active frames; may split
-    /// unexplored candidates off to idle peers. True stops the search.
-    fn poll(
-        &mut self,
-        _ticks: u64,
-        _frames: &mut [Frame],
-        _path: &[ScheduledFiring],
-        _base: usize,
-    ) -> bool {
-        false
-    }
-}
-
-/// The sequential store: one [`Explorer`] arena and a [`DeadSet`].
-struct Local<'net> {
-    explorer: Explorer<'net>,
-    dead: DeadSet,
-    states: usize,
-}
-
-impl Store for Local<'_> {
-    const SHARED: bool = false;
-
-    fn fire(
-        &mut self,
-        parent: &Frame,
-        t: TransitionId,
-        q: Time,
-        enabled: &mut Vec<u64>,
-    ) -> StateId {
-        self.explorer
-            .fire(parent.state, &parent.enabled, t, q, enabled)
-            .0
-    }
-
-    fn successor(&self, id: StateId) -> &[u32] {
-        self.explorer.state(id)
-    }
-
-    fn is_dead(&self, id: StateId) -> bool {
-        self.dead.contains(id)
-    }
-
-    fn mark_dead(&mut self, id: StateId) {
-        self.dead.insert(id);
-    }
-
-    fn visit(&mut self) {
-        self.states += 1;
-    }
-
-    fn visited(&self) -> usize {
-        self.states
-    }
+    sleep: Vec<u64>,
 }
 
 /// How a [`Dfs::run`] ended.
-pub(crate) enum Exit {
+enum Exit {
     /// The final marking was reached; the path is the schedule.
     Feasible,
     /// Every frame was exhausted.
@@ -161,26 +66,25 @@ pub(crate) enum Exit {
     StateLimit,
     /// The `max_time` budget ran out.
     TimeLimit,
-    /// [`Store::poll`] asked the search to stop.
-    Stopped,
 }
 
-/// The DFS core: a frame stack over a [`Store`], plus the path, the EDF
-/// instance counters, the partial-order scratch and the run's counters.
-pub(crate) struct Dfs<'a, S> {
-    pub(crate) store: S,
+/// The DFS core: the state arena and dead-state memo, a frame stack over
+/// them, plus the path, the EDF instance counters, the partial-order
+/// scratch and the run's counters.
+struct Dfs<'a> {
     tasknet: &'a TaskNet,
     config: &'a SchedulerConfig,
     started: Instant,
+    explorer: Explorer<'a>,
+    dead: DeadSet,
+    /// States visited, as the `max_states` budget sees them.
+    states: usize,
     frames: Vec<Frame>,
     /// Frames `0..depth` are active; `depth..frames.len()` are pooled
     /// spares.
     depth: usize,
     /// The firings from `s0` to the top frame's state.
-    pub(crate) path: Vec<ScheduledFiring>,
-    /// The length of the path prefix that reached the root frame (non-zero
-    /// for parallel work items).
-    base: usize,
+    path: Vec<ScheduledFiring>,
     counters: InstanceCounters,
     scratch: PorScratch,
     domains: Vec<(TransitionId, Time, TimeBound)>,
@@ -190,28 +94,31 @@ pub(crate) struct Dfs<'a, S> {
     /// The latest successor's enabled set, staged the same way.
     child_enabled: Vec<u64>,
     ticks: u64,
-    /// Backtracks, prunes, deadlocks and registry skips of this core.
-    pub(crate) stats: SearchStats,
-    pub(crate) missed: MissedTasks,
+    /// Backtracks, prunes and deadlocks of this core.
+    stats: SearchStats,
+    missed: MissedTasks,
 }
 
-impl<'a, S: Store> Dfs<'a, S> {
-    pub(crate) fn new(
-        tasknet: &'a TaskNet,
-        config: &'a SchedulerConfig,
-        started: Instant,
-        store: S,
-    ) -> Self {
+impl<'a> Dfs<'a> {
+    /// A search rooted at the net's initial state: `s0` interned and
+    /// counted as visited, its frame scanned and its candidates generated.
+    fn new(tasknet: &'a TaskNet, config: &'a SchedulerConfig, started: Instant) -> Self {
         let tasks = tasknet.spec().task_count();
-        Dfs {
-            store,
+        let mut explorer = Explorer::new(tasknet.net());
+        let s0 = explorer.intern_initial();
+        let mut dfs = Dfs {
             tasknet,
             config,
             started,
-            frames: Vec::new(),
-            depth: 0,
+            explorer,
+            dead: DeadSet::default(),
+            states: 1,
+            frames: vec![Frame {
+                state: s0,
+                ..Frame::default()
+            }],
+            depth: 1,
             path: Vec::new(),
-            base: 0,
             counters: InstanceCounters::new(tasks),
             scratch: PorScratch::new(),
             domains: Vec::new(),
@@ -220,43 +127,25 @@ impl<'a, S: Store> Dfs<'a, S> {
             ticks: 0,
             stats: SearchStats::default(),
             missed: MissedTasks::new(tasks),
-        }
-    }
-
-    /// Restarts the stack at `state`, reached at time `now` by `prefix`,
-    /// and returns the root frame — owned, with no candidates, sleep,
-    /// words or enabled set yet — for the caller to fill in.
-    pub(crate) fn root(
-        &mut self,
-        state: StateId,
-        now: Time,
-        prefix: &[ScheduledFiring],
-    ) -> &mut Frame {
-        self.path.clear();
-        self.path.extend_from_slice(prefix);
-        self.base = prefix.len();
-        self.counters.reset();
-        for firing in prefix {
-            self.counters.apply(firing.role);
-        }
-        if self.frames.is_empty() {
-            self.frames.push(Frame::default());
-        }
-        self.depth = 1;
-        let root = &mut self.frames[0];
-        root.state = state;
-        root.words.clear();
-        root.enabled.clear();
-        root.candidates.clear();
-        root.next = 0;
-        root.now = now;
-        root.sleep.clear();
-        root.owned = true;
-        root
+        };
+        let root = &mut dfs.frames[0];
+        dfs.explorer.enabled_into(s0, &mut root.enabled);
+        candidates(
+            tasknet,
+            dfs.explorer.state(s0),
+            &root.enabled,
+            config,
+            &dfs.counters,
+            &root.sleep,
+            &mut dfs.scratch,
+            &mut dfs.domains,
+            &mut root.candidates,
+        );
+        dfs
     }
 
     /// Runs the search from the current stack until it ends.
-    pub(crate) fn run(&mut self) -> Exit {
+    fn run(&mut self) -> Exit {
         let engine = crate::obs::engine_metrics();
         loop {
             // Budget checks. The time budget is gated on the loop tick,
@@ -265,38 +154,24 @@ impl<'a, S: Store> Dfs<'a, S> {
             // not visit any fresh state, and must still hit the check.
             self.ticks += 1;
             if self.ticks.is_multiple_of(crate::obs::DEPTH_SAMPLE_TICKS) {
-                engine
-                    .frontier_depth
-                    .observe((self.base + self.depth) as u64);
+                engine.frontier_depth.observe(self.depth as u64);
             }
-            if self.store.visited() > self.config.max_states {
+            if self.states > self.config.max_states {
                 return Exit::StateLimit;
             }
             if self.ticks.is_multiple_of(4096) && self.started.elapsed() > self.config.max_time {
                 return Exit::TimeLimit;
-            }
-            let active = &mut self.frames[..self.depth];
-            if self.store.poll(self.ticks, active, &self.path, self.base) {
-                return Exit::Stopped;
             }
             if self.depth == 0 {
                 return Exit::Exhausted;
             }
 
             let frame = &mut self.frames[self.depth - 1];
-            // Frame exhausted: its state is dead (if this frame owns the
-            // proof); backtrack. For racing workers a sleep-assisted
-            // exhaustion is still a sound shared dead mark: feasibility
-            // from a state is prefix-independent, every slept label is a
-            // live work item's (or in-stack frame's) obligation, and
-            // obligations are never dropped.
+            // Frame exhausted: its state is dead; backtrack.
             if frame.next >= frame.candidates.len() {
-                if frame.owned {
-                    self.store.mark_dead(frame.state);
-                }
+                self.dead.insert(frame.state);
                 self.depth -= 1;
-                if self.path.len() > self.base {
-                    let firing = self.path.pop().expect("the path is non-empty");
+                if let Some(firing) = self.path.pop() {
                     self.counters.unapply(firing.role);
                     self.stats.backtracks += 1;
                 }
@@ -306,22 +181,26 @@ impl<'a, S: Store> Dfs<'a, S> {
             let (transition, delay) = frame.candidates[frame.next];
             frame.next += 1;
             let now = frame.now + delay;
-            let next = self
-                .store
-                .fire(frame, transition, delay, &mut self.child_enabled);
-            if self.store.is_dead(next) {
+            let (next, _) = self.explorer.fire(
+                frame.state,
+                &frame.enabled,
+                transition,
+                delay,
+                &mut self.child_enabled,
+            );
+            if self.dead.contains(next) {
                 self.stats.pruned_dead += 1;
                 continue;
             }
-            self.store.visit();
+            self.states += 1;
 
-            let packed = self.store.successor(next);
+            let packed = self.explorer.state(next);
             if self.tasknet.has_deadline_miss_packed(packed) {
                 self.stats.pruned_misses += 1;
                 for task in self.tasknet.missed_tasks_packed_iter(packed) {
                     self.missed.record(task);
                 }
-                self.store.mark_dead(next);
+                self.dead.insert(next);
                 continue;
             }
             let firing = ScheduledFiring {
@@ -335,10 +214,7 @@ impl<'a, S: Store> Dfs<'a, S> {
                 return Exit::Feasible;
             }
 
-            let Some(fireable) = self.push(firing, next) else {
-                self.stats.por_overlap_skips += 1;
-                continue;
-            };
+            let fireable = self.push(firing, next);
             if self.frames[self.depth - 1].candidates.is_empty() {
                 // Non-final deadlock, or every candidate asleep (the
                 // subtree is covered by a commuting sibling order). Either
@@ -351,7 +227,7 @@ impl<'a, S: Store> Dfs<'a, S> {
                 if !fireable {
                     self.stats.deadlocks += 1;
                 }
-                self.store.mark_dead(next);
+                self.dead.insert(next);
             }
         }
     }
@@ -359,9 +235,8 @@ impl<'a, S: Store> Dfs<'a, S> {
     /// The child step: computes the sleep set of `next`, reached by
     /// `firing` out of the top frame, then pushes its frame with its
     /// candidates and extends the path. Returns whether the child's
-    /// `FT(s)` was non-empty (see [`candidates`]), or `None` (nothing
-    /// pushed) when the store reports a sibling already covers the child.
-    fn push(&mut self, firing: ScheduledFiring, next: StateId) -> Option<bool> {
+    /// `FT(s)` was non-empty (see [`candidates`]).
+    fn push(&mut self, firing: ScheduledFiring, next: StateId) -> bool {
         let parent = &self.frames[self.depth - 1];
         child_sleep_into(
             self.tasknet,
@@ -369,26 +244,11 @@ impl<'a, S: Store> Dfs<'a, S> {
             &parent.sleep,
             &parent.candidates[..parent.next - 1],
             (firing.transition, firing.delay),
-            self.store.successor(next),
+            self.explorer.state(next),
             &self.child_enabled,
             &mut self.scratch,
             &mut self.child_sleep,
         );
-        // Publish-or-skip through a shared expansion registry: if a
-        // sibling already expanded this state under a sleep set no larger
-        // than ours, every candidate we would explore is already its
-        // obligation. Guard: only when the parent frame still has other
-        // candidates. Skipping a frame's last candidate unwinds the whole
-        // stack, and on a feasible race (where the branch ordering's first
-        // choice is usually right) that trades one duplicated subtree for
-        // a deep detour through last-ranked siblings.
-        if S::SHARED
-            && self.config.por == PorLevel::Stubborn
-            && parent.next < parent.candidates.len()
-            && self.store.covered(next, &self.child_sleep)
-        {
-            return None;
-        }
 
         self.counters.apply(firing.role);
         if self.depth == self.frames.len() {
@@ -398,57 +258,22 @@ impl<'a, S: Store> Dfs<'a, S> {
         frame.state = next;
         frame.next = 0;
         frame.now = firing.at;
-        frame.owned = true;
-        self.store.keep(frame);
         std::mem::swap(&mut frame.sleep, &mut self.child_sleep);
         std::mem::swap(&mut frame.enabled, &mut self.child_enabled);
         let fireable = candidates(
             self.tasknet,
-            self.store.successor(next),
+            self.explorer.state(next),
             &frame.enabled,
             self.config,
             &self.counters,
             &frame.sleep,
-            S::SHARED,
             &mut self.scratch,
             &mut self.domains,
             &mut frame.candidates,
         );
         self.path.push(firing);
         self.depth += 1;
-        Some(fireable)
-    }
-
-    /// The core's own counters, with the partial-order skips folded in.
-    pub(crate) fn stats(&self) -> SearchStats {
-        SearchStats {
-            por_stubborn_skips: self.scratch.stubborn_skips,
-            por_sleep_skips: self.scratch.sleep_skips,
-            ..self.stats.clone()
-        }
-    }
-}
-
-impl Dfs<'_, Local<'_>> {
-    /// Scans the root frame's enabled set and generates its candidates
-    /// from its state and sleep set.
-    fn expand_root(&mut self) {
-        let root = &mut self.frames[0];
-        self.store
-            .explorer
-            .enabled_into(root.state, &mut root.enabled);
-        candidates(
-            self.tasknet,
-            self.store.successor(root.state),
-            &root.enabled,
-            self.config,
-            &self.counters,
-            &root.sleep,
-            false,
-            &mut self.scratch,
-            &mut self.domains,
-            &mut root.candidates,
-        );
+        fireable
     }
 
     /// Warm start: pushes each seeded firing through the child step, as
@@ -467,15 +292,16 @@ impl Dfs<'_, Local<'_>> {
             let Some(pos) = frame.candidates.iter().position(|&c| c == label) else {
                 break;
             };
-            let next = self.store.fire(
-                frame,
+            let (next, _) = self.explorer.fire(
+                frame.state,
+                &frame.enabled,
                 firing.transition,
                 firing.delay,
                 &mut self.child_enabled,
             );
             if self
                 .tasknet
-                .has_deadline_miss_packed(self.store.successor(next))
+                .has_deadline_miss_packed(self.explorer.state(next))
             {
                 break;
             }
@@ -489,8 +315,7 @@ impl Dfs<'_, Local<'_>> {
                 delay: firing.delay,
                 at: frame.now + firing.delay,
             };
-            self.push(firing, next)
-                .expect("a local store covers no subtree");
+            self.push(firing, next);
             replayed += 1;
             if self.frames[self.depth - 1].candidates.is_empty() {
                 // Replayed into a state with no candidates (possible after
@@ -500,26 +325,39 @@ impl Dfs<'_, Local<'_>> {
         }
         replayed
     }
+
+    /// The run's counters, with the partial-order skips and the arena
+    /// and dead-set sizes folded in.
+    fn stats(&self) -> SearchStats {
+        SearchStats {
+            states_visited: self.states,
+            dead_states: self.dead.len(),
+            dead_set_bytes: self.dead.resident_bytes() + self.explorer.arena().resident_bytes(),
+            por_stubborn_skips: self.scratch.stubborn_skips,
+            por_sleep_skips: self.scratch.sleep_skips,
+            ..self.stats.clone()
+        }
+    }
 }
 
 /// Reusable per-search scratch for the partial-order machinery: packed
 /// bitmask buffers for the fireable set and the stubborn closure (hoisted
 /// out of the per-state hot path), plus the reduction counters the
 /// buffers' owner accumulates.
-pub(crate) struct PorScratch {
+struct PorScratch {
     fireable: Vec<u64>,
     closure: Vec<u64>,
     /// Enabled `(transition, dynamic upper bound)` pairs of the child
     /// state, for the urgency-floor guard in [`child_sleep_into`].
     dubs: Vec<(TransitionId, TimeBound)>,
     /// Candidates dropped by stubborn-set reduction.
-    pub(crate) stubborn_skips: usize,
+    stubborn_skips: usize,
     /// Candidates dropped because they were in a frame's sleep set.
-    pub(crate) sleep_skips: usize,
+    sleep_skips: usize,
 }
 
 impl PorScratch {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         PorScratch {
             fireable: Vec::new(),
             closure: Vec::new(),
@@ -573,30 +411,24 @@ impl DeadSet {
 /// report needs, tracked without any structural hashing on the hot path
 /// (the predecessor was a `HashSet<String>` insert per pruned state).
 #[derive(Debug, Clone)]
-pub(crate) struct MissedTasks {
+struct MissedTasks {
     flags: Vec<bool>,
 }
 
 impl MissedTasks {
-    pub(crate) fn new(tasks: usize) -> Self {
+    fn new(tasks: usize) -> Self {
         MissedTasks {
             flags: vec![false; tasks],
         }
     }
 
-    pub(crate) fn record(&mut self, task: TaskId) {
+    fn record(&mut self, task: TaskId) {
         self.flags[task.index()] = true;
-    }
-
-    pub(crate) fn merge(&mut self, other: &MissedTasks) {
-        for (flag, &seen) in self.flags.iter_mut().zip(&other.flags) {
-            *flag |= seen;
-        }
     }
 
     /// The missed task names, sorted — the shape
     /// [`SynthesizeError::Infeasible`] reports.
-    pub(crate) fn sorted_names(&self, tasknet: &TaskNet) -> Vec<String> {
+    fn sorted_names(&self, tasknet: &TaskNet) -> Vec<String> {
         let mut names: Vec<String> = self
             .flags
             .iter()
@@ -623,12 +455,6 @@ impl InstanceCounters {
             releases: vec![0; tasks],
             completed: vec![0; tasks],
         }
-    }
-
-    /// Clears all counters — used when the DFS restarts from a new root.
-    fn reset(&mut self) {
-        self.releases.fill(0);
-        self.completed.fill(0);
     }
 
     pub(crate) fn apply(&mut self, role: TransitionRole) {
@@ -682,6 +508,18 @@ pub fn synthesize(
     synthesize_seeded(tasknet, config, &[])
 }
 
+/// Forwards to [`synthesize`]: every search is sequential, whatever
+/// [`SchedulerConfig::parallelism`] says. The only reader is
+/// `perfbench/src/layers.rs::parallel_gate`; this shim goes when that
+/// gate's rows are retired.
+#[doc(hidden)]
+pub fn synthesize_parallel(
+    tasknet: &TaskNet,
+    config: &SchedulerConfig,
+) -> Result<Synthesis, SynthesizeError> {
+    synthesize(tasknet, config)
+}
+
 /// [`synthesize`] warm-started from a prior schedule's legal prefix.
 ///
 /// The seed is first replayed verbatim through the net-level
@@ -705,7 +543,7 @@ pub fn synthesize(
 /// On seeded runs [`SearchStats::states_visited`] counts only states the
 /// search generated *beyond* the replayed prefix (zero when the seed
 /// replays to the final marking), and the `max_states` budget applies to
-/// those fresh states. The seeded path is sequential.
+/// those fresh states.
 ///
 /// # Errors
 ///
@@ -773,33 +611,20 @@ fn synthesize_local(
         }
     }
 
-    let mut explorer = Explorer::new(tasknet.net());
-    let s0 = explorer.intern_initial();
-    let store = Local {
-        explorer,
-        dead: DeadSet::default(),
-        states: 1,
-    };
-    let mut dfs = Dfs::new(tasknet, config, started, store);
-    dfs.root(s0, 0, &[]);
-    dfs.expand_root();
+    let mut dfs = Dfs::new(tasknet, config, started);
     let replayed = dfs.seed(seed);
     if replayed > 0 {
         dfs.stats.incr_seed_hits = 1;
         dfs.stats.incr_replayed = replayed;
         // From here on, count only states the search adds on top of the
         // replayed prefix.
-        dfs.store.states = 0;
+        dfs.states = 0;
     }
 
     let exit = dfs.run();
     let mut stats = Box::new(SearchStats {
         minimum_firings,
-        states_visited: dfs.store.states,
         elapsed: started.elapsed(),
-        dead_states: dfs.store.dead.len(),
-        dead_set_bytes: dfs.store.dead.resident_bytes()
-            + dfs.store.explorer.arena().resident_bytes(),
         ..dfs.stats()
     });
     match exit {
@@ -817,7 +642,6 @@ fn synthesize_local(
         }),
         Exit::StateLimit => Err(SynthesizeError::StateLimitExceeded { stats }),
         Exit::TimeLimit => Err(SynthesizeError::TimeLimitExceeded { stats }),
-        Exit::Stopped => unreachable!("a local store never stops the search"),
     }
 }
 
@@ -825,23 +649,20 @@ fn synthesize_local(
 /// enabled set is `enabled`, into the caller's reusable buffer: the
 /// fireable set `FT(s)`, expanded to `(t, q)` pairs per the delay mode,
 /// filtered by the frame's sleep set, reduced by the configured
-/// partial-order rule, and sorted by the branch ordering. `never_empty`
-/// is a shared store's refusal to let the sleep filter drain a frame (see
-/// the filter comment below).
+/// partial-order rule, and sorted by the branch ordering.
 ///
 /// Returns whether the raw fireable set `FT(s)` was non-empty. No
 /// candidates from a non-empty `FT(s)` means every candidate was asleep:
 /// the subtree is covered by a commuting sibling order, and the state is
 /// exhausted *without* being a deadlock.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn candidates(
+fn candidates(
     tasknet: &TaskNet,
     state: &[u32],
     enabled: &[u64],
     config: &SchedulerConfig,
     counters: &InstanceCounters,
     sleep: &[u64],
-    never_empty: bool,
     scratch: &mut PorScratch,
     domains: &mut Vec<(TransitionId, Time, TimeBound)>,
     labels: &mut Vec<(TransitionId, Time)>,
@@ -864,22 +685,12 @@ pub(crate) fn candidates(
     // already covers — skip it outright. Only the delay-0 label is
     // covered (the coverage is pinned to this instant), so later-delay
     // labels of the same transition stay.
-    //
-    // `never_empty` (parallel workers) refuses a filter that would drain
-    // the frame: honoring a sleep set is always optional, and a racing
-    // worker that empties a frame unwinds its whole stack — on a feasible
-    // search that converts one skipped duplicate into a deep detour
-    // through subtrees the branch ordering ranked last. Duplicating the
-    // covered candidate is cheaper.
     if !sleep.is_empty() {
-        let survives = |&(t, q): &(TransitionId, Time)| q != 0 || !test_bit(sleep, t.index());
-        if !never_empty || labels.iter().any(survives) {
-            let before = labels.len();
-            labels.retain(survives);
-            scratch.sleep_skips += before - labels.len();
-            if labels.is_empty() {
-                return true;
-            }
+        let before = labels.len();
+        labels.retain(|&(t, q)| q != 0 || !test_bit(sleep, t.index()));
+        scratch.sleep_skips += before - labels.len();
+        if labels.is_empty() {
+            return true;
         }
     }
 
@@ -1019,7 +830,7 @@ fn sort_labels(
 ///
 /// [`DependencyMatrix::build_sleep_closure`]: ezrt_tpn::por::DependencyMatrix::build_sleep_closure
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn child_sleep_into(
+fn child_sleep_into(
     tasknet: &TaskNet,
     config: &SchedulerConfig,
     parent_sleep: &[u64],
@@ -1454,10 +1265,7 @@ mod tests {
         missed.record(spec.task_id("T2").unwrap());
         missed.record(spec.task_id("T2").unwrap());
         assert_eq!(missed.sorted_names(&tasknet), vec!["T2"]);
-
-        let mut other = MissedTasks::new(spec.task_count());
-        other.record(spec.task_id("T1").unwrap());
-        other.merge(&missed);
-        assert_eq!(other.sorted_names(&tasknet), vec!["T1", "T2"]);
+        missed.record(spec.task_id("T1").unwrap());
+        assert_eq!(missed.sorted_names(&tasknet), vec!["T1", "T2"]);
     }
 }

@@ -74,14 +74,6 @@ macro_rules! search_counters {
                 get: |stats| stats.$field as u64,
                 set: |stats, value| stats.$field = value as $ty,
             },)*];
-
-            /// Adds `other`'s counters and elapsed time to these: the
-            /// statistics of both runs together (parallel workers fold
-            /// into one total this way, and each worker counts one job).
-            pub fn absorb(&mut self, other: &SearchStats) {
-                $(self.$field += other.$field;)*
-                self.elapsed += other.elapsed;
-            }
         }
     };
 }
@@ -126,20 +118,12 @@ search_counters! {
     /// These structures only grow, so this is also their peak size.
     dead_set_bytes: usize = 0, Some("peak_dead_set_bytes"), None, None,
         "Resident bytes of the state arena and dead-state index at the end of the search.";
-    /// Number of worker threads that searched: 1 for the sequential
-    /// kernels, the configured
-    /// [`Parallelism::jobs`](ezrt_tpn::Parallelism::jobs) for
-    /// [`synthesize_parallel`](crate::synthesize_parallel). Counter fields
-    /// aggregate over all workers.
-    jobs: usize = 1, Some("jobs"), None, None,
-        "Worker threads that searched.";
-    /// Steal-half transfers between worker deques during a parallel
-    /// search (always 0 on the sequential path): how often a worker ran
-    /// out of local work and took half of a peer's queued items. High
-    /// values relative to `states_visited` mean the workload splits into
-    /// many short subtrees.
-    steals: usize = 0, Some("steals"), Some("ezrt_search_steals_total"), None,
-        "Steal-half transfers between parallel search workers.";
+    /// Always 0: every search is sequential. A table row with no report
+    /// key and no metric family, kept only because
+    /// `perfbench/src/layers.rs::parallel_gate` reads it; it goes when
+    /// that gate's rows are retired.
+    steals: usize = 0, None, None, None,
+        "Always 0: no search steals work.";
     /// 1 when a warm-start seed was accepted (at least one seeded firing
     /// replayed) by [`synthesize_seeded`](crate::synthesize_seeded), else
     /// 0. On seeded runs [`states_visited`](Self::states_visited) counts
@@ -168,12 +152,6 @@ search_counters! {
     /// 0 below [`PorLevel::Stubborn`](crate::PorLevel::Stubborn).
     por_sleep_skips: usize = 0, Some("por_sleep_skips"), Some("ezrt_search_por_sleep_skips_total"), Some("ezrt_http_por_sleep_skips_total"),
         "Candidates dropped by sleep-set filtering.";
-    /// Whole subtrees a parallel worker skipped because a sibling had
-    /// already expanded the same state under a no-larger sleep set
-    /// (published through the shared expansion registry). Always 0 on the
-    /// sequential path.
-    por_overlap_skips: usize = 0, Some("por_overlap_skips"), Some("ezrt_search_por_overlap_skips_total"), Some("ezrt_http_por_overlap_skips_total"),
-        "Subtrees a parallel worker skipped as already expanded by another worker.";
 }
 
 impl SearchStats {
@@ -264,7 +242,7 @@ mod tests {
             );
         }
         assert_eq!(stats.states_visited, 100);
-        assert_eq!(stats.por_overlap_skips, 99 + SearchStats::COUNTERS.len());
+        assert_eq!(stats.por_sleep_skips, 99 + SearchStats::COUNTERS.len());
     }
 
     #[test]
@@ -285,26 +263,5 @@ mod tests {
             .filter(|counter| counter.report_key == Some(counter.field))
             .count();
         assert_eq!(names.len(), count - repeats);
-    }
-
-    #[test]
-    fn absorb_sums_two_runs() {
-        let mut total = SearchStats {
-            states_visited: 10,
-            backtracks: 2,
-            elapsed: Duration::from_millis(3),
-            ..SearchStats::default()
-        };
-        total.absorb(&SearchStats {
-            states_visited: 5,
-            steals: 1,
-            elapsed: Duration::from_millis(4),
-            ..SearchStats::default()
-        });
-        assert_eq!(total.states_visited, 15);
-        assert_eq!(total.backtracks, 2);
-        assert_eq!(total.steals, 1);
-        assert_eq!(total.jobs, 2);
-        assert_eq!(total.elapsed, Duration::from_millis(7));
     }
 }

@@ -3,10 +3,9 @@
 //! HTTP front end, one JSON row per spec.
 //!
 //! Files fan out over [`Parallelism`] worker threads (the CLI's
-//! `--jobs`); each file's synthesis itself runs the **sequential**
-//! engine, so every row is deterministic and matches a standalone
-//! `ezrt schedule --json` run field for field regardless of the fan-out
-//! width. Duplicate specifications inside one batch (or repeated batch
+//! `--jobs`); each file's synthesis is one sequential search, so every
+//! row is deterministic and matches a standalone `ezrt schedule --json`
+//! run field for field regardless of the fan-out width. Duplicate specifications inside one batch (or repeated batch
 //! runs over one [`ResultCache`]) deduplicate through the digest cache:
 //! later occurrences are served as `cache: "hit"`.
 
@@ -14,8 +13,7 @@ use crate::cache::{compute_outcome, ResultCache};
 use crate::digest::project_digest;
 use crate::report::{self, JsonFields};
 use ezrt_core::Project;
-use ezrt_scheduler::SchedulerConfig;
-use ezrt_tpn::Parallelism;
+use ezrt_scheduler::{Parallelism, SchedulerConfig};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -23,12 +21,9 @@ use std::sync::Mutex;
 /// Configuration of [`run_batch`].
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
-    /// How many spec files are processed concurrently. Per-file
-    /// synthesis stays sequential — see the module docs.
+    /// How many spec files are processed concurrently.
     pub fanout: Parallelism,
-    /// The scheduler configuration every file is synthesized under
-    /// (its `parallelism` field is ignored in favour of the sequential
-    /// engine).
+    /// The scheduler configuration every file is synthesized under.
     pub scheduler: SchedulerConfig,
     /// Result-cache bound in completed entries.
     pub cache_capacity: usize,
@@ -128,12 +123,7 @@ fn process_file(dir: &Path, file: &str, options: &BatchOptions, cache: &ResultCa
         Ok(project) => project,
         Err(error) => return error_row(error.to_string()),
     };
-    // Deterministic rows: the per-file search is the sequential engine,
-    // byte-identical to a standalone `ezrt schedule --json` run.
-    let project = project.with_config(SchedulerConfig {
-        parallelism: Parallelism::SEQUENTIAL,
-        ..options.scheduler.clone()
-    });
+    let project = project.with_config(options.scheduler.clone());
     let digest = project_digest(&project);
     let (outcome, lookup) = cache.get_or_compute(digest, || compute_outcome(&project, digest));
     let mut fields: JsonFields = Vec::with_capacity(outcome.fields.len() + 2);

@@ -1,7 +1,6 @@
 //! The content-addressed result cache: digest → `Arc<SynthesisOutcome>`
-//! behind N mutex-guarded shards (the same sharding shape as
-//! `ezrt_tpn::ShardedArena`), with **singleflight** in-flight
-//! coalescing, size-bounded LRU eviction, and an optional
+//! behind N mutex-guarded shards keyed by digest, with **singleflight**
+//! in-flight coalescing, size-bounded LRU eviction, and an optional
 //! **disk tier** ([`DiskTier`]) entries spill to and warm-start from.
 //!
 //! Singleflight: when several requests arrive for the same digest while

@@ -6,13 +6,13 @@
 //!
 //! | method | path           | behaviour                                        |
 //! |--------|----------------|--------------------------------------------------|
-//! | POST   | `/v1/schedule` | spec XML body → the `ezrt schedule --json` object plus `spec_digest` and `cache: "hit"\|"disk"\|"miss"`; `?jobs=N` overrides the synthesis worker count for a miss; `?por=off\|stubborn` overrides the partial-order reduction level (and, being result-relevant, keys its own cache entry); `?warm=<digest>` seeds a miss's search from that cached schedule (without the hint, a miss consults the structural ancestor index automatically) |
+//! | POST   | `/v1/schedule` | spec XML body → the `ezrt schedule --json` object plus `spec_digest` and `cache: "hit"\|"disk"\|"miss"`; `?por=off\|stubborn` overrides the partial-order reduction level (and, being result-relevant, keys its own cache entry); `?warm=<digest>` seeds a miss's search from that cached schedule (without the hint, a miss consults the structural ancestor index automatically); `?jobs=N` is validated (400 outside `1..=64`) and changes nothing |
 //! | POST   | `/v1/check`    | spec XML body → parse/validation verdict and spec summary |
 //! | POST   | `/v1/table`    | spec XML body → the Fig. 8 schedule table (C array), byte-identical to `ezrt table` |
 //! | POST   | `/v1/codegen`  | spec XML body → the generated C translation unit; `?target=<t>` picks the target (default `posix_sim`) |
 //! | POST   | `/v1/gantt`    | spec XML body → the ASCII timeline over the default window |
 //! | GET    | `/v1/artifact/<digest>/<kind>` | any artifact of an already-synthesized digest, straight from the rendered-byte, memory or disk cache (404 when absent; never synthesizes) |
-//! | POST   | `/v1/sweep`    | spec XML body + `?grid=` → one NDJSON row per grid point, byte-identical to `ezrt sweep` |
+//! | POST   | `/v1/sweep`    | spec XML body + `?grid=` → one NDJSON row per grid point, byte-identical to `ezrt sweep`; `?jobs=N` widens the point fan-out |
 //! | GET    | `/v1/healthz`  | liveness probe                                   |
 //! | GET    | `/v1/stats`    | request, connection and cache counters (all three cache tiers) |
 //! | GET    | `/v1/metrics`  | Prometheus text exposition of every counter, gauge and histogram (server registry + process-wide engine registry) |
@@ -50,9 +50,9 @@
 //! one request per connection as before. When the pending-connection
 //! queue exceeds [`ServerConfig::max_pending`], new connections are
 //! **shed** with `503 Retry-After` instead of queueing unboundedly.
-//! Synthesis parallelism is per request — the server reuses the
-//! engine's [`Parallelism`] type, so a single POST can fan its search
-//! out over `jobs` threads while the pool keeps accepting.
+//! Every search is sequential and runs on the worker thread that
+//! serves its request; `?jobs=N` only widens a `/v1/sweep` point
+//! fan-out (the engine's [`Parallelism`] type).
 //!
 //! **Observability.** Every routed response carries a `Server-Timing`
 //! header with per-phase durations (parse, digest, cache, warm, search,
@@ -72,9 +72,8 @@ use crate::sweep::{run_sweep, SweepOptions};
 use ezrt_artifacts::{ArtifactKind, RenderError};
 use ezrt_core::Project;
 use ezrt_obs::{Counter, Gauge, Histogram, Registry};
-use ezrt_scheduler::{PorLevel, SchedulerConfig, SearchCounter, SearchStats};
+use ezrt_scheduler::{Parallelism, PorLevel, SchedulerConfig, SearchCounter, SearchStats};
 use ezrt_spec::sweep::SweepGrid;
-use ezrt_tpn::Parallelism;
 use std::collections::VecDeque;
 use std::io::{LineWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -98,18 +97,17 @@ pub const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(5);
 /// answers with `Connection: close` and recycles the worker, so one
 /// immortal client cannot monopolize a pool slot forever.
 pub const MAX_CONNECTION_REQUESTS: u64 = 100;
-/// Upper bound on the client-supplied `?jobs=N`: a request may not
-/// conscript more synthesis threads than this, no matter what it asks
-/// for — an unbounded value would let one POST spawn arbitrarily many
-/// threads and size the sharded arena for them.
+/// Upper bound on the client-supplied `?jobs=N`: a sweep may not fan
+/// out over more threads than this, no matter what it asks for — an
+/// unbounded value would let one POST spawn arbitrarily many threads.
 const MAX_REQUEST_JOBS: usize = 64;
 
 /// Configuration of [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// The base scheduler configuration; its `parallelism` is the
-    /// default per-request synthesis worker count (the CLI's `--jobs`),
-    /// overridable per request with `?jobs=N`.
+    /// default `/v1/sweep` fan-out width (the CLI's `--jobs`),
+    /// overridable per request with `?jobs=N`. Searches ignore it.
     pub scheduler: SchedulerConfig,
     /// Connection worker threads (each serves one connection at a time).
     pub workers: usize,
@@ -1241,10 +1239,10 @@ fn route(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> Resp
 }
 
 /// Parses the spec XML body into a project carrying the server's base
-/// scheduler configuration with the request's effective `jobs` and
-/// `por`. Note that `por` — unlike `jobs` — is part of the canonical
-/// config bytes, so requests at different levels key different cache
-/// entries.
+/// scheduler configuration with the request's effective `jobs` (the
+/// sweep fan-out width) and `por`. Note that `por` — unlike `jobs` — is
+/// part of the canonical config bytes, so requests at different levels
+/// key different cache entries.
 fn parse_project(shared: &Shared, request: &Request) -> Result<Project, Response> {
     let xml = std::str::from_utf8(&request.body)
         .map_err(|_| Response::error(400, "spec body is not UTF-8"))?;

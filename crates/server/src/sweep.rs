@@ -3,8 +3,8 @@
 //! per point.
 //!
 //! The engine reuses the batch fan-out shape — points spread over
-//! [`SweepOptions::fanout`] worker threads, each point's synthesis
-//! forced onto the **sequential** engine — and adds one twist: the base
+//! [`SweepOptions::fanout`] worker threads, each point's synthesis one
+//! sequential search — and adds one twist: the base
 //! spec is synthesized first, and every grid point warm-starts from the
 //! base outcome through the incremental seeding path. Seeding every
 //! point from the *same* fixed ancestor (rather than from whichever
@@ -27,10 +27,9 @@ use crate::digest::{project_digest, SpecDigest};
 use crate::report::{self, JsonFields};
 use ezrt_artifacts::outcome::SynthesisOutcome;
 use ezrt_core::Project;
-use ezrt_scheduler::SchedulerConfig;
+use ezrt_scheduler::{Parallelism, SchedulerConfig};
 use ezrt_spec::sweep::{SweepGrid, SweepPoint, MAX_SWEEP_POINTS};
 use ezrt_spec::EzSpec;
-use ezrt_tpn::Parallelism;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -38,12 +37,9 @@ use std::sync::{Arc, Mutex};
 /// Configuration of [`run_sweep`].
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
-    /// How many grid points are processed concurrently. Per-point
-    /// synthesis stays sequential — see the module docs.
+    /// How many grid points are processed concurrently.
     pub fanout: Parallelism,
-    /// The scheduler configuration every point is synthesized under
-    /// (its `parallelism` field is ignored in favour of the sequential
-    /// engine).
+    /// The scheduler configuration every point is synthesized under.
     pub scheduler: SchedulerConfig,
 }
 
@@ -122,15 +118,10 @@ pub fn run_sweep(
             grid.len()
         ));
     }
-    let sequential = SchedulerConfig {
-        parallelism: Parallelism::SEQUENTIAL,
-        ..options.scheduler.clone()
-    };
-
     // The base outcome is the fixed warm-start ancestor for every
     // point; computing it up front (before any fan-out) pins the seed
     // all workers share.
-    let base_project = Project::new(spec.clone()).with_config(sequential.clone());
+    let base_project = Project::new(spec.clone()).with_config(options.scheduler.clone());
     let base_digest = project_digest(&base_project);
     let (base_outcome, _) =
         cache.get_or_compute(base_digest, || compute_outcome(&base_project, base_digest));
@@ -150,7 +141,7 @@ pub fn run_sweep(
                 let Some(point) = points.get(index) else {
                     return;
                 };
-                let row = process_point(spec, *point, &sequential, ancestor.as_ref(), cache);
+                let row = process_point(spec, *point, &options.scheduler, ancestor.as_ref(), cache);
                 *slots[index].lock().expect("row slot poisoned") = Some(row);
             });
         }
@@ -182,7 +173,7 @@ pub fn run_sweep(
 fn process_point(
     base: &EzSpec,
     point: SweepPoint,
-    sequential: &SchedulerConfig,
+    config: &SchedulerConfig,
     ancestor: Option<&Arc<SynthesisOutcome>>,
     cache: &ResultCache,
 ) -> SweepRow {
@@ -205,7 +196,7 @@ fn process_point(
             };
         }
     };
-    let project = Project::new(derived).with_config(sequential.clone());
+    let project = Project::new(derived).with_config(config.clone());
     let digest = project_digest(&project);
     let (outcome, lookup) = cache.get_or_compute(digest, || match ancestor {
         Some(ancestor) => compute_outcome_incremental(&project, digest, ancestor),

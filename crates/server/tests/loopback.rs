@@ -147,8 +147,9 @@ fn healthz_stats_and_routing() {
     assert!(body.contains("\"error\": "), "{body}");
     let (status, _) = request(addr, "POST", "/v1/schedule?jobs=zero", &small_control_xml());
     assert_eq!(status, 400);
-    // The per-request worker count is bounded: a client cannot make one
-    // POST spawn an arbitrary number of synthesis threads.
+    // `?jobs=` (the sweep fan-out width) is validated and bounded on
+    // every spec route: a client cannot make one POST spawn an arbitrary
+    // number of threads.
     let (status, body) = request(
         addr,
         "POST",
@@ -234,7 +235,6 @@ fn stats_body_is_frozen_for_a_fresh_server() {
   \"incr_states_saved\": 0,
   \"por_stubborn_skips\": 0,
   \"por_sleep_skips\": 0,
-  \"por_overlap_skips\": 0,
   \"cache_capacity\": 100,
   \"cache_entries\": 0,
   \"cache_inflight\": 0,
@@ -521,21 +521,23 @@ fn read_one_response(stream: &mut TcpStream) -> (u16, String, String, bool) {
 }
 
 #[test]
-fn jobs_query_parallelizes_a_miss_and_shares_the_entry() {
+fn jobs_query_changes_no_schedule_and_shares_the_entry() {
     let server = server(ServerConfig::default());
     let addr = server.addr();
     let xml = small_control_xml();
 
     let (status, first) = request(addr, "POST", "/v1/schedule?jobs=2", &xml);
     assert_eq!(status, 200);
-    assert_eq!(field(&first, "jobs"), "2");
     assert_eq!(field(&first, "cache"), "\"miss\"");
+    assert!(!first.contains("\"jobs\""), "{first}");
 
     // The digest ignores jobs, so a jobs=1 request for the same spec is
-    // a hit — and reports the cached run's worker count.
+    // a hit on the very same result.
     let (_, second) = request(addr, "POST", "/v1/schedule", &xml);
     assert_eq!(field(&second, "cache"), "\"hit\"");
-    assert_eq!(field(&second, "jobs"), "2");
+    for key in ["spec_digest", "states_visited", "firings", "makespan"] {
+        assert_eq!(field(&second, key), field(&first, key), "{key}");
+    }
 
     server.stop();
 }

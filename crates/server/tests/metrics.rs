@@ -196,7 +196,6 @@ fn metrics_exposition_covers_every_subsystem_and_counters_move() {
         "ezrt_sweep_requests_total",
         "ezrt_sweep_points_total",
         "ezrt_search_runs_total",
-        "ezrt_search_donation_stalls_total",
     ]
     .into_iter()
     .chain(table_families)
@@ -206,6 +205,14 @@ fn metrics_exposition_covers_every_subsystem_and_counters_move() {
             Some("counter"),
             "missing counter family {family}"
         );
+    }
+    // No search counter feeds these any more: every search is sequential.
+    for family in [
+        "ezrt_search_steals_total",
+        "ezrt_search_por_overlap_skips_total",
+        "ezrt_http_por_overlap_skips_total",
+    ] {
+        assert!(!before.types.contains_key(family), "retired {family}");
     }
     for family in [
         "ezrt_http_request_micros",

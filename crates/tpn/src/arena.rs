@@ -133,7 +133,7 @@ impl std::fmt::Display for StateId {
     }
 }
 
-pub(crate) const EMPTY_SLOT: u32 = u32::MAX;
+const EMPTY_SLOT: u32 = u32::MAX;
 
 /// An interning arena for packed states: one contiguous slab holding every
 /// distinct state seen so far, plus an open-addressing hash table that
@@ -283,10 +283,8 @@ impl StateArena {
 /// rotate, xor, multiply), so the four multiply chains overlap in the
 /// pipeline instead of running as one serial chain over the whole state.
 /// The lanes are then folded together and avalanched, so the low bits
-/// (the probe slot) and the high bits (the shard) both depend on every
-/// word. Shared with the sharded arena so both tables agree on state
-/// hashes.
-pub(crate) fn hash_words(words: &[u32]) -> u64 {
+/// (the probe slot) depend on every word.
+fn hash_words(words: &[u32]) -> u64 {
     const K: u64 = 0x51_7C_C1_B7_27_22_0A_95;
     fn mix(lane: u64, v: u64) -> u64 {
         (lane.rotate_left(5) ^ v).wrapping_mul(K)

@@ -73,7 +73,6 @@ mod marking;
 mod net;
 pub mod por;
 pub mod reachability;
-pub mod sharded;
 mod state;
 
 pub use arena::{StateArena, StateId, StateLayout};
@@ -82,8 +81,7 @@ pub use ids::{PlaceId, TransitionId};
 pub use interval::{TimeBound, TimeInterval};
 pub use marking::Marking;
 pub use net::{Place, TimePetriNet, TpnBuilder, Transition};
-pub use por::{DependencyMatrix, ExpansionClaim, ExpansionRegistry};
-pub use sharded::{Parallelism, ShardedArena};
+pub use por::DependencyMatrix;
 pub use state::{Firing, State};
 
 /// Discrete model time, in the specification's abstract *task time units*

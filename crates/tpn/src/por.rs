@@ -8,18 +8,9 @@
 //! into packed `u64` bitset rows — [`DependencyMatrix`] — turning the
 //! per-state O(n²) place-overlap scan the search used to run into a few
 //! word-AND operations.
-//!
-//! [`ExpansionRegistry`] is the parallel half: a sharded side table,
-//! keyed by interned [`StateId`], in which workers publish the sleep set
-//! they expanded a state under. A second worker that reaches the same
-//! state under a *larger-or-equal* sleep set learns that everything it
-//! would explore is already covered and skips the subtree outright.
 
 use crate::ids::TransitionId;
 use crate::net::TimePetriNet;
-use crate::StateId;
-use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Sets bit `i` in a packed `u64` mask.
 #[inline]
@@ -257,126 +248,6 @@ impl DependencyMatrix {
     }
 }
 
-/// The verdict of [`ExpansionRegistry::claim`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExpansionClaim {
-    /// First expansion of this state: the caller owns it and must explore
-    /// every candidate outside its sleep set.
-    Owned,
-    /// The state was already expanded under a sleep set no larger than the
-    /// caller's: everything the caller would explore is already someone
-    /// else's obligation, so the caller may skip the state entirely.
-    Covered,
-    /// The state was expanded before, but under an *incomparable or
-    /// larger* sleep set; the caller must expand it too. The stored
-    /// summary is tightened to the intersection (the union of both
-    /// claimants' exploration obligations).
-    Partial,
-}
-
-/// A sharded side table publishing, per interned state, the sleep set it
-/// was expanded under — the cross-worker half of sleep-set reduction.
-///
-/// The invariant: the stored mask for a state is always a subset of the
-/// sleep set of **every** claimant that was told to expand it, i.e. the
-/// union of all claimed exploration obligations covers the complement of
-/// the stored mask. [`claim`](Self::claim) maintains this atomically per
-/// state under one shard lock (check and publish are a single critical
-/// section, so two racing claimants can never both skip).
-#[derive(Debug)]
-pub struct ExpansionRegistry {
-    shards: Vec<Mutex<HashMap<u32, Box<[u64]>>>>,
-}
-
-impl ExpansionRegistry {
-    /// Creates a registry with `shards` independently locked partitions
-    /// (rounded up to at least one).
-    pub fn new(shards: usize) -> Self {
-        ExpansionRegistry {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, id: StateId) -> &Mutex<HashMap<u32, Box<[u64]>>> {
-        &self.shards[id.index() % self.shards.len()]
-    }
-
-    /// Registers intent to expand `id` under `sleep` and reports whether
-    /// the caller must proceed ([`Owned`](ExpansionClaim::Owned) /
-    /// [`Partial`](ExpansionClaim::Partial)) or may skip the state
-    /// ([`Covered`](ExpansionClaim::Covered)).
-    ///
-    /// All-zero masks are stored as empty rows, so the common case — a
-    /// state first expanded with nothing asleep — costs no mask storage
-    /// and covers every later claimant.
-    pub fn claim(&self, id: StateId, sleep: &[u64]) -> ExpansionClaim {
-        let key = u32::try_from(id.index()).expect("state ids fit in u32");
-        let mut shard = self.shard(id).lock().expect("expansion shard poisoned");
-        match shard.entry(key) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(normalize(sleep));
-                ExpansionClaim::Owned
-            }
-            std::collections::hash_map::Entry::Occupied(mut slot) => {
-                let stored = slot.get();
-                // stored ⊆ sleep: every transition a prior claimant
-                // skipped, this claimant would skip too.
-                let covered = stored
-                    .iter()
-                    .enumerate()
-                    .all(|(w, &bits)| bits & !sleep.get(w).copied().unwrap_or(0) == 0);
-                if covered {
-                    return ExpansionClaim::Covered;
-                }
-                let merged: Vec<u64> = stored
-                    .iter()
-                    .enumerate()
-                    .map(|(w, &bits)| bits & sleep.get(w).copied().unwrap_or(0))
-                    .collect();
-                slot.insert(normalize(&merged));
-                ExpansionClaim::Partial
-            }
-        }
-    }
-
-    /// Number of states with a published expansion summary.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.lock().expect("expansion shard poisoned").len())
-            .sum()
-    }
-
-    /// Whether no state has been claimed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Approximate resident size of the table, in bytes.
-    pub fn resident_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<(u32, Box<[u64]>)>();
-        self.shards
-            .iter()
-            .map(|shard| {
-                let shard = shard.lock().expect("expansion shard poisoned");
-                shard.capacity() * entry
-                    + shard
-                        .values()
-                        .map(|mask| mask.len() * std::mem::size_of::<u64>())
-                        .sum::<usize>()
-            })
-            .sum()
-    }
-}
-
-/// Drops trailing zero words; an all-zero mask becomes the empty row.
-fn normalize(mask: &[u64]) -> Box<[u64]> {
-    let len = mask.len() - mask.iter().rev().take_while(|&&w| w == 0).count();
-    mask[..len].into()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,57 +361,5 @@ mod tests {
         // Dependency pairs stay sleep-dependent, and the diagonal is set.
         assert!(m.sleep_dependent(TransitionId::from_index(0), TransitionId::from_index(1)));
         assert!(m.sleep_dependent(TransitionId::from_index(0), TransitionId::from_index(0)));
-    }
-
-    #[test]
-    fn claim_protocol_orders_owned_covered_partial() {
-        let registry = ExpansionRegistry::new(4);
-        let id = StateId::from_index(7);
-        // First claim owns, regardless of mask.
-        assert_eq!(registry.claim(id, &[0b0110]), ExpansionClaim::Owned);
-        // Superset sleep ⇒ covered (claimant explores strictly less).
-        assert_eq!(registry.claim(id, &[0b1110]), ExpansionClaim::Covered);
-        // Incomparable sleep ⇒ partial; stored tightens to the AND.
-        assert_eq!(registry.claim(id, &[0b0011]), ExpansionClaim::Partial);
-        // Now stored = 0b0010, so 0b1010 covers.
-        assert_eq!(registry.claim(id, &[0b1010]), ExpansionClaim::Covered);
-        assert_eq!(registry.len(), 1);
-        assert!(!registry.is_empty());
-        assert!(registry.resident_bytes() > 0);
-    }
-
-    #[test]
-    fn empty_sleep_claims_cover_everyone() {
-        let registry = ExpansionRegistry::new(1);
-        let id = StateId::from_index(0);
-        assert_eq!(registry.claim(id, &[0, 0]), ExpansionClaim::Owned);
-        // The owner sleeps nothing, so it explores everything: any later
-        // claimant is covered — including one with a longer mask.
-        assert_eq!(registry.claim(id, &[0]), ExpansionClaim::Covered);
-        assert_eq!(
-            registry.claim(id, &[u64::MAX, 1, 0]),
-            ExpansionClaim::Covered
-        );
-    }
-
-    #[test]
-    fn racing_claims_admit_exactly_one_owner() {
-        let registry = ExpansionRegistry::new(8);
-        let owners = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let registry = &registry;
-                let owners = &owners;
-                scope.spawn(move || {
-                    for i in 0..512usize {
-                        if registry.claim(StateId::from_index(i), &[]) == ExpansionClaim::Owned {
-                            owners.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(owners.load(std::sync::atomic::Ordering::Relaxed), 512);
-        assert_eq!(registry.len(), 512);
     }
 }

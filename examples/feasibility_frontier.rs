@@ -8,11 +8,11 @@
 //! cargo run --example feasibility_frontier
 //! ```
 
+use ezrealtime::scheduler::Parallelism;
 use ezrealtime::server::cache::ResultCache;
 use ezrealtime::server::sweep::{run_sweep, SweepOptions};
 use ezrealtime::spec::corpus::small_control;
 use ezrealtime::spec::sweep::SweepGrid;
-use ezrealtime::tpn::Parallelism;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = small_control();

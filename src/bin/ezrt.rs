@@ -21,9 +21,11 @@
 //! ezrt batch     specs-dir            synthesize a directory, one JSON row per spec
 //! ```
 //!
-//! The global `--jobs N` flag runs the synthesis on `N` worker threads
-//! (default 1, the sequential search) and `--por off|stubborn`
-//! selects the partial-order reduction level (default `stubborn`);
+//! Every search is one sequential depth-first search. The global
+//! `--jobs N` flag (default 1) sets how many specs `batch`, and how many
+//! grid points `sweep`, synthesize at once; it never changes any output.
+//! `--por off|stubborn` selects the partial-order reduction level
+//! (default `stubborn`);
 //! `ezrt schedule --json` emits the
 //! search statistics as one flat JSON object for scripting, including
 //! the `spec_digest` cache key the server and batch rows share, so the
@@ -280,10 +282,11 @@ fn usage() -> String {
      \x20           appends one NDJSON access-log line per request\n\
      \x20 batch     <dir> [--json] synthesize every *.xml spec under dir\n\
      \x20           through the same digest cache, one row per spec\n\
-     \x20           (--jobs fans out files; per-spec search stays sequential)\n\
+     \x20           (--jobs fans out files)\n\
      global flags:\n\
-     \x20 --jobs N        synthesis worker threads (default 1 = sequential;\n\
-     \x20                 N > 1 races DFS subtrees, first feasible schedule wins)\n\
+     \x20 --jobs N        how many specs (batch, serve's /v1/sweep) or grid\n\
+     \x20                 points (sweep) synthesize at once (default 1); each\n\
+     \x20                 search is sequential, so output never depends on N\n\
      \x20 --por LEVEL     partial-order reduction: off | stubborn\n\
      \x20                 (default stubborn: stubborn + sleep sets; off\n\
      \x20                 reproduces the reference search byte-for-byte;\n\
@@ -302,8 +305,8 @@ fn usage() -> String {
 
 /// `ezrt serve --addr HOST:PORT [--cache-cap N] [--workers W]
 /// [--max-pending N]`: the long-lived HTTP synthesis service. The
-/// global `--jobs` becomes the default per-request synthesis
-/// parallelism (overridable per request with `?jobs=N`); `--workers`
+/// global `--jobs` becomes the default `/v1/sweep` fan-out width
+/// (overridable per request with `?jobs=N`); `--workers`
 /// sizes the connection pool; the global `--cache-dir` adds the
 /// persistent cache tier.
 fn serve(
@@ -356,7 +359,7 @@ fn serve(
     let server = Server::start(&addr, config)?;
     println!("ezrt serve: listening on http://{}", server.addr());
     println!(
-        "ezrt serve: {workers} worker(s), {jobs} default job(s), por {por}, \
+        "ezrt serve: {workers} worker(s), sweep fan-out {jobs}, por {por}, \
          cache capacity {cache_capacity}"
     );
     if let Some(dir) = cache_dir {
@@ -374,8 +377,8 @@ fn serve(
 
 /// `ezrt batch <dir> [--json]`: synthesize every `*.xml` spec under a
 /// directory through the same queue + digest cache as the server, one
-/// row per spec. `--jobs` fans the *files* out; each file's synthesis
-/// runs the sequential engine so rows are deterministic and match
+/// row per spec. `--jobs` fans the files out; each file's synthesis is
+/// one sequential search, so rows are deterministic and match
 /// standalone `ezrt schedule --json` runs field for field.
 fn batch(
     args: &mut [String],
@@ -615,8 +618,6 @@ fn schedule(
     println!("  overhead ratio   {:.4}", outcome.stats.overhead_ratio());
     println!("  backtracks       {}", outcome.stats.backtracks);
     println!("  elapsed          {:?}", outcome.stats.elapsed);
-    println!("  jobs             {}", outcome.stats.jobs);
-    println!("  steals           {}", outcome.stats.steals);
     println!("  validator        {violations} violation(s)");
     if violations != "0" {
         // A nonzero count signals a kernel bug; name the constraints.
@@ -703,9 +704,8 @@ fn sweep(project: &Project, grid: Option<&str>, cache: &ResultCache) -> Result<(
     })?;
     let grid = SweepGrid::parse(grid_text)?;
     let started = std::time::Instant::now();
-    // The global --jobs fans points out across threads; per-point
-    // synthesis stays sequential inside run_sweep so the rows do not
-    // depend on the fan-out width.
+    // The global --jobs fans points out across threads; each point is
+    // one sequential search, so the rows do not depend on the width.
     let options = SweepOptions {
         fanout: project.config().parallelism,
         scheduler: project.config().clone(),

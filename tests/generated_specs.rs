@@ -1,6 +1,6 @@
 //! Differential fuzzing over the generated spec families: every
 //! synthesis backend — the value-typed reference kernel, the packed
-//! production kernel, and the racing parallel search — must agree on
+//! production kernel and its warm-started (seeded) form — must agree on
 //! random workloads, and every feasible schedule must survive the
 //! independent simulation oracle.
 //!
@@ -11,13 +11,11 @@
 use ezrealtime::compose::translate;
 use ezrealtime::core::Project;
 use ezrealtime::scheduler::{
-    synthesize, synthesize_parallel, synthesize_reference, synthesize_seeded, PorLevel,
-    SchedulerConfig, SynthesizeError,
+    synthesize, synthesize_reference, synthesize_seeded, PorLevel, SchedulerConfig, SynthesizeError,
 };
 use ezrealtime::server::digest::project_digest;
 use ezrealtime::sim::replay;
 use ezrealtime::spec::generate::{family_spec, Family};
-use ezrealtime::tpn::Parallelism;
 use proptest::prelude::*;
 
 /// Random members of every generated family, sized so a single case
@@ -173,43 +171,6 @@ proptest! {
                     label, stubborn.is_ok(), off.is_ok()
                 );
             }
-        }
-
-        // The shared expansion registry must keep the parallel stubborn
-        // search sound: same verdict, oracle-clean schedules.
-        let parallel_stubborn = synthesize_parallel(
-            &tasknet,
-            &SchedulerConfig {
-                parallelism: Parallelism::new(3),
-                por: PorLevel::Stubborn,
-                ..config.clone()
-            },
-        );
-        prop_assert_eq!(
-            parallel_stubborn.is_ok(), packed.is_ok(),
-            "{}: parallel stubborn verdict diverges", label
-        );
-        if let Ok(parallel_stubborn) = &parallel_stubborn {
-            let report = replay(&tasknet, &parallel_stubborn.schedule)
-                .map_err(|e| format!("{label}: oracle rejects parallel stubborn schedule: {e}"));
-            prop_assert!(report.is_ok(), "{:?}", report);
-        }
-
-        // The racing parallel search may pick a different feasible
-        // schedule, but never a different verdict — and whatever it
-        // returns must satisfy the same oracle.
-        let parallel = synthesize_parallel(
-            &tasknet,
-            &SchedulerConfig { parallelism: Parallelism::new(3), ..config.clone() },
-        );
-        prop_assert_eq!(
-            parallel.is_ok(), packed.is_ok(),
-            "{}: parallel verdict diverges", label
-        );
-        if let Ok(parallel) = &parallel {
-            let report = replay(&tasknet, &parallel.schedule)
-                .map_err(|e| format!("{label}: oracle rejects parallel schedule: {e}"));
-            prop_assert!(report.is_ok(), "{:?}", report);
         }
 
         // Warm-starting a search with its own cold schedule is the

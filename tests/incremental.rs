@@ -266,15 +266,24 @@ fn warm_start_after_a_deadline_edit_is_sound_and_no_costlier() {
     assert!(warm.stats.states_visited <= cold.stats.states_visited);
 }
 
+/// `--jobs` never changes a search, so a project configured for more
+/// than one job warm-starts its edit exactly as a one-job project does.
 #[test]
-fn parallel_configs_fall_back_to_the_cold_path() {
-    let project = Project::new(mine_pump()).with_jobs(2);
-    let cold = project.synthesize().expect("feasible");
-    let warm = project
-        .synthesize_incremental(&cold.schedule)
-        .expect("feasible");
-    // The seeded search is sequential-only; a parallel config must take
-    // the ordinary racing path and report no warm-start counters.
-    assert_eq!(warm.stats.incr_seed_hits, 0);
-    assert!(warm.validate().is_empty());
+fn edits_warm_start_identically_at_any_job_count() {
+    let previous = Project::new(mine_pump()).synthesize().expect("feasible");
+    let edited_xml = nudge_first_deadline(&to_xml(previous.spec()), 1);
+    let warm_at = |jobs| {
+        Project::from_dsl(&edited_xml)
+            .expect("edited spec parses")
+            .with_jobs(jobs)
+            .synthesize_incremental(&previous.schedule)
+            .expect("feasible")
+    };
+    let one = warm_at(1);
+    let two = warm_at(2);
+    assert_eq!(two.stats.incr_seed_hits, 1);
+    assert_eq!(two.stats.incr_replayed, one.stats.incr_replayed);
+    assert_eq!(two.stats.states_visited, one.stats.states_visited);
+    assert_eq!(two.schedule, one.schedule);
+    assert!(two.validate().is_empty());
 }

@@ -1,26 +1,19 @@
-//! Workspace-level tests for the parallel synthesis engine: determinism
-//! at one job, validation + replay acceptance at any job count, and
-//! verdict agreement with the sequential search.
+//! Workspace-level tests that the job count never changes a synthesis:
+//! every search is sequential, and `--jobs` only widens the fan-out of
+//! `batch`, `sweep` and `/v1/sweep`. Results at any job count pass both
+//! independent oracles and equal the one-job result, verdicts included.
 
 use ezrealtime::compose::translate;
+use ezrealtime::core::Project;
 use ezrealtime::scheduler::{
-    synthesize, synthesize_parallel, Parallelism, SchedulerConfig, Timeline,
+    synthesize, synthesize_parallel, Parallelism, SchedulerConfig, SynthesizeError,
 };
 use ezrealtime::sim::replay::replay;
 use ezrealtime::spec::corpus::{figure3_spec, figure4_spec, figure8_spec, small_control};
-use ezrealtime::spec::generate::{synthetic_spec, WorkloadConfig};
-use proptest::prelude::*;
 
-fn config_with_jobs(jobs: usize) -> SchedulerConfig {
-    SchedulerConfig {
-        parallelism: Parallelism::new(jobs),
-        ..SchedulerConfig::default()
-    }
-}
-
-/// Every schedule the parallel engine returns — at every worker count —
-/// must be accepted by both independent oracles: the specification-level
-/// validator and the net-semantics replay.
+/// Every schedule found at every job count is accepted by both
+/// independent oracles: the specification-level validator and the
+/// net-semantics replay.
 #[test]
 fn corpus_parallel_schedules_pass_validate_and_replay() {
     for spec in [
@@ -29,28 +22,28 @@ fn corpus_parallel_schedules_pass_validate_and_replay() {
         figure8_spec(),
         small_control(),
     ] {
-        let tasknet = translate(&spec);
         for jobs in [1usize, 2, 4] {
-            let synthesis = synthesize_parallel(&tasknet, &config_with_jobs(jobs))
+            let outcome = Project::new(spec.clone())
+                .with_jobs(jobs)
+                .synthesize()
                 .unwrap_or_else(|e| panic!("{} at {jobs} jobs: {e}", spec.name()));
-            let timeline = Timeline::from_schedule(&tasknet, &synthesis.schedule);
-            let violations = ezrealtime::scheduler::validate::check(&spec, &timeline);
+            let violations = outcome.validate();
             assert!(
                 violations.is_empty(),
                 "{} at {jobs} jobs: {violations:?}",
                 spec.name()
             );
-            let report = replay(&tasknet, &synthesis.schedule)
+            let report = replay(&outcome.tasknet, &outcome.schedule)
                 .unwrap_or_else(|e| panic!("{} at {jobs} jobs: {e}", spec.name()));
-            assert_eq!(report.firings, synthesis.schedule.firings().len());
-            assert_eq!(report.makespan, synthesis.schedule.makespan());
-            assert_eq!(synthesis.stats.jobs, jobs);
+            assert_eq!(report.firings, outcome.schedule.firings().len());
+            assert_eq!(report.makespan, outcome.schedule.makespan());
         }
     }
 }
 
-/// `--jobs 1` is the sequential path: byte-identical schedules and
-/// identical counters (wall time aside).
+/// `synthesize_parallel` forwards to the sequential search at any job
+/// count: byte-identical schedules and identical counters (wall time
+/// aside).
 #[test]
 fn one_job_is_byte_identical_to_sequential_search() {
     for spec in [
@@ -60,33 +53,34 @@ fn one_job_is_byte_identical_to_sequential_search() {
         small_control(),
     ] {
         let tasknet = translate(&spec);
-        let config = config_with_jobs(1);
-        let parallel = synthesize_parallel(&tasknet, &config).expect("feasible");
-        let sequential = synthesize(&tasknet, &config).expect("feasible");
-        assert_eq!(parallel.schedule, sequential.schedule, "{}", spec.name());
-        assert_eq!(
-            parallel.stats.states_visited,
-            sequential.stats.states_visited,
-            "{}",
-            spec.name()
-        );
-        assert_eq!(
-            parallel.stats.backtracks,
-            sequential.stats.backtracks,
-            "{}",
-            spec.name()
-        );
-        assert_eq!(
-            parallel.stats.dead_states,
-            sequential.stats.dead_states,
-            "{}",
-            spec.name()
-        );
+        let sequential = synthesize(&tasknet, &SchedulerConfig::default()).expect("feasible");
+        for jobs in [1usize, 2, 4] {
+            let config = SchedulerConfig {
+                parallelism: Parallelism::new(jobs),
+                ..SchedulerConfig::default()
+            };
+            let forwarded = synthesize_parallel(&tasknet, &config).expect("feasible");
+            let label = format!("{} at {jobs} jobs", spec.name());
+            assert_eq!(forwarded.schedule, sequential.schedule, "{label}");
+            assert_eq!(
+                forwarded.stats.states_visited, sequential.stats.states_visited,
+                "{label}"
+            );
+            assert_eq!(
+                forwarded.stats.backtracks, sequential.stats.backtracks,
+                "{label}"
+            );
+            assert_eq!(
+                forwarded.stats.dead_states, sequential.stats.dead_states,
+                "{label}"
+            );
+            assert_eq!(forwarded.stats.steals, 0, "{label}");
+        }
     }
 }
 
-/// Parallel and sequential searches agree on infeasibility (both exhaust
-/// the same reachable space) including the diagnosed missed tasks.
+/// Infeasibility verdicts, diagnosed missed tasks and search counters
+/// are the same at every job count.
 #[test]
 fn infeasibility_verdicts_agree_across_worker_counts() {
     let overload = ezrealtime::spec::SpecBuilder::new("overload")
@@ -94,94 +88,16 @@ fn infeasibility_verdicts_agree_across_worker_counts() {
         .task("y", |t| t.computation(2).deadline(4).period(4))
         .build()
         .unwrap();
-    let tasknet = translate(&overload);
-    let sequential = synthesize(&tasknet, &config_with_jobs(1)).unwrap_err();
-    let ezrealtime::scheduler::SynthesizeError::Infeasible {
-        missed_tasks: expected,
-        ..
-    } = sequential
-    else {
-        panic!("sequential verdict should be infeasible");
+    let verdict = |jobs| match Project::new(overload.clone()).with_jobs(jobs).synthesize() {
+        Err(SynthesizeError::Infeasible {
+            stats,
+            missed_tasks,
+        }) => (stats.states_visited, stats.backtracks, missed_tasks),
+        other => panic!("expected infeasible at {jobs} jobs, got {other:?}"),
     };
+    let expected = verdict(1);
+    assert!(!expected.2.is_empty());
     for jobs in [2usize, 4] {
-        let err = synthesize_parallel(&tasknet, &config_with_jobs(jobs)).unwrap_err();
-        match err {
-            ezrealtime::scheduler::SynthesizeError::Infeasible { missed_tasks, .. } => {
-                assert_eq!(missed_tasks, expected, "{jobs} jobs");
-            }
-            other => panic!("expected infeasible at {jobs} jobs, got {other}"),
-        }
-    }
-}
-
-fn workload() -> impl Strategy<Value = (WorkloadConfig, u64)> {
-    (
-        2usize..6,
-        0.2f64..0.8,
-        0.0f64..0.3,
-        0.0f64..0.3,
-        any::<u64>(),
-    )
-        .prop_map(|(tasks, util, prec, excl, seed)| {
-            (
-                WorkloadConfig {
-                    tasks,
-                    total_utilization: util,
-                    periods: vec![20, 40],
-                    preemptive_fraction: 0.0,
-                    precedence_probability: prec,
-                    exclusion_probability: excl,
-                    constrained_deadlines: true,
-                },
-                seed,
-            )
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// On random workloads, at 1, 2 and 4 workers: whenever the
-    /// sequential search finds a schedule, the parallel engine also finds
-    /// one, and every parallel schedule passes validate + replay.
-    #[test]
-    fn parallel_schedules_always_pass_both_oracles((config, seed) in workload()) {
-        let spec = synthetic_spec(&config, seed);
-        let tasknet = translate(&spec);
-        let budget = SchedulerConfig {
-            max_states: 100_000,
-            ..SchedulerConfig::default()
-        };
-        let sequential = synthesize(&tasknet, &budget);
-        for jobs in [1usize, 2, 4] {
-            // Headroom over the sequential budget: the parallel engine
-            // counts speculative exploration by all workers against
-            // max_states, so an equal budget could abort a space the
-            // sequential search solves within it.
-            let config = SchedulerConfig {
-                parallelism: Parallelism::new(jobs),
-                max_states: 1_000_000,
-                ..budget.clone()
-            };
-            let result = synthesize_parallel(&tasknet, &config);
-            if let Ok(synthesis) = &result {
-                let timeline = Timeline::from_schedule(&tasknet, &synthesis.schedule);
-                let violations = ezrealtime::scheduler::validate::check(&spec, &timeline);
-                prop_assert!(violations.is_empty(), "seed {seed} jobs {jobs}: {violations:?}");
-                prop_assert!(
-                    replay(&tasknet, &synthesis.schedule).is_ok(),
-                    "seed {seed} jobs {jobs}: replay rejected"
-                );
-            }
-            if sequential.is_ok() {
-                // A feasible space must stay feasible under any worker
-                // count (parallel explores a superset before giving up).
-                prop_assert!(
-                    result.is_ok(),
-                    "seed {seed}: sequential feasible but {jobs} jobs failed: {:?}",
-                    result.err().map(|e| e.to_string())
-                );
-            }
-        }
+        assert_eq!(verdict(jobs), expected, "{jobs} jobs");
     }
 }

@@ -3,13 +3,14 @@
 //!
 //! Every completed search — cold or seeded, feasible or not — records
 //! its run counters once; the DFS loop additionally samples its frontier
-//! depth every 1024 ticks. All cells are relaxed
+//! depth every 1024 ticks, and the spare slot sets its gauge whenever a
+//! search takes or returns it. All cells are relaxed
 //! atomics, so the cost is a handful of uncontended `fetch_add`s per
 //! *run* plus three per depth sample — invisible next to a single state
 //! expansion.
 
 use crate::stats::{SearchCounter, SearchStats};
-use ezrt_obs::{Counter, Histogram};
+use ezrt_obs::{Counter, Gauge, Histogram};
 use std::sync::OnceLock;
 
 /// How many search-loop ticks between frontier-depth samples.
@@ -29,6 +30,8 @@ pub(crate) struct EngineMetrics {
     pub(crate) frontier_depth: Histogram,
     /// `ezrt_search_elapsed_micros`.
     pub(crate) elapsed_micros: Histogram,
+    /// `ezrt_search_spare_bytes`.
+    pub(crate) spare_bytes: Gauge,
 }
 
 /// Registers the engine's `ezrt_search_*` families in the process-wide
@@ -66,6 +69,10 @@ pub(crate) fn engine_metrics() -> &'static EngineMetrics {
             elapsed_micros: registry.histogram(
                 "ezrt_search_elapsed_micros",
                 "Search wall-clock per completed run, in microseconds.",
+            ),
+            spare_bytes: registry.gauge(
+                "ezrt_search_spare_bytes",
+                "Bytes the idle spare holds: a finished search's arena, dead set, frames and path, kept for the next search.",
             ),
         }
     })
@@ -113,6 +120,10 @@ mod tests {
         }
         assert!(
             rendered.contains("ezrt_search_elapsed_micros_bucket"),
+            "{rendered}"
+        );
+        assert!(
+            rendered.contains("# TYPE ezrt_search_spare_bytes gauge"),
             "{rendered}"
         );
     }

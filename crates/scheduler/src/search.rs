@@ -9,7 +9,10 @@
 //! from the parent frame's set on every firing, so no step rescans every
 //! transition. Frames pool their vectors across pushes, so in the steady
 //! state the loop performs **zero heap allocations per explored
-//! successor**. The original value-typed search is preserved in
+//! successor**. A finished search hands its arena, dead set, frames and
+//! path to one process-wide spare slot and the next search starts on
+//! them, so back-to-back searches do not map and fault fresh memory each
+//! time. The original value-typed search is preserved in
 //! [`reference`](crate::reference) and the two are equivalence-tested to
 //! return byte-identical schedules.
 
@@ -19,9 +22,11 @@ use crate::schedule::{FeasibleSchedule, ScheduledFiring};
 use crate::stats::SearchStats;
 use ezrt_compose::{TaskNet, TransitionRole};
 use ezrt_spec::TaskId;
+use ezrt_tpn::arena::reserve_amortized;
 use ezrt_tpn::por::{iter_bits, set_bit, test_bit};
 use ezrt_tpn::reachability::Explorer;
-use ezrt_tpn::{StateId, Time, TimeBound, TransitionId};
+use ezrt_tpn::{ArenaBuffers, StateId, Time, TimeBound, TransitionId};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// The result of a successful synthesis: the feasible firing schedule and
@@ -100,25 +105,41 @@ struct Dfs<'a> {
 }
 
 impl<'a> Dfs<'a> {
-    /// A search rooted at the net's initial state: `s0` interned and
-    /// counted as visited, its frame scanned and its candidates generated.
-    fn new(tasknet: &'a TaskNet, config: &'a SchedulerConfig, started: Instant) -> Self {
+    /// A search rooted at the net's initial state, on `memory`: `s0`
+    /// interned and counted as visited, its frame scanned and its
+    /// candidates generated.
+    fn new(
+        tasknet: &'a TaskNet,
+        config: &'a SchedulerConfig,
+        started: Instant,
+        memory: Spare,
+    ) -> Self {
         let tasks = tasknet.spec().task_count();
-        let mut explorer = Explorer::new(tasknet.net());
+        let mut explorer = Explorer::with_buffers(tasknet.net(), memory.arena);
         let s0 = explorer.intern_initial();
+        // Recycled frames are stale. A push overwrites every field of the
+        // frame it reuses, but the root is never pushed: reset it here.
+        let mut frames = memory.frames;
+        if frames.is_empty() {
+            frames.push(Frame::default());
+        }
+        let root = &mut frames[0];
+        root.state = s0;
+        root.next = 0;
+        root.now = 0;
+        root.sleep.clear();
+        let mut path = memory.path;
+        path.clear();
         let mut dfs = Dfs {
             tasknet,
             config,
             started,
             explorer,
-            dead: DeadSet::default(),
+            dead: DeadSet::with_buffer(memory.dead),
             states: 1,
-            frames: vec![Frame {
-                state: s0,
-                ..Frame::default()
-            }],
+            frames,
             depth: 1,
-            path: Vec::new(),
+            path,
             counters: InstanceCounters::new(tasks),
             scratch: PorScratch::new(),
             domains: Vec::new(),
@@ -338,6 +359,96 @@ impl<'a> Dfs<'a> {
             ..self.stats.clone()
         }
     }
+
+    /// The search's memory, for the next search to reuse.
+    fn into_spare(self) -> Spare {
+        Spare {
+            arena: self.explorer.into_buffers(),
+            dead: self.dead.bits,
+            frames: self.frames,
+            path: self.path,
+        }
+    }
+}
+
+/// The working memory of a finished search: the arena's slab, hash cache
+/// and probe table, the dead-set bits, the DFS frames with their inner
+/// vectors, and the path. Contents are stale; [`Dfs::new`] resets what
+/// it reuses.
+#[derive(Default)]
+struct Spare {
+    arena: ArenaBuffers,
+    dead: Vec<u64>,
+    frames: Vec<Frame>,
+    path: Vec<ScheduledFiring>,
+}
+
+/// The one process-wide spare: the memory of a finished search, kept for
+/// the next one instead of being returned to the OS. One slot for the
+/// whole process, not one per thread, so a pool of service workers keeps
+/// at most one idle search's memory.
+static SPARE: Mutex<Option<Spare>> = Mutex::new(None);
+
+impl Spare {
+    /// Takes the idle spare. Returns empty buffers — the search then
+    /// allocates fresh — when there is none or the slot is contended or
+    /// poisoned; it never waits and never panics.
+    fn take() -> Spare {
+        let Ok(mut slot) = SPARE.try_lock() else {
+            return Spare::default();
+        };
+        let spare = slot.take();
+        if spare.is_some() {
+            crate::obs::engine_metrics().spare_bytes.set(0);
+        }
+        spare.unwrap_or_default()
+    }
+
+    /// Offers this memory to the slot, which keeps the larger of it and
+    /// the spare it holds. The other one is freed after the lock is
+    /// released; so is this one when the slot is contended or poisoned.
+    fn give_back(self) {
+        let bytes = self.bytes();
+        let Ok(mut slot) = SPARE.try_lock() else {
+            return;
+        };
+        if slot.as_ref().is_some_and(|held| held.bytes() >= bytes) {
+            return;
+        }
+        let _freed = slot.replace(self);
+        crate::obs::engine_metrics().spare_bytes.set(bytes as u64);
+        drop(slot);
+    }
+
+    /// The bytes the buffers hold allocated.
+    fn bytes(&self) -> usize {
+        let frames: usize = self
+            .frames
+            .iter()
+            .map(|frame| {
+                (frame.enabled.capacity() + frame.sleep.capacity()) * std::mem::size_of::<u64>()
+                    + frame.candidates.capacity() * std::mem::size_of::<(TransitionId, Time)>()
+            })
+            .sum();
+        self.arena.capacity_bytes()
+            + self.dead.capacity() * std::mem::size_of::<u64>()
+            + self.frames.capacity() * std::mem::size_of::<Frame>()
+            + frames
+            + self.path.capacity() * std::mem::size_of::<ScheduledFiring>()
+    }
+}
+
+/// A running search that hands its memory to the spare slot when it is
+/// dropped: after a verdict, a budget abort, or a panic unwinding
+/// through the search.
+struct Recycled<'a>(Option<Dfs<'a>>);
+
+impl Drop for Recycled<'_> {
+    fn drop(&mut self) {
+        if let Some(dfs) = self.0.take() {
+            dfs.into_spare().give_back();
+        }
+    }
 }
 
 /// Reusable per-search scratch for the partial-order machinery: packed
@@ -372,10 +483,23 @@ impl PorScratch {
 #[derive(Debug, Default)]
 struct DeadSet {
     bits: Vec<u64>,
+    /// The capacity `bits` would have in a fresh set (see
+    /// [`reserve_amortized`]); a recycled buffer may hold more.
+    reserved: usize,
     len: usize,
 }
 
 impl DeadSet {
+    /// An empty set that reuses `bits`' allocation.
+    fn with_buffer(mut bits: Vec<u64>) -> Self {
+        bits.clear();
+        DeadSet {
+            bits,
+            reserved: 0,
+            len: 0,
+        }
+    }
+
     fn insert(&mut self, id: StateId) {
         let (word, bit) = (id.index() / 64, id.index() % 64);
         if word >= self.bits.len() {
@@ -384,6 +508,7 @@ impl DeadSet {
             // reallocation per 64 states; doubling keeps it amortized O(1)
             // and also handles sparse high-id inserts gracefully.
             let grown = (word + 1).max(self.bits.len() * 2);
+            reserve_amortized(&mut self.bits, &mut self.reserved, grown);
             self.bits.resize(grown, 0);
         }
         let mask = 1u64 << bit;
@@ -402,8 +527,10 @@ impl DeadSet {
         self.len
     }
 
+    /// The bytes a fresh set reserves for the same inserts; a recycled
+    /// buffer's extra capacity is not counted.
     fn resident_bytes(&self) -> usize {
-        self.bits.capacity() * std::mem::size_of::<u64>()
+        self.reserved * std::mem::size_of::<u64>()
     }
 }
 
@@ -573,7 +700,6 @@ fn synthesize_local(
     seed: &[ScheduledFiring],
 ) -> Result<Synthesis, SynthesizeError> {
     let started = Instant::now();
-    let minimum_firings = tasknet.minimum_firing_count();
 
     // Fast path: when the prior schedule still runs through verbatim —
     // the overwhelmingly common case in an edit loop (unchanged spec, or
@@ -596,7 +722,7 @@ fn synthesize_local(
                 })
                 .collect();
             let stats = SearchStats {
-                minimum_firings,
+                minimum_firings: tasknet.minimum_firing_count(),
                 incr_seed_hits: 1,
                 incr_replayed: report.firings,
                 schedule_length: report.firings,
@@ -611,7 +737,20 @@ fn synthesize_local(
         }
     }
 
-    let mut dfs = Dfs::new(tasknet, config, started);
+    search_on(tasknet, config, seed, started, Spare::take())
+}
+
+/// The DFS, cold or seeded, on `memory`. The search's memory goes to the
+/// spare slot when it ends, whichever way.
+fn search_on(
+    tasknet: &TaskNet,
+    config: &SchedulerConfig,
+    seed: &[ScheduledFiring],
+    started: Instant,
+    memory: Spare,
+) -> Result<Synthesis, SynthesizeError> {
+    let mut search = Recycled(Some(Dfs::new(tasknet, config, started, memory)));
+    let dfs = search.0.as_mut().expect("taken only on drop");
     let replayed = dfs.seed(seed);
     if replayed > 0 {
         dfs.stats.incr_seed_hits = 1;
@@ -623,7 +762,7 @@ fn synthesize_local(
 
     let exit = dfs.run();
     let mut stats = Box::new(SearchStats {
-        minimum_firings,
+        minimum_firings: tasknet.minimum_firing_count(),
         elapsed: started.elapsed(),
         ..dfs.stats()
     });
@@ -631,7 +770,8 @@ fn synthesize_local(
         Exit::Feasible => {
             stats.schedule_length = dfs.path.len();
             Ok(Synthesis {
-                schedule: FeasibleSchedule::new(std::mem::take(&mut dfs.path)),
+                // A copy: the path's buffer stays with the search memory.
+                schedule: FeasibleSchedule::new(dfs.path.clone()),
                 stats: *stats,
                 replayed: false,
             })
@@ -934,8 +1074,115 @@ mod tests {
     use super::*;
     use crate::config::DelayMode;
     use ezrt_compose::translate;
-    use ezrt_spec::corpus::{figure3_spec, figure4_spec, figure8_spec, small_control};
+    use ezrt_spec::corpus::{figure3_spec, figure4_spec, figure8_spec, mine_pump, small_control};
     use ezrt_spec::SpecBuilder;
+    use std::time::Duration;
+
+    /// A search's verdict and counters with its wall-clock zeroed: what
+    /// must not depend on the memory the search ran on.
+    fn settled(result: Result<Synthesis, SynthesizeError>) -> String {
+        match result {
+            Ok(mut synthesis) => {
+                synthesis.stats.elapsed = Duration::ZERO;
+                format!("{:?} {:?}", synthesis.schedule, synthesis.stats)
+            }
+            Err(mut error) => {
+                let (SynthesizeError::Infeasible { stats, .. }
+                | SynthesizeError::StateLimitExceeded { stats }
+                | SynthesizeError::TimeLimitExceeded { stats }) = &mut error;
+                stats.elapsed = Duration::ZERO;
+                format!("{error:?}")
+            }
+        }
+    }
+
+    /// Search memory left in the worst state a finished search could
+    /// leave it: every frame, the root included, with a stale state,
+    /// cursor, clock, candidates and a full sleep set; a stale path;
+    /// every dead bit set; and an arena full of foreign states.
+    fn dirty_spare() -> Spare {
+        let mut arena = ezrt_tpn::StateArena::new(translate(&figure4_spec()).net().layout());
+        for i in 0..5_000u32 {
+            let mut state = vec![i; arena.layout().words()];
+            state[0] = i.rotate_left(13);
+            arena.intern(&state);
+        }
+        let stale = || Frame {
+            state: StateId::from_index(4_999),
+            enabled: vec![u64::MAX; 8],
+            candidates: vec![(TransitionId::from_index(1), 3); 5],
+            next: 2,
+            now: 1_000,
+            sleep: vec![u64::MAX; 8],
+        };
+        Spare {
+            arena: arena.into_buffers(),
+            dead: vec![u64::MAX; 200],
+            frames: (0..50).map(|_| stale()).collect(),
+            path: vec![
+                ScheduledFiring {
+                    transition: TransitionId::from_index(0),
+                    role: TransitionRole::Fork,
+                    delay: 7,
+                    at: 7,
+                };
+                30
+            ],
+        }
+    }
+
+    /// A search on stale memory — the root frame's sleep set included —
+    /// returns exactly what it returns on fresh memory, cold and seeded,
+    /// with and without partial-order reduction.
+    #[test]
+    fn stale_search_memory_changes_nothing() {
+        for spec in [mine_pump(), figure8_spec()] {
+            let tasknet = translate(&spec);
+            for por in [PorLevel::Stubborn, PorLevel::Off] {
+                let config = SchedulerConfig {
+                    por,
+                    ..SchedulerConfig::default()
+                };
+                let cold = synthesize(&tasknet, &config).expect("feasible");
+                let half = &cold.schedule.firings()[..cold.schedule.firings().len() / 2];
+                for seed in [&[][..], half] {
+                    let run = |memory| {
+                        settled(search_on(&tasknet, &config, seed, Instant::now(), memory))
+                    };
+                    assert_eq!(
+                        run(dirty_spare()),
+                        run(Spare::default()),
+                        "{} at {por:?}, seed of {}",
+                        spec.name(),
+                        seed.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// A poisoned spare slot only costs reuse: searches skip it, allocate
+    /// fresh and return what they always did.
+    #[test]
+    fn a_poisoned_spare_slot_is_skipped() {
+        let tasknet = translate(&mine_pump());
+        let config = SchedulerConfig::default();
+        let before = settled(synthesize(&tasknet, &config));
+        let poisoner = std::thread::spawn(|| {
+            let _slot = SPARE.lock();
+            panic!("poisoning the spare slot on purpose");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(SPARE.is_poisoned());
+        assert_eq!(
+            Spare::take().bytes(),
+            0,
+            "a poisoned slot hands out nothing"
+        );
+        assert_eq!(settled(synthesize(&tasknet, &config)), before);
+        assert_eq!(settled(synthesize(&tasknet, &config)), before);
+        SPARE.clear_poison();
+    }
 
     fn default_synthesis(spec: &ezrt_spec::EzSpec) -> Synthesis {
         synthesize(&translate(spec), &SchedulerConfig::default()).expect("feasible")

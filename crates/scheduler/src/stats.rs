@@ -113,11 +113,15 @@ search_counters! {
     /// memoized for pruning.
     dead_states: usize = 0, Some("dead_states"), None, None,
         "States proven dead and memoized for pruning.";
-    /// Resident bytes of the duplicate-detection structures when the
-    /// search ended: the interned state arena plus the dead-state index.
-    /// These structures only grow, so this is also their peak size.
+    /// Bytes this search reserved for its duplicate-detection structures
+    /// when it ended: the interned state arena plus the dead-state index.
+    /// These structures only grow, so this is also their peak size. It is
+    /// exactly what a fresh arena and index reserve for the same run, even
+    /// when the search reused a finished search's memory; a recycled
+    /// buffer's extra capacity belongs to the `ezrt_search_spare_bytes`
+    /// gauge.
     dead_set_bytes: usize = 0, Some("peak_dead_set_bytes"), None, None,
-        "Resident bytes of the state arena and dead-state index at the end of the search.";
+        "Bytes the search reserved for its state arena and dead-state index, as a fresh arena reserves them; recycled capacity beyond that is in ezrt_search_spare_bytes.";
     /// Always 0: every search is sequential. A table row with no report
     /// key and no metric family, kept only because
     /// `perfbench/src/layers.rs::parallel_gate` reads it; it goes when

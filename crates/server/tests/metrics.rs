@@ -228,11 +228,15 @@ fn metrics_exposition_covers_every_subsystem_and_counters_move() {
             "missing histogram family {family}"
         );
     }
-    assert_eq!(
-        before.types.get("ezrt_cache_entries").map(String::as_str),
-        Some("gauge"),
-        "missing gauge family ezrt_cache_entries"
-    );
+    // The spare search memory an idle server keeps is visible before
+    // the first search.
+    for family in ["ezrt_cache_entries", "ezrt_search_spare_bytes"] {
+        assert_eq!(
+            before.types.get(family).map(String::as_str),
+            Some("gauge"),
+            "missing gauge family {family}"
+        );
+    }
     // Histogram bucket lines must be cumulative with `+Inf` equal to
     // `_count` — spot-check the request histogram shape.
     let inf = before.samples["ezrt_http_request_micros_bucket{le=\"+Inf\"}"];

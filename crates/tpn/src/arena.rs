@@ -167,7 +167,7 @@ const EMPTY_SLOT: u32 = u32::MAX;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StateArena {
     layout: StateLayout,
     /// All interned states, back to back, `layout.words()` words each.
@@ -178,18 +178,70 @@ pub struct StateArena {
     /// Open-addressing table of state ids; `EMPTY_SLOT` marks a free slot.
     table: Vec<u32>,
     mask: usize,
+    /// The capacities `slab` and `hashes` would have in a fresh arena
+    /// (see [`reserve_amortized`]); recycled buffers may hold more.
+    slab_reserved: usize,
+    hashes_reserved: usize,
+}
+
+/// The memory of a finished [`StateArena`] — slab, hash cache and probe
+/// table — for [`StateArena::with_buffers`] to reuse, so a process that
+/// runs searches back to back does not map and fault a fresh slab for
+/// each one. The contents are stale; only the allocations matter.
+#[derive(Debug, Default)]
+pub struct ArenaBuffers {
+    slab: Vec<u32>,
+    hashes: Vec<u64>,
+    table: Vec<u32>,
+}
+
+impl ArenaBuffers {
+    /// The bytes the buffers hold allocated.
+    pub fn capacity_bytes(&self) -> usize {
+        self.slab.capacity() * std::mem::size_of::<u32>()
+            + self.hashes.capacity() * std::mem::size_of::<u64>()
+            + self.table.capacity() * std::mem::size_of::<u32>()
+    }
 }
 
 impl StateArena {
     /// An empty arena for states of the given layout.
     pub fn new(layout: StateLayout) -> Self {
+        Self::with_buffers(layout, ArenaBuffers::default())
+    }
+
+    /// An empty arena that reuses `buffers`, e.g. those of a finished
+    /// search's arena. It assigns the same ids and reports the same
+    /// [`resident_bytes`](Self::resident_bytes) as [`new`](Self::new)
+    /// after every intern; it only skips the allocations the buffers
+    /// already cover.
+    pub fn with_buffers(layout: StateLayout, buffers: ArenaBuffers) -> Self {
+        let ArenaBuffers {
+            mut slab,
+            mut hashes,
+            mut table,
+        } = buffers;
+        slab.clear();
+        hashes.clear();
         let capacity = 1024;
+        reset_table(&mut table, capacity);
         StateArena {
             layout,
-            slab: Vec::new(),
-            hashes: Vec::new(),
-            table: vec![EMPTY_SLOT; capacity],
+            slab,
+            hashes,
+            table,
             mask: capacity - 1,
+            slab_reserved: 0,
+            hashes_reserved: 0,
+        }
+    }
+
+    /// Gives the arena's memory back for [`with_buffers`](Self::with_buffers).
+    pub fn into_buffers(self) -> ArenaBuffers {
+        ArenaBuffers {
+            slab: self.slab,
+            hashes: self.hashes,
+            table: self.table,
         }
     }
 
@@ -233,8 +285,11 @@ impl StateArena {
         loop {
             let entry = self.table[slot];
             if entry == EMPTY_SLOT {
-                let id = StateId(self.hashes.len() as u32);
+                let len = self.hashes.len();
+                let id = StateId(len as u32);
+                reserve_amortized(&mut self.slab, &mut self.slab_reserved, (len + 1) * words);
                 self.slab.extend_from_slice(state);
+                reserve_amortized(&mut self.hashes, &mut self.hashes_reserved, len + 1);
                 self.hashes.push(hash);
                 self.table[slot] = id.0;
                 if self.hashes.len() * 10 >= self.table.len() * 7 {
@@ -254,27 +309,58 @@ impl StateArena {
     }
 
     /// Approximate resident size of the arena in bytes: slab, hash cache
-    /// and probe table. Since interned states are never evicted, the
-    /// current size is also the peak.
+    /// and probe table, as a fresh arena reserves them. Since interned
+    /// states are never evicted, the current size is also the peak. A
+    /// recycled buffer's extra capacity is not counted: it belongs to
+    /// whoever handed the buffers over.
     pub fn resident_bytes(&self) -> usize {
-        self.slab.capacity() * std::mem::size_of::<u32>()
-            + self.hashes.capacity() * std::mem::size_of::<u64>()
-            + self.table.capacity() * std::mem::size_of::<u32>()
+        self.slab_reserved * std::mem::size_of::<u32>()
+            + self.hashes_reserved * std::mem::size_of::<u64>()
+            + self.table.len() * std::mem::size_of::<u32>()
     }
 
+    /// Doubles the probe table in place and rehashes every state from the
+    /// hash cache.
     fn grow(&mut self) {
         let capacity = self.table.len() * 2;
         let mask = capacity - 1;
-        let mut table = vec![EMPTY_SLOT; capacity];
+        reset_table(&mut self.table, capacity);
         for (id, &hash) in self.hashes.iter().enumerate() {
             let mut slot = (hash as usize) & mask;
-            while table[slot] != EMPTY_SLOT {
+            while self.table[slot] != EMPTY_SLOT {
                 slot = (slot + 1) & mask;
             }
-            table[slot] = id as u32;
+            self.table[slot] = id as u32;
         }
-        self.table = table;
         self.mask = mask;
+    }
+}
+
+/// Empties `table` and refills it with `capacity` free slots, reserving
+/// exactly `capacity` (what `vec![EMPTY_SLOT; capacity]` would) only when
+/// the buffer is smaller.
+fn reset_table(table: &mut Vec<u32>, capacity: usize) {
+    table.clear();
+    if table.capacity() < capacity {
+        table.reserve_exact(capacity);
+    }
+    table.resize(capacity, EMPTY_SLOT);
+}
+
+/// Makes room for `needed` elements in `buf`, whose logical capacity is
+/// `reserved`: the capacity the same pushes would have given a fresh
+/// `Vec`. Past `reserved` it grows by `Vec`'s own amortized rule for
+/// elements of 2 to 1,024 bytes, `max(2 · reserved, needed, 4)`, and calls `reserve_exact` up to the new
+/// value only when the buffer is smaller, so a fresh buffer ends with
+/// exactly the capacity plain pushes would give it and a recycled one
+/// with at least that. Memory accounting reads `reserved`, which makes
+/// it independent of where the buffer came from.
+pub fn reserve_amortized<T>(buf: &mut Vec<T>, reserved: &mut usize, needed: usize) {
+    if needed > *reserved {
+        *reserved = (*reserved * 2).max(needed).max(4);
+        if buf.capacity() < *reserved {
+            buf.reserve_exact(*reserved - buf.len());
+        }
     }
 }
 

@@ -75,7 +75,7 @@ pub mod por;
 pub mod reachability;
 mod state;
 
-pub use arena::{StateArena, StateId, StateLayout};
+pub use arena::{ArenaBuffers, StateArena, StateId, StateLayout};
 pub use error::{BuildNetError, FireError};
 pub use ids::{PlaceId, TransitionId};
 pub use interval::{TimeBound, TimeInterval};

@@ -20,7 +20,7 @@
 //! The value-typed [`successors`] function remains as the ergonomic
 //! boundary API for small-scale semantic checks and property tests.
 
-use crate::arena::{StateArena, StateId, StateLayout};
+use crate::arena::{ArenaBuffers, StateArena, StateId, StateLayout};
 use crate::{Firing, State, Time, TimeBound, TimePetriNet, TransitionId};
 use std::collections::VecDeque;
 
@@ -152,11 +152,18 @@ pub struct Explorer<'net> {
 impl<'net> Explorer<'net> {
     /// A fresh explorer over `net` with an empty arena.
     pub fn new(net: &'net TimePetriNet) -> Self {
+        Self::with_buffers(net, ArenaBuffers::default())
+    }
+
+    /// An explorer over `net` whose empty arena reuses `buffers` (see
+    /// [`StateArena::with_buffers`]): it explores exactly like
+    /// [`new`](Self::new)'s.
+    pub fn with_buffers(net: &'net TimePetriNet, buffers: ArenaBuffers) -> Self {
         let layout = net.layout();
         Explorer {
             net,
             layout,
-            arena: StateArena::new(layout),
+            arena: StateArena::with_buffers(layout, buffers),
             successor: vec![0; layout.words()],
             successor_enabled: Vec::new(),
             domains: Vec::new(),
@@ -177,6 +184,11 @@ impl<'net> Explorer<'net> {
     /// The arena of states interned so far.
     pub fn arena(&self) -> &StateArena {
         &self.arena
+    }
+
+    /// Gives the arena's memory back for [`with_buffers`](Self::with_buffers).
+    pub fn into_buffers(self) -> ArenaBuffers {
+        self.arena.into_buffers()
     }
 
     /// Interns the initial state `s0 = (m0, 0⃗)` and returns its id.

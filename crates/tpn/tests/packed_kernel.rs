@@ -1,14 +1,16 @@
 //! Packed-kernel oracles: the packed firing/enumeration API must agree
 //! with the value-typed boundary API on arbitrary nets, the enabled sets
-//! it carries from state to state must equal full scans, and the delay
-//! modes must visit monotonically growing state spaces.
+//! it carries from state to state must equal full scans, the delay modes
+//! must visit monotonically growing state spaces, and an arena built on
+//! recycled buffers must behave and account exactly like a fresh one.
 
 use ezrt_compose::translate;
 use ezrt_spec::corpus::{figure3_spec, figure4_spec, figure8_spec, small_control};
 use ezrt_tpn::por::test_bit;
 use ezrt_tpn::reachability::{explore, successors, ExplorationLimits, Explorer};
 use ezrt_tpn::{
-    DelayMode, StateLayout, TimeBound, TimeInterval, TimePetriNet, TpnBuilder, TransitionId,
+    DelayMode, StateArena, StateLayout, TimeBound, TimeInterval, TimePetriNet, TpnBuilder,
+    TransitionId,
 };
 use proptest::prelude::*;
 
@@ -169,8 +171,121 @@ fn corpus_explorations_match_value_walks() {
     }
 }
 
+/// The layout of a net with `places` places and `transitions`
+/// transitions: `places + 2 · transitions` words per state.
+fn layout_of(places: usize, transitions: usize) -> StateLayout {
+    let idle = RandomTransition {
+        eft: 0,
+        width: 0,
+        priority: 0,
+        inputs: Vec::new(),
+        outputs: Vec::new(),
+    };
+    StateLayout::of(&build(&RandomNet {
+        place_tokens: vec![0; places],
+        transitions: vec![idle; transitions],
+    }))
+}
+
+/// `count` packed states of `layout`, drawn from `seed` with every word
+/// below `range`, so small ranges repeat states.
+fn drawn_states(layout: StateLayout, count: usize, seed: u64, range: u32) -> Vec<Vec<u32>> {
+    let mut x = seed | 1;
+    let mut word = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % u64::from(range)) as u32
+    };
+    (0..count)
+        .map(|_| (0..layout.words()).map(|_| word()).collect())
+        .collect()
+}
+
+/// Interns `states` into a fresh arena and into one built on `dirty`'s
+/// buffers, asserting after every intern that both assign the same id
+/// and report the same resident bytes, then that both hold the same
+/// states. Returns the fresh arena.
+fn intern_fresh_and_recycled(
+    layout: StateLayout,
+    dirty: StateArena,
+    states: &[Vec<u32>],
+) -> StateArena {
+    let mut fresh = StateArena::new(layout);
+    let mut recycled = StateArena::with_buffers(layout, dirty.into_buffers());
+    assert_eq!(recycled.resident_bytes(), fresh.resident_bytes());
+    for (i, state) in states.iter().enumerate() {
+        assert_eq!(recycled.intern(state), fresh.intern(state), "intern {i}");
+        assert_eq!(
+            recycled.resident_bytes(),
+            fresh.resident_bytes(),
+            "bytes after intern {i}"
+        );
+    }
+    assert_eq!(recycled.len(), fresh.len());
+    for id in (0..fresh.len()).map(ezrt_tpn::StateId::from_index) {
+        assert_eq!(recycled.get(id), fresh.get(id));
+    }
+    fresh
+}
+
+/// A dirty arena: `count` distinct states of `layout` interned, then
+/// abandoned, so its buffers are stale and sized for that run.
+fn dirty_arena(layout: StateLayout, count: usize) -> StateArena {
+    let mut arena = StateArena::new(layout);
+    for state in drawn_states(layout, count, 0xD1E7, u32::MAX) {
+        arena.intern(&state);
+    }
+    arena
+}
+
+#[test]
+fn recycled_arenas_cover_growth_and_the_small_layout_floor() {
+    // Three words per state, under `Vec`'s minimum of four elements: the
+    // first intern reserves four slab words, not three.
+    let small = layout_of(1, 1);
+    assert_eq!(small.words(), 3);
+    let one = drawn_states(small, 1, 7, 1000);
+    let arena = intern_fresh_and_recycled(small, dirty_arena(layout_of(4, 3), 5_000), &one);
+    assert_eq!(arena.resident_bytes(), 4 * 4 + 4 * 8 + 1024 * 4);
+
+    // 3 000 distinct states: the probe table doubles three times (at 717,
+    // 1 434 and 2 868 states) and the slab and hash cache double past
+    // each power of two, on buffers both larger (a 10-word run) and
+    // smaller (a 3-word, 100-state run) than this run needs.
+    let layout = layout_of(2, 1);
+    let states = drawn_states(layout, 3_000, 11, u32::MAX);
+    for dirty in [dirty_arena(layout_of(4, 3), 5_000), dirty_arena(small, 100)] {
+        let arena = intern_fresh_and_recycled(layout, dirty, &states);
+        assert_eq!(arena.len(), 3_000);
+        assert_eq!(
+            arena.resident_bytes(),
+            4 * 4 * 4096 + 8 * 4096 + 4 * 8192,
+            "slab and hashes at 4096 entries, table at 8192 slots"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// An arena built on dirty, oversized (or undersized) recycled
+    /// buffers assigns the same ids and reports the same resident bytes
+    /// as a fresh arena after every intern, whatever the layouts of the
+    /// run that dirtied the buffers and of the run that reuses them.
+    #[test]
+    fn recycled_arenas_match_fresh_ones(
+        dirty_shape in (1usize..5, 1usize..4),
+        dirty_count in 0usize..3_000,
+        shape in (1usize..4, 1usize..3),
+        count in 1usize..2_500,
+        range in 2u32..1_000,
+        seed in any::<u64>(),
+    ) {
+        let dirty = dirty_arena(layout_of(dirty_shape.0, dirty_shape.1), dirty_count);
+        let layout = layout_of(shape.0, shape.1);
+        intern_fresh_and_recycled(layout, dirty, &drawn_states(layout, count, seed, range));
+    }
 
     /// Walking random nets, the packed explorer must generate exactly the
     /// successor edges of the value API, with identical successor states.

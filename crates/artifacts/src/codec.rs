@@ -24,7 +24,7 @@
 //! same way — ignore the file and re-synthesize.
 
 use crate::digest::SpecDigest;
-use crate::outcome::{Solution, SynthesisOutcome};
+use crate::outcome::{RenderMemo, Solution, SynthesisOutcome};
 use crate::report;
 use ezrt_compose::translate;
 use ezrt_scheduler::{FeasibleSchedule, ScheduledFiring, SearchStats};
@@ -267,6 +267,7 @@ fn decode_payload(payload: &[u8]) -> Result<SynthesisOutcome, CodecError> {
         cacheable: true,
         replay_ok,
         solution,
+        rendered: RenderMemo::default(),
     })
 }
 
@@ -472,6 +473,7 @@ mod tests {
                     solution.spec().clone(),
                     FeasibleSchedule::from_firings(firings),
                 )),
+                rendered: RenderMemo::default(),
             };
             let error = decode_file(&encode_file(&bogus)).expect_err("replay gate rejects");
             assert!(

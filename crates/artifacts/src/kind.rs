@@ -45,6 +45,21 @@ impl ArtifactKind {
         ArtifactKind::Pnml,
     ];
 
+    /// How many distinct kinds exist: four, plus code generation once
+    /// per [`Target`].
+    pub const COUNT: usize = 4 + Target::ALL.len();
+
+    /// A dense index in `0..COUNT`, distinct for every kind.
+    pub fn index(self) -> usize {
+        match self {
+            ArtifactKind::ReportJson => 0,
+            ArtifactKind::Table => 1,
+            ArtifactKind::Gantt => 2,
+            ArtifactKind::Pnml => 3,
+            ArtifactKind::Codegen(target) => 4 + target as usize,
+        }
+    }
+
     /// Parses the textual kind name.
     ///
     /// # Errors
@@ -157,6 +172,16 @@ mod tests {
             "text/plain; charset=utf-8"
         );
         assert_eq!(ArtifactKind::Pnml.content_type(), "application/xml");
+    }
+
+    #[test]
+    fn indices_number_every_kind_once() {
+        let mut kinds = ArtifactKind::ALL.to_vec();
+        kinds.extend(Target::ALL.map(ArtifactKind::Codegen));
+        let mut indices: Vec<usize> = kinds.iter().map(|kind| kind.index()).collect();
+        indices.sort_unstable();
+        indices.dedup();
+        assert_eq!(indices, (0..ArtifactKind::COUNT).collect::<Vec<_>>());
     }
 
     #[test]

@@ -60,5 +60,7 @@ pub use digest::{
     format_task_subdigests, project_digest, structure_digest, task_subdigests, SpecDigest,
 };
 pub use kind::ArtifactKind;
-pub use outcome::{compute_outcome, compute_outcome_incremental, Solution, SynthesisOutcome};
+pub use outcome::{
+    compute_outcome, compute_outcome_incremental, RenderMemo, Solution, SynthesisOutcome,
+};
 pub use render::{default_gantt_window, render, Artifact, RenderError};

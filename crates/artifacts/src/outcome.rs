@@ -10,15 +10,18 @@
 //! artifact render (`Solution::derived`). That is what makes the type
 //! disk-persistable: the codec serializes spec + schedule, and a
 //! decoded outcome renders byte-identical artifacts by construction.
+//! The rendered bytes themselves can be memoized on the outcome
+//! ([`RenderMemo`]), so they live exactly as long as it does.
 
 use crate::digest::SpecDigest;
+use crate::kind::ArtifactKind;
 use crate::report::{self, JsonFields};
 use ezrt_codegen::ScheduleTable;
 use ezrt_compose::{translate, TaskNet};
 use ezrt_core::Project;
 use ezrt_scheduler::{FeasibleSchedule, SearchStats, SynthesizeError, Timeline};
 use ezrt_spec::EzSpec;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Everything one synthesis run produced, cached under its digest: the
 /// feasible solution (when one exists), the search statistics, the
@@ -52,6 +55,40 @@ pub struct SynthesisOutcome {
     /// net/timeline/table — that schedule-dependent artifacts render
     /// from. `None` for infeasible outcomes.
     pub solution: Option<Solution>,
+    /// Artifact bytes already rendered from this outcome. Empty when
+    /// packaged or decoded; the serving cache fills it.
+    pub rendered: RenderMemo,
+}
+
+/// Rendered artifact bytes memoized on the outcome they render: one
+/// write-once slot per [`ArtifactKind`]. Rendering is pure, so a filled
+/// slot never changes; a racing second render keeps the first bytes.
+#[derive(Debug, Default)]
+pub struct RenderMemo {
+    slots: [OnceLock<Arc<[u8]>>; ArtifactKind::COUNT],
+}
+
+impl RenderMemo {
+    /// The memoized bytes of `kind`, when it was rendered before.
+    pub fn get(&self, kind: ArtifactKind) -> Option<&Arc<[u8]>> {
+        self.slots[kind.index()].get()
+    }
+
+    /// Memoizes `bytes` as the rendering of `kind`, unless a slot
+    /// already holds it.
+    pub fn fill(&self, kind: ArtifactKind, bytes: Arc<[u8]>) {
+        let _ = self.slots[kind.index()].set(bytes);
+    }
+
+    /// How many kinds are memoized, and their bytes in total.
+    pub fn footprint(&self) -> (usize, u64) {
+        self.slots
+            .iter()
+            .filter_map(OnceLock::get)
+            .fold((0, 0), |(kinds, total), bytes| {
+                (kinds + 1, total + bytes.len() as u64)
+            })
+    }
 }
 
 /// A feasible solution: the parsed specification and the firing
@@ -185,24 +222,33 @@ fn package(
     match result {
         Ok(outcome) => {
             let fields = report::success_fields(&digest, project, &outcome);
-            let parts = outcome.into_parts();
+            let ezrt_core::Outcome {
+                spec,
+                tasknet,
+                schedule,
+                stats,
+                replay_ok,
+                timeline,
+                table,
+            } = outcome;
             SynthesisOutcome {
                 digest,
                 feasible: true,
                 error: None,
                 fields,
-                stats: parts.stats.clone(),
+                stats,
                 cacheable: true,
-                replay_ok: Some(parts.replay_ok),
+                replay_ok: Some(replay_ok),
                 solution: Some(Solution::with_derived(
-                    parts.spec,
-                    parts.schedule,
+                    spec,
+                    schedule,
                     Derived {
-                        tasknet: parts.tasknet,
-                        timeline: parts.timeline,
-                        table: parts.table,
+                        tasknet,
+                        timeline,
+                        table,
                     },
                 )),
+                rendered: RenderMemo::default(),
             }
         }
         Err(error) => SynthesisOutcome {
@@ -214,6 +260,7 @@ fn package(
             cacheable: !matches!(error, SynthesizeError::TimeLimitExceeded { .. }),
             replay_ok: None,
             solution: None,
+            rendered: RenderMemo::default(),
         },
     }
 }

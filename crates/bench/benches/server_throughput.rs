@@ -14,7 +14,7 @@
 //!
 //! The X6c wire-speed arms use the `BufferedClient` (chunked reads,
 //! pipelined batches, bytes-on-wire accounting) so the client's own
-//! syscalls don't cap the measurement: full-body rendered-tier hits,
+//! syscalls don't cap the measurement: full-body memoized-render hits,
 //! conditional GETs answered with a header-only `304`, and pipelined
 //! conditional bursts (50 requests per TCP segment).
 //!
@@ -357,7 +357,7 @@ fn report_artifact_tiers(cache_dir: &Path) {
     );
 }
 
-/// X6c — wire speed on a warm server: full-body rendered-tier hits,
+/// X6c — wire speed on a warm server: full-body memoized-render hits,
 /// conditional GETs answered 304, and pipelined conditional bursts,
 /// with bytes on the wire (both directions) per request for each arm.
 fn report_wire_speed(addr: SocketAddr) {
@@ -408,7 +408,7 @@ fn report_wire_speed(addr: SocketAddr) {
         if report_rps / table_rps.max(1e-9) <= 2.0 {
             ""
         } else {
-            "  (rendered tier should hold this within 2x!)"
+            "  (memoized renders should hold this within 2x!)"
         },
     );
     eprintln!(

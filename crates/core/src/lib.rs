@@ -45,4 +45,4 @@
 mod canonical;
 mod project;
 
-pub use project::{Outcome, OutcomeParts, Project};
+pub use project::{Outcome, Project};

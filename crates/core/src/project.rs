@@ -241,7 +241,8 @@ impl Project {
 /// Everything a successful synthesis produces.
 #[derive(Debug, Clone)]
 pub struct Outcome {
-    spec: EzSpec,
+    /// The specification the outcome belongs to.
+    pub spec: EzSpec,
     /// The translated net with its semantic maps.
     pub tasknet: TaskNet,
     /// The feasible firing schedule (Def. 3.2).
@@ -257,46 +258,7 @@ pub struct Outcome {
     pub table: ScheduleTable,
 }
 
-/// The owned pieces of an [`Outcome`], for layers that rehome them into
-/// their own types (the artifact layer's `SynthesisOutcome` keeps the
-/// spec and schedule for cache persistence and re-derives the rest).
-#[derive(Debug, Clone)]
-pub struct OutcomeParts {
-    /// The specification the outcome belongs to.
-    pub spec: EzSpec,
-    /// The translated net with its semantic maps.
-    pub tasknet: TaskNet,
-    /// The feasible firing schedule.
-    pub schedule: FeasibleSchedule,
-    /// Search statistics.
-    pub stats: SearchStats,
-    /// Whether the schedule passed the net-level replay oracle.
-    pub replay_ok: bool,
-    /// The task-level execution timeline.
-    pub timeline: Timeline,
-    /// The Fig. 8 schedule table.
-    pub table: ScheduleTable,
-}
-
 impl Outcome {
-    /// The specification the outcome belongs to.
-    pub fn spec(&self) -> &EzSpec {
-        &self.spec
-    }
-
-    /// Decomposes the outcome into its owned parts.
-    pub fn into_parts(self) -> OutcomeParts {
-        OutcomeParts {
-            spec: self.spec,
-            tasknet: self.tasknet,
-            schedule: self.schedule,
-            stats: self.stats,
-            replay_ok: self.replay_ok,
-            timeline: self.timeline,
-            table: self.table,
-        }
-    }
-
     /// Generates the scheduled C code for `target` (paper §4.4.2).
     pub fn generate_code(&self, target: Target) -> GeneratedSource {
         CodeGenerator::new(target).generate(&self.spec, &self.table)

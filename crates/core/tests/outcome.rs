@@ -14,7 +14,7 @@ fn execute_defaults_to_one_period() {
 fn outcome_spec_accessor_matches_project() {
     let spec = figure3_spec();
     let outcome = Project::new(spec.clone()).synthesize().unwrap();
-    assert_eq!(outcome.spec(), &spec);
+    assert_eq!(&outcome.spec, &spec);
 }
 
 #[test]
@@ -29,9 +29,9 @@ fn schedule_and_timeline_agree_on_workload() {
         .map(|s| s.end - s.start)
         .sum();
     let demand: u64 = outcome
-        .spec()
+        .spec
         .tasks()
-        .map(|(id, t)| outcome.spec().instances_of(id) * t.timing().computation)
+        .map(|(id, t)| outcome.spec.instances_of(id) * t.timing().computation)
         .sum();
     assert_eq!(busy_from_slices, demand);
 }

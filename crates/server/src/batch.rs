@@ -81,29 +81,41 @@ pub fn run_batch(
         return Err(format!("no .xml specifications found in {}", dir.display()));
     }
 
+    Ok(fan_out(&files, options.fanout, |file| {
+        process_file(dir, file, options, cache)
+    }))
+}
+
+/// Maps `work` over `items` on up to `fanout` scoped threads, each
+/// taking the next unclaimed index. Results come back in item order,
+/// whatever order the threads finish in.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    fanout: Parallelism,
+    work: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
     let next = AtomicUsize::new(0);
-    let rows: Vec<Mutex<Option<BatchRow>>> = files.iter().map(|_| Mutex::new(None)).collect();
-    let workers = options.fanout.jobs().min(files.len());
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..fanout.jobs().min(items.len()) {
             scope.spawn(|| loop {
                 let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(file) = files.get(index) else {
+                let Some(item) = items.get(index) else {
                     return;
                 };
-                let row = process_file(dir, file, options, cache);
-                *rows[index].lock().expect("row slot poisoned") = Some(row);
+                let result = work(item);
+                *slots[index].lock().expect("result slot poisoned") = Some(result);
             });
         }
     });
-    Ok(rows
+    slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
-                .expect("row slot poisoned")
-                .expect("every index processed")
+                .expect("result slot poisoned")
+                .expect("every item processed")
         })
-        .collect())
+        .collect()
 }
 
 fn process_file(dir: &Path, file: &str, options: &BatchOptions, cache: &ResultCache) -> BatchRow {

@@ -24,17 +24,24 @@
 //! owner's resolution (`miss` for a synthesis, `disk` for a revival),
 //! so all concurrent first-requests for one digest produce
 //! byte-identical responses.
+//!
+//! Rendered bytes: [`ResultCache::render_artifact`] memoizes each
+//! artifact's bytes on the outcome that produced them
+//! ([`RenderMemo`](ezrt_artifacts::RenderMemo)), so they leave memory
+//! with it and the outcome LRU bounds them too.
 
 use crate::digest::SpecDigest;
 use crate::disk::{DiskStats, DiskTier};
-use crate::rendered::{RenderedArtifact, RenderedCache, RenderedStats};
-use ezrt_artifacts::{ArtifactKind, RenderError};
+use ezrt_artifacts::{render, ArtifactKind, RenderError};
 use ezrt_obs::{Counter, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 pub use ezrt_artifacts::outcome::{compute_outcome, compute_outcome_incremental, SynthesisOutcome};
+
+/// The shard count of the service caches (`ezrt serve`, `ezrt batch`).
+pub const SHARDS: usize = 8;
 
 /// How a [`ResultCache::get_or_compute`] call was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,6 +91,31 @@ pub struct CacheStats {
     pub inflight: usize,
     /// The configured entry bound (0 = memory caching disabled).
     pub capacity: usize,
+    /// Artifact requests served from bytes memoized on their outcome.
+    pub rendered_hits: u64,
+    /// Artifact requests that ran the render.
+    pub rendered_misses: u64,
+    /// Memoized renderings dropped with their evicted outcomes.
+    pub rendered_evictions: u64,
+    /// Renderings memoized on resident outcomes.
+    pub rendered_entries: usize,
+    /// Bytes of the renderings memoized on resident outcomes.
+    pub rendered_bytes: u64,
+    /// The rendered-entry bound: `capacity` × [`ArtifactKind::COUNT`].
+    pub rendered_capacity: usize,
+}
+
+/// One artifact served by [`ResultCache::render_artifact`].
+#[derive(Debug, Clone)]
+pub struct RenderedArtifact {
+    /// The per-kind MIME type ([`ArtifactKind::content_type`]).
+    pub content_type: &'static str,
+    /// The rendered bytes, shared with the outcome's memo (no copy on
+    /// a hit). Always valid UTF-8 — every artifact is text.
+    pub bytes: Arc<[u8]>,
+    /// `true` when the bytes were memoized, `false` when this call ran
+    /// the render.
+    pub cached: bool,
 }
 
 #[derive(Debug)]
@@ -177,9 +209,6 @@ pub struct ResultCache {
     per_shard_capacity: usize,
     /// The persistent tier, when configured.
     disk: Option<DiskTier>,
-    /// The rendered-byte tier: `(digest, kind) → Arc<[u8]>`, so a hot
-    /// artifact hit is an `Arc` clone instead of a re-render.
-    rendered: RenderedCache,
     /// The nearest-ancestor warm-start index (see [`AncestorIndex`]).
     ancestors: Mutex<AncestorIndex>,
     /// Global LRU clock, bumped on every hit and insert.
@@ -192,6 +221,9 @@ pub struct ResultCache {
     misses: Counter,
     joined: Counter,
     evictions: Counter,
+    rendered_hits: Counter,
+    rendered_misses: Counter,
+    rendered_evictions: Counter,
 }
 
 impl ResultCache {
@@ -216,10 +248,6 @@ impl ResultCache {
             capacity,
             per_shard_capacity: capacity.div_ceil(shards),
             disk,
-            // Several artifact kinds render per outcome, so the
-            // rendered tier holds a multiple of the outcome bound;
-            // disabling the outcome tier disables this one too.
-            rendered: RenderedCache::new(capacity.saturating_mul(4), shards),
             ancestors: Mutex::new(AncestorIndex::default()),
             tick: AtomicU64::new(0),
             hits: Counter::new(),
@@ -227,10 +255,14 @@ impl ResultCache {
             misses: Counter::new(),
             joined: Counter::new(),
             evictions: Counter::new(),
+            rendered_hits: Counter::new(),
+            rendered_misses: Counter::new(),
+            rendered_evictions: Counter::new(),
         }
     }
 
-    /// Registers this cache's counters — all three tiers — into
+    /// Registers this cache's counters — outcomes, rendered bytes and
+    /// the disk tier — into
     /// `registry` for Prometheus exposition. The cells stay owned by
     /// the cache (per-instance counts), the registry just renders them.
     pub fn register_metrics(&self, registry: &Registry) {
@@ -259,7 +291,21 @@ impl ResultCache {
             "Outcome entries evicted under LRU pressure.",
             &self.evictions,
         );
-        self.rendered.register_metrics(registry);
+        registry.register_counter(
+            "ezrt_rendered_hits_total",
+            "Artifact requests served from memoized rendered bytes.",
+            &self.rendered_hits,
+        );
+        registry.register_counter(
+            "ezrt_rendered_misses_total",
+            "Artifact requests that ran the render.",
+            &self.rendered_misses,
+        );
+        registry.register_counter(
+            "ezrt_rendered_evictions_total",
+            "Memoized renderings dropped with their evicted outcomes.",
+            &self.rendered_evictions,
+        );
         if let Some(disk) = &self.disk {
             disk.register_metrics(registry);
         }
@@ -270,28 +316,41 @@ impl ResultCache {
         self.disk.as_ref().map(DiskTier::stats)
     }
 
-    /// The rendered-byte tier's counters.
-    pub fn rendered_stats(&self) -> RenderedStats {
-        self.rendered.stats()
-    }
-
-    /// Serves `kind` of `outcome` through the rendered-byte tier: a
-    /// resident `(digest, kind)` entry is an `Arc` clone, a miss runs
-    /// `ezrt_artifacts::render` once and memoizes the bytes. Every
-    /// artifact surface — the HTTP endpoints, the CLI artifact
-    /// commands, batch — funnels through here, so hot artifact bytes
-    /// are built once per process no matter which surface asks.
+    /// Serves `kind` of `outcome`: bytes memoized on the outcome are an
+    /// `Arc` clone, otherwise `ezrt_artifacts::render` runs and its
+    /// bytes are memoized. The HTTP artifact routes and the CLI
+    /// artifact commands render through here.
     ///
     /// # Errors
     ///
     /// Returns the underlying [`RenderError`] when the kind requires a
-    /// feasible schedule and the outcome has none.
+    /// feasible schedule and the outcome has none (never memoized).
     pub fn render_artifact(
         &self,
         outcome: &SynthesisOutcome,
         kind: ArtifactKind,
     ) -> Result<RenderedArtifact, RenderError> {
-        self.rendered.get_or_render(outcome, kind)
+        let content_type = kind.content_type();
+        if let Some(bytes) = outcome.rendered.get(kind) {
+            self.rendered_hits.inc();
+            let bytes = Arc::clone(bytes);
+            return Ok(RenderedArtifact {
+                content_type,
+                bytes,
+                cached: true,
+            });
+        }
+        let bytes: Arc<[u8]> = render(outcome, kind)?.text.into_bytes().into();
+        self.rendered_misses.inc();
+        // Only an outcome the memory tier may keep memoizes its bytes.
+        if self.capacity > 0 && outcome.cacheable {
+            outcome.rendered.fill(kind, Arc::clone(&bytes));
+        }
+        Ok(RenderedArtifact {
+            content_type,
+            bytes,
+            cached: false,
+        })
     }
 
     fn shard(&self, digest: &SpecDigest) -> &Mutex<Shard> {
@@ -494,7 +553,7 @@ impl ResultCache {
 
     /// Inserts a completed outcome into its memory shard (when memory
     /// caching is enabled and the outcome is cacheable), LRU-evicting
-    /// over capacity.
+    /// over capacity. An evicted outcome's memoized bytes go with it.
     fn insert_completed(&self, digest: SpecDigest, outcome: &Arc<SynthesisOutcome>) {
         if self.capacity == 0 || !outcome.cacheable {
             return;
@@ -515,20 +574,27 @@ impl ResultCache {
                 .min_by_key(|(_, entry)| entry.last_used)
                 .map(|(digest, _)| *digest)
                 .expect("non-empty over-capacity shard");
-            shard.entries.remove(&oldest);
+            if let Some(evicted) = shard.entries.remove(&oldest) {
+                let (kinds, _) = evicted.outcome.rendered.footprint();
+                self.rendered_evictions.add(kinds as u64);
+            }
             self.evictions.inc();
         }
     }
 
-    /// A consistent-enough snapshot of the counters (entry and inflight
-    /// counts sum over shards without a global lock).
+    /// A consistent-enough snapshot of the counters (entry, inflight
+    /// and rendered counts sum over shards without a global lock).
     pub fn stats(&self) -> CacheStats {
-        let mut entries = 0;
-        let mut inflight = 0;
+        let (mut entries, mut inflight, mut rendered_entries, mut rendered_bytes) = (0, 0, 0, 0);
         for shard in &self.shards {
             let shard = shard.lock().expect("cache shard poisoned");
             entries += shard.entries.len();
             inflight += shard.inflight.len();
+            for entry in shard.entries.values() {
+                let (kinds, bytes) = entry.outcome.rendered.footprint();
+                rendered_entries += kinds;
+                rendered_bytes += bytes;
+            }
         }
         CacheStats {
             hits: self.hits.get(),
@@ -539,6 +605,12 @@ impl ResultCache {
             entries,
             inflight,
             capacity: self.capacity,
+            rendered_hits: self.rendered_hits.get(),
+            rendered_misses: self.rendered_misses.get(),
+            rendered_evictions: self.rendered_evictions.get(),
+            rendered_entries,
+            rendered_bytes,
+            rendered_capacity: self.capacity.saturating_mul(ArtifactKind::COUNT),
         }
     }
 }
@@ -546,6 +618,11 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digest::project_digest;
+    use ezrt_codegen::Target;
+    use ezrt_core::Project;
+    use ezrt_spec::corpus::small_control;
+    use ezrt_spec::SpecBuilder;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
@@ -563,7 +640,17 @@ mod tests {
             cacheable: true,
             replay_ok: Some(true),
             solution: None,
+            rendered: Default::default(),
         }
+    }
+
+    /// The small-control spec's feasible outcome, through `cache`.
+    fn cached_feasible(cache: &ResultCache) -> Arc<SynthesisOutcome> {
+        let project = Project::new(small_control());
+        let digest = project_digest(&project);
+        cache
+            .get_or_compute(digest, || compute_outcome(&project, digest))
+            .0
     }
 
     #[test]
@@ -659,7 +746,7 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.misses), (0, 2));
-        assert_eq!(cache.rendered_stats().entries, 0);
+        assert_eq!(cache.stats().rendered_entries, 0);
     }
 
     #[test]
@@ -704,24 +791,117 @@ mod tests {
     }
 
     #[test]
-    fn render_artifact_funnels_through_the_rendered_tier() {
+    fn second_request_shares_the_rendered_bytes() {
         let cache = ResultCache::new(8, 2);
-        let d = digest_of(50);
-        let (outcome, _) = cache.get_or_compute(d, || stub_outcome(d));
+        let outcome = cached_feasible(&cache);
         let first = cache
-            .render_artifact(&outcome, ArtifactKind::ReportJson)
-            .expect("report renders");
+            .render_artifact(&outcome, ArtifactKind::Table)
+            .expect("renders");
         assert!(!first.cached);
         let second = cache
-            .render_artifact(&outcome, ArtifactKind::ReportJson)
-            .expect("report renders");
+            .render_artifact(&outcome, ArtifactKind::Table)
+            .expect("renders");
         assert!(second.cached);
         assert!(Arc::ptr_eq(&first.bytes, &second.bytes));
-        let rendered = cache.rendered_stats();
-        assert_eq!((rendered.hits, rendered.misses), (1, 1));
-        assert_eq!(rendered.capacity, 32, "4 kinds-worth per outcome slot");
-        // A zero-capacity result cache disables the rendered tier too.
-        assert_eq!(ResultCache::new(0, 1).rendered_stats().capacity, 0);
+        let stats = cache.stats();
+        let counts = (stats.rendered_hits, stats.rendered_misses);
+        assert_eq!((counts, stats.rendered_entries), ((1, 1), 1));
+        assert_eq!(stats.rendered_bytes, first.bytes.len() as u64);
+        assert_eq!(stats.rendered_capacity, 8 * ArtifactKind::COUNT);
+    }
+
+    #[test]
+    fn kinds_are_memoized_independently_and_match_direct_renders() {
+        let cache = ResultCache::new(8, 4);
+        let outcome = cached_feasible(&cache);
+        let kinds = [
+            ArtifactKind::ReportJson,
+            ArtifactKind::Table,
+            ArtifactKind::Gantt,
+            ArtifactKind::Pnml,
+        ]
+        .into_iter()
+        .chain(Target::ALL.map(ArtifactKind::Codegen));
+        let mut total = 0;
+        for kind in kinds {
+            let served = cache.render_artifact(&outcome, kind).expect("renders");
+            let direct = render(&outcome, kind).expect("renders");
+            assert_eq!(&*served.bytes, direct.text.as_bytes(), "{kind}");
+            assert!(cache.render_artifact(&outcome, kind).expect("hit").cached);
+            total += served.bytes.len() as u64;
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.rendered_entries, ArtifactKind::COUNT);
+        assert_eq!(stats.rendered_misses, ArtifactKind::COUNT as u64);
+        assert_eq!(stats.rendered_bytes, total);
+    }
+
+    #[test]
+    fn zero_capacity_renders_every_time_and_memoizes_nothing() {
+        let cache = ResultCache::new(0, 1);
+        let outcome = cached_feasible(&cache);
+        for _ in 0..2 {
+            let served = cache
+                .render_artifact(&outcome, ArtifactKind::Table)
+                .expect("renders");
+            assert!(!served.cached);
+        }
+        assert_eq!(outcome.rendered.footprint(), (0, 0));
+        let stats = cache.stats();
+        let counts = (stats.rendered_hits, stats.rendered_misses);
+        assert_eq!((counts, stats.rendered_entries), ((0, 2), 0));
+        assert_eq!((stats.rendered_bytes, stats.rendered_capacity), (0, 0));
+    }
+
+    #[test]
+    fn render_errors_are_propagated_and_never_memoized() {
+        let cache = ResultCache::new(8, 1);
+        let overload = SpecBuilder::new("overload")
+            .task("x", |t| t.computation(3).deadline(4).period(4))
+            .task("y", |t| t.computation(2).deadline(4).period(4))
+            .build()
+            .unwrap();
+        let project = Project::new(overload);
+        let digest = project_digest(&project);
+        let (outcome, _) = cache.get_or_compute(digest, || compute_outcome(&project, digest));
+        for _ in 0..2 {
+            let error = cache
+                .render_artifact(&outcome, ArtifactKind::Table)
+                .expect_err("infeasible");
+            assert!(error.to_string().contains("no feasible schedule"));
+        }
+        // The report still renders (and memoizes) for infeasible outcomes.
+        let report = cache
+            .render_artifact(&outcome, ArtifactKind::ReportJson)
+            .expect("report renders");
+        assert!(!report.cached);
+        assert!(
+            cache
+                .render_artifact(&outcome, ArtifactKind::ReportJson)
+                .expect("hit")
+                .cached
+        );
+        assert_eq!(cache.stats().rendered_entries, 1);
+    }
+
+    #[test]
+    fn evicting_an_outcome_drops_its_rendered_bytes() {
+        let cache = ResultCache::new(1, 1);
+        let outcome = cached_feasible(&cache);
+        for kind in [ArtifactKind::Table, ArtifactKind::Gantt] {
+            cache.render_artifact(&outcome, kind).expect("renders");
+        }
+        let before = cache.stats();
+        assert_eq!(before.rendered_entries, 2);
+        assert_eq!(before.rendered_bytes, outcome.rendered.footprint().1);
+        assert!(before.rendered_bytes > 0);
+        // A second outcome evicts the first from the one-entry cache.
+        let other = digest_of(70);
+        cache.get_or_compute(other, || stub_outcome(other));
+        let after = cache.stats();
+        assert_eq!(after.evictions, 1);
+        let rendered = (after.rendered_entries, after.rendered_bytes);
+        assert_eq!((rendered, after.rendered_evictions), ((0, 0), 2));
     }
 
     #[test]

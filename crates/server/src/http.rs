@@ -11,10 +11,10 @@
 //! | POST   | `/v1/table`    | spec XML body → the Fig. 8 schedule table (C array), byte-identical to `ezrt table` |
 //! | POST   | `/v1/codegen`  | spec XML body → the generated C translation unit; `?target=<t>` picks the target (default `posix_sim`) |
 //! | POST   | `/v1/gantt`    | spec XML body → the ASCII timeline over the default window |
-//! | GET    | `/v1/artifact/<digest>/<kind>` | any artifact of an already-synthesized digest, straight from the rendered-byte, memory or disk cache (404 when absent; never synthesizes) |
+//! | GET    | `/v1/artifact/<digest>/<kind>` | any artifact of an already-synthesized digest, straight from the memory or disk cache, its bytes memoized on the outcome (404 when absent; never synthesizes) |
 //! | POST   | `/v1/sweep`    | spec XML body + `?grid=` → one NDJSON row per grid point, byte-identical to `ezrt sweep`; `?jobs=N` widens the point fan-out |
 //! | GET    | `/v1/healthz`  | liveness probe                                   |
-//! | GET    | `/v1/stats`    | request, connection and cache counters (all three cache tiers) |
+//! | GET    | `/v1/stats`    | request, connection and cache counters (outcomes, rendered bytes, disk tier) |
 //! | GET    | `/v1/metrics`  | Prometheus text exposition of every counter, gauge and histogram (server registry + process-wide engine registry) |
 //! | POST   | `/v1/shutdown` | graceful stop: drain workers, join threads       |
 //!
@@ -30,12 +30,12 @@
 //! A request whose `If-None-Match` lists that tag (or `*`) is answered
 //! `304 Not Modified` — same `ETag`, `Content-Length: 0`, no body — so
 //! a repeat client pays ~100 header bytes instead of the artifact.
-//! Artifact bodies are served from the rendered-byte tier
-//! ([`RenderedCache`](crate::rendered::RenderedCache)): a hot `(digest,
-//! kind)` hit is an `Arc` clone of the cached bytes, not a re-render;
-//! `X-Ezrt-Rendered: hit|miss` reports which happened. Cache provenance
-//! and the digest ride in `X-Ezrt-Cache` / `X-Ezrt-Digest` headers as
-//! before.
+//! Artifact bodies come from [`ResultCache::render_artifact`], which
+//! memoizes each kind's bytes on the cached outcome: a repeat request
+//! is an `Arc` clone off the outcome the lookup returned, not a
+//! re-render; `X-Ezrt-Rendered: hit|miss` reports which happened. Cache
+//! provenance and the digest ride in `X-Ezrt-Cache` / `X-Ezrt-Digest`
+//! headers.
 //!
 //! **Connection handling.** One accept thread pushes connections onto a
 //! condvar-guarded queue drained by `workers` threads. HTTP/1.1
@@ -63,7 +63,7 @@
 //! request.
 
 use crate::cache::{
-    compute_outcome, compute_outcome_incremental, Lookup, ResultCache, SynthesisOutcome,
+    compute_outcome, compute_outcome_incremental, Lookup, ResultCache, SynthesisOutcome, SHARDS,
 };
 use crate::digest::{project_digest, structure_digest, SpecDigest};
 use crate::disk::DiskTier;
@@ -111,11 +111,11 @@ pub struct ServerConfig {
     pub scheduler: SchedulerConfig,
     /// Connection worker threads (each serves one connection at a time).
     pub workers: usize,
-    /// Result-cache bound in completed entries; 0 disables memory
-    /// storing (singleflight coalescing still applies).
+    /// Result-cache bound in completed entries, over [`SHARDS`]
+    /// shards; 0 disables memory storing (singleflight coalescing
+    /// still applies). Rendered artifact bytes live on their outcomes,
+    /// so this bounds them too.
     pub cache_capacity: usize,
-    /// Cache shard count; 0 picks the default (8).
-    pub cache_shards: usize,
     /// Disk cache directory (`--cache-dir`): when set, synthesis
     /// results persist here and a restarted server warm-starts from it.
     pub cache_dir: Option<PathBuf>,
@@ -138,7 +138,6 @@ impl Default for ServerConfig {
             scheduler: SchedulerConfig::default(),
             workers: 4,
             cache_capacity: 1024,
-            cache_shards: 0,
             cache_dir: None,
             cache_max_bytes: None,
             max_pending: 128,
@@ -302,15 +301,15 @@ impl ServerGauges {
             ),
             rendered_entries: registry.gauge(
                 "ezrt_rendered_entries",
-                "Rendered artifacts resident in the byte tier.",
+                "Rendered artifacts memoized on resident outcomes.",
             ),
             rendered_bytes: registry.gauge(
                 "ezrt_rendered_bytes",
-                "Bytes resident across all rendered entries.",
+                "Bytes of the rendered artifacts memoized on resident outcomes.",
             ),
             rendered_capacity: registry.gauge(
                 "ezrt_rendered_capacity",
-                "Configured rendered-entry bound (0 = byte tier disabled).",
+                "Rendered-entry bound: outcome capacity times distinct kinds (0 = none memoized).",
             ),
         }
     }
@@ -318,15 +317,14 @@ impl ServerGauges {
     /// Reads each value the gauges show once and sets them.
     fn refresh(&self, shared: &Shared) {
         let cache = shared.cache.stats();
-        let rendered = shared.cache.rendered_stats();
         self.uptime_seconds.set(shared.started.elapsed().as_secs());
         self.workers.set(shared.workers as u64);
         self.cache_entries.set(cache.entries as u64);
         self.cache_inflight.set(cache.inflight as u64);
         self.cache_capacity.set(cache.capacity as u64);
-        self.rendered_entries.set(rendered.entries as u64);
-        self.rendered_bytes.set(rendered.bytes);
-        self.rendered_capacity.set(rendered.capacity as u64);
+        self.rendered_entries.set(cache.rendered_entries as u64);
+        self.rendered_bytes.set(cache.rendered_bytes);
+        self.rendered_capacity.set(cache.rendered_capacity as u64);
     }
 }
 
@@ -424,11 +422,6 @@ impl Server {
         let local = listener
             .local_addr()
             .map_err(|error| format!("cannot resolve local address: {error}"))?;
-        let shards = if config.cache_shards == 0 {
-            8
-        } else {
-            config.cache_shards
-        };
         let disk = match &config.cache_dir {
             Some(dir) => Some(DiskTier::open_with_budget(dir, config.cache_max_bytes)?),
             None => None,
@@ -451,7 +444,7 @@ impl Server {
         ezrt_scheduler::register_metrics();
         let metrics = HttpMetrics::register(&registry);
         let gauges = ServerGauges::register(&registry);
-        let cache = ResultCache::with_disk(config.cache_capacity, shards, disk);
+        let cache = ResultCache::with_disk(config.cache_capacity, SHARDS, disk);
         cache.register_metrics(&registry);
         let counter = |name, help| registry.counter(name, help);
         let shared = Arc::new(Shared {
@@ -988,7 +981,7 @@ fn parse_head(head: &str) -> Result<Head, Response> {
 }
 
 /// A response body: owned text (reports, errors) or bytes shared with
-/// the rendered-byte cache (no copy on an artifact hit).
+/// an outcome's rendered memo (no copy on an artifact hit).
 enum Body {
     Text(String),
     Shared(Arc<[u8]>),
@@ -1378,7 +1371,7 @@ fn sweep(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> Resp
     };
     let options = SweepOptions {
         fanout: project.config().parallelism,
-        scheduler: shared.scheduler.clone(),
+        scheduler: project.config().clone(),
     };
     // Oversize grids come back from the engine as the only error it
     // reports; everything per-point is a row, not a failure.
@@ -1449,10 +1442,10 @@ fn warm_ancestor(
 }
 
 /// `GET /v1/artifact/<digest>/<kind>`: serve an artifact of an already
-/// synthesized digest straight from the (rendered, memory or disk)
-/// cache. Never synthesizes — an unknown digest is a 404, not a queued
-/// search (and not a 304: a conditional request still requires the
-/// resource to exist here).
+/// synthesized digest straight from the (memory or disk) cache. Never
+/// synthesizes — an unknown digest is a 404, not a queued search (and
+/// not a 304: a conditional request still requires the resource to
+/// exist here).
 fn artifact_get(
     shared: &Shared,
     rest: &str,
@@ -1511,11 +1504,11 @@ fn artifact_post(
 }
 
 /// Serves `kind` of a cached outcome: a conditional hit is a
-/// header-only 304 (no render at all), everything else goes through the
-/// rendered-byte tier — the body is an `Arc` clone of the cached bytes
-/// on a hit, byte-identical to the CLI either way. Provenance rides in
-/// headers: `X-Ezrt-Cache` for the outcome tier, `X-Ezrt-Rendered` for
-/// the byte tier.
+/// header-only 304 (no render at all), everything else goes through
+/// [`ResultCache::render_artifact`] — the body is an `Arc` clone of the
+/// bytes memoized on the outcome on a hit, byte-identical to the CLI
+/// either way. Provenance rides in headers: `X-Ezrt-Cache` for the
+/// outcome, `X-Ezrt-Rendered` for its memoized bytes.
 fn respond_artifact(
     shared: &Shared,
     outcome: &SynthesisOutcome,
@@ -1642,7 +1635,6 @@ fn stats(shared: &Shared) -> Response {
         fields.push((counter.field, cell.get().to_string()));
     }
     let cache = shared.cache.stats();
-    let rendered = shared.cache.rendered_stats();
     let disk = shared.cache.disk_stats().unwrap_or_default();
     for (key, value) in [
         ("cache_capacity", cache.capacity as u64),
@@ -1653,12 +1645,12 @@ fn stats(shared: &Shared) -> Response {
         ("cache_misses", cache.misses),
         ("cache_joined", cache.joined),
         ("cache_evictions", cache.evictions),
-        ("rendered_capacity", rendered.capacity as u64),
-        ("rendered_entries", rendered.entries as u64),
-        ("rendered_hits", rendered.hits),
-        ("rendered_misses", rendered.misses),
-        ("rendered_evictions", rendered.evictions),
-        ("rendered_bytes", rendered.bytes),
+        ("rendered_capacity", cache.rendered_capacity as u64),
+        ("rendered_entries", cache.rendered_entries as u64),
+        ("rendered_hits", cache.rendered_hits),
+        ("rendered_misses", cache.rendered_misses),
+        ("rendered_evictions", cache.rendered_evictions),
+        ("rendered_bytes", cache.rendered_bytes),
         ("disk_writes", disk.writes),
         ("disk_load_errors", disk.load_errors),
         ("disk_gc_evicted", disk.gc_evicted),

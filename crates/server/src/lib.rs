@@ -17,11 +17,10 @@
 //!   `Arc<SynthesisOutcome>` behind per-shard mutexes, where concurrent
 //!   requests for the same digest block on a single in-flight synthesis,
 //!   with size-bounded LRU eviction and hit/miss/join/eviction counters;
-//! * [`rendered`] — the rendered-byte tier ([`RenderedCache`]):
-//!   `(digest, kind) → Arc<[u8]>` behind the same sharding, so a
-//!   repeat artifact request is a lookup plus one write instead of a
-//!   re-render — shared by the HTTP routes, the `--cache-dir` CLI
-//!   one-shots and batch via `ResultCache::render_artifact`;
+//!   [`ResultCache::render_artifact`] memoizes each artifact's bytes on
+//!   its outcome, so a repeat artifact request (HTTP route or CLI
+//!   artifact command) is an `Arc` clone instead of a re-render, and
+//!   the outcome LRU bounds the bytes too;
 //! * [`disk`] — the persistent tier ([`DiskTier`], `--cache-dir`):
 //!   entries spill to versioned, checksummed files keyed by the digest,
 //!   so a restarted server (or a CI fleet sharing a directory)
@@ -43,7 +42,8 @@
 //!   worker pool, with per-phase `Server-Timing` headers and an
 //!   optional NDJSON access log;
 //! * [`batch`] — offline fan-out of a directory of spec files through
-//!   the *same* queue + cache, one JSON line per spec;
+//!   the *same* cache, one JSON line per spec (the report fields, no
+//!   rendered artifact); its fan-out loop also drives sweeps;
 //! * [`sweep`] — the feasibility-frontier engine: a base spec crossed
 //!   with a parameter grid (`ezrt sweep`, `POST /v1/sweep`), every
 //!   point warm-started from the base outcome and deduplicated through
@@ -79,7 +79,6 @@ pub mod batch;
 pub mod cache;
 pub mod disk;
 pub mod http;
-pub mod rendered;
 pub mod sweep;
 
 // The digest and flat-JSON report live in the artifact layer now
@@ -87,8 +86,7 @@ pub mod sweep;
 // so service code and its callers keep their historical paths.
 pub use ezrt_artifacts::{digest, report};
 
-pub use cache::{CacheStats, Lookup, ResultCache, SynthesisOutcome};
+pub use cache::{CacheStats, Lookup, RenderedArtifact, ResultCache, SynthesisOutcome};
 pub use digest::SpecDigest;
 pub use disk::{DiskStats, DiskTier};
 pub use http::{Server, ServerConfig};
-pub use rendered::{RenderedArtifact, RenderedCache, RenderedStats};

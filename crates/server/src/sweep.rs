@@ -2,7 +2,7 @@
 //! grid, fanned through the digest cache, one deterministic JSON row
 //! per point.
 //!
-//! The engine reuses the batch fan-out shape — points spread over
+//! The engine reuses the batch fan-out loop — points spread over
 //! [`SweepOptions::fanout`] worker threads, each point's synthesis one
 //! sequential search — and adds one twist: the base
 //! spec is synthesized first, and every grid point warm-starts from the
@@ -22,6 +22,7 @@
 //! `periods=100 deadlines=100 jitter=0` shares its digest with the
 //! base spec itself.
 
+use crate::batch::fan_out;
 use crate::cache::{compute_outcome, compute_outcome_incremental, Lookup, ResultCache};
 use crate::digest::{project_digest, SpecDigest};
 use crate::report::{self, JsonFields};
@@ -31,8 +32,7 @@ use ezrt_scheduler::{Parallelism, SchedulerConfig};
 use ezrt_spec::sweep::{SweepGrid, SweepPoint, MAX_SWEEP_POINTS};
 use ezrt_spec::EzSpec;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Configuration of [`run_sweep`].
 #[derive(Debug, Clone)]
@@ -130,30 +130,9 @@ pub fn run_sweep(
         .is_some()
         .then(|| Arc::clone(&base_outcome));
 
-    let points = grid.points();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<SweepRow>>> = points.iter().map(|_| Mutex::new(None)).collect();
-    let workers = options.fanout.jobs().min(points.len()).max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(point) = points.get(index) else {
-                    return;
-                };
-                let row = process_point(spec, *point, &options.scheduler, ancestor.as_ref(), cache);
-                *slots[index].lock().expect("row slot poisoned") = Some(row);
-            });
-        }
+    let rows = fan_out(&grid.points(), options.fanout, |point| {
+        process_point(spec, *point, &options.scheduler, ancestor.as_ref(), cache)
     });
-    let rows: Vec<SweepRow> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("row slot poisoned")
-                .expect("every point processed")
-        })
-        .collect();
 
     let unique: HashSet<SpecDigest> = rows.iter().filter_map(|row| row.digest).collect();
     let feasible = rows

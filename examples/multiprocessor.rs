@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The frame takes 1 (arbitration) + 2 (transfer) units on can0
     // after `transmit` finishes; `actuate` waits for delivery.
-    let spec = outcome.spec().clone();
+    let spec = outcome.spec.clone();
     let transmit = spec.task_id("transmit").unwrap();
     let actuate = spec.task_id("actuate").unwrap();
     println!(

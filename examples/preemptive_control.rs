@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\n{} execution parts for {} instances — {} preemptions\n",
         outcome.table.entries().len(),
-        outcome.spec().total_instances(),
+        outcome.spec.total_instances(),
         outcome.timeline.preemption_count()
     );
 

@@ -47,7 +47,7 @@ use ezrealtime::artifacts::{
 use ezrealtime::codegen::Target;
 use ezrealtime::core::Project;
 use ezrealtime::server::batch::{run_batch, BatchOptions};
-use ezrealtime::server::cache::ResultCache;
+use ezrealtime::server::cache::{ResultCache, SHARDS};
 use ezrealtime::server::digest::project_digest;
 use ezrealtime::server::disk::DiskTier;
 use ezrealtime::server::report;
@@ -169,8 +169,8 @@ fn run(args: &[String]) -> Result<(), String> {
         .with_jobs(jobs)
         .with_por(por);
     // The one-shot commands share the server's cache type so every
-    // surface funnels through the same tiers: outcome memory + optional
-    // disk, and the rendered-byte tier behind the artifact commands.
+    // surface funnels through the same tiers: outcome memory (with the
+    // rendered bytes memoized on each outcome) + optional disk.
     let cache = artifact_cache(cache_dir, cache_max_bytes)?;
 
     let result = match command.as_str() {
@@ -350,7 +350,6 @@ fn serve(
         },
         workers,
         cache_capacity,
-        cache_shards: 0,
         cache_dir: cache_dir.map(std::path::PathBuf::from),
         cache_max_bytes,
         max_pending,
@@ -406,7 +405,7 @@ fn batch(
         Some(dir) => Some(DiskTier::open_with_budget(dir, cache_max_bytes)?),
         None => None,
     };
-    let cache = ResultCache::with_disk(options.cache_capacity, 8, disk);
+    let cache = ResultCache::with_disk(options.cache_capacity, SHARDS, disk);
     let rows = run_batch(std::path::Path::new(dir), &options, &cache)?;
     let mut failures = 0usize;
     for row in &rows {
@@ -470,7 +469,7 @@ fn check(project: &Project) -> Result<(), String> {
 }
 
 /// Builds the cache the one-shot commands run through: the server's
-/// [`ResultCache`] (outcome memory tier + rendered-byte tier), backed
+/// [`ResultCache`] (outcome memory tier with rendered bytes), backed
 /// by the `--cache-dir` disk store when given — so a result synthesized
 /// by any surface (CLI, `ezrt serve`, `ezrt batch`) is reused by every
 /// other, and `--cache-max-bytes` garbage-collects the shared
@@ -513,8 +512,8 @@ fn infeasible_error(outcome: &SynthesisOutcome) -> String {
 /// Renders one artifact of the synthesized (or cache-revived) outcome
 /// to stdout — `ezrt table`, `ezrt pnml`, `ezrt codegen` and the
 /// default-window `ezrt gantt` all land here, emitting byte-identical
-/// output to the corresponding HTTP artifact endpoint (and going
-/// through the same rendered-byte tier).
+/// output to the corresponding HTTP artifact endpoint (and rendering
+/// through the same `ResultCache::render_artifact`).
 fn artifact(project: &Project, kind: ArtifactKind, cache: &ResultCache) -> Result<(), String> {
     let outcome = cached_outcome(cache, project);
     let artifact = cache

@@ -271,7 +271,7 @@ fn warm_start_after_a_deadline_edit_is_sound_and_no_costlier() {
 #[test]
 fn edits_warm_start_identically_at_any_job_count() {
     let previous = Project::new(mine_pump()).synthesize().expect("feasible");
-    let edited_xml = nudge_first_deadline(&to_xml(previous.spec()), 1);
+    let edited_xml = nudge_first_deadline(&to_xml(&previous.spec), 1);
     let warm_at = |jobs| {
         Project::from_dsl(&edited_xml)
             .expect("edited spec parses")

@@ -50,7 +50,7 @@ fn multiprocessor_schedule_synthesizes_and_validates() {
         .expect("feasible");
     assert!(outcome.validate().is_empty());
 
-    let spec = outcome.spec().clone();
+    let spec = outcome.spec.clone();
     // Tasks run on their own processors — the two MCUs overlap in time.
     let sensor = spec.processor_id("sensor_mcu").unwrap();
     let control = spec.processor_id("control_mcu").unwrap();
@@ -84,7 +84,7 @@ fn per_processor_schedule_tables() {
     let outcome = Project::new(dual_node_spec())
         .synthesize()
         .expect("feasible");
-    let spec = outcome.spec().clone();
+    let spec = outcome.spec.clone();
     let sensor = spec.processor_id("sensor_mcu").unwrap();
     let control = spec.processor_id("control_mcu").unwrap();
 
@@ -144,7 +144,7 @@ fn bus_resource_serializes_competing_messages() {
 
     // With a 4-unit transfer each and one bus token, the second receiver
     // cannot start before 2 + 4 + 4 = 10.
-    let spec = outcome.spec().clone();
+    let spec = outcome.spec.clone();
     let rx1 = spec.task_id("rx1").unwrap();
     let rx2 = spec.task_id("rx2").unwrap();
     let s1 = outcome.timeline.instance_start(rx1, 0).unwrap();

@@ -54,7 +54,7 @@ fn pnml_export_of_synthesized_nets_reimports() {
 fn figure3_and_figure4_schedules_respect_their_relations() {
     // Fig. 3: T1 precedes T2.
     let outcome = Project::new(figure3_spec()).synthesize().expect("feasible");
-    let spec = outcome.spec().clone();
+    let spec = outcome.spec.clone();
     let t1 = spec.task_id("T1").unwrap();
     let t2 = spec.task_id("T2").unwrap();
     let t1_done = outcome.timeline.instance_completion(t1, 0).unwrap();
@@ -63,7 +63,7 @@ fn figure3_and_figure4_schedules_respect_their_relations() {
 
     // Fig. 4: T0 excludes T2 — execution windows may not interleave.
     let outcome = Project::new(figure4_spec()).synthesize().expect("feasible");
-    let spec = outcome.spec().clone();
+    let spec = outcome.spec.clone();
     let t0 = spec.task_id("T0").unwrap();
     let t2 = spec.task_id("T2").unwrap();
     let (s0, e0) = (

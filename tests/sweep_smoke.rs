@@ -2,12 +2,12 @@
 //! binary: the CLI frontier is byte-identical across repeat runs and
 //! fan-out widths, and `POST /v1/sweep` on a spawned `ezrt serve`
 //! returns the very same rows — one determinism contract, two
-//! transports. The CI sweep smoke step runs this file under
-//! `RUST_TEST_THREADS=1`.
+//! transports — at the default reduction level and at `?por=off`. The
+//! CI sweep smoke step runs this file under `RUST_TEST_THREADS=1`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 const GRID: &str = "periods:100,150;deadlines:75,100;jitter:0,2";
@@ -19,9 +19,11 @@ fn spec_path(dir: &std::path::Path) -> std::path::PathBuf {
     path
 }
 
-fn run_cli(spec: &std::path::Path, jobs: &str) -> String {
+/// `ezrt <global...> sweep <spec> --grid GRID` stdout.
+fn run_cli(spec: &std::path::Path, global: &[&str]) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_ezrt"))
-        .args(["--jobs", jobs, "sweep"])
+        .args(global)
+        .arg("sweep")
         .arg(spec)
         .args(["--grid", GRID])
         .output()
@@ -40,25 +42,21 @@ fn cli_frontier_is_identical_across_runs_and_jobs() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let spec = spec_path(&dir);
 
-    let first = run_cli(&spec, "1");
+    let first = run_cli(&spec, &["--jobs", "1"]);
     assert_eq!(first.lines().count(), 8, "{first}");
     assert!(first.contains("\"verdict\": "), "{first}");
 
-    let second = run_cli(&spec, "1");
+    let second = run_cli(&spec, &["--jobs", "1"]);
     assert_eq!(first, second, "two sequential runs diverged");
-    let wide = run_cli(&spec, "4");
+    let wide = run_cli(&spec, &["--jobs", "4"]);
     assert_eq!(first, wide, "--jobs changed the frontier rows");
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn http_sweep_matches_the_cli_byte_for_byte() {
-    let dir = std::env::temp_dir().join(format!("ezrt-sweep-http-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let spec = spec_path(&dir);
-    let cli_rows = run_cli(&spec, "2");
-
+/// Spawns `ezrt serve` on an ephemeral port; returns the child and the
+/// address its banner announces.
+fn serve() -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_ezrt"))
         .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
         .stdout(Stdio::piped())
@@ -74,10 +72,13 @@ fn http_sweep_matches_the_cli_byte_for_byte() {
         .next()
         .expect("address in banner")
         .to_owned();
+    (child, addr)
+}
 
-    let xml = std::fs::read_to_string(&spec).expect("spec fixture reads");
-    let target = format!("/v1/sweep?grid={GRID}");
-    let mut stream = TcpStream::connect(&addr).expect("connect to ezrt serve");
+/// The body of `POST <target>` with the spec at `spec` as its body.
+fn post_sweep(addr: &str, target: &str, spec: &std::path::Path) -> String {
+    let xml = std::fs::read_to_string(spec).expect("spec fixture reads");
+    let mut stream = TcpStream::connect(addr).expect("connect to ezrt serve");
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .expect("read timeout");
@@ -90,11 +91,45 @@ fn http_sweep_matches_the_cli_byte_for_byte() {
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
     assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
-    let body = raw.split_once("\r\n\r\n").expect("head/body split").1;
+    raw.split_once("\r\n\r\n")
+        .expect("head/body split")
+        .1
+        .to_owned()
+}
 
+#[test]
+fn http_sweep_matches_the_cli_byte_for_byte() {
+    let dir = std::env::temp_dir().join(format!("ezrt-sweep-http-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let spec = spec_path(&dir);
+    let cli_rows = run_cli(&spec, &["--jobs", "2"]);
+
+    let (mut child, addr) = serve();
+    let body = post_sweep(&addr, &format!("/v1/sweep?grid={GRID}"), &spec);
     assert_eq!(
         body, cli_rows,
         "HTTP rows diverge from the CLI frontier for the same spec and grid"
+    );
+
+    let (_, _) = (child.kill(), child.wait());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn http_sweep_honours_the_por_query() {
+    let dir = std::env::temp_dir().join(format!("ezrt-sweep-por-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let spec = spec_path(&dir);
+    let cli_rows = run_cli(&spec, &["--por", "off"]);
+    // The reduction level keys the digests, so the rows must differ
+    // from the default level's for this check to mean anything.
+    assert_ne!(cli_rows, run_cli(&spec, &[]));
+
+    let (mut child, addr) = serve();
+    let body = post_sweep(&addr, &format!("/v1/sweep?grid={GRID}&por=off"), &spec);
+    assert_eq!(
+        body, cli_rows,
+        "?por=off rows diverge from `ezrt --por off sweep`"
     );
 
     let (_, _) = (child.kill(), child.wait());

@@ -49,6 +49,9 @@ pub struct TaskNet {
     pub(crate) instances: Vec<u64>,
     pub(crate) deps: DependencyMatrix,
     pub(crate) bookkeeping: Vec<u64>,
+    /// The transitions whose post-set holds a deadline-miss place, as a
+    /// transition mask: the only firings that can mark a miss.
+    pub(crate) miss_writers: Vec<u64>,
 }
 
 impl TaskNet {
@@ -152,6 +155,25 @@ impl TaskNet {
     /// [`StateLayout`](ezrt_tpn::StateLayout)) without unpacking.
     pub fn has_deadline_miss_packed(&self, state: &[u32]) -> bool {
         self.miss_places.iter().any(|&p| state[p.index()] > 0)
+    }
+
+    /// Whether firing `fired` reached the packed `state` with a
+    /// deadline-miss place marked, given that the state it fired from
+    /// marked none (as every state a search expands does). Only a
+    /// transition that outputs into a miss place can mark one, so for
+    /// every other firing this reads no place at all. Debug builds
+    /// cross-check the answer against the full
+    /// [`has_deadline_miss_packed`](Self::has_deadline_miss_packed) scan.
+    #[inline]
+    pub fn fired_into_miss(&self, fired: TransitionId, state: &[u32]) -> bool {
+        let missed = ezrt_tpn::por::test_bit(&self.miss_writers, fired.index())
+            && self.has_deadline_miss_packed(state);
+        debug_assert_eq!(
+            missed,
+            self.has_deadline_miss_packed(state),
+            "a firing that outputs into no miss place marked one"
+        );
+        missed
     }
 
     /// Packed-kernel counterpart of [`is_final`](Self::is_final).

@@ -12,7 +12,7 @@ use crate::priority::Priority;
 use crate::relations::{add_exclusion, add_message, add_precedence, wire_release_chain, Stage};
 use crate::tasknet::{TaskNet, TaskTransitions};
 use ezrt_spec::EzSpec;
-use ezrt_tpn::{DependencyMatrix, Marking};
+use ezrt_tpn::{DependencyMatrix, Marking, PlaceId};
 use std::collections::BTreeMap;
 
 /// Translates a validated specification into a [`TaskNet`].
@@ -144,7 +144,7 @@ pub fn translate(spec: &EzSpec) -> TaskNet {
         final_marking.set(p, 1);
     }
 
-    let miss_places = blocks.iter().map(|b| b.miss).collect();
+    let miss_places: Vec<PlaceId> = blocks.iter().map(|b| b.miss).collect();
     let task_transitions = blocks
         .iter()
         .map(|b| TaskTransitions {
@@ -192,6 +192,14 @@ pub fn translate(spec: &EzSpec) -> TaskNet {
         }
     }
     deps.build_sleep_closure(&net, &urgent);
+    // The firings that can mark a deadline miss: the producers of the
+    // miss places.
+    let mut miss_writers = vec![0u64; net.transition_count().div_ceil(64).max(1)];
+    for &p in &miss_places {
+        for &t in net.producers(p) {
+            ezrt_tpn::por::set_bit(&mut miss_writers, t.index());
+        }
+    }
 
     TaskNet {
         net,
@@ -205,6 +213,7 @@ pub fn translate(spec: &EzSpec) -> TaskNet {
         instances,
         deps,
         bookkeeping,
+        miss_writers,
     }
 }
 
@@ -215,6 +224,21 @@ mod tests {
     use ezrt_spec::corpus::{figure3_spec, figure4_spec, mine_pump, small_control};
     use ezrt_spec::SpecBuilder;
     use ezrt_tpn::analysis;
+
+    /// Only a task's deadline-miss transition outputs into a miss place,
+    /// so those are exactly the firings the miss check runs after.
+    #[test]
+    fn miss_writers_are_the_deadline_miss_transitions() {
+        for spec in [mine_pump(), figure3_spec(), figure4_spec(), small_control()] {
+            let tasknet = translate(&spec);
+            let mut expected = vec![0u64; tasknet.miss_writers.len()];
+            for (task, _) in spec.tasks() {
+                let miss = tasknet.transitions_of(task).deadline_miss;
+                ezrt_tpn::por::set_bit(&mut expected, miss.index());
+            }
+            assert_eq!(tasknet.miss_writers, expected, "{}", spec.name());
+        }
+    }
 
     #[test]
     fn mine_pump_net_has_expected_shape() {

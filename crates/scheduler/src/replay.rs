@@ -7,9 +7,10 @@
 //! and the run must reach the desired final marking `MF`. It walks the
 //! run on the net's packed kernel
 //! ([`fire_into`](ezrt_tpn::TimePetriNet::fire_into)) with two
-//! state buffers and two enabled sets, swapped each step. A linear run
-//! revisits nothing, so no state is hashed or interned, and no step
-//! allocates.
+//! state buffers and two enabled sets, swapped each step, and reads each
+//! state's fireable set off the same clock-bounds walk the searches use.
+//! A linear run revisits nothing, so no state is keyed or interned, and
+//! no step allocates.
 //!
 //! This is the workspace's only replay. It checks each synthesized result
 //! once (`ezrt_core::Project`), re-establishes decoded disk-cache entries,
@@ -19,7 +20,7 @@
 
 use crate::schedule::ScheduledFiring;
 use ezrt_compose::TaskNet;
-use ezrt_tpn::{Time, TimeBound, TransitionId};
+use ezrt_tpn::{ClockBounds, Time, TimeBound, TransitionId};
 use std::fmt;
 
 /// Why a replay rejected a firing sequence.
@@ -141,11 +142,12 @@ fn walk(tasknet: &TaskNet, firings: &[ScheduledFiring]) -> Result<ReplayReport, 
     net.write_initial_packed(&mut state);
     let (mut enabled, mut next_enabled) = (Vec::new(), Vec::new());
     net.enabled_into(&state, &mut enabled);
-    let mut domains = Vec::new();
+    let (mut bounds, mut domains) = (ClockBounds::default(), Vec::new());
     let mut makespan: Time = 0;
 
     for (step, firing) in firings.iter().enumerate() {
-        net.fireable_domains_into(&state, &enabled, &mut domains);
+        net.clock_bounds_into(&state, &enabled, &mut bounds);
+        net.fireable_domains_into(&bounds, &mut domains);
         let Some(&(_, dlb, upper)) = domains.iter().find(|&&(t, _, _)| t == firing.transition)
         else {
             return Err(ReplayError::NotFireable {
@@ -171,7 +173,9 @@ fn walk(tasknet: &TaskNet, firings: &[ScheduledFiring]) -> Result<ReplayReport, 
         std::mem::swap(&mut state, &mut next);
         std::mem::swap(&mut enabled, &mut next_enabled);
         makespan += firing.delay;
-        if tasknet.has_deadline_miss_packed(&state) {
+        // The run stops at its first miss, so every state it fires from
+        // is miss-free.
+        if tasknet.fired_into_miss(firing.transition, &state) {
             return Err(ReplayError::DeadlineMiss { step });
         }
         if tasknet.is_final_packed(&state) {

@@ -7,7 +7,11 @@
 //! and memoized dead in a bitvector [`DeadSet`] over dense [`StateId`]s.
 //! Each frame carries its state's enabled set, which the explorer derives
 //! from the parent frame's set on every firing, so no step rescans every
-//! transition. Frames pool their vectors across pushes, so in the steady
+//! transition, and the explorer interns each successor by its parent's
+//! cached key plus the firing's key change, so no step rehashes a whole
+//! state. The child step walks the child's clock bounds once, and both
+//! the sleep-set guard and the candidate generation read that walk.
+//! Frames pool their vectors across pushes, so in the steady
 //! state the loop performs **zero heap allocations per explored
 //! successor**. A finished search hands its arena, dead set, frames and
 //! path to one process-wide spare slot and the next search starts on
@@ -23,9 +27,11 @@ use crate::stats::SearchStats;
 use ezrt_compose::{TaskNet, TransitionRole};
 use ezrt_spec::TaskId;
 use ezrt_tpn::arena::reserve_amortized;
-use ezrt_tpn::por::{iter_bits, set_bit, test_bit};
+use ezrt_tpn::por::{set_bit, test_bit};
 use ezrt_tpn::reachability::Explorer;
-use ezrt_tpn::{ArenaBuffers, StateId, Time, TimeBound, TransitionId};
+use ezrt_tpn::{
+    ArenaBuffers, ClockBounds, DependencyMatrix, StateId, Time, TimeBound, TransitionId,
+};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -92,6 +98,8 @@ struct Dfs<'a> {
     path: Vec<ScheduledFiring>,
     counters: InstanceCounters,
     scratch: PorScratch,
+    /// The clock-bounds walk of the state being pushed.
+    bounds: ClockBounds,
     domains: Vec<(TransitionId, Time, TimeBound)>,
     /// The child-sleep staging buffer: computed against the parent frame,
     /// then swapped into the child (both hot-loop allocation-free).
@@ -142,6 +150,7 @@ impl<'a> Dfs<'a> {
             path,
             counters: InstanceCounters::new(tasks),
             scratch: PorScratch::new(),
+            bounds: ClockBounds::default(),
             domains: Vec::new(),
             child_sleep: Vec::new(),
             child_enabled: Vec::new(),
@@ -151,10 +160,12 @@ impl<'a> Dfs<'a> {
         };
         let root = &mut dfs.frames[0];
         dfs.explorer.enabled_into(s0, &mut root.enabled);
+        tasknet
+            .net()
+            .clock_bounds_into(dfs.explorer.state(s0), &root.enabled, &mut dfs.bounds);
         candidates(
             tasknet,
-            dfs.explorer.state(s0),
-            &root.enabled,
+            &dfs.bounds,
             config,
             &dfs.counters,
             &root.sleep,
@@ -215,8 +226,10 @@ impl<'a> Dfs<'a> {
             }
             self.states += 1;
 
+            // Every frame's state is miss-free, so only a firing into a
+            // miss place can mark one.
             let packed = self.explorer.state(next);
-            if self.tasknet.has_deadline_miss_packed(packed) {
+            if self.tasknet.fired_into_miss(transition, packed) {
                 self.stats.pruned_misses += 1;
                 for task in self.tasknet.missed_tasks_packed_iter(packed) {
                     self.missed.record(task);
@@ -259,7 +272,22 @@ impl<'a> Dfs<'a> {
     /// `FT(s)` was non-empty (see [`candidates`]).
     fn push(&mut self, firing: ScheduledFiring, next: StateId) -> bool {
         let parent = &self.frames[self.depth - 1];
+        self.tasknet.net().clock_bounds_into(
+            self.explorer.state(next),
+            &self.child_enabled,
+            &mut self.bounds,
+        );
         child_sleep_into(
+            self.tasknet,
+            self.config,
+            &parent.sleep,
+            &parent.candidates[..parent.next - 1],
+            (firing.transition, firing.delay),
+            &self.bounds,
+            &mut self.child_sleep,
+        );
+        #[cfg(test)]
+        tests::assert_guard_matches_floor(
             self.tasknet,
             self.config,
             &parent.sleep,
@@ -267,8 +295,7 @@ impl<'a> Dfs<'a> {
             (firing.transition, firing.delay),
             self.explorer.state(next),
             &self.child_enabled,
-            &mut self.scratch,
-            &mut self.child_sleep,
+            &self.child_sleep,
         );
 
         self.counters.apply(firing.role);
@@ -283,8 +310,7 @@ impl<'a> Dfs<'a> {
         std::mem::swap(&mut frame.enabled, &mut self.child_enabled);
         let fireable = candidates(
             self.tasknet,
-            self.explorer.state(next),
-            &frame.enabled,
+            &self.bounds,
             self.config,
             &self.counters,
             &frame.sleep,
@@ -322,7 +348,7 @@ impl<'a> Dfs<'a> {
             );
             if self
                 .tasknet
-                .has_deadline_miss_packed(self.explorer.state(next))
+                .fired_into_miss(firing.transition, self.explorer.state(next))
             {
                 break;
             }
@@ -371,7 +397,7 @@ impl<'a> Dfs<'a> {
     }
 }
 
-/// The working memory of a finished search: the arena's slab, hash cache
+/// The working memory of a finished search: the arena's slab, key cache
 /// and probe table, the dead-set bits, the DFS frames with their inner
 /// vectors, and the path. Contents are stale; [`Dfs::new`] resets what
 /// it reuses.
@@ -458,9 +484,6 @@ impl Drop for Recycled<'_> {
 struct PorScratch {
     fireable: Vec<u64>,
     closure: Vec<u64>,
-    /// Enabled `(transition, dynamic upper bound)` pairs of the child
-    /// state, for the urgency-floor guard in [`child_sleep_into`].
-    dubs: Vec<(TransitionId, TimeBound)>,
     /// Candidates dropped by stubborn-set reduction.
     stubborn_skips: usize,
     /// Candidates dropped because they were in a frame's sleep set.
@@ -472,7 +495,6 @@ impl PorScratch {
         PorScratch {
             fireable: Vec::new(),
             closure: Vec::new(),
-            dubs: Vec::new(),
             stubborn_skips: 0,
             sleep_skips: 0,
         }
@@ -785,8 +807,8 @@ fn search_on(
     }
 }
 
-/// Generates the ordered candidate labels of a packed state, whose
-/// enabled set is `enabled`, into the caller's reusable buffer: the
+/// Generates the ordered candidate labels of the state whose clock-bounds
+/// walk is `bounds` into the caller's reusable buffer: the
 /// fireable set `FT(s)`, expanded to `(t, q)` pairs per the delay mode,
 /// filtered by the frame's sleep set, reduced by the configured
 /// partial-order rule, and sorted by the branch ordering.
@@ -798,8 +820,7 @@ fn search_on(
 #[allow(clippy::too_many_arguments)]
 fn candidates(
     tasknet: &TaskNet,
-    state: &[u32],
-    enabled: &[u64],
+    bounds: &ClockBounds,
     config: &SchedulerConfig,
     counters: &InstanceCounters,
     sleep: &[u64],
@@ -809,7 +830,7 @@ fn candidates(
 ) -> bool {
     labels.clear();
     let net = tasknet.net();
-    net.fireable_domains_into(state, enabled, domains);
+    net.fireable_domains_into(bounds, domains);
     if domains.is_empty() {
         return false;
     }
@@ -934,7 +955,7 @@ fn sort_labels(
 /// Computes the sleep set of the child reached by firing the label
 /// `fired` out of a frame, into `out` (cleared and resized to the matrix
 /// row width). Applies at the stubborn level only; below it the sleep
-/// set is always empty.
+/// set is always empty. `bounds` is the child's clock-bounds walk.
 ///
 /// A sleep entry `b` means: *"firing `b` next, at this exact instant, is
 /// covered by an earlier sibling order of some ancestor frame"*. Three
@@ -957,28 +978,43 @@ fn sort_labels(
 ///   the fired one *and* past the bookkeeping firings it forces, so
 ///   interference at cascade level breaks the swap. `fired` itself is
 ///   removed by the diagonal.
-/// * **Urgency-floor guard** — a surviving entry `b` is dropped unless
-///   the child's minimum dynamic upper bound is still held by some
-///   enabled transition other than `b` and `b`'s conflict partners. The
-///   coverage argument replays the covered segment in a mirror state
-///   where `b` has already fired; if pending-`b` was the sole holder of
-///   `min DUB`, the mirror's urgency floor rises and admits a
-///   higher-priority class that evicts the segment's firings from
-///   `FT(s)` — a global coupling through the urgency filter that no
+/// * **Urgency-floor guard** ([`urgency_guard`]) — a surviving entry `b`
+///   is dropped unless the child's minimum dynamic upper bound is still
+///   held by some enabled transition other than `b` and `b`'s conflict
+///   partners. The coverage argument replays the covered segment in a
+///   mirror state where `b` has already fired; if pending-`b` was the
+///   sole holder of `min DUB`, the mirror's urgency floor rises and
+///   admits a higher-priority class that evicts the segment's firings
+///   from `FT(s)` — a global coupling through the urgency filter that no
 ///   structural relation sees, so it is re-checked dynamically against
 ///   every child state.
 ///
 /// [`DependencyMatrix::build_sleep_closure`]: ezrt_tpn::por::DependencyMatrix::build_sleep_closure
-#[allow(clippy::too_many_arguments)]
 fn child_sleep_into(
     tasknet: &TaskNet,
     config: &SchedulerConfig,
     parent_sleep: &[u64],
     earlier: &[(TransitionId, Time)],
     fired: (TransitionId, Time),
-    child_state: &[u32],
-    child_enabled: &[u64],
-    scratch: &mut PorScratch,
+    bounds: &ClockBounds,
+    out: &mut Vec<u64>,
+) {
+    sleep_rules_into(tasknet, config, parent_sleep, earlier, fired, out);
+    urgency_guard(out, bounds, tasknet.deps());
+    if out.iter().all(|&word| word == 0) {
+        out.clear();
+    }
+}
+
+/// The structural rules of [`child_sleep_into`]: equal-delay additions,
+/// zero-delay persistence and cascade-dependency invalidation, into `out`
+/// (cleared; left empty below the stubborn level).
+fn sleep_rules_into(
+    tasknet: &TaskNet,
+    config: &SchedulerConfig,
+    parent_sleep: &[u64],
+    earlier: &[(TransitionId, Time)],
+    fired: (TransitionId, Time),
     out: &mut Vec<u64>,
 ) {
     out.clear();
@@ -1001,43 +1037,33 @@ fn child_sleep_into(
     for (word, dependent) in out.iter_mut().zip(deps.sleep_dep_row(fired_t)) {
         *word &= !dependent;
     }
-    if out.iter().any(|&word| word != 0) {
-        // Urgency-floor guard: one walk of the child's enabled set, then
-        // a per-entry floor over it with the entry and its conflict
-        // partners masked out.
-        let net = tasknet.net();
-        let layout = net.layout();
-        scratch.dubs.clear();
-        let mut min_dub = TimeBound::Infinite;
-        for k in iter_bits(child_enabled) {
-            let t = TransitionId::from_index(k);
-            let dub = net
-                .transition(t)
-                .interval()
-                .dynamic_upper_bound(layout.clock(child_state, t));
-            min_dub = min_dub.min(dub);
-            scratch.dubs.push((t, dub));
-        }
-        for (word, entry) in out.iter_mut().enumerate() {
-            let mut bits = *entry;
-            while bits != 0 {
-                let b = TransitionId::from_index(word * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-                let conflicts = deps.conflict_row(b);
-                let floor = scratch
-                    .dubs
-                    .iter()
-                    .filter(|&&(z, _)| z != b && !test_bit(conflicts, z.index()))
-                    .map(|&(_, dub)| dub)
-                    .fold(TimeBound::Infinite, TimeBound::min);
-                if floor != min_dub {
-                    *entry &= !(1u64 << (b.index() % 64));
-                }
+}
+
+/// The urgency-floor guard of [`child_sleep_into`] as a word-mask test:
+/// keeps a `sleep` entry `b` iff some holder of the child's `min DUB`
+/// lies outside `{b} ∪ conflict_row(b)`. When `min DUB` is infinite,
+/// removing any transition leaves it infinite, so every entry stays.
+fn urgency_guard(sleep: &mut [u64], bounds: &ClockBounds, deps: &DependencyMatrix) {
+    if bounds.min_dub() == TimeBound::Infinite {
+        return;
+    }
+    let holders = bounds.holders();
+    for (word, entry) in sleep.iter_mut().enumerate() {
+        let mut bits = *entry;
+        while bits != 0 {
+            let bit = 1u64 << bits.trailing_zeros();
+            bits &= bits - 1;
+            let b = TransitionId::from_index(word * 64 + bit.trailing_zeros() as usize);
+            let held_outside = holders.iter().zip(deps.conflict_row(b)).enumerate().any(
+                |(w, (&held, &conflicts))| {
+                    let own = if w == word { bit } else { 0 };
+                    held & !(conflicts | own) != 0
+                },
+            );
+            if !held_outside {
+                *entry &= !bit;
             }
         }
-    }
-    if out.iter().all(|&word| word == 0) {
-        out.clear();
     }
 }
 
@@ -1076,7 +1102,222 @@ mod tests {
     use ezrt_compose::translate;
     use ezrt_spec::corpus::{figure3_spec, figure4_spec, figure8_spec, mine_pump, small_control};
     use ezrt_spec::SpecBuilder;
+    use ezrt_tpn::{TimeInterval, TimePetriNet, TpnBuilder};
+    use std::cell::Cell;
     use std::time::Duration;
+
+    thread_local! {
+        /// Child steps [`assert_guard_matches_floor`] checked on this
+        /// thread, and how many of them had entries for the guard to test.
+        static GUARD_CHECKS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    /// The urgency-floor guard by its definition, O(|sleep| · |enabled|):
+    /// drops an entry `b` of `sleep` unless the minimum dynamic upper
+    /// bound over the enabled transitions other than `b` and its conflict
+    /// partners equals the minimum over all of them, with both read off
+    /// the state's clocks.
+    fn floor_guard_oracle(
+        sleep: &mut [u64],
+        net: &TimePetriNet,
+        deps: &DependencyMatrix,
+        state: &[u32],
+        enabled: &[u64],
+    ) {
+        let layout = net.layout();
+        let members = |mask: &[u64]| -> Vec<TransitionId> {
+            (0..net.transition_count())
+                .filter(|&k| test_bit(mask, k))
+                .map(TransitionId::from_index)
+                .collect()
+        };
+        let dubs: Vec<(TransitionId, TimeBound)> = members(enabled)
+            .into_iter()
+            .map(|t| {
+                let interval = net.transition(t).interval();
+                (t, interval.dynamic_upper_bound(layout.clock(state, t)))
+            })
+            .collect();
+        let min_dub = dubs
+            .iter()
+            .map(|&(_, dub)| dub)
+            .fold(TimeBound::Infinite, TimeBound::min);
+        for b in members(sleep) {
+            let conflicts = deps.conflict_row(b);
+            let floor = dubs
+                .iter()
+                .filter(|&&(z, _)| z != b && !test_bit(conflicts, z.index()))
+                .map(|&(_, dub)| dub)
+                .fold(TimeBound::Infinite, TimeBound::min);
+            if floor != min_dub {
+                sleep[b.index() / 64] &= !(1u64 << (b.index() % 64));
+            }
+        }
+    }
+
+    /// Run by [`Dfs::push`] in test builds on every child step: the
+    /// child's sleep set equals the structural rules followed by the
+    /// [`floor_guard_oracle`] on the child's state.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn assert_guard_matches_floor(
+        tasknet: &TaskNet,
+        config: &SchedulerConfig,
+        parent_sleep: &[u64],
+        earlier: &[(TransitionId, Time)],
+        fired: (TransitionId, Time),
+        child_state: &[u32],
+        child_enabled: &[u64],
+        child_sleep: &[u64],
+    ) {
+        let mut expected = Vec::new();
+        sleep_rules_into(tasknet, config, parent_sleep, earlier, fired, &mut expected);
+        let tested = expected.iter().any(|&word| word != 0);
+        floor_guard_oracle(
+            &mut expected,
+            tasknet.net(),
+            tasknet.deps(),
+            child_state,
+            child_enabled,
+        );
+        if expected.iter().all(|&word| word == 0) {
+            expected.clear();
+        }
+        assert_eq!(child_sleep, expected, "mask guard vs floor after {fired:?}");
+        GUARD_CHECKS.with(|checks| {
+            let (all, nonempty) = checks.get();
+            checks.set((all + 1, nonempty + usize::from(tested)));
+        });
+    }
+
+    /// The mask guard keeps exactly the entries the O(|sleep|·|enabled|)
+    /// floor keeps on every child step of three stubborn searches: the
+    /// pump, figure 8 and the 10-task sweep proof of seed 11
+    /// (`ezrt_bench::sweep_spec(10, 11)`, ~286k states).
+    #[test]
+    fn mask_guard_matches_the_floor_oracle_on_every_push() {
+        use ezrt_spec::generate::{synthetic_spec, WorkloadConfig};
+        let sweep = synthetic_spec(
+            &WorkloadConfig {
+                tasks: 10,
+                total_utilization: 0.55,
+                periods: vec![50, 100, 200, 400],
+                preemptive_fraction: 0.0,
+                precedence_probability: 0.1,
+                exclusion_probability: 0.1,
+                constrained_deadlines: true,
+            },
+            11,
+        );
+        let config = SchedulerConfig {
+            por: PorLevel::Stubborn,
+            ..SchedulerConfig::default()
+        };
+        GUARD_CHECKS.with(|checks| checks.set((0, 0)));
+        for spec in [mine_pump(), figure8_spec(), sweep] {
+            let before = GUARD_CHECKS.with(Cell::get).0;
+            let _verdict = synthesize(&translate(&spec), &config);
+            assert!(GUARD_CHECKS.with(Cell::get).0 > before, "{}", spec.name());
+        }
+        let (all, tested) = GUARD_CHECKS.with(Cell::get);
+        assert!(tested > 0, "{all} child steps, none with sleep entries");
+    }
+
+    /// A net for hand-built guard cases: `b` and its conflict partner `c`
+    /// share place `p`, and `z` sits alone on `q`; `b` and `c` are due by
+    /// 3, `z` by `z_due` (or never).
+    fn guard_net(z_due: Option<Time>) -> (TimePetriNet, [TransitionId; 3]) {
+        let mut builder = TpnBuilder::new("guard");
+        let p = builder.place_with_tokens("p", 1);
+        let q = builder.place_with_tokens("q", 1);
+        let b = builder.transition("b", TimeInterval::new(0, 3).unwrap());
+        let c = builder.transition("c", TimeInterval::new(1, 5).unwrap());
+        let z = builder.transition(
+            "z",
+            z_due.map_or(TimeInterval::at_least(0), |due| {
+                TimeInterval::new(0, due).unwrap()
+            }),
+        );
+        builder.arc_place_to_transition(p, b, 1);
+        builder.arc_place_to_transition(p, c, 1);
+        builder.arc_place_to_transition(q, z, 1);
+        (builder.build().unwrap(), [b, c, z])
+    }
+
+    /// Runs both guards on `sleep` in the initial state of `net`, whose
+    /// clocks may first be advanced by `aged`, and checks they agree.
+    fn guarded(
+        net: &TimePetriNet,
+        aged: &[(TransitionId, Time)],
+        sleep: &[TransitionId],
+    ) -> Vec<u64> {
+        let deps = DependencyMatrix::from_net(net);
+        let layout = net.layout();
+        let mut state = vec![0u32; layout.words()];
+        net.write_initial_packed(&mut state);
+        for &(t, clock) in aged {
+            layout.set_clock(&mut state, t, clock);
+        }
+        let mut enabled = Vec::new();
+        net.enabled_into(&state, &mut enabled);
+        let mut bounds = ClockBounds::default();
+        net.clock_bounds_into(&state, &enabled, &mut bounds);
+        let mut mask = vec![0u64; deps.words_per_row()];
+        for &t in sleep {
+            set_bit(&mut mask, t.index());
+        }
+        let mut oracle = mask.clone();
+        urgency_guard(&mut mask, &bounds, &deps);
+        floor_guard_oracle(&mut oracle, net, &deps, &state, &enabled);
+        assert_eq!(mask, oracle, "mask guard vs floor");
+        mask
+    }
+
+    fn mask_of(ts: &[TransitionId]) -> Vec<u64> {
+        let mut mask = vec![0u64; 1];
+        for &t in ts {
+            set_bit(&mut mask, t.index());
+        }
+        mask
+    }
+
+    #[test]
+    fn guard_keeps_every_entry_when_min_dub_is_infinite() {
+        // Two open-ended conflict partners: min DUB is ∞, and removing
+        // either (with its partner) leaves it ∞, so both may sleep.
+        let mut builder = TpnBuilder::new("open");
+        let p = builder.place_with_tokens("p", 1);
+        let x = builder.transition("x", TimeInterval::at_least(0));
+        let y = builder.transition("y", TimeInterval::at_least(2));
+        builder.arc_place_to_transition(p, x, 1);
+        builder.arc_place_to_transition(p, y, 1);
+        let net = builder.build().unwrap();
+        assert_eq!(guarded(&net, &[], &[x, y]), mask_of(&[x, y]));
+        // Next to a finite holder the open-ended `z` stays too: `b`
+        // holds min DUB outside `z`'s (empty) conflict row.
+        let (net, [_, _, z]) = guard_net(None);
+        assert_eq!(guarded(&net, &[], &[z]), mask_of(&[z]));
+    }
+
+    #[test]
+    fn guard_drops_the_sole_holder_of_min_dub() {
+        // DUB(b) = 3 < DUB(z) = 8 and DUB(c) = 5: `b` alone holds it.
+        let (net, [b, _, z]) = guard_net(Some(8));
+        assert_eq!(guarded(&net, &[], &[b]), mask_of(&[]));
+        assert_eq!(guarded(&net, &[], &[z]), mask_of(&[z]));
+        // Aging `z` to DUB 3 makes it a second holder outside `b`'s
+        // conflicts, so `b` may sleep.
+        assert_eq!(guarded(&net, &[(z, 5)], &[b]), mask_of(&[b]));
+    }
+
+    #[test]
+    fn guard_drops_an_entry_whose_conflict_partner_is_the_sole_holder() {
+        // `c` aged to DUB 2 alone holds min DUB; `c` conflicts with `b`,
+        // so sleeping `b` is dropped, while `z` (no conflict) stays.
+        let (net, [b, c, z]) = guard_net(Some(8));
+        assert_eq!(guarded(&net, &[(c, 3)], &[b, z]), mask_of(&[z]));
+        // A holder outside the conflict row rescues `b` again.
+        assert_eq!(guarded(&net, &[(c, 3), (z, 6)], &[b]), mask_of(&[b]));
+    }
 
     /// A search's verdict and counters with its wall-clock zeroed: what
     /// must not depend on the memory the search ran on.

@@ -13,6 +13,14 @@
 //! [`StateId`]s. Dead-set and visited-set membership then become integer
 //! operations over dense ids, and the steady-state exploration loop
 //! performs no heap allocation per successor.
+//!
+//! A state's hash is its **key**, a linear form over its values (see
+//! [`StateLayout::state_key`]). A firing changes a few token counts and
+//! the clocks of the enabled transitions, so the firing rule
+//! ([`TimePetriNet::fire_into`]) returns the key's change and the explorer
+//! adds it to the parent's cached key: no per-successor pass over the
+//! whole state. The key only routes the probe; ids, stored words, byte
+//! counts and digests do not depend on it.
 
 use crate::state::State;
 use crate::{Marking, PlaceId, Time, TimePetriNet, TransitionId};
@@ -66,6 +74,30 @@ impl StateLayout {
     pub fn clock(&self, state: &[u32], transition: TransitionId) -> Time {
         let at = self.places as usize + 2 * transition.index();
         Time::from(state[at]) | (Time::from(state[at + 1]) << 32)
+    }
+
+    /// The key of the packed `state`, `Σ α_p·m(p) + Σ a_t·c(t)` (mod
+    /// 2⁶⁴), whose coefficients are fixed odd constants derived from each
+    /// place and transition index. Equal states have equal keys. The key
+    /// is linear, so a firing's change to it depends only on the words the
+    /// firing changes: [`TimePetriNet::fire_into`] returns that change,
+    /// and a full recomputation serves only start states, boundary values
+    /// and the debug check of every carried key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is shorter than this layout.
+    pub fn state_key(&self, state: &[u32]) -> u64 {
+        let places = self.place_count();
+        let mut key = 0u64;
+        for (p, &tokens) in state[..places].iter().enumerate() {
+            key = key.wrapping_add(place_coefficient(p).wrapping_mul(u64::from(tokens)));
+        }
+        for t in 0..self.transition_count() {
+            let clock = self.clock(state, TransitionId::from_index(t));
+            key = key.wrapping_add(clock_coefficient(t).wrapping_mul(clock));
+        }
+        key
     }
 
     /// Writes the clock of `transition` into the packed `state`.
@@ -133,11 +165,52 @@ impl std::fmt::Display for StateId {
     }
 }
 
+/// The coefficient `α_p` of place `p`'s token count in
+/// [`StateLayout::state_key`].
+pub(crate) fn place_coefficient(p: usize) -> u64 {
+    splitmix64(2 * p as u64) | 1
+}
+
+/// The coefficient `a_t` of transition `t`'s clock in
+/// [`StateLayout::state_key`].
+pub(crate) fn clock_coefficient(t: usize) -> u64 {
+    splitmix64(2 * t as u64 + 1) | 1
+}
+
+/// The `index`-th output of the splitmix64 generator seeded with zero.
+fn splitmix64(index: u64) -> u64 {
+    let mut z = index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The murmur3 64-bit finalizer: spreads a key's bits over the whole
+/// word, so the probe slot (low bits) and the tag (high bits) depend on
+/// every bit of the linear key.
+fn finalize(key: u64) -> u64 {
+    let mut hash = key ^ (key >> 33);
+    hash = hash.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    hash ^ (hash >> 33)
+}
+
+/// A free probe-table slot. No entry equals it: an entry's id bits hold
+/// an id below the table's 70% load bound, never the all-ones id
+/// `len − 1`, whatever its tag bits are.
 const EMPTY_SLOT: u32 = u32::MAX;
 
 /// An interning arena for packed states: one contiguous slab holding every
 /// distinct state seen so far, plus an open-addressing hash table that
 /// deduplicates new states to [`StateId`]s.
+///
+/// The table is keyed by [`StateLayout::state_key`], kept per state in a
+/// key cache. Each `u32` slot holds an id in its low `log2(len)` bits and
+/// a tag from the finalized key in the bits above, so a probe loads a
+/// cached key and compares a stored state only when the tag matches.
+/// Nothing else depends on the key: ids follow interning order, table
+/// sizes follow the state count, and no stored byte or digest reads it.
 ///
 /// Interning a state that is already present performs no allocation at
 /// all; interning a fresh state appends to the slab (amortized growth).
@@ -172,26 +245,28 @@ pub struct StateArena {
     layout: StateLayout,
     /// All interned states, back to back, `layout.words()` words each.
     slab: Vec<u32>,
-    /// The hash of each interned state, for cheap rehashing and probe
-    /// short-circuiting.
-    hashes: Vec<u64>,
-    /// Open-addressing table of state ids; `EMPTY_SLOT` marks a free slot.
+    /// The key of each interned state: the parent key a firing's key
+    /// change is added to, the probe's check before a slab compare, and
+    /// the source `grow` re-slots and re-tags from.
+    keys: Vec<u64>,
+    /// Open-addressing table of tagged state ids (`tag | id`, the id in
+    /// the bits `mask` covers); `EMPTY_SLOT` marks a free slot.
     table: Vec<u32>,
     mask: usize,
-    /// The capacities `slab` and `hashes` would have in a fresh arena
+    /// The capacities `slab` and `keys` would have in a fresh arena
     /// (see [`reserve_amortized`]); recycled buffers may hold more.
     slab_reserved: usize,
-    hashes_reserved: usize,
+    keys_reserved: usize,
 }
 
-/// The memory of a finished [`StateArena`] — slab, hash cache and probe
+/// The memory of a finished [`StateArena`] — slab, key cache and probe
 /// table — for [`StateArena::with_buffers`] to reuse, so a process that
 /// runs searches back to back does not map and fault a fresh slab for
 /// each one. The contents are stale; only the allocations matter.
 #[derive(Debug, Default)]
 pub struct ArenaBuffers {
     slab: Vec<u32>,
-    hashes: Vec<u64>,
+    keys: Vec<u64>,
     table: Vec<u32>,
 }
 
@@ -199,7 +274,7 @@ impl ArenaBuffers {
     /// The bytes the buffers hold allocated.
     pub fn capacity_bytes(&self) -> usize {
         self.slab.capacity() * std::mem::size_of::<u32>()
-            + self.hashes.capacity() * std::mem::size_of::<u64>()
+            + self.keys.capacity() * std::mem::size_of::<u64>()
             + self.table.capacity() * std::mem::size_of::<u32>()
     }
 }
@@ -218,21 +293,21 @@ impl StateArena {
     pub fn with_buffers(layout: StateLayout, buffers: ArenaBuffers) -> Self {
         let ArenaBuffers {
             mut slab,
-            mut hashes,
+            mut keys,
             mut table,
         } = buffers;
         slab.clear();
-        hashes.clear();
+        keys.clear();
         let capacity = 1024;
         reset_table(&mut table, capacity);
         StateArena {
             layout,
             slab,
-            hashes,
+            keys,
             table,
             mask: capacity - 1,
             slab_reserved: 0,
-            hashes_reserved: 0,
+            keys_reserved: 0,
         }
     }
 
@@ -240,7 +315,7 @@ impl StateArena {
     pub fn into_buffers(self) -> ArenaBuffers {
         ArenaBuffers {
             slab: self.slab,
-            hashes: self.hashes,
+            keys: self.keys,
             table: self.table,
         }
     }
@@ -252,12 +327,12 @@ impl StateArena {
 
     /// Number of distinct states interned.
     pub fn len(&self) -> usize {
-        self.hashes.len()
+        self.keys.len()
     }
 
     /// Whether no state has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.hashes.is_empty()
+        self.keys.is_empty()
     }
 
     /// The packed words of an interned state.
@@ -278,62 +353,95 @@ impl StateArena {
     ///
     /// Panics if `state`'s length does not match the arena layout.
     pub fn intern(&mut self, state: &[u32]) -> (StateId, bool) {
+        let key = self.layout.state_key(state);
+        self.intern_keyed(state, key)
+    }
+
+    /// The key of an interned state (see [`StateLayout::state_key`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not produced by this arena.
+    pub fn key(&self, id: StateId) -> u64 {
+        self.keys[id.index()]
+    }
+
+    /// [`intern`](Self::intern) for a caller that already knows `state`'s
+    /// key, e.g. a parent's key plus a firing's key change. Debug builds
+    /// check the key against a full [`StateLayout::state_key`].
+    pub(crate) fn intern_keyed(&mut self, state: &[u32], key: u64) -> (StateId, bool) {
         let words = self.layout.words();
         assert_eq!(state.len(), words, "state length mismatch");
-        let hash = hash_words(state);
+        debug_assert_eq!(
+            key,
+            self.layout.state_key(state),
+            "the carried state key drifted from a full recomputation"
+        );
+        let hash = finalize(key);
+        let tag = slot_tag(hash, self.mask);
         let mut slot = (hash as usize) & self.mask;
         loop {
             let entry = self.table[slot];
             if entry == EMPTY_SLOT {
-                let len = self.hashes.len();
+                let len = self.keys.len();
                 let id = StateId(len as u32);
                 reserve_amortized(&mut self.slab, &mut self.slab_reserved, (len + 1) * words);
                 self.slab.extend_from_slice(state);
-                reserve_amortized(&mut self.hashes, &mut self.hashes_reserved, len + 1);
-                self.hashes.push(hash);
-                self.table[slot] = id.0;
-                if self.hashes.len() * 10 >= self.table.len() * 7 {
+                reserve_amortized(&mut self.keys, &mut self.keys_reserved, len + 1);
+                self.keys.push(key);
+                self.table[slot] = tag | id.0;
+                if self.keys.len() * 10 >= self.table.len() * 7 {
                     self.grow();
                 }
                 return (id, true);
             }
-            let candidate = entry as usize;
-            if self.hashes[candidate] == hash {
-                let start = candidate * words;
-                if &self.slab[start..start + words] == state {
-                    return (StateId(entry), false);
+            if entry & !(self.mask as u32) == tag {
+                let candidate = (entry & self.mask as u32) as usize;
+                if self.keys[candidate] == key {
+                    let start = candidate * words;
+                    if &self.slab[start..start + words] == state {
+                        return (StateId(candidate as u32), false);
+                    }
                 }
             }
             slot = (slot + 1) & self.mask;
         }
     }
 
-    /// Approximate resident size of the arena in bytes: slab, hash cache
+    /// Approximate resident size of the arena in bytes: slab, key cache
     /// and probe table, as a fresh arena reserves them. Since interned
     /// states are never evicted, the current size is also the peak. A
     /// recycled buffer's extra capacity is not counted: it belongs to
     /// whoever handed the buffers over.
     pub fn resident_bytes(&self) -> usize {
         self.slab_reserved * std::mem::size_of::<u32>()
-            + self.hashes_reserved * std::mem::size_of::<u64>()
+            + self.keys_reserved * std::mem::size_of::<u64>()
             + self.table.len() * std::mem::size_of::<u32>()
     }
 
-    /// Doubles the probe table in place and rehashes every state from the
-    /// hash cache.
+    /// Doubles the probe table in place and re-slots and re-tags every
+    /// state from the key cache.
     fn grow(&mut self) {
         let capacity = self.table.len() * 2;
         let mask = capacity - 1;
         reset_table(&mut self.table, capacity);
-        for (id, &hash) in self.hashes.iter().enumerate() {
+        for (id, &key) in self.keys.iter().enumerate() {
+            let hash = finalize(key);
             let mut slot = (hash as usize) & mask;
             while self.table[slot] != EMPTY_SLOT {
                 slot = (slot + 1) & mask;
             }
-            self.table[slot] = id as u32;
+            self.table[slot] = slot_tag(hash, mask) | id as u32;
         }
         self.mask = mask;
     }
+}
+
+/// The tag of a finalized key in a table whose ids occupy the bits of
+/// `mask`: the key's high word with those bits cleared. The slot comes
+/// from the low bits, so the tag adds information the slot does not.
+fn slot_tag(hash: u64, mask: usize) -> u32 {
+    (hash >> 32) as u32 & !(mask as u32)
 }
 
 /// Empties `table` and refills it with `capacity` free slots, reserving
@@ -362,43 +470,6 @@ pub fn reserve_amortized<T>(buf: &mut Vec<T>, reserved: &mut usize, needed: usiz
             buf.reserve_exact(*reserved - buf.len());
         }
     }
-}
-
-/// Multiply-mix over the packed words in four independent lanes, plus a
-/// finalizer. Each lane folds every fourth pair of words (FxHash-style:
-/// rotate, xor, multiply), so the four multiply chains overlap in the
-/// pipeline instead of running as one serial chain over the whole state.
-/// The lanes are then folded together and avalanched, so the low bits
-/// (the probe slot) depend on every word.
-fn hash_words(words: &[u32]) -> u64 {
-    const K: u64 = 0x51_7C_C1_B7_27_22_0A_95;
-    fn mix(lane: u64, v: u64) -> u64 {
-        (lane.rotate_left(5) ^ v).wrapping_mul(K)
-    }
-    let pair = |p: &[u32]| u64::from(p[0]) | (u64::from(p[1]) << 32);
-    let mut lanes: [u64; 4] = [
-        0xCBF2_9CE4_8422_2325,
-        0x243F_6A88_85A3_08D3,
-        0x1319_8A2E_0370_7344,
-        0xA409_3822_299F_31D0,
-    ];
-    let mut blocks = words.chunks_exact(8);
-    for block in &mut blocks {
-        lanes[0] = mix(lanes[0], pair(&block[0..2]));
-        lanes[1] = mix(lanes[1], pair(&block[2..4]));
-        lanes[2] = mix(lanes[2], pair(&block[4..6]));
-        lanes[3] = mix(lanes[3], pair(&block[6..8]));
-    }
-    for (i, &word) in blocks.remainder().iter().enumerate() {
-        lanes[i % 4] = mix(lanes[i % 4], u64::from(word));
-    }
-    let mut hash = mix(mix(mix(lanes[0], lanes[1]), lanes[2]), lanes[3]) ^ words.len() as u64;
-    // The murmur3 64-bit finalizer.
-    hash ^= hash >> 33;
-    hash = hash.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    hash ^= hash >> 33;
-    hash = hash.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-    hash ^ (hash >> 33)
 }
 
 #[cfg(test)]
@@ -476,6 +547,60 @@ mod tests {
             assert_eq!(arena.intern(state), (*id, false));
         }
         assert!(arena.resident_bytes() > 10_000 * 3 * 4);
+    }
+
+    /// A state whose tag is all ones lands in a slot that reads
+    /// `tag | id`, not `EMPTY_SLOT`: its id bits never are all ones. So
+    /// it is found again, before and after a growth re-tags it, and never
+    /// interned twice.
+    #[test]
+    fn an_all_ones_tag_is_never_read_as_an_empty_slot() {
+        let layout = StateLayout {
+            places: 1,
+            transitions: 1,
+        };
+        let mut arena = StateArena::new(layout);
+        let tag_bits = !(arena.mask as u32);
+        let tokens = (0u32..)
+            .find(|&m| slot_tag(finalize(layout.state_key(&[m, 0, 0])), arena.mask) == tag_bits)
+            .expect("some token count has an all-ones tag");
+        let state = [tokens, 0, 0];
+        // 715 other states first: the last id before the first growth.
+        for i in 0..715u32 {
+            arena.intern(&[i, 1, 0]);
+        }
+        let (id, fresh) = arena.intern(&state);
+        assert_eq!((id.index(), fresh), (715, true));
+        assert_eq!(arena.table.len(), 1024, "still the first table");
+        let hash = finalize(arena.key(id));
+        let slot = (0..1024)
+            .map(|i| ((hash as usize) + i) & arena.mask)
+            .find(|&slot| arena.table[slot] & arena.mask as u32 == id.0)
+            .expect("the state has a slot");
+        assert_eq!(arena.table[slot], tag_bits | id.0);
+        assert_ne!(arena.table[slot], EMPTY_SLOT);
+        assert_eq!(arena.intern(&state), (id, false));
+        arena.intern(&[u32::MAX, 1, 0]);
+        assert_eq!(arena.table.len(), 2048, "the table grew");
+        assert_eq!(arena.intern(&state), (id, false));
+        assert_eq!(arena.len(), 717);
+    }
+
+    #[test]
+    fn keys_are_linear_in_the_state_words() {
+        let layout = layout();
+        let a = [1u32, 0, 2, 5, 0, 0, 1];
+        let b = [0u32, 3, 0, 0, 0, 9, 0];
+        let sum: Vec<u32> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
+        assert_eq!(
+            layout.state_key(&sum),
+            layout.state_key(&a).wrapping_add(layout.state_key(&b))
+        );
+        assert_eq!(layout.state_key(&[0; 7]), 0);
+        assert_ne!(layout.state_key(&a), layout.state_key(&b));
+        let mut arena = StateArena::new(layout);
+        let (id, _) = arena.intern(&a);
+        assert_eq!(arena.key(id), layout.state_key(&a));
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub use error::{BuildNetError, FireError};
 pub use ids::{PlaceId, TransitionId};
 pub use interval::{TimeBound, TimeInterval};
 pub use marking::Marking;
-pub use net::{Place, TimePetriNet, TpnBuilder, Transition};
+pub use net::{ClockBounds, Place, TimePetriNet, TpnBuilder, Transition};
 pub use por::DependencyMatrix;
 pub use state::{Firing, State};
 

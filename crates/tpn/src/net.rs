@@ -1,11 +1,11 @@
 //! Net structure: places, transitions, arcs, and the firing rule.
 
-use crate::arena::StateLayout;
+use crate::arena::{clock_coefficient, place_coefficient, StateLayout};
 use crate::error::{BuildNetError, FireError};
 use crate::ids::{PlaceId, TransitionId};
 use crate::interval::{TimeBound, TimeInterval};
 use crate::marking::Marking;
-use crate::por::{iter_bits, set_bit};
+use crate::por::set_bit;
 use crate::state::{Firing, State};
 use crate::Time;
 
@@ -317,6 +317,27 @@ impl TpnBuilder {
             })
             .collect();
 
+        let place_coefficients: Vec<u64> = (0..self.places.len()).map(place_coefficient).collect();
+        let weigh =
+            |&(p, w): &(PlaceId, u32)| place_coefficients[p.index()].wrapping_mul(u64::from(w));
+        let kernel = self
+            .transitions
+            .iter()
+            .zip(self.pre.iter().zip(&self.post))
+            .enumerate()
+            .map(|(k, (transition, (pre, post)))| {
+                let gained = post.iter().map(weigh).fold(0u64, u64::wrapping_add);
+                let lost = pre.iter().map(weigh).fold(0u64, u64::wrapping_add);
+                KernelTransition {
+                    eft: transition.interval.eft(),
+                    lft: transition.interval.lft().finite(),
+                    priority: transition.priority,
+                    clock_coefficient: clock_coefficient(k),
+                    token_delta: gained.wrapping_sub(lost),
+                }
+            })
+            .collect();
+
         let initial = Marking::from_vec(self.places.iter().map(|p| p.initial_tokens).collect());
         Ok(TimePetriNet {
             name: self.name,
@@ -327,6 +348,7 @@ impl TpnBuilder {
             consumers,
             producers,
             affected,
+            kernel,
             initial,
         })
     }
@@ -364,7 +386,25 @@ pub struct TimePetriNet {
     /// `pre(t) ∪ post(t)`, ascending — the only transitions whose
     /// enabledness firing `t` can change.
     affected: Vec<Vec<TransitionId>>,
+    /// Per transition: what the packed kernel reads of it on every walk
+    /// and firing, in one dense record.
+    kernel: Vec<KernelTransition>,
     initial: Marking,
+}
+
+/// The per-transition constants of the packed kernel: the static firing
+/// interval and priority, unpacked for the clock-bounds walk, and the
+/// transition's terms in the state key (see [`StateLayout::state_key`]).
+#[derive(Debug, Clone, Copy)]
+struct KernelTransition {
+    eft: Time,
+    /// The latest firing time; `None` for `∞`.
+    lft: Option<Time>,
+    priority: u32,
+    /// The coefficient `a_t` of the transition's clock in a state's key.
+    clock_coefficient: u64,
+    /// The change the transition's token flow makes to a state's key.
+    token_delta: u64,
 }
 
 impl TimePetriNet {
@@ -659,39 +699,70 @@ impl TimePetriNet {
         }
     }
 
-    /// The one-pass hot-path primitive behind candidate enumeration:
-    /// computes the fireable set `FT(s)` *together with* the shared firing
-    /// domains — `(t, DLB(t), min_k DUB(t_k))` triples — into the caller's
-    /// reusable buffer, walking only the members of `enabled`, the state's
-    /// enabled set (from [`enabled_into`](Self::enabled_into) or
-    /// [`fire_into`](Self::fire_into)). The domain's upper bound is the
+    /// The one walk of a state's clock bounds: writes the dynamic lower
+    /// bound `DLB(t)` of every member of `enabled`, the state's enabled
+    /// set (from [`enabled_into`](Self::enabled_into) or
+    /// [`fire_into`](Self::fire_into)), together with `min DUB` over them
+    /// and the transitions that hold it, into the caller's reusable
+    /// `out`. [`fireable_domains_into`](Self::fireable_domains_into) and
+    /// the scheduler's sleep-set guard both read it.
+    pub fn clock_bounds_into(&self, state: &[u32], enabled: &[u64], out: &mut ClockBounds) {
+        let places = self.places.len();
+        out.lower.clear();
+        out.holders.clear();
+        out.holders.resize(enabled.len(), 0);
+        // The finite `min DUB` so far; `None` while it is `∞`.
+        let mut min_dub: Option<Time> = None;
+        for (w, &word) in enabled.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let k = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let at = places + 2 * k;
+                let clock = Time::from(state[at]) | (Time::from(state[at + 1]) << 32);
+                let kernel = &self.kernel[k];
+                out.lower.push((
+                    TransitionId::from_index(k),
+                    kernel.eft.saturating_sub(clock),
+                ));
+                let Some(lft) = kernel.lft else { continue };
+                let dub = lft.saturating_sub(clock);
+                if min_dub.is_none_or(|min| dub < min) {
+                    min_dub = Some(dub);
+                    out.holders.fill(0);
+                }
+                if min_dub == Some(dub) {
+                    out.holders[w] |= 1u64 << (k % 64);
+                }
+            }
+        }
+        out.min_dub = min_dub;
+    }
+
+    /// The fireable set `FT(s)` *together with* the shared firing domains
+    /// — `(t, DLB(t), min_k DUB(t_k))` triples — of the state whose
+    /// [`clock_bounds_into`](Self::clock_bounds_into) walk is `bounds`,
+    /// into the caller's reusable buffer. The domain's upper bound is the
     /// same `min DUB` for every fireable transition.
     pub fn fireable_domains_into(
         &self,
-        state: &[u32],
-        enabled: &[u64],
+        bounds: &ClockBounds,
         out: &mut Vec<(TransitionId, Time, TimeBound)>,
     ) {
         out.clear();
-        let layout = self.layout();
-        // Single pass: enabled transitions with their DLBs, and min DUB.
-        let mut min_dub = TimeBound::Infinite;
-        for k in iter_bits(enabled) {
-            let t = TransitionId::from_index(k);
-            let interval = self.transitions[k].interval;
-            let clock = layout.clock(state, t);
-            min_dub = min_dub.min(interval.dynamic_upper_bound(clock));
-            out.push((t, interval.dynamic_lower_bound(clock), TimeBound::Infinite));
-        }
-        // Urgency filter, then the minimal (= highest) priority class.
-        out.retain(|&(_, dlb, _)| TimeBound::Finite(dlb) <= min_dub);
+        // Urgency filter (`DLB ≤ min DUB`), then the minimal (= highest)
+        // priority class.
+        let (upper, ceiling) = (bounds.min_dub(), bounds.min_dub.unwrap_or(Time::MAX));
         let mut best_priority = u32::MAX;
-        for &(t, _, _) in out.iter() {
-            best_priority = best_priority.min(self.transitions[t.index()].priority);
+        for &(t, dlb) in &bounds.lower {
+            if dlb <= ceiling {
+                best_priority = best_priority.min(self.kernel[t.index()].priority);
+            }
         }
-        out.retain(|&(t, _, _)| self.transitions[t.index()].priority == best_priority);
-        for slot in out.iter_mut() {
-            slot.2 = min_dub;
+        for &(t, dlb) in &bounds.lower {
+            if dlb <= ceiling && self.kernel[t.index()].priority == best_priority {
+                out.push((t, dlb, upper));
+            }
         }
     }
 
@@ -699,12 +770,19 @@ impl TimePetriNet {
     /// fires `t` after `delay` time units from the packed `src` state,
     /// whose enabled set is `src_enabled`, into the caller's `dst` scratch
     /// buffer, and writes the successor's enabled set into `dst_enabled`.
-    /// Allocates nothing once `dst_enabled` has its size.
+    /// Returns the change of the state key (see
+    /// [`StateLayout::state_key`]): the successor's key is `src`'s plus
+    /// the returned value (mod 2⁶⁴). Allocates nothing once `dst_enabled`
+    /// has its size.
     ///
-    /// The successor's set is the parent's with only the transitions
-    /// next to `pre(t) ∪ post(t)` re-tested; every other transition's
-    /// input places kept their tokens. Debug builds cross-check it
-    /// against [`enabled_into`](Self::enabled_into).
+    /// The work scales with what the firing changes. The successor's set
+    /// is the parent's with only the transitions next to
+    /// `pre(t) ∪ post(t)` re-tested; every other transition's input
+    /// places kept their tokens. Debug builds cross-check it against
+    /// [`enabled_into`](Self::enabled_into). The parent's words are
+    /// copied and only the clocks of `src`'s enabled transitions are
+    /// rewritten: every other clock is zero in both states. The key
+    /// change is summed in the same loops.
     ///
     /// Like `fire_unchecked`, fireability and the firing domain are *not*
     /// validated — explorers enumerate only legal labels.
@@ -721,14 +799,13 @@ impl TimePetriNet {
         delay: Time,
         dst: &mut [u32],
         dst_enabled: &mut Vec<u64>,
-    ) {
+    ) -> u64 {
         let layout = self.layout();
         assert_eq!(src.len(), layout.words(), "source length mismatch");
         assert_eq!(dst.len(), layout.words(), "destination length mismatch");
+        dst.copy_from_slice(src);
 
         // 1. Token flow: m'(p) = m(p) − W(p,t) + W(t,p).
-        let places = self.places.len();
-        dst[..places].copy_from_slice(&src[..places]);
         for &(p, w) in &self.pre[t.index()] {
             let slot = &mut dst[p.index()];
             *slot = slot
@@ -739,6 +816,7 @@ impl TimePetriNet {
             let slot = &mut dst[p.index()];
             *slot = slot.checked_add(w).expect("token count overflow");
         }
+        let mut key_delta = self.kernel[t.index()].token_delta;
 
         // 2. ET(m'): the parent's set, re-tested where tokens moved.
         dst_enabled.clear();
@@ -761,21 +839,72 @@ impl TimePetriNet {
             "the carried enabled set drifted from a full scan"
         );
 
-        // 3. Clocks: zero for the disabled (normalization), the fired and
-        // the newly enabled; advance by `delay` for the persistent, those
-        // enabled before and after other than `t`.
-        dst[places..].fill(0);
+        // 3. Clocks of the transitions enabled before: advance by `delay`
+        // for the persistent, those still enabled other than `t`; reset
+        // the fired and the disabled. Every other clock is zero before
+        // (normalization) and stays zero: disabled, or newly enabled. A
+        // zero delay leaves the persistent clocks as copied.
+        let places = self.places.len();
+        let mut persistent_weight = 0u64;
         for (w, (&before, &after)) in src_enabled.iter().zip(dst_enabled.iter()).enumerate() {
             let mut persistent = before & after;
             if w == t.index() / 64 {
                 persistent &= !(1u64 << (t.index() % 64));
             }
+            let mut reset = before & !persistent;
+            if delay == 0 {
+                persistent = 0;
+            }
             while persistent != 0 {
-                let tk = TransitionId::from_index(w * 64 + persistent.trailing_zeros() as usize);
+                let k = w * 64 + persistent.trailing_zeros() as usize;
                 persistent &= persistent - 1;
-                layout.set_clock(dst, tk, layout.clock(src, tk) + delay);
+                let at = places + 2 * k;
+                let clock = (Time::from(dst[at]) | (Time::from(dst[at + 1]) << 32)) + delay;
+                dst[at] = clock as u32;
+                dst[at + 1] = (clock >> 32) as u32;
+                persistent_weight =
+                    persistent_weight.wrapping_add(self.kernel[k].clock_coefficient);
+            }
+            while reset != 0 {
+                let k = w * 64 + reset.trailing_zeros() as usize;
+                reset &= reset - 1;
+                let at = places + 2 * k;
+                let clock = Time::from(dst[at]) | (Time::from(dst[at + 1]) << 32);
+                dst[at] = 0;
+                dst[at + 1] = 0;
+                key_delta =
+                    key_delta.wrapping_sub(self.kernel[k].clock_coefficient.wrapping_mul(clock));
             }
         }
+        key_delta.wrapping_add(persistent_weight.wrapping_mul(delay))
+    }
+}
+
+/// One walk of a state's clock bounds (see
+/// [`TimePetriNet::clock_bounds_into`]): each enabled transition's dynamic
+/// lower bound, the minimum dynamic upper bound `min DUB` over the
+/// enabled set, and the transitions holding it. Reused across states, so
+/// the walk allocates nothing once its buffers have their size.
+#[derive(Debug, Clone, Default)]
+pub struct ClockBounds {
+    /// `(t, DLB(t))` for every enabled transition, ascending.
+    lower: Vec<(TransitionId, Time)>,
+    /// `min DUB` when finite; `None` for `∞`.
+    min_dub: Option<Time>,
+    holders: Vec<u64>,
+}
+
+impl ClockBounds {
+    /// `min_{t_k ∈ ET(m)} DUB(t_k)`, [`TimeBound::Infinite`] when nothing
+    /// enabled has a finite latest firing time.
+    pub fn min_dub(&self) -> TimeBound {
+        self.min_dub.map_or(TimeBound::Infinite, TimeBound::Finite)
+    }
+
+    /// The enabled transitions whose dynamic upper bound is `min DUB`, as
+    /// a transition mask; empty (all zero) when `min DUB` is infinite.
+    pub fn holders(&self) -> &[u64] {
+        &self.holders
     }
 }
 
@@ -1042,15 +1171,16 @@ mod tests {
         let mut enabled = Vec::new();
         net.enabled_into(&packed, &mut enabled);
         assert_eq!(enabled, vec![0b11], "both conflict partners are enabled");
-        let mut domains = Vec::new();
-        net.fireable_domains_into(&packed, &enabled, &mut domains);
+        let (mut bounds, mut domains) = (ClockBounds::default(), Vec::new());
+        net.clock_bounds_into(&packed, &enabled, &mut bounds);
+        net.fireable_domains_into(&bounds, &mut domains);
         let (dlb, upper) = net.firing_domain(&s0, fast).unwrap();
         assert_eq!(domains, vec![(fast, dlb, upper)]);
         assert_eq!(net.fireable(&s0), vec![fast]);
 
         let mut successor = vec![0u32; layout.words()];
         let mut successor_enabled = Vec::new();
-        net.fire_into(
+        let key_delta = net.fire_into(
             &packed,
             &enabled,
             fast,
@@ -1059,6 +1189,10 @@ mod tests {
             &mut successor_enabled,
         );
         assert_eq!(layout.unpack(&successor), net.fire_unchecked(&s0, fast, 3));
+        assert_eq!(
+            layout.state_key(&packed).wrapping_add(key_delta),
+            layout.state_key(&successor)
+        );
         assert!(!test_bit(&successor_enabled, slow.index()));
         assert_eq!(successor_enabled, vec![0]);
     }
@@ -1071,10 +1205,50 @@ mod tests {
         let mut enabled = vec![u64::MAX; 3];
         net.enabled_into(&packed, &mut enabled);
         assert_eq!(enabled.len(), 1, "the set is resized to the net");
+        let mut bounds = ClockBounds::default();
+        net.clock_bounds_into(&packed, &enabled, &mut bounds);
         let mut buffer = vec![(TransitionId::from_index(9), 0, TimeBound::Infinite); 4];
-        net.fireable_domains_into(&packed, &enabled, &mut buffer);
+        net.fireable_domains_into(&bounds, &mut buffer);
         assert_eq!(buffer.len(), 1, "buffer is cleared before filling");
         assert_eq!(buffer[0].0, fast);
+    }
+
+    #[test]
+    fn clock_bounds_name_every_holder_of_the_minimum() {
+        // DUB(fast) = 4, DUB(slow) = 10, DUB(twin) = 4: both 4s hold it.
+        let mut b = TpnBuilder::new("holders");
+        let p = b.place_with_tokens("p", 1);
+        let q = b.place_with_tokens("q", 1);
+        let r = b.place_with_tokens("r", 1);
+        let fast = b.transition("fast", TimeInterval::new(2, 4).unwrap());
+        let slow = b.transition("slow", TimeInterval::new(3, 10).unwrap());
+        let twin = b.transition("twin", TimeInterval::new(0, 4).unwrap());
+        let open = b.transition("open", TimeInterval::at_least(1));
+        b.arc_place_to_transition(p, fast, 1);
+        b.arc_place_to_transition(q, slow, 1);
+        b.arc_place_to_transition(r, twin, 1);
+        b.arc_place_to_transition(r, open, 1);
+        let net = b.build().unwrap();
+        let mut packed = vec![0u32; net.layout().words()];
+        net.write_initial_packed(&mut packed);
+        let mut enabled = Vec::new();
+        net.enabled_into(&packed, &mut enabled);
+        let mut bounds = ClockBounds::default();
+        net.clock_bounds_into(&packed, &enabled, &mut bounds);
+        assert_eq!(bounds.min_dub(), TimeBound::Finite(4));
+        assert_eq!(
+            bounds.holders(),
+            &[(1 << fast.index()) | (1 << twin.index())]
+        );
+        assert_eq!(bounds.lower, [(fast, 2), (slow, 3), (twin, 0), (open, 1)]);
+
+        // Only the open-ended transition enabled: no finite minimum, and
+        // nothing holds it.
+        let mut only_open = vec![0u64; enabled.len()];
+        set_bit(&mut only_open, open.index());
+        net.clock_bounds_into(&packed, &only_open, &mut bounds);
+        assert_eq!(bounds.min_dub(), TimeBound::Infinite);
+        assert_eq!(bounds.holders(), &[0]);
     }
 
     #[test]
@@ -1112,7 +1286,11 @@ mod tests {
         let (mut enabled, mut next_enabled) = (Vec::new(), Vec::new());
         net.write_initial_packed(&mut packed);
         net.enabled_into(&packed, &mut enabled);
-        net.fire_into(&packed, &enabled, ta, 3, &mut next, &mut next_enabled);
+        let key_delta = net.fire_into(&packed, &enabled, ta, 3, &mut next, &mut next_enabled);
+        assert_eq!(
+            layout.state_key(&packed).wrapping_add(key_delta),
+            layout.state_key(&next)
+        );
         assert_eq!(layout.clock(&next, tb), 3, "tb stayed enabled");
         assert_eq!(layout.clock(&next, ta), 0, "ta disabled; normalized");
         assert!(test_bit(&next_enabled, tb.index()) && !test_bit(&next_enabled, ta.index()));

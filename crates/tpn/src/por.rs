@@ -25,22 +25,6 @@ pub fn test_bit(mask: &[u64], i: usize) -> bool {
         .is_some_and(|word| word & (1u64 << (i % 64)) != 0)
 }
 
-/// Iterates the indices of the set bits of a packed `u64` mask, ascending.
-#[inline]
-pub fn iter_bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    mask.iter().enumerate().flat_map(|(w, &word)| {
-        let mut bits = word;
-        std::iter::from_fn(move || {
-            if bits == 0 {
-                return None;
-            }
-            let i = w * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            Some(i)
-        })
-    })
-}
-
 /// Precomputed transition-conflict and dependency relations, one packed
 /// `u64` bitset row per transition.
 ///

@@ -15,13 +15,15 @@
 //! state. Walkers carry each state's enabled set (a transition bitmask)
 //! beside its id: it is scanned once at the start state
 //! ([`Explorer::enabled_into`]) and derived from the parent's set on every
-//! firing after that.
+//! firing after that. Likewise a successor's state key is its parent's
+//! cached key plus the change the firing returns, so interning never
+//! rehashes a whole state.
 //!
 //! The value-typed [`successors`] function remains as the ergonomic
 //! boundary API for small-scale semantic checks and property tests.
 
 use crate::arena::{ArenaBuffers, StateArena, StateId, StateLayout};
-use crate::{Firing, State, Time, TimeBound, TimePetriNet, TransitionId};
+use crate::{ClockBounds, Firing, State, Time, TimeBound, TimePetriNet, TransitionId};
 use std::collections::VecDeque;
 
 // The shared delay-enumeration mode lives at the crate root; re-exported
@@ -143,6 +145,8 @@ pub struct Explorer<'net> {
     successor: Vec<u32>,
     /// Scratch buffer for the successor's enabled set.
     successor_enabled: Vec<u64>,
+    /// Scratch buffer for the clock-bounds walk.
+    bounds: ClockBounds,
     /// Scratch buffer for the fireable set with firing domains.
     domains: Vec<(TransitionId, Time, TimeBound)>,
     /// Scratch buffer for the expanded labels.
@@ -166,6 +170,7 @@ impl<'net> Explorer<'net> {
             arena: StateArena::with_buffers(layout, buffers),
             successor: vec![0; layout.words()],
             successor_enabled: Vec::new(),
+            bounds: ClockBounds::default(),
             domains: Vec::new(),
             labels: Vec::new(),
         }
@@ -223,21 +228,24 @@ impl<'net> Explorer<'net> {
 
     /// Computes the fireable set of an interned state, whose enabled set
     /// is `enabled`, together with the firing domains, `(t, DLB(t),
-    /// min DUB)` triples (see [`TimePetriNet::fireable_domains_into`]).
+    /// min DUB)` triples: one [`TimePetriNet::clock_bounds_into`] walk,
+    /// then [`TimePetriNet::fireable_domains_into`].
     pub fn fireable_domains_into(
-        &self,
+        &mut self,
         id: StateId,
         enabled: &[u64],
         out: &mut Vec<(TransitionId, Time, TimeBound)>,
     ) {
         self.net
-            .fireable_domains_into(self.arena.get(id), enabled, out);
+            .clock_bounds_into(self.arena.get(id), enabled, &mut self.bounds);
+        self.net.fireable_domains_into(&self.bounds, out);
     }
 
     /// Fires `t` after `delay` from the interned state `from`, whose
     /// enabled set is `enabled`, interning the successor and writing its
     /// enabled set into `successor_enabled`. Returns the successor's id
-    /// and whether it is a fresh state.
+    /// and whether it is a fresh state. The successor is interned by
+    /// `from`'s cached key plus the key change the firing returns.
     ///
     /// Like [`TimePetriNet::fire_unchecked`], legality of the label is not
     /// re-validated.
@@ -249,7 +257,7 @@ impl<'net> Explorer<'net> {
         delay: Time,
         successor_enabled: &mut Vec<u64>,
     ) -> (StateId, bool) {
-        self.net.fire_into(
+        let key_delta = self.net.fire_into(
             self.arena.get(from),
             enabled,
             t,
@@ -257,7 +265,8 @@ impl<'net> Explorer<'net> {
             &mut self.successor,
             successor_enabled,
         );
-        self.arena.intern(&self.successor)
+        let key = self.arena.key(from).wrapping_add(key_delta);
+        self.arena.intern_keyed(&self.successor, key)
     }
 
     /// Enumerates the successor edges of an interned state, whose enabled

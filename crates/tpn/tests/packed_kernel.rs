@@ -1,16 +1,18 @@
 //! Packed-kernel oracles: the packed firing/enumeration API must agree
 //! with the value-typed boundary API on arbitrary nets, the enabled sets
-//! it carries from state to state must equal full scans, the delay modes
-//! must visit monotonically growing state spaces, and an arena built on
-//! recycled buffers must behave and account exactly like a fresh one.
+//! and state keys it carries from state to state must equal full scans
+//! and full recomputations, the delay modes must visit monotonically
+//! growing state spaces, and an arena built on recycled buffers or fed
+//! carried keys must behave and account exactly like a fresh one fed
+//! full keys.
 
 use ezrt_compose::translate;
 use ezrt_spec::corpus::{figure3_spec, figure4_spec, figure8_spec, small_control};
 use ezrt_tpn::por::test_bit;
 use ezrt_tpn::reachability::{explore, successors, ExplorationLimits, Explorer};
 use ezrt_tpn::{
-    DelayMode, StateArena, StateLayout, TimeBound, TimeInterval, TimePetriNet, TpnBuilder,
-    TransitionId,
+    ClockBounds, DelayMode, StateArena, StateId, StateLayout, TimeBound, TimeInterval,
+    TimePetriNet, TpnBuilder, TransitionId,
 };
 use proptest::prelude::*;
 
@@ -223,7 +225,7 @@ fn intern_fresh_and_recycled(
         );
     }
     assert_eq!(recycled.len(), fresh.len());
-    for id in (0..fresh.len()).map(ezrt_tpn::StateId::from_index) {
+    for id in (0..fresh.len()).map(StateId::from_index) {
         assert_eq!(recycled.get(id), fresh.get(id));
     }
     fresh
@@ -250,7 +252,7 @@ fn recycled_arenas_cover_growth_and_the_small_layout_floor() {
     assert_eq!(arena.resident_bytes(), 4 * 4 + 4 * 8 + 1024 * 4);
 
     // 3 000 distinct states: the probe table doubles three times (at 717,
-    // 1 434 and 2 868 states) and the slab and hash cache double past
+    // 1 434 and 2 868 states) and the slab and key cache double past
     // each power of two, on buffers both larger (a 10-word run) and
     // smaller (a 3-word, 100-state run) than this run needs.
     let layout = layout_of(2, 1);
@@ -263,6 +265,62 @@ fn recycled_arenas_cover_growth_and_the_small_layout_floor() {
             4 * 4 * 4096 + 8 * 4096 + 4 * 8192,
             "slab and hashes at 4096 entries, table at 8192 slots"
         );
+    }
+}
+
+/// The probe table's slots hold an id in the bits below the table size
+/// and a tag above them, so every growth moves the split. Ids interned
+/// on either side of each growth — the 70% load points of the 1024-,
+/// 2048-, 4096-, 8192- and 16384-slot tables — must dedup to themselves
+/// afterwards, in the smallest (3-word) layout, on fresh and dirty
+/// buffers alike, and the table must double exactly at those points.
+#[test]
+fn ids_straddling_each_table_growth_dedup_to_themselves() {
+    let layout = layout_of(1, 1);
+    assert_eq!(layout.words(), 3);
+    let states: Vec<Vec<u32>> = (0..12_000u32)
+        .map(|i| vec![i, i.wrapping_mul(0x9E37_79B9), i % 7])
+        .collect();
+    let growths = [717usize, 1_434, 2_868, 5_735, 11_469];
+    for dirty in [None, Some(dirty_arena(layout_of(4, 3), 5_000))] {
+        let mut arena = match dirty {
+            Some(dirty) => StateArena::with_buffers(layout, dirty.into_buffers()),
+            None => StateArena::new(layout),
+        };
+        let table_bytes = |arena: &StateArena, len: usize| {
+            let reserved = len.next_power_of_two().max(4);
+            arena.resident_bytes() - 4 * (3 * len).next_power_of_two().max(4) - 8 * reserved
+        };
+        let mut slots = 1_024;
+        for (i, state) in states.iter().enumerate() {
+            assert_eq!(
+                arena.intern(state),
+                (StateId::from_index(i), true),
+                "intern {i}"
+            );
+            if growths.contains(&(i + 1)) {
+                slots *= 2;
+            }
+            assert_eq!(
+                table_bytes(&arena, i + 1),
+                4 * slots,
+                "table after intern {i}"
+            );
+        }
+        for &growth in &growths {
+            for (id, state) in states.iter().enumerate().skip(growth - 3).take(6) {
+                let id = StateId::from_index(id);
+                assert_eq!(
+                    arena.intern(state),
+                    (id, false),
+                    "{id} next to growth {growth}"
+                );
+                assert_eq!(arena.get(id), state.as_slice());
+            }
+        }
+        for (i, state) in states.iter().enumerate() {
+            assert_eq!(arena.intern(state), (StateId::from_index(i), false));
+        }
     }
 }
 
@@ -382,7 +440,8 @@ proptest! {
         net.write_initial_packed(&mut words);
         let mut state = net.initial_state();
         let (mut enabled, mut next_enabled) = (Vec::new(), Vec::new());
-        let (mut scanned, mut domains) = (Vec::new(), Vec::new());
+        let (mut scanned, mut bounds, mut domains) =
+            (Vec::new(), ClockBounds::default(), Vec::new());
         net.enabled_into(&words, &mut enabled);
         for (choice, extra) in choices {
             net.enabled_into(&words, &mut scanned);
@@ -394,7 +453,9 @@ proptest! {
                 .collect();
             prop_assert_eq!(&members, &net.enabled(state.marking()));
 
-            net.fireable_domains_into(&words, &enabled, &mut domains);
+            net.clock_bounds_into(&words, &enabled, &mut bounds);
+            prop_assert_eq!(bounds.min_dub(), net.min_dynamic_upper_bound(&state));
+            net.fireable_domains_into(&bounds, &mut domains);
             let fireable: Vec<TransitionId> = domains.iter().map(|&(t, _, _)| t).collect();
             prop_assert_eq!(fireable, net.fireable(&state));
             for &(t, dlb, upper) in &domains {
@@ -416,11 +477,62 @@ proptest! {
                 TimeBound::Finite(ub) => dlb + extra.min(ub - dlb),
                 TimeBound::Infinite => dlb + extra,
             };
-            net.fire_into(&words, &enabled, t, delay, &mut next, &mut next_enabled);
+            let key_delta = net.fire_into(&words, &enabled, t, delay, &mut next, &mut next_enabled);
             state = net.fire_unchecked(&state, t, delay);
             prop_assert_eq!(&layout.unpack(&next), &state);
+            prop_assert_eq!(
+                layout.state_key(&words).wrapping_add(key_delta),
+                layout.state_key(&next),
+                "carried key after firing {} at {}", t, delay
+            );
             std::mem::swap(&mut words, &mut next);
             std::mem::swap(&mut enabled, &mut next_enabled);
+        }
+    }
+    /// Along random legal walks on random nets, fanning out to every
+    /// corner label of each state, an explorer that interns by carried
+    /// keys — on fresh and on dirty recycled buffers — assigns every
+    /// successor the id, freshness and resident bytes an arena fed full
+    /// `state_key`s assigns it, and caches exactly that full key.
+    #[test]
+    fn carried_keys_intern_like_full_keys(
+        desc in random_net_strategy(),
+        dirty_count in 0usize..2_000,
+        choices in prop::collection::vec(any::<prop::sample::Index>(), 24),
+    ) {
+        let net = build(&desc);
+        let layout = net.layout();
+        let dirty = dirty_arena(layout_of(4, 3), dirty_count);
+        let mut explorers = [Explorer::new(&net), Explorer::with_buffers(&net, dirty.into_buffers())];
+        let mut full = StateArena::new(layout);
+        let mut id = explorers[0].intern_initial();
+        prop_assert_eq!(explorers[1].intern_initial(), id);
+        prop_assert_eq!(full.intern(explorers[0].state(id)), (id, true));
+        let (mut enabled, mut next_enabled) = (Vec::new(), Vec::new());
+        let mut domains = Vec::new();
+        let mut labels = Vec::new();
+        explorers[0].enabled_into(id, &mut enabled);
+        for choice in choices {
+            explorers[0].fireable_domains_into(id, &enabled, &mut domains);
+            labels.clear();
+            ezrt_tpn::reachability::expand_delay_labels(DelayMode::Corners, &domains, &mut labels);
+            if labels.is_empty() {
+                break; // deadlock
+            }
+            let mut successors = Vec::new();
+            for &(t, q) in &labels {
+                let fresh_fire = explorers[0].fire(id, &enabled, t, q, &mut next_enabled);
+                let recycled_fire = explorers[1].fire(id, &enabled, t, q, &mut next_enabled);
+                let words = explorers[0].state(fresh_fire.0).to_vec();
+                prop_assert_eq!(fresh_fire, recycled_fire);
+                prop_assert_eq!(full.intern(&words), fresh_fire);
+                for explorer in &explorers {
+                    prop_assert_eq!(explorer.arena().key(fresh_fire.0), layout.state_key(&words));
+                    prop_assert_eq!(explorer.arena().resident_bytes(), full.resident_bytes());
+                }
+                successors.push((fresh_fire.0, next_enabled.clone()));
+            }
+            (id, enabled) = successors.swap_remove(choice.index(successors.len()));
         }
     }
 }

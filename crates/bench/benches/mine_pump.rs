@@ -4,7 +4,7 @@
 //! Paper reference numbers: 3 268 states searched (minimum 3 130) in
 //! 330 ms on an AMD Athlon 1800 MHz. The criterion measurement times the
 //! same end-to-end synthesis on the host; the state counts are printed
-//! once at startup for EXPERIMENTS.md.
+//! once at startup.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ezrt_compose::translate;

@@ -108,7 +108,7 @@ fn section_5() {
         elapsed.as_secs_f64() * 1e3
     );
     println!(
-        "(paper platform: AMD Athlon 1800 MHz, 768 MB RAM, gcc 4.0.2; block encodings\n differ by a constant factor — see EXPERIMENTS.md)\n"
+        "(paper platform: AMD Athlon 1800 MHz, 768 MB RAM, gcc 4.0.2; block encodings\n differ by a constant factor)\n"
     );
 }
 

@@ -2,7 +2,7 @@
 
 use crate::{NAMESPACE, ROOT_ELEMENT};
 use ezrt_spec::{EzSpec, SchedulingMethod};
-use ezrt_xml::{Element, WriteOptions};
+use ezrt_xml::{Id, WriteOptions, XmlValue, XmlWriter};
 
 /// Renders `spec` as an `<rt:ez-spec>` XML document in the style of
 /// paper Fig. 7.
@@ -20,80 +20,100 @@ use ezrt_xml::{Element, WriteOptions};
 /// assert!(xml.contains("precedesTasks=\"#ez1\""));
 /// ```
 pub fn to_xml(spec: &EzSpec) -> String {
-    let mut root = Element::new(ROOT_ELEMENT);
-    root.set_attr("xmlns:rt", NAMESPACE);
-    root.set_attr("name", spec.name());
+    // About the markup of each element kind, so one allocation usually
+    // holds the whole document.
+    let capacity = 128
+        + 64 * spec.processors().count()
+        + 320 * spec.task_count()
+        + 256 * spec.messages().count();
+    let mut w = XmlWriter::new(&WriteOptions::default(), capacity);
+    w.start(ROOT_ELEMENT)
+        .attr("xmlns:rt", NAMESPACE)
+        .attr("name", spec.name());
     if spec.dispatcher_overhead() {
-        root.set_attr("dispOveh", "true");
+        w.attr("dispOveh", "true");
     }
 
     for (pid, processor) in spec.processors() {
-        let mut e = Element::new("Processor");
-        e.set_attr("identifier", format!("p{}", pid.index()));
-        e.push_text_child("name", processor.name());
-        root.push_child(e);
+        w.start("Processor")
+            .attr("identifier", Id("p", pid.index()))
+            .text_element("name", processor.name())
+            .end("Processor");
     }
 
+    let mut refs = Vec::new();
     for (tid, task) in spec.tasks() {
-        let mut e = Element::new("Task");
-        e.set_attr("identifier", format!("ez{}", tid.index()));
-        let successors: Vec<String> = spec
-            .successors(tid)
-            .map(|s| format!("#ez{}", s.index()))
-            .collect();
-        if !successors.is_empty() {
-            e.set_attr("precedesTasks", successors.join(" "));
+        w.start("Task").attr("identifier", Id("ez", tid.index()));
+        refs.clear();
+        refs.extend(spec.successors(tid).map(|s| s.index()));
+        if !refs.is_empty() {
+            w.attr("precedesTasks", TaskRefs(&refs));
         }
         // Exclusion is symmetric; emit each pair once, on the lower id.
-        let partners: Vec<String> = spec
-            .exclusions()
-            .iter()
-            .filter(|&&(a, _)| a == tid)
-            .map(|&(_, b)| format!("#ez{}", b.index()))
-            .collect();
-        if !partners.is_empty() {
-            e.set_attr("excludesTasks", partners.join(" "));
+        refs.clear();
+        refs.extend(
+            spec.exclusions()
+                .iter()
+                .filter(|&&(a, _)| a == tid)
+                .map(|&(_, b)| b.index()),
+        );
+        if !refs.is_empty() {
+            w.attr("excludesTasks", TaskRefs(&refs));
         }
 
-        e.push_text_child("processor", format!("p{}", task.processor().index()));
-        e.push_text_child("name", task.name());
+        w.text_element("processor", Id("p", task.processor().index()))
+            .text_element("name", task.name());
         let timing = task.timing();
-        e.push_text_child("period", timing.period.to_string());
+        w.text_element("period", timing.period);
         if timing.phase != 0 {
-            e.push_text_child("phase", timing.phase.to_string());
+            w.text_element("phase", timing.phase);
         }
         if timing.release != 0 {
-            e.push_text_child("release", timing.release.to_string());
+            w.text_element("release", timing.release);
         }
-        e.push_text_child("power", task.energy().to_string());
-        e.push_text_child(
+        w.text_element("power", task.energy()).text_element(
             "schedulingMode",
             match task.method() {
                 SchedulingMethod::NonPreemptive => "NP",
                 SchedulingMethod::Preemptive => "P",
             },
         );
-        e.push_text_child("computing", timing.computation.to_string());
-        e.push_text_child("deadline", timing.deadline.to_string());
+        w.text_element("computing", timing.computation)
+            .text_element("deadline", timing.deadline);
         if let Some(code) = task.code() {
-            e.push_text_child("code", code.content());
+            w.text_element("code", code.content());
         }
-        root.push_child(e);
+        w.end("Task");
     }
 
     for (mid, message) in spec.messages() {
-        let mut e = Element::new("Message");
-        e.set_attr("identifier", format!("m{}", mid.index()));
-        e.set_attr("sender", format!("#ez{}", message.sender().index()));
-        e.set_attr("receiver", format!("#ez{}", message.receiver().index()));
-        e.push_text_child("name", message.name());
-        e.push_text_child("bus", message.bus());
-        e.push_text_child("grantBus", message.grant_bus().to_string());
-        e.push_text_child("communication", message.communication().to_string());
-        root.push_child(e);
+        w.start("Message")
+            .attr("identifier", Id("m", mid.index()))
+            .attr("sender", Id("#ez", message.sender().index()))
+            .attr("receiver", Id("#ez", message.receiver().index()))
+            .text_element("name", message.name())
+            .text_element("bus", message.bus())
+            .text_element("grantBus", message.grant_bus())
+            .text_element("communication", message.communication())
+            .end("Message");
     }
 
-    ezrt_xml::write_document(&root, &WriteOptions::default())
+    w.end(ROOT_ELEMENT);
+    w.finish()
+}
+
+/// An EMF reference list: task indices as `#ez<i>`, space-separated.
+struct TaskRefs<'a>(&'a [usize]);
+
+impl XmlValue for TaskRefs<'_> {
+    fn append_to(&self, out: &mut String, escape: fn(&mut String, &str)) {
+        for (at, &index) in self.0.iter().enumerate() {
+            if at > 0 {
+                escape(out, " ");
+            }
+            Id("#ez", index).append_to(out, escape);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -16,6 +16,11 @@
 //! * [`from_pnml`] reads documents back, defaulting missing timing to
 //!   `[0, ∞)` so plain P/T nets from other tools import cleanly.
 //!
+//! Export builds no XML tree: [`to_pnml`] streams the document through
+//! one [`ezrt_xml::XmlWriter`] into a `String` sized up front from the
+//! net's places, transitions and arcs. Import parses into an
+//! [`ezrt_xml::Element`] tree and reads the net off it.
+//!
 //! # Examples
 //!
 //! ```

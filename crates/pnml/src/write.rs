@@ -2,7 +2,7 @@
 
 use crate::{PNML_NAMESPACE, PTNET_TYPE, TOOL_NAME};
 use ezrt_tpn::{TimeBound, TimePetriNet};
-use ezrt_xml::{Element, WriteOptions};
+use ezrt_xml::{Id, WriteOptions, XmlWriter};
 
 /// Serializes `net` as a PNML (ISO 15909-2) document.
 ///
@@ -29,97 +29,95 @@ use ezrt_xml::{Element, WriteOptions};
 /// # }
 /// ```
 pub fn to_pnml(net: &TimePetriNet) -> String {
-    let mut root = Element::new("pnml");
-    root.set_attr("xmlns", PNML_NAMESPACE);
-
-    let mut net_element = Element::new("net");
-    net_element.set_attr("id", "net0");
-    net_element.set_attr("type", PTNET_TYPE);
-    net_element.push_child(named(net.name()));
-
-    let mut page = Element::new("page");
-    page.set_attr("id", "page0");
+    let mut w = XmlWriter::new(&WriteOptions::default(), estimated_len(net));
+    w.start("pnml").attr("xmlns", PNML_NAMESPACE);
+    w.start("net").attr("id", "net0").attr("type", PTNET_TYPE);
+    name(&mut w, net.name());
+    w.start("page").attr("id", "page0");
 
     for (id, place) in net.places() {
-        let mut e = Element::new("place");
-        e.set_attr("id", format!("p{}", id.index()));
-        e.push_child(named(place.name()));
+        w.start("place").attr("id", Id("p", id.index()));
+        name(&mut w, place.name());
         if place.initial_tokens() > 0 {
-            let mut marking = Element::new("initialMarking");
-            marking.push_text_child("text", place.initial_tokens().to_string());
-            e.push_child(marking);
+            w.start("initialMarking")
+                .text_element("text", place.initial_tokens())
+                .end("initialMarking");
         }
-        page.push_child(e);
+        w.end("place");
     }
 
     for (id, transition) in net.transitions() {
-        let mut e = Element::new("transition");
-        e.set_attr("id", format!("t{}", id.index()));
-        e.push_child(named(transition.name()));
-
-        let mut tool = Element::new("toolspecific");
-        tool.set_attr("tool", TOOL_NAME);
-        tool.set_attr("version", "0.1");
-        let mut interval = Element::new("interval");
-        interval.push_text_child("eft", transition.interval().eft().to_string());
-        let lft = match transition.interval().lft() {
-            TimeBound::Finite(v) => v.to_string(),
-            TimeBound::Infinite => "inf".to_owned(),
+        w.start("transition").attr("id", Id("t", id.index()));
+        name(&mut w, transition.name());
+        w.start("toolspecific")
+            .attr("tool", TOOL_NAME)
+            .attr("version", "0.1");
+        w.start("interval")
+            .text_element("eft", transition.interval().eft());
+        match transition.interval().lft() {
+            TimeBound::Finite(lft) => w.text_element("lft", lft),
+            TimeBound::Infinite => w.text_element("lft", "inf"),
         };
-        interval.push_text_child("lft", lft);
-        tool.push_child(interval);
-        tool.push_text_child("priority", transition.priority().to_string());
+        w.end("interval")
+            .text_element("priority", transition.priority());
         if let Some(code) = transition.code() {
-            tool.push_text_child("code", code);
+            w.text_element("code", code);
         }
-        e.push_child(tool);
-        page.push_child(e);
+        w.end("toolspecific").end("transition");
     }
 
     let mut arc_index = 0usize;
     for (tid, _) in net.transitions() {
+        let transition = Id("t", tid.index());
         for &(pid, weight) in net.pre_set(tid) {
-            page.push_child(arc(
-                arc_index,
-                &format!("p{}", pid.index()),
-                &format!("t{}", tid.index()),
-                weight,
-            ));
+            arc(&mut w, arc_index, Id("p", pid.index()), transition, weight);
             arc_index += 1;
         }
         for &(pid, weight) in net.post_set(tid) {
-            page.push_child(arc(
-                arc_index,
-                &format!("t{}", tid.index()),
-                &format!("p{}", pid.index()),
-                weight,
-            ));
+            arc(&mut w, arc_index, transition, Id("p", pid.index()), weight);
             arc_index += 1;
         }
     }
 
-    net_element.push_child(page);
-    root.push_child(net_element);
-    ezrt_xml::write_document(&root, &WriteOptions::default())
+    w.end("page").end("net").end("pnml");
+    w.finish()
 }
 
-fn named(name: &str) -> Element {
-    let mut e = Element::new("name");
-    e.push_text_child("text", name);
-    e
+/// Bytes to reserve for `net`'s document: the fixed markup per place,
+/// transition and arc plus the names and code it carries, so one
+/// allocation holds the whole text (and the newline the artifact layer
+/// appends) in the common case.
+fn estimated_len(net: &TimePetriNet) -> usize {
+    const FRAME: usize = 256;
+    const PLACE: usize = 128;
+    const TRANSITION: usize = 288;
+    const ARC: usize = 64;
+    let places: usize = net.places().map(|(_, p)| PLACE + p.name().len()).sum();
+    let transitions: usize = net
+        .transitions()
+        .map(|(id, t)| {
+            let arcs = net.pre_set(id).len() + net.post_set(id).len();
+            TRANSITION + t.name().len() + t.code().map_or(0, str::len) + arcs * ARC
+        })
+        .sum();
+    FRAME + net.name().len() + places + transitions
 }
 
-fn arc(index: usize, source: &str, target: &str, weight: u32) -> Element {
-    let mut e = Element::new("arc");
-    e.set_attr("id", format!("a{index}"));
-    e.set_attr("source", source);
-    e.set_attr("target", target);
+fn name(w: &mut XmlWriter, name: &str) {
+    w.start("name").text_element("text", name).end("name");
+}
+
+fn arc(w: &mut XmlWriter, index: usize, source: Id<'_>, target: Id<'_>, weight: u32) {
+    w.start("arc")
+        .attr("id", Id("a", index))
+        .attr("source", source)
+        .attr("target", target);
     if weight > 1 {
-        let mut inscription = Element::new("inscription");
-        inscription.push_text_child("text", weight.to_string());
-        e.push_child(inscription);
+        w.start("inscription")
+            .text_element("text", weight)
+            .end("inscription");
     }
-    e
+    w.end("arc");
 }
 
 #[cfg(test)]
@@ -172,6 +170,17 @@ mod tests {
         // Three arcs, one of which (weight 2) has an inscription.
         assert_eq!(doc.matches("<arc ").count(), 3);
         assert_eq!(doc.matches("<inscription>").count(), 1);
+    }
+
+    #[test]
+    fn the_reserved_length_holds_corpus_documents_and_a_newline() {
+        use ezrt_spec::corpus::{figure3_spec, figure8_spec, mine_pump, small_control};
+        for spec in [mine_pump(), figure3_spec(), figure8_spec(), small_control()] {
+            let net = ezrt_compose::translate(&spec).into_net();
+            let doc = to_pnml(&net);
+            assert!(doc.len() < estimated_len(&net), "{}", spec.name());
+            assert!(estimated_len(&net) < doc.len() * 5 / 4, "{}", spec.name());
+        }
     }
 
     #[test]

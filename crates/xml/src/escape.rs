@@ -5,7 +5,8 @@ use crate::ParseXmlError;
 /// Escapes text for use as XML character data (element content).
 ///
 /// Replaces `&`, `<` and `>` with their predefined entities. Quotes are left
-/// alone because they are harmless in content position.
+/// alone because they are harmless in content position. A thin wrapper over
+/// [`escape_text_into`].
 ///
 /// # Examples
 ///
@@ -14,14 +15,7 @@ use crate::ParseXmlError;
 /// ```
 pub fn escape_text(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
-    for ch in raw.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            other => out.push(other),
-        }
-    }
+    escape_text_into(&mut out, raw);
     out
 }
 
@@ -29,7 +23,7 @@ pub fn escape_text(raw: &str) -> String {
 ///
 /// In addition to the substitutions of [`escape_text`] this replaces `"` with
 /// `&quot;` and newlines/tabs with character references so they survive
-/// attribute-value normalization.
+/// attribute-value normalization. A thin wrapper over [`escape_attr_into`].
 ///
 /// # Examples
 ///
@@ -38,19 +32,67 @@ pub fn escape_text(raw: &str) -> String {
 /// ```
 pub fn escape_attr(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
-    for ch in raw.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\n' => out.push_str("&#10;"),
-            '\t' => out.push_str("&#9;"),
-            '\r' => out.push_str("&#13;"),
-            other => out.push(other),
+    escape_attr_into(&mut out, raw);
+    out
+}
+
+/// Appends `raw` to `out` escaped as character data, like [`escape_text`]
+/// but without allocating: runs of clean text are copied whole.
+///
+/// # Examples
+///
+/// ```
+/// let mut out = String::from("<v>");
+/// ezrt_xml::escape_text_into(&mut out, "1 < 2");
+/// assert_eq!(out, "<v>1 &lt; 2");
+/// ```
+pub fn escape_text_into(out: &mut String, raw: &str) {
+    escape_into(out, raw, |byte| match byte {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        _ => None,
+    });
+}
+
+/// Appends `raw` to `out` escaped as a double-quoted attribute value, like
+/// [`escape_attr`] but without allocating: runs of clean text are copied
+/// whole.
+///
+/// # Examples
+///
+/// ```
+/// let mut out = String::new();
+/// ezrt_xml::escape_attr_into(&mut out, "a\tb");
+/// assert_eq!(out, "a&#9;b");
+/// ```
+pub fn escape_attr_into(out: &mut String, raw: &str) {
+    escape_into(out, raw, |byte| match byte {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'"' => Some("&quot;"),
+        b'\n' => Some("&#10;"),
+        b'\t' => Some("&#9;"),
+        b'\r' => Some("&#13;"),
+        _ => None,
+    });
+}
+
+/// Copies `raw` into `out`, replacing each byte `entity` maps. Every
+/// escaped character is ASCII, so the clean runs between them always end
+/// on `char` boundaries.
+#[inline]
+fn escape_into(out: &mut String, raw: &str, entity: impl Fn(u8) -> Option<&'static str>) {
+    let mut clean = 0;
+    for (at, byte) in raw.bytes().enumerate() {
+        if let Some(replacement) = entity(byte) {
+            out.push_str(&raw[clean..at]);
+            out.push_str(replacement);
+            clean = at + 1;
         }
     }
-    out
+    out.push_str(&raw[clean..]);
 }
 
 /// Expands the five predefined entities and numeric character references.
@@ -142,6 +184,14 @@ mod tests {
     #[test]
     fn escape_attr_handles_quotes_and_whitespace() {
         assert_eq!(escape_attr("\"x\"\n"), "&quot;x&quot;&#10;");
+    }
+
+    #[test]
+    fn escaping_appends_after_existing_text_and_keeps_non_ascii() {
+        let mut out = String::from("x=");
+        escape_attr_into(&mut out, "é\"ü<\r");
+        escape_text_into(&mut out, "ß&\"'");
+        assert_eq!(out, "x=é&quot;ü&lt;&#13;ß&amp;\"'");
     }
 
     #[test]

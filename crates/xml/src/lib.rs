@@ -16,6 +16,14 @@
 //! It intentionally does **not** implement DTDs, schema validation or
 //! namespace resolution — the ezRealtime dialects need none of those.
 //!
+//! Reading and writing are asymmetric. [`parse`] builds an [`Element`]
+//! tree, which the dialect readers walk. Writing needs no tree:
+//! [`XmlWriter`] streams start tags, attributes, text and end tags into
+//! one `String`, escaping values in place with [`escape_attr_into`] and
+//! [`escape_text_into`]. Indentation and escaping live there alone;
+//! [`write_document`] (behind [`Element::to_xml_string`]) only walks a
+//! tree over the same writer.
+//!
 //! # Examples
 //!
 //! ```
@@ -32,6 +40,14 @@
 //! root.push_child(Element::new("task"));
 //! let text = root.to_xml_string();
 //! assert!(text.contains("<task/>"));
+//!
+//! // The same document, streamed without a tree.
+//! use ezrt_xml::{WriteOptions, XmlWriter};
+//! let mut writer = XmlWriter::new(&WriteOptions::default(), text.len());
+//! writer.start("spec").attr("version", 1u32);
+//! writer.start("task").end("task");
+//! writer.end("spec");
+//! assert_eq!(writer.finish(), text);
 //! # Ok(())
 //! # }
 //! ```
@@ -46,7 +62,7 @@ mod tree;
 mod writer;
 
 pub use error::ParseXmlError;
-pub use escape::{escape_attr, escape_text, unescape};
+pub use escape::{escape_attr, escape_attr_into, escape_text, escape_text_into, unescape};
 pub use parser::parse;
 pub use tree::{Element, Node};
-pub use writer::{write_document, WriteOptions};
+pub use writer::{write_document, Id, WriteOptions, XmlValue, XmlWriter};

@@ -356,21 +356,27 @@ fn serve(
         log_file: log_file.map(std::path::PathBuf::from),
     };
     let server = Server::start(&addr, config)?;
-    println!("ezrt serve: listening on http://{}", server.addr());
-    println!(
+    // The banner and the shutdown line are a log, not the service: a
+    // reader that closed the pipe (or a full device) must not take the
+    // listening server down, so write errors are ignored.
+    use std::io::Write;
+    let mut stdout = std::io::stdout();
+    let _ = writeln!(stdout, "ezrt serve: listening on http://{}", server.addr());
+    let _ = writeln!(
+        stdout,
         "ezrt serve: {workers} worker(s), sweep fan-out {jobs}, por {por}, \
          cache capacity {cache_capacity}"
     );
     if let Some(dir) = cache_dir {
-        println!("ezrt serve: persistent cache at {dir}");
+        let _ = writeln!(stdout, "ezrt serve: persistent cache at {dir}");
     }
     if let Some(path) = log_file {
-        println!("ezrt serve: access log at {path}");
+        let _ = writeln!(stdout, "ezrt serve: access log at {path}");
     }
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
+    let _ = stdout.flush();
     server.wait(); // until POST /v1/shutdown; joins every thread
-    println!("ezrt serve: shut down cleanly");
+    let _ = writeln!(stdout, "ezrt serve: shut down cleanly");
+    let _ = stdout.flush();
     Ok(())
 }
 

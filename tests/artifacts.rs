@@ -239,3 +239,30 @@ fn windowed_gantt_still_works_and_matches_the_default_window() {
     let explicit = cli_stdout(&["gantt", spec_path, "0", "20"]);
     assert_eq!(default, explicit);
 }
+
+/// FNV-1a 64, the hash `perfbench/expected.txt` records artifact
+/// digests with.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Golden bytes of the mine pump's PNML artifact: the digest recorded as
+/// `fnv64.mine-pump.pnml` in `perfbench/expected.txt`, taken the way the
+/// benchmark takes it (print the spec, parse it back, render), so a
+/// plain `cargo test` catches byte drift in the PNML writer.
+#[test]
+fn mine_pump_pnml_artifact_matches_its_recorded_digest() {
+    use ezrealtime::artifacts::{compute_outcome, project_digest, render, ArtifactKind};
+    use ezrealtime::core::Project;
+
+    let xml = Project::new(ezrealtime::spec::corpus::mine_pump()).to_dsl();
+    let project = Project::from_dsl(&xml).expect("the mine pump parses");
+    let outcome = compute_outcome(&project, project_digest(&project));
+    let pnml = render(&outcome, ArtifactKind::Pnml).expect("the mine pump is feasible");
+    assert_eq!(
+        format!("{:016x}", fnv64(pnml.text.as_bytes())),
+        "3ab0b786f3d5c0cc"
+    );
+}

@@ -95,3 +95,55 @@ fn serve_answers_and_shuts_down_cleanly() {
     stdout.read_to_string(&mut rest).expect("drain stdout");
     assert!(rest.contains("shut down cleanly"), "stdout tail: {rest:?}");
 }
+
+/// A server whose stdout cannot be written (here: `/dev/full`, where
+/// every write fails) still serves: the banner is a log, and losing its
+/// reader must not take the listening server down. The port is picked
+/// up front because the banner cannot carry it.
+#[test]
+fn serve_survives_an_unwritable_stdout() {
+    let addr = {
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("bind a free port");
+        probe.local_addr().expect("local addr").to_string()
+    };
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("/dev/full opens");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ezrt"))
+        .args(["serve", "--addr", &addr, "--workers", "2"])
+        .stdout(Stdio::from(full))
+        .stderr(Stdio::inherit())
+        .spawn()
+        .expect("ezrt serve spawns");
+
+    // Wait for the listener; a server that died on its banner never
+    // comes up.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while TcpStream::connect(&addr).is_err() {
+        if let Some(exit) = child.try_wait().expect("try_wait") {
+            panic!("ezrt serve exited with {exit:?} before listening");
+        }
+        assert!(
+            Instant::now() < deadline,
+            "ezrt serve never listened on {addr}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let (status, body) = request(&addr, "GET", "/v1/healthz", "");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"status\": \"ok\""), "{body}");
+    assert!(
+        child.try_wait().expect("try_wait").is_none(),
+        "ezrt serve exited after answering"
+    );
+
+    let (status, _) = request(&addr, "POST", "/v1/shutdown", "");
+    assert_eq!(status, 200);
+    let exit = wait_with_timeout(&mut child, Duration::from_secs(30)).unwrap_or_else(|| {
+        let _ = child.kill();
+        panic!("ezrt serve did not exit after /v1/shutdown");
+    });
+    assert!(exit.success(), "serve exited with {exit:?}");
+}

@@ -7,7 +7,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::Duration;
 
 const GRID: &str = "periods:100,150;deadlines:75,100;jitter:0,2";
@@ -54,13 +54,16 @@ fn cli_frontier_is_identical_across_runs_and_jobs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Spawns `ezrt serve` on an ephemeral port; returns the child and the
-/// address its banner announces.
-fn serve() -> (Child, String) {
+/// Spawns `ezrt serve` on an ephemeral port; returns the child, the
+/// address its banner announces, and the stdout reader — which the
+/// caller keeps alive until the server is gone, so the server never
+/// writes into a closed pipe. The server's stderr goes to the test's, so
+/// a server-side panic shows in the log.
+fn serve() -> (Child, String, BufReader<ChildStdout>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_ezrt"))
         .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
         .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
+        .stderr(Stdio::inherit())
         .spawn()
         .expect("ezrt serve spawns");
     let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
@@ -72,7 +75,7 @@ fn serve() -> (Child, String) {
         .next()
         .expect("address in banner")
         .to_owned();
-    (child, addr)
+    (child, addr, stdout)
 }
 
 /// The body of `POST <target>` with the spec at `spec` as its body.
@@ -104,7 +107,7 @@ fn http_sweep_matches_the_cli_byte_for_byte() {
     let spec = spec_path(&dir);
     let cli_rows = run_cli(&spec, &["--jobs", "2"]);
 
-    let (mut child, addr) = serve();
+    let (mut child, addr, _stdout) = serve();
     let body = post_sweep(&addr, &format!("/v1/sweep?grid={GRID}"), &spec);
     assert_eq!(
         body, cli_rows,
@@ -125,7 +128,7 @@ fn http_sweep_honours_the_por_query() {
     // from the default level's for this check to mean anything.
     assert_ne!(cli_rows, run_cli(&spec, &[]));
 
-    let (mut child, addr) = serve();
+    let (mut child, addr, _stdout) = serve();
     let body = post_sweep(&addr, &format!("/v1/sweep?grid={GRID}&por=off"), &spec);
     assert_eq!(
         body, cli_rows,

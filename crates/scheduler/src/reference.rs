@@ -20,9 +20,8 @@ use crate::config::{BranchOrdering, DelayMode, SchedulerConfig};
 use crate::error::SynthesizeError;
 use crate::schedule::{FeasibleSchedule, ScheduledFiring};
 use crate::search::Synthesis;
-use crate::search::{instance_deadline, role_rank, InstanceCounters};
 use crate::stats::SearchStats;
-use ezrt_compose::TaskNet;
+use ezrt_compose::{TaskNet, TransitionRole};
 use ezrt_tpn::{State, Time, TimeBound, TransitionId};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -238,4 +237,61 @@ fn candidates(
         }
     }
     labels
+}
+
+/// Per-task counters maintained along the DFS path, used by the EDF
+/// branch-ordering heuristic to compute the absolute deadline of the
+/// instance a candidate transition advances.
+struct InstanceCounters {
+    releases: Vec<u64>,
+    completed: Vec<u64>,
+}
+
+impl InstanceCounters {
+    fn new(tasks: usize) -> Self {
+        InstanceCounters {
+            releases: vec![0; tasks],
+            completed: vec![0; tasks],
+        }
+    }
+
+    fn apply(&mut self, role: TransitionRole) {
+        match role {
+            TransitionRole::Release(t) => self.releases[t.index()] += 1,
+            TransitionRole::DeadlineCheck(t) => self.completed[t.index()] += 1,
+            _ => {}
+        }
+    }
+
+    fn unapply(&mut self, role: TransitionRole) {
+        match role {
+            TransitionRole::Release(t) => self.releases[t.index()] -= 1,
+            TransitionRole::DeadlineCheck(t) => self.completed[t.index()] -= 1,
+            _ => {}
+        }
+    }
+}
+
+/// The absolute deadline of the task instance `t` advances — the EDF sort
+/// key. Non-task transitions sort first (they are bookkeeping).
+fn instance_deadline(tasknet: &TaskNet, t: TransitionId, counters: &InstanceCounters) -> Time {
+    let role = tasknet.role(t);
+    let Some(task) = role.task() else { return 0 };
+    let timing = tasknet.spec().task(task).timing();
+    let instance = match role {
+        TransitionRole::Release(_) => counters.releases[task.index()],
+        _ => counters.completed[task.index()],
+    };
+    timing.phase + instance * timing.period + timing.deadline
+}
+
+/// Among equal-deadline candidates, make progress on already-started work
+/// first (compute before grant before release).
+fn role_rank(role: TransitionRole) -> u8 {
+    match role {
+        TransitionRole::Compute(_) => 0,
+        TransitionRole::Grant(_) => 1,
+        TransitionRole::Release(_) => 2,
+        _ => 3,
+    }
 }

@@ -9,16 +9,24 @@
 //! from the parent frame's set on every firing, so no step rescans every
 //! transition, and the explorer interns each successor by its parent's
 //! cached key plus the firing's key change, so no step rehashes a whole
-//! state. The child step walks the child's clock bounds once, and both
-//! the sleep-set guard and the candidate generation read that walk.
-//! Frames pool their vectors across pushes, so in the steady
-//! state the loop performs **zero heap allocations per explored
-//! successor**. A finished search hands its arena, dead set, frames and
-//! path to one process-wide spare slot and the next search starts on
-//! them, so back-to-back searches do not map and fault fresh memory each
-//! time. The original value-typed search is preserved in
-//! [`reference`](crate::reference) and the two are equivalence-tested to
-//! return byte-identical schedules.
+//! state. The frames also carry their firing bounds ([`Carried`], which
+//! holds the enabled sets too): the instant each enabled transition was
+//! enabled, and per frame `min DUB`, its holders and the urgency-eligible
+//! set. The child step derives the
+//! child's bounds from its parent's, touching only the transitions whose
+//! enabledness the firing changed, and reads the fireable set `FT(s)`
+//! with its firing domains, the sleep-set guard's inputs and the
+//! candidates off them; no step re-walks every enabled clock. Debug
+//! builds check every push against that full walk
+//! ([`TimePetriNet::clock_bounds_into`]), which the replay oracle and the
+//! BFS still use. Frames pool their vectors across pushes, so in the
+//! steady state the loop performs **zero heap allocations per explored
+//! successor**. A finished search hands its arena, dead set, frames,
+//! carried bounds and path to one process-wide spare slot and the next
+//! search starts on them, so back-to-back searches do not map and fault
+//! fresh memory each time. The original value-typed search is preserved
+//! in [`reference`](crate::reference) and the two are equivalence-tested
+//! to return byte-identical schedules.
 
 use crate::config::{BranchOrdering, PorLevel, SchedulerConfig};
 use crate::error::SynthesizeError;
@@ -30,7 +38,7 @@ use ezrt_tpn::arena::reserve_amortized;
 use ezrt_tpn::por::{set_bit, test_bit};
 use ezrt_tpn::reachability::Explorer;
 use ezrt_tpn::{
-    ArenaBuffers, ClockBounds, DependencyMatrix, StateId, Time, TimeBound, TransitionId,
+    ArenaBuffers, DependencyMatrix, StateId, Time, TimeBound, TimePetriNet, TransitionId,
 };
 use std::sync::Mutex;
 use std::time::Instant;
@@ -56,9 +64,11 @@ pub struct Synthesis {
 #[derive(Default)]
 struct Frame {
     state: StateId,
-    /// The state's enabled set `ET(m)` (packed transition mask), derived
-    /// from the parent frame's by [`Explorer::fire`].
-    enabled: Vec<u64>,
+    /// The state's `min DUB`, `None` for `∞` (see [`Carried`]).
+    min_dub: Option<Time>,
+    /// Where the entries this frame's push logged in [`Carried::undo`]
+    /// start.
+    undo: usize,
     candidates: Vec<(TransitionId, Time)>,
     next: usize,
     now: Time,
@@ -80,8 +90,8 @@ enum Exit {
 }
 
 /// The DFS core: the state arena and dead-state memo, a frame stack over
-/// them, plus the path, the EDF instance counters, the partial-order
-/// scratch and the run's counters.
+/// them with its carried firing bounds, plus the path, the EDF keys, the
+/// partial-order scratch and the run's counters.
 struct Dfs<'a> {
     tasknet: &'a TaskNet,
     config: &'a SchedulerConfig,
@@ -96,15 +106,18 @@ struct Dfs<'a> {
     depth: usize,
     /// The firings from `s0` to the top frame's state.
     path: Vec<ScheduledFiring>,
-    counters: InstanceCounters,
+    edf: EdfKeys,
     scratch: PorScratch,
-    /// The clock-bounds walk of the state being pushed.
-    bounds: ClockBounds,
+    /// The enabled sets and firing bounds of frames `0..depth`.
+    carried: Carried,
+    /// The fireable set with its firing domains of the state being
+    /// pushed, read off `carried`.
     domains: Vec<(TransitionId, Time, TimeBound)>,
     /// The child-sleep staging buffer: computed against the parent frame,
     /// then swapped into the child (both hot-loop allocation-free).
     child_sleep: Vec<u64>,
-    /// The latest successor's enabled set, staged the same way.
+    /// The latest successor's enabled set, written by [`Explorer::fire`]
+    /// and copied into `carried` when the successor is pushed.
     child_enabled: Vec<u64>,
     ticks: u64,
     /// Backtracks, prunes and deadlocks of this core.
@@ -114,8 +127,8 @@ struct Dfs<'a> {
 
 impl<'a> Dfs<'a> {
     /// A search rooted at the net's initial state, on `memory`: `s0`
-    /// interned and counted as visited, its frame scanned and its
-    /// candidates generated.
+    /// interned and counted as visited, its frame scanned, its bounds
+    /// walked and its candidates generated.
     fn new(
         tasknet: &'a TaskNet,
         config: &'a SchedulerConfig,
@@ -123,7 +136,8 @@ impl<'a> Dfs<'a> {
         memory: Spare,
     ) -> Self {
         let tasks = tasknet.spec().task_count();
-        let mut explorer = Explorer::with_buffers(tasknet.net(), memory.arena);
+        let net = tasknet.net();
+        let mut explorer = Explorer::with_buffers(net, memory.arena);
         let s0 = explorer.intern_initial();
         // Recycled frames are stale. A push overwrites every field of the
         // frame it reuses, but the root is never pushed: reset it here.
@@ -133,6 +147,7 @@ impl<'a> Dfs<'a> {
         }
         let root = &mut frames[0];
         root.state = s0;
+        root.undo = 0;
         root.next = 0;
         root.now = 0;
         root.sleep.clear();
@@ -148,9 +163,9 @@ impl<'a> Dfs<'a> {
             frames,
             depth: 1,
             path,
-            counters: InstanceCounters::new(tasks),
+            edf: EdfKeys::new(tasknet),
             scratch: PorScratch::new(),
-            bounds: ClockBounds::default(),
+            carried: memory.carried,
             domains: Vec::new(),
             child_sleep: Vec::new(),
             child_enabled: Vec::new(),
@@ -159,18 +174,26 @@ impl<'a> Dfs<'a> {
             missed: MissedTasks::new(tasks),
         };
         let root = &mut dfs.frames[0];
-        dfs.explorer.enabled_into(s0, &mut root.enabled);
-        tasknet
-            .net()
-            .clock_bounds_into(dfs.explorer.state(s0), &root.enabled, &mut dfs.bounds);
+        dfs.explorer.enabled_into(s0, &mut dfs.child_enabled);
+        root.min_dub = dfs.carried.root(net, &dfs.child_enabled);
+        dfs.carried
+            .fireable_into(net, 0, 0, root.min_dub, &mut dfs.domains);
+        #[cfg(any(test, debug_assertions))]
+        assert_carried_matches_walk(
+            net,
+            dfs.explorer.state(s0),
+            &dfs.child_enabled,
+            root.min_dub,
+            dfs.carried.holders(0),
+            &dfs.domains,
+        );
         candidates(
             tasknet,
-            &dfs.bounds,
+            &dfs.domains,
             config,
-            &dfs.counters,
+            &dfs.edf,
             &root.sleep,
             &mut dfs.scratch,
-            &mut dfs.domains,
             &mut root.candidates,
         );
         dfs
@@ -202,9 +225,9 @@ impl<'a> Dfs<'a> {
             // Frame exhausted: its state is dead; backtrack.
             if frame.next >= frame.candidates.len() {
                 self.dead.insert(frame.state);
-                self.depth -= 1;
+                self.pop();
                 if let Some(firing) = self.path.pop() {
-                    self.counters.unapply(firing.role);
+                    self.edf.unapply(firing.role);
                     self.stats.backtracks += 1;
                 }
                 continue;
@@ -215,7 +238,7 @@ impl<'a> Dfs<'a> {
             let now = frame.now + delay;
             let (next, _) = self.explorer.fire(
                 frame.state,
-                &frame.enabled,
+                self.carried.enabled(self.depth - 1),
                 transition,
                 delay,
                 &mut self.child_enabled,
@@ -228,7 +251,7 @@ impl<'a> Dfs<'a> {
 
             // Every frame's state is miss-free, so only a firing into a
             // miss place can mark one.
-            let packed = self.explorer.state(next);
+            let packed = self.explorer.successor();
             if self.tasknet.fired_into_miss(transition, packed) {
                 self.stats.pruned_misses += 1;
                 for task in self.tasknet.missed_tasks_packed_iter(packed) {
@@ -255,9 +278,9 @@ impl<'a> Dfs<'a> {
                 // way the state is exhausted: pop it again and memoize it
                 // (the reachable TLTS is acyclic, so a sibling-order
                 // induction makes the dead mark sound).
-                self.depth -= 1;
+                self.pop();
                 self.path.pop();
-                self.counters.unapply(firing.role);
+                self.edf.unapply(firing.role);
                 if !fireable {
                     self.stats.deadlocks += 1;
                 }
@@ -266,16 +289,34 @@ impl<'a> Dfs<'a> {
         }
     }
 
-    /// The child step: computes the sleep set of `next`, reached by
-    /// `firing` out of the top frame, then pushes its frame with its
+    /// The child step: derives the firing bounds and the sleep set of
+    /// `next`, reached by `firing` out of the top frame, whose words are
+    /// the explorer's last successor, then pushes its frame with its
     /// candidates and extends the path. Returns whether the child's
     /// `FT(s)` was non-empty (see [`candidates`]).
     fn push(&mut self, firing: ScheduledFiring, next: StateId) -> bool {
+        let net = self.tasknet.net();
         let parent = &self.frames[self.depth - 1];
-        self.tasknet.net().clock_bounds_into(
-            self.explorer.state(next),
+        let undo = self.carried.undo.len();
+        let min_dub = self.carried.derive(
+            net,
+            self.depth,
+            parent.min_dub,
+            (firing.transition, firing.delay),
+            firing.at,
             &self.child_enabled,
-            &mut self.bounds,
+        );
+        self.carried
+            .fireable_into(net, self.depth, firing.at, min_dub, &mut self.domains);
+        let holders = self.carried.holders(self.depth);
+        #[cfg(any(test, debug_assertions))]
+        assert_carried_matches_walk(
+            net,
+            self.explorer.successor(),
+            &self.child_enabled,
+            min_dub,
+            holders,
+            &self.domains,
         );
         child_sleep_into(
             self.tasknet,
@@ -283,7 +324,7 @@ impl<'a> Dfs<'a> {
             &parent.sleep,
             &parent.candidates[..parent.next - 1],
             (firing.transition, firing.delay),
-            &self.bounds,
+            (min_dub, holders),
             &mut self.child_sleep,
         );
         #[cfg(test)]
@@ -293,34 +334,41 @@ impl<'a> Dfs<'a> {
             &parent.sleep,
             &parent.candidates[..parent.next - 1],
             (firing.transition, firing.delay),
-            self.explorer.state(next),
+            self.explorer.successor(),
             &self.child_enabled,
             &self.child_sleep,
         );
 
-        self.counters.apply(firing.role);
+        self.edf.apply(firing.role);
         if self.depth == self.frames.len() {
             self.frames.push(Frame::default());
         }
         let frame = &mut self.frames[self.depth];
         frame.state = next;
+        frame.min_dub = min_dub;
+        frame.undo = undo;
         frame.next = 0;
         frame.now = firing.at;
         std::mem::swap(&mut frame.sleep, &mut self.child_sleep);
-        std::mem::swap(&mut frame.enabled, &mut self.child_enabled);
         let fireable = candidates(
             self.tasknet,
-            &self.bounds,
+            &self.domains,
             self.config,
-            &self.counters,
+            &self.edf,
             &frame.sleep,
             &mut self.scratch,
-            &mut self.domains,
             &mut frame.candidates,
         );
         self.path.push(firing);
         self.depth += 1;
         fireable
+    }
+
+    /// Pops the top frame, restoring the enabling instants its push
+    /// overwrote.
+    fn pop(&mut self) {
+        self.depth -= 1;
+        self.carried.restore(self.frames[self.depth].undo);
     }
 
     /// Warm start: pushes each seeded firing through the child step, as
@@ -341,14 +389,14 @@ impl<'a> Dfs<'a> {
             };
             let (next, _) = self.explorer.fire(
                 frame.state,
-                &frame.enabled,
+                self.carried.enabled(self.depth - 1),
                 firing.transition,
                 firing.delay,
                 &mut self.child_enabled,
             );
             if self
                 .tasknet
-                .fired_into_miss(firing.transition, self.explorer.state(next))
+                .fired_into_miss(firing.transition, self.explorer.successor())
             {
                 break;
             }
@@ -392,6 +440,7 @@ impl<'a> Dfs<'a> {
             arena: self.explorer.into_buffers(),
             dead: self.dead.bits,
             frames: self.frames,
+            carried: self.carried,
             path: self.path,
         }
     }
@@ -399,13 +448,14 @@ impl<'a> Dfs<'a> {
 
 /// The working memory of a finished search: the arena's slab, key cache
 /// and probe table, the dead-set bits, the DFS frames with their inner
-/// vectors, and the path. Contents are stale; [`Dfs::new`] resets what
-/// it reuses.
+/// vectors, the carried firing bounds, and the path. Contents are stale;
+/// [`Dfs::new`] resets what it reuses.
 #[derive(Default)]
 struct Spare {
     arena: ArenaBuffers,
     dead: Vec<u64>,
     frames: Vec<Frame>,
+    carried: Carried,
     path: Vec<ScheduledFiring>,
 }
 
@@ -452,7 +502,7 @@ impl Spare {
             .frames
             .iter()
             .map(|frame| {
-                (frame.enabled.capacity() + frame.sleep.capacity()) * std::mem::size_of::<u64>()
+                frame.sleep.capacity() * std::mem::size_of::<u64>()
                     + frame.candidates.capacity() * std::mem::size_of::<(TransitionId, Time)>()
             })
             .sum();
@@ -460,6 +510,7 @@ impl Spare {
             + self.dead.capacity() * std::mem::size_of::<u64>()
             + self.frames.capacity() * std::mem::size_of::<Frame>()
             + frames
+            + self.carried.bytes()
             + self.path.capacity() * std::mem::size_of::<ScheduledFiring>()
     }
 }
@@ -475,6 +526,345 @@ impl Drop for Recycled<'_> {
             dfs.into_spare().give_back();
         }
     }
+}
+
+/// The firing bounds of the active frames, carried from parent to child
+/// instead of re-walked for every pushed state: what the fireable set
+/// `FT(s)` and the firing domains `FD_s(t)` (paper Def. 3.1) are read off.
+///
+/// A transition's clock `c(t)` advances with time while `t` stays
+/// enabled, so the instant it was enabled, `now − c(t)`, stays fixed, and
+/// so do its earliest and latest firing times in absolute time,
+/// `E(t) = now − c(t) + EFT(t)` and `L(t) = now − c(t) + LFT(t)`. The
+/// carry keeps that instant per transition: `DLB(t) = EFT(t) ∸ c(t)` and
+/// `DUB(t) = LFT(t) − c(t)` follow from it exactly, where `E` and `L`
+/// themselves could overflow [`Time`] for bounds close to its maximum. An
+/// infinite `LFT` is read from the net's kernel record, never encoded as a
+/// value. Per frame it keeps `min DUB` ([`Frame::min_dub`]) and, in one
+/// flat buffer indexed by depth, the frame's enabled set, the mask of the
+/// transitions holding `min DUB` and the mask of the urgency-eligible
+/// ones: `DLB ≤ min DUB`, i.e. `E ≤ min L`, which is the condition of
+/// `FT(s)` because every reachable clock stays at or below its `LFT`.
+///
+/// [`derive`](Self::derive) sets up a child's bounds in time proportional
+/// to the transitions whose enabledness the firing changed: persistent
+/// transitions keep their instant, so while `min L` stays put they keep
+/// their holding and their eligibility. The enabled set is walked for the
+/// new `min DUB` only when the last holder leaves and no entering
+/// transition reaches the old minimum; when `min L` moves, only the
+/// transitions whose eligibility the move can flip are re-tested. Every
+/// instant a push overwrites is logged in `undo` and restored when the
+/// frame pops, so the buffers serve the whole stack.
+#[derive(Default)]
+struct Carried {
+    /// Per transition: the instant it was last enabled. Meaningful for
+    /// the transitions enabled in the top frame, and, once `undo` is
+    /// replayed, in every frame below it.
+    since: Vec<Time>,
+    /// `(t, since[t])` for every instant the pushes of the active frames
+    /// overwrote; a frame's entries start at its [`Frame::undo`].
+    undo: Vec<(TransitionId, Time)>,
+    /// Per depth, `3 · words` words: the frame's enabled set `ET(m)`,
+    /// the holders of its `min DUB`, then its urgency-eligible
+    /// transitions.
+    masks: Vec<u64>,
+    /// The transitions with a finite `LFT`.
+    bounded: Vec<u64>,
+    /// The words of one transition mask.
+    words: usize,
+}
+
+impl Carried {
+    /// Resets the carry for a search of `net` and walks the bounds of the
+    /// root frame, whose state's enabled set is `enabled`: every clock is
+    /// zero at time 0. Returns the root's `min DUB`.
+    fn root(&mut self, net: &TimePetriNet, enabled: &[u64]) -> Option<Time> {
+        self.words = enabled.len();
+        self.since.clear();
+        self.since.resize(net.transition_count(), 0);
+        self.undo.clear();
+        self.masks.clear();
+        self.masks.extend_from_slice(enabled);
+        self.masks.resize(3 * self.words, 0);
+        self.bounded.clear();
+        self.bounded.resize(self.words, 0);
+        for k in 0..net.transition_count() {
+            let t = TransitionId::from_index(k);
+            if net.firing_bounds(t).1.is_some() {
+                set_bit(&mut self.bounded, k);
+            }
+        }
+        let (holders, eligible) = self.masks[self.words..].split_at_mut(self.words);
+        let min_dub = lowest(net, &self.since, 0, (enabled, &self.bounded), holders);
+        for (w, &word) in enabled.iter().enumerate() {
+            retest(net, &self.since, 0, min_dub, w, word, &mut eligible[w]);
+        }
+        min_dub
+    }
+
+    /// Sets up the frame at `depth`, the child reached by firing `t`
+    /// after `delay` out of the frame below, whose `min DUB` is
+    /// `parent_min`, at time `now`, with enabled set `enabled`: stores the
+    /// set and derives the child's bounds from the parent's. Logs the
+    /// instants it overwrites and returns the child's `min DUB`.
+    fn derive(
+        &mut self,
+        net: &TimePetriNet,
+        depth: usize,
+        parent_min: Option<Time>,
+        (t, delay): (TransitionId, Time),
+        now: Time,
+        enabled: &[u64],
+    ) -> Option<Time> {
+        let words = self.words;
+        let end = (depth + 1) * 3 * words;
+        if self.masks.len() < end {
+            self.masks.resize(end, 0);
+        }
+        let (parent, child) = self.masks[(depth - 1) * 3 * words..end].split_at_mut(3 * words);
+        let (parent_enabled, parent) = parent.split_at(words);
+        let (parent_holders, parent_eligible) = parent.split_at(words);
+        let (child_enabled, child) = child.split_at_mut(words);
+        let (holders, eligible) = child.split_at_mut(words);
+        child_enabled.copy_from_slice(enabled);
+        // Persistent: enabled in both states, other than `t`.
+        let persistent = |w: usize| {
+            let fired = if w == t.index() / 64 {
+                1u64 << (t.index() % 64)
+            } else {
+                0
+            };
+            parent_enabled[w] & enabled[w] & !fired
+        };
+        let mut held = false;
+        for w in 0..words {
+            holders[w] = parent_holders[w] & persistent(w);
+            eligible[w] = parent_eligible[w] & persistent(w);
+            held |= holders[w] != 0;
+        }
+        // `min L` as the parent had it, on the child's clock. With a
+        // holder left it stands until an entering transition undercuts
+        // it. With none left, every persistent transition's `DUB` lies
+        // above it: entering ones that reach it settle the minimum, and
+        // otherwise only a walk finds it.
+        let carried = parent_min.map(|min| min - delay);
+        let mut min_dub = if held { carried } else { None };
+        // Entering: newly enabled, or `t` itself, at clock 0.
+        for w in 0..words {
+            let mut entering = enabled[w] & !persistent(w);
+            while entering != 0 {
+                let k = w * 64 + entering.trailing_zeros() as usize;
+                entering &= entering - 1;
+                self.undo.push((TransitionId::from_index(k), self.since[k]));
+                self.since[k] = now;
+                let Some(lft) = net.firing_bounds(TransitionId::from_index(k)).1 else {
+                    continue;
+                };
+                if min_dub.is_none_or(|min| lft < min) {
+                    min_dub = Some(lft);
+                    holders.fill(0);
+                }
+                if min_dub == Some(lft) {
+                    holders[w] |= 1u64 << (k % 64);
+                }
+            }
+        }
+        if !held && below(carried, min_dub) {
+            min_dub = lowest(net, &self.since, now, (enabled, &self.bounded), holders);
+        }
+        // Eligibility: the persistent transitions keep theirs while
+        // `min L` stays; when it falls, only eligible ones can drop out,
+        // and when it rises, only the others can join. Entering ones are
+        // always tested.
+        let fell = below(min_dub, carried);
+        let rose = below(carried, min_dub);
+        for w in 0..words {
+            let mut test = enabled[w] & !persistent(w);
+            if fell {
+                test |= eligible[w];
+            } else if rose {
+                test |= persistent(w) & !eligible[w];
+            }
+            retest(net, &self.since, now, min_dub, w, test, &mut eligible[w]);
+        }
+        min_dub
+    }
+
+    /// Writes the fireable set `FT(s)` of the frame at `depth`, at time
+    /// `now` with `min DUB` `min_dub`, into `out` with its firing domains:
+    /// the eligible set cut to its minimal (= highest) priority class,
+    /// each member as `(t, DLB(t), min DUB)`, ascending — what
+    /// [`TimePetriNet::fireable_domains_into`] writes from the full walk.
+    fn fireable_into(
+        &self,
+        net: &TimePetriNet,
+        depth: usize,
+        now: Time,
+        min_dub: Option<Time>,
+        out: &mut Vec<(TransitionId, Time, TimeBound)>,
+    ) {
+        out.clear();
+        let eligible = &self.masks[(3 * depth + 2) * self.words..(3 * depth + 3) * self.words];
+        let upper = min_dub.map_or(TimeBound::Infinite, TimeBound::Finite);
+        let mut best = u32::MAX;
+        for_each_member(eligible, |t| {
+            let (eft, _, priority) = net.firing_bounds(t);
+            if priority < best {
+                best = priority;
+                out.clear();
+            }
+            if priority == best {
+                out.push((t, eft.saturating_sub(now - self.since[t.index()]), upper));
+            }
+        });
+    }
+
+    /// The enabled set `ET(m)` of the frame at `depth`.
+    fn enabled(&self, depth: usize) -> &[u64] {
+        &self.masks[3 * depth * self.words..(3 * depth + 1) * self.words]
+    }
+
+    /// The holders of `min DUB` of the frame at `depth`; all zero when it
+    /// is `∞`.
+    fn holders(&self, depth: usize) -> &[u64] {
+        &self.masks[(3 * depth + 1) * self.words..(3 * depth + 2) * self.words]
+    }
+
+    /// Pops a frame whose log starts at `start`: restores the instants
+    /// its push overwrote.
+    fn restore(&mut self, start: usize) {
+        for (t, since) in self.undo.drain(start..) {
+            self.since[t.index()] = since;
+        }
+    }
+
+    /// The bytes the buffers hold allocated.
+    fn bytes(&self) -> usize {
+        (self.since.capacity() + self.masks.capacity() + self.bounded.capacity())
+            * std::mem::size_of::<u64>()
+            + self.undo.capacity() * std::mem::size_of::<(TransitionId, Time)>()
+    }
+}
+
+/// Calls `f` on each member of a transition mask, ascending.
+#[inline]
+fn for_each_member(mask: &[u64], mut f: impl FnMut(TransitionId)) {
+    for (w, &word) in mask.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(TransitionId::from_index(
+                w * 64 + bits.trailing_zeros() as usize,
+            ));
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// `min DUB` over `enabled` at time `now`, for enabling instants `since`,
+/// with its holders into `holders`: `None` and no holder when nothing
+/// enabled has a finite `LFT`.
+fn lowest(
+    net: &TimePetriNet,
+    since: &[Time],
+    now: Time,
+    (enabled, bounded): (&[u64], &[u64]),
+    holders: &mut [u64],
+) -> Option<Time> {
+    // Two branch-free passes over the members with a finite `LFT`: the
+    // minimum, then its holders.
+    let dub = |t: TransitionId| {
+        let lft = net.firing_bounds(t).1.unwrap_or(Time::MAX);
+        lft.saturating_sub(now - since[t.index()])
+    };
+    let mut min_dub = Time::MAX;
+    let mut finite = false;
+    for (w, holders) in holders.iter_mut().enumerate() {
+        let mut bits = enabled[w] & bounded[w];
+        finite |= bits != 0;
+        *holders = bits;
+        while bits != 0 {
+            min_dub = min_dub.min(dub(TransitionId::from_index(
+                w * 64 + bits.trailing_zeros() as usize,
+            )));
+            bits &= bits - 1;
+        }
+    }
+    for (w, holders) in holders.iter_mut().enumerate() {
+        let mut bits = *holders;
+        while bits != 0 {
+            let k = bits.trailing_zeros();
+            bits &= bits - 1;
+            let other = dub(TransitionId::from_index(w * 64 + k as usize)) != min_dub;
+            *holders &= !(u64::from(other) << k);
+        }
+    }
+    finite.then_some(min_dub)
+}
+
+/// Whether the bound `a` lies below `b`, `None` standing for `∞`.
+fn below(a: Option<Time>, b: Option<Time>) -> bool {
+    a.is_some_and(|a| b.is_none_or(|b| a < b))
+}
+
+/// Re-tests the transitions of `test`, the members of word `w` of a
+/// mask, for urgency eligibility at time `now`, for enabling instants
+/// `since`: sets each one's bit of `eligible` iff `DLB ≤ min DUB` (always
+/// when `min DUB` is `∞`), and leaves the other bits as they are.
+fn retest(
+    net: &TimePetriNet,
+    since: &[Time],
+    now: Time,
+    min_dub: Option<Time>,
+    w: usize,
+    mut test: u64,
+    eligible: &mut u64,
+) {
+    let ceiling = min_dub.unwrap_or(Time::MAX);
+    while test != 0 {
+        let bit = test.trailing_zeros();
+        test &= test - 1;
+        let k = w * 64 + bit as usize;
+        let dlb = net
+            .firing_bounds(TransitionId::from_index(k))
+            .0
+            .saturating_sub(now - since[k]);
+        *eligible = *eligible & !(1u64 << bit) | u64::from(dlb <= ceiling) << bit;
+    }
+}
+
+/// Checks the bounds carried to a state, whose words are `state` and
+/// whose enabled set is `enabled`, against the full walk of its clocks
+/// ([`TimePetriNet::clock_bounds_into`], then
+/// [`TimePetriNet::fireable_domains_into`]). Debug builds and the unit
+/// tests run it on every push.
+#[cfg(any(test, debug_assertions))]
+fn assert_carried_matches_walk(
+    net: &TimePetriNet,
+    state: &[u32],
+    enabled: &[u64],
+    min_dub: Option<Time>,
+    holders: &[u64],
+    domains: &[(TransitionId, Time, TimeBound)],
+) {
+    let (mut bounds, mut walked) = (ezrt_tpn::ClockBounds::default(), Vec::new());
+    net.clock_bounds_into(state, enabled, &mut bounds);
+    net.fireable_domains_into(&bounds, &mut walked);
+    assert_eq!(
+        min_dub.map_or(TimeBound::Infinite, TimeBound::Finite),
+        bounds.min_dub(),
+        "carried min DUB drifted from the walk"
+    );
+    assert_eq!(
+        holders,
+        bounds.holders(),
+        "carried min DUB holders drifted from the walk"
+    );
+    assert_eq!(
+        domains, walked,
+        "carried firing domains drifted from the walk"
+    );
+    #[cfg(test)]
+    tests::CARRIED_CHECKS.with(|checks| checks.set(checks.get() + 1));
 }
 
 /// Reusable per-search scratch for the partial-order machinery: packed
@@ -590,36 +980,101 @@ impl MissedTasks {
     }
 }
 
-/// Per-task counters maintained along the DFS path, used by the EDF
-/// branch-ordering heuristic to compute the absolute deadline of the
-/// instance a candidate transition advances.
-pub(crate) struct InstanceCounters {
-    releases: Vec<u64>,
-    completed: Vec<u64>,
+/// The keys of the EDF branch ordering (see [`sort_labels`]): per
+/// transition, what the absolute deadline of the task instance it
+/// advances is computed from, tabulated once per search, and the instance
+/// counters the DFS maintains along its path.
+struct EdfKeys {
+    keys: Vec<EdfKey>,
+    /// Per task, the releases on the path, then per task the deadline
+    /// checks; one last slot, always 0, for transitions of no task.
+    instances: Vec<u64>,
+    tasks: usize,
 }
 
-impl InstanceCounters {
-    pub(crate) fn new(tasks: usize) -> Self {
-        InstanceCounters {
-            releases: vec![0; tasks],
-            completed: vec![0; tasks],
+/// One transition's entry in [`EdfKeys`]: its instance's deadline is
+/// `first_deadline + instances[slot] · period`.
+#[derive(Clone, Copy)]
+struct EdfKey {
+    /// The counter of the instances its task has released (release
+    /// transitions) or completed (every other task transition).
+    slot: usize,
+    /// `phase + deadline` of its task; 0 for transitions of no task,
+    /// which are bookkeeping and sort first.
+    first_deadline: Time,
+    period: Time,
+    /// Among equal deadlines, progress on started work first: compute
+    /// before grant before release before the rest.
+    rank: u8,
+}
+
+impl EdfKeys {
+    fn new(tasknet: &TaskNet) -> Self {
+        let tasks = tasknet.spec().task_count();
+        let keys = (0..tasknet.net().transition_count())
+            .map(|k| {
+                let role = tasknet.role(TransitionId::from_index(k));
+                let rank = match role {
+                    TransitionRole::Compute(_) => 0,
+                    TransitionRole::Grant(_) => 1,
+                    TransitionRole::Release(_) => 2,
+                    _ => 3,
+                };
+                let Some(task) = role.task() else {
+                    return EdfKey {
+                        slot: 2 * tasks,
+                        first_deadline: 0,
+                        period: 0,
+                        rank,
+                    };
+                };
+                let timing = tasknet.spec().task(task).timing();
+                EdfKey {
+                    slot: match role {
+                        TransitionRole::Release(_) => task.index(),
+                        _ => tasks + task.index(),
+                    },
+                    first_deadline: timing.phase + timing.deadline,
+                    period: timing.period,
+                    rank,
+                }
+            })
+            .collect();
+        EdfKeys {
+            keys,
+            instances: vec![0; 2 * tasks + 1],
+            tasks,
         }
     }
 
-    pub(crate) fn apply(&mut self, role: TransitionRole) {
+    /// The counter a firing of `role` advances, if any.
+    fn counter(&self, role: TransitionRole) -> Option<usize> {
         match role {
-            TransitionRole::Release(t) => self.releases[t.index()] += 1,
-            TransitionRole::DeadlineCheck(t) => self.completed[t.index()] += 1,
-            _ => {}
+            TransitionRole::Release(task) => Some(task.index()),
+            TransitionRole::DeadlineCheck(task) => Some(self.tasks + task.index()),
+            _ => None,
         }
     }
 
-    pub(crate) fn unapply(&mut self, role: TransitionRole) {
-        match role {
-            TransitionRole::Release(t) => self.releases[t.index()] -= 1,
-            TransitionRole::DeadlineCheck(t) => self.completed[t.index()] -= 1,
-            _ => {}
+    fn apply(&mut self, role: TransitionRole) {
+        if let Some(slot) = self.counter(role) {
+            self.instances[slot] += 1;
         }
+    }
+
+    fn unapply(&mut self, role: TransitionRole) {
+        if let Some(slot) = self.counter(role) {
+            self.instances[slot] -= 1;
+        }
+    }
+
+    /// The EDF sort key of the label `(t, q)`: delay, then the deadline of
+    /// the instance `t` advances, then the role rank, then the index, so
+    /// no two labels tie.
+    fn key(&self, (t, q): (TransitionId, Time)) -> (Time, Time, u8, usize) {
+        let key = &self.keys[t.index()];
+        let deadline = key.first_deadline + self.instances[key.slot] * key.period;
+        (q, deadline, key.rank, t.index())
     }
 }
 
@@ -807,10 +1262,10 @@ fn search_on(
     }
 }
 
-/// Generates the ordered candidate labels of the state whose clock-bounds
-/// walk is `bounds` into the caller's reusable buffer: the
-/// fireable set `FT(s)`, expanded to `(t, q)` pairs per the delay mode,
-/// filtered by the frame's sleep set, reduced by the configured
+/// Generates the ordered candidate labels of the state whose fireable set
+/// `FT(s)` with its firing domains is `domains` into the caller's
+/// reusable buffer: `FT(s)` expanded to `(t, q)` pairs per the delay
+/// mode, filtered by the frame's sleep set, reduced by the configured
 /// partial-order rule, and sorted by the branch ordering.
 ///
 /// Returns whether the raw fireable set `FT(s)` was non-empty. No
@@ -820,24 +1275,21 @@ fn search_on(
 #[allow(clippy::too_many_arguments)]
 fn candidates(
     tasknet: &TaskNet,
-    bounds: &ClockBounds,
+    domains: &[(TransitionId, Time, TimeBound)],
     config: &SchedulerConfig,
-    counters: &InstanceCounters,
+    edf: &EdfKeys,
     sleep: &[u64],
     scratch: &mut PorScratch,
-    domains: &mut Vec<(TransitionId, Time, TimeBound)>,
     labels: &mut Vec<(TransitionId, Time)>,
 ) -> bool {
     labels.clear();
-    let net = tasknet.net();
-    net.fireable_domains_into(bounds, domains);
     if domains.is_empty() {
         return false;
     }
 
     ezrt_tpn::reachability::expand_delay_labels(config.delay_mode, domains, labels);
     if config.por == PorLevel::Off {
-        sort_labels(tasknet, config, counters, labels);
+        sort_labels(config, edf, labels);
         return true;
     }
 
@@ -890,7 +1342,7 @@ fn candidates(
             labels.push(best);
             return true;
         }
-        sort_labels(tasknet, config, counters, labels);
+        sort_labels(config, edf, labels);
         // Stubborn closure seeded from the first-explored candidate: add
         // every candidate dependent on a member until fixpoint. Candidates
         // outside the closure are independent of every member, so their
@@ -924,38 +1376,25 @@ fn candidates(
         return true;
     }
 
-    sort_labels(tasknet, config, counters, labels);
+    sort_labels(config, edf, labels);
     true
 }
 
-/// Sorts candidate labels by the configured branch ordering.
-fn sort_labels(
-    tasknet: &TaskNet,
-    config: &SchedulerConfig,
-    counters: &InstanceCounters,
-    labels: &mut [(TransitionId, Time)],
-) {
+/// Sorts candidate labels by the configured branch ordering. Both keys
+/// end in the transition index and labels are distinct, so an unstable
+/// sort gives the one order.
+fn sort_labels(config: &SchedulerConfig, edf: &EdfKeys, labels: &mut [(TransitionId, Time)]) {
     match config.ordering {
-        BranchOrdering::Fifo => {
-            labels.sort_by_key(|&(t, q)| (q, t.index()));
-        }
-        BranchOrdering::Edf => {
-            labels.sort_by_key(|&(t, q)| {
-                (
-                    q,
-                    instance_deadline(tasknet, t, counters),
-                    role_rank(tasknet.role(t)),
-                    t.index(),
-                )
-            });
-        }
+        BranchOrdering::Fifo => labels.sort_unstable_by_key(|&(t, q)| (q, t.index())),
+        BranchOrdering::Edf => labels.sort_unstable_by_key(|&label| edf.key(label)),
     }
 }
 
 /// Computes the sleep set of the child reached by firing the label
 /// `fired` out of a frame, into `out` (cleared and resized to the matrix
 /// row width). Applies at the stubborn level only; below it the sleep
-/// set is always empty. `bounds` is the child's clock-bounds walk.
+/// set is always empty. `floor` is the child's `min DUB` (`None` for `∞`)
+/// and the mask of its holders.
 ///
 /// A sleep entry `b` means: *"firing `b` next, at this exact instant, is
 /// covered by an earlier sibling order of some ancestor frame"*. Three
@@ -996,11 +1435,11 @@ fn child_sleep_into(
     parent_sleep: &[u64],
     earlier: &[(TransitionId, Time)],
     fired: (TransitionId, Time),
-    bounds: &ClockBounds,
+    floor: (Option<Time>, &[u64]),
     out: &mut Vec<u64>,
 ) {
     sleep_rules_into(tasknet, config, parent_sleep, earlier, fired, out);
-    urgency_guard(out, bounds, tasknet.deps());
+    urgency_guard(out, floor, tasknet.deps());
     if out.iter().all(|&word| word == 0) {
         out.clear();
     }
@@ -1043,11 +1482,14 @@ fn sleep_rules_into(
 /// keeps a `sleep` entry `b` iff some holder of the child's `min DUB`
 /// lies outside `{b} ∪ conflict_row(b)`. When `min DUB` is infinite,
 /// removing any transition leaves it infinite, so every entry stays.
-fn urgency_guard(sleep: &mut [u64], bounds: &ClockBounds, deps: &DependencyMatrix) {
-    if bounds.min_dub() == TimeBound::Infinite {
+fn urgency_guard(
+    sleep: &mut [u64],
+    (min_dub, holders): (Option<Time>, &[u64]),
+    deps: &DependencyMatrix,
+) {
+    if min_dub.is_none() {
         return;
     }
-    let holders = bounds.holders();
     for (word, entry) in sleep.iter_mut().enumerate() {
         let mut bits = *entry;
         while bits != 0 {
@@ -1067,34 +1509,6 @@ fn urgency_guard(sleep: &mut [u64], bounds: &ClockBounds, deps: &DependencyMatri
     }
 }
 
-/// The absolute deadline of the task instance `t` advances — the EDF sort
-/// key. Non-task transitions sort first (they are bookkeeping).
-pub(crate) fn instance_deadline(
-    tasknet: &TaskNet,
-    t: TransitionId,
-    counters: &InstanceCounters,
-) -> Time {
-    let role = tasknet.role(t);
-    let Some(task) = role.task() else { return 0 };
-    let timing = tasknet.spec().task(task).timing();
-    let instance = match role {
-        TransitionRole::Release(_) => counters.releases[task.index()],
-        _ => counters.completed[task.index()],
-    };
-    timing.phase + instance * timing.period + timing.deadline
-}
-
-/// Among equal-deadline candidates, make progress on already-started work
-/// first (compute before grant before release).
-pub(crate) fn role_rank(role: TransitionRole) -> u8 {
-    match role {
-        TransitionRole::Compute(_) => 0,
-        TransitionRole::Grant(_) => 1,
-        TransitionRole::Release(_) => 2,
-        _ => 3,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1102,7 +1516,7 @@ mod tests {
     use ezrt_compose::translate;
     use ezrt_spec::corpus::{figure3_spec, figure4_spec, figure8_spec, mine_pump, small_control};
     use ezrt_spec::SpecBuilder;
-    use ezrt_tpn::{TimeInterval, TimePetriNet, TpnBuilder};
+    use ezrt_tpn::{ClockBounds, TimeInterval, TpnBuilder};
     use std::cell::Cell;
     use std::time::Duration;
 
@@ -1110,6 +1524,9 @@ mod tests {
         /// Child steps [`assert_guard_matches_floor`] checked on this
         /// thread, and how many of them had entries for the guard to test.
         static GUARD_CHECKS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+        /// Frames whose carried bounds [`assert_carried_matches_walk`]
+        /// checked on this thread, the root frames included.
+        pub(super) static CARRIED_CHECKS: Cell<usize> = const { Cell::new(0) };
     }
 
     /// The urgency-floor guard by its definition, O(|sleep| · |enabled|):
@@ -1189,14 +1606,11 @@ mod tests {
         });
     }
 
-    /// The mask guard keeps exactly the entries the O(|sleep|·|enabled|)
-    /// floor keeps on every child step of three stubborn searches: the
-    /// pump, figure 8 and the 10-task sweep proof of seed 11
-    /// (`ezrt_bench::sweep_spec(10, 11)`, ~286k states).
-    #[test]
-    fn mask_guard_matches_the_floor_oracle_on_every_push() {
+    /// The 10-task sweep proof of seed 11, `ezrt_bench::sweep_spec(10, 11)`:
+    /// infeasible, ~286k states at the default configuration.
+    fn sweep_proof() -> ezrt_spec::EzSpec {
         use ezrt_spec::generate::{synthetic_spec, WorkloadConfig};
-        let sweep = synthetic_spec(
+        synthetic_spec(
             &WorkloadConfig {
                 tasks: 10,
                 total_utilization: 0.55,
@@ -1207,7 +1621,15 @@ mod tests {
                 constrained_deadlines: true,
             },
             11,
-        );
+        )
+    }
+
+    /// The mask guard keeps exactly the entries the O(|sleep|·|enabled|)
+    /// floor keeps on every child step of three stubborn searches: the
+    /// pump, figure 8 and the 10-task sweep proof of seed 11.
+    #[test]
+    fn mask_guard_matches_the_floor_oracle_on_every_push() {
+        let sweep = sweep_proof();
         let config = SchedulerConfig {
             por: PorLevel::Stubborn,
             ..SchedulerConfig::default()
@@ -1220,6 +1642,104 @@ mod tests {
         }
         let (all, tested) = GUARD_CHECKS.with(Cell::get);
         assert!(tested > 0, "{all} child steps, none with sleep entries");
+    }
+
+    /// The carried firing bounds equal the full clock walk on every push
+    /// ([`assert_carried_matches_walk`]) of the pump, figure 8 and the
+    /// sweep proof at both reduction levels in `Earliest` and `Corners`
+    /// mode, and of figure 3 and `small_control` in `Full` mode; cold,
+    /// and seeded with half of the cold schedule where there is one.
+    #[test]
+    fn carried_bounds_match_the_walk_on_every_push() {
+        let mut runs = Vec::new();
+        for spec in [mine_pump(), figure8_spec(), sweep_proof()] {
+            for delay_mode in [DelayMode::Earliest, DelayMode::Corners] {
+                runs.push((spec.clone(), delay_mode));
+            }
+        }
+        for spec in [figure3_spec(), small_control()] {
+            runs.push((spec, DelayMode::Full));
+        }
+        for (spec, delay_mode) in runs {
+            let tasknet = translate(&spec);
+            for por in [PorLevel::Stubborn, PorLevel::Off] {
+                let config = SchedulerConfig {
+                    por,
+                    delay_mode,
+                    max_states: 300_000,
+                    ..SchedulerConfig::default()
+                };
+                let checked = |seed: &[ScheduledFiring]| {
+                    let before = CARRIED_CHECKS.with(Cell::get);
+                    let verdict = synthesize_seeded(&tasknet, &config, seed);
+                    let pushes = CARRIED_CHECKS.with(Cell::get) - before;
+                    assert!(
+                        pushes > 1,
+                        "{} at {por:?}, {delay_mode:?}, seed of {}: {pushes} checks",
+                        spec.name(),
+                        seed.len()
+                    );
+                    verdict
+                };
+                if let Ok(cold) = checked(&[]) {
+                    let firings = cold.schedule.firings();
+                    checked(&firings[..firings.len() / 2]).expect("feasible when seeded");
+                }
+            }
+        }
+    }
+
+    /// The carried bounds stay exact where absolute firing times overflow
+    /// [`Time`]: `far`, enabled at time 3 with `LFT = Time::MAX − 1`, has
+    /// `L = 3 + LFT`; `open` has no `LFT`. `tick` fires every 3 and
+    /// re-enters itself each time, keeping `far` enabled.
+    #[test]
+    fn carried_bounds_stay_exact_near_the_largest_time() {
+        let mut builder = TpnBuilder::new("far");
+        let p = builder.place_with_tokens("p", 1);
+        let q = builder.place("q");
+        let r = builder.place_with_tokens("r", 1);
+        let tick = builder.transition("tick", TimeInterval::exact(3));
+        let far = builder.transition("far", TimeInterval::new(0, Time::MAX - 1).unwrap());
+        let open = builder.transition("open", TimeInterval::at_least(5));
+        builder.arc_place_to_transition(p, tick, 1);
+        builder.arc_transition_to_place(tick, p, 1);
+        builder.arc_transition_to_place(tick, q, 1);
+        builder.arc_place_to_transition(q, far, 1);
+        builder.arc_place_to_transition(r, open, 1);
+        let net = builder.build().unwrap();
+        let mut state = vec![0u32; net.layout().words()];
+        net.write_initial_packed(&mut state);
+        let mut enabled = Vec::new();
+        net.enabled_into(&state, &mut enabled);
+        let (mut carried, mut domains) = (Carried::default(), Vec::new());
+        let mut min_dub = carried.root(&net, &enabled);
+        carried.fireable_into(&net, 0, 0, min_dub, &mut domains);
+        assert_carried_matches_walk(
+            &net,
+            &state,
+            &enabled,
+            min_dub,
+            carried.holders(0),
+            &domains,
+        );
+        let (mut next, mut next_enabled) = (state.clone(), Vec::new());
+        for depth in 1..=4 {
+            let now = 3 * depth as Time;
+            net.fire_into(&state, &enabled, tick, 3, &mut next, &mut next_enabled);
+            min_dub = carried.derive(&net, depth, min_dub, (tick, 3), now, &next_enabled);
+            carried.fireable_into(&net, depth, now, min_dub, &mut domains);
+            let holders = carried.holders(depth);
+            assert_carried_matches_walk(&net, &next, &next_enabled, min_dub, holders, &domains);
+            std::mem::swap(&mut state, &mut next);
+            std::mem::swap(&mut enabled, &mut next_enabled);
+        }
+        assert_eq!(min_dub, Some(3), "tick holds min DUB throughout");
+        assert!(
+            domains.iter().any(|&(t, _, _)| t == far),
+            "far stays fireable"
+        );
+        assert!(domains.iter().any(|&(t, _, _)| t == open));
     }
 
     /// A net for hand-built guard cases: `b` and its conflict partner `c`
@@ -1266,7 +1786,11 @@ mod tests {
             set_bit(&mut mask, t.index());
         }
         let mut oracle = mask.clone();
-        urgency_guard(&mut mask, &bounds, &deps);
+        urgency_guard(
+            &mut mask,
+            (bounds.min_dub().finite(), bounds.holders()),
+            &deps,
+        );
         floor_guard_oracle(&mut oracle, net, &deps, &state, &enabled);
         assert_eq!(mask, oracle, "mask guard vs floor");
         mask
@@ -1339,7 +1863,8 @@ mod tests {
 
     /// Search memory left in the worst state a finished search could
     /// leave it: every frame, the root included, with a stale state,
-    /// cursor, clock, candidates and a full sleep set; a stale path;
+    /// `min DUB`, undo mark, cursor, clock, candidates and a full sleep
+    /// set; stale enabling instants, undo log and masks; a stale path;
     /// every dead bit set; and an arena full of foreign states.
     fn dirty_spare() -> Spare {
         let mut arena = ezrt_tpn::StateArena::new(translate(&figure4_spec()).net().layout());
@@ -1350,7 +1875,8 @@ mod tests {
         }
         let stale = || Frame {
             state: StateId::from_index(4_999),
-            enabled: vec![u64::MAX; 8],
+            min_dub: Some(2),
+            undo: 17,
             candidates: vec![(TransitionId::from_index(1), 3); 5],
             next: 2,
             now: 1_000,
@@ -1360,6 +1886,13 @@ mod tests {
             arena: arena.into_buffers(),
             dead: vec![u64::MAX; 200],
             frames: (0..50).map(|_| stale()).collect(),
+            carried: Carried {
+                since: vec![Time::MAX; 300],
+                undo: vec![(TransitionId::from_index(2), 9); 40],
+                masks: vec![u64::MAX; 500],
+                bounded: vec![u64::MAX; 5],
+                words: 5,
+            },
             path: vec![
                 ScheduledFiring {
                     transition: TransitionId::from_index(0),

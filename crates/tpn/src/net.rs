@@ -739,6 +739,16 @@ impl TimePetriNet {
         out.min_dub = min_dub;
     }
 
+    /// The static firing bounds and priority of `t` as the packed kernel
+    /// reads them: `(EFT(t), LFT(t), π(t))`, with `None` for an infinite
+    /// `LFT`. Walkers that carry clock bounds from state to state read
+    /// them here instead of unpacking [`Transition::interval`].
+    #[inline]
+    pub fn firing_bounds(&self, t: TransitionId) -> (Time, Option<Time>, u32) {
+        let kernel = &self.kernel[t.index()];
+        (kernel.eft, kernel.lft, kernel.priority)
+    }
+
     /// The fireable set `FT(s)` *together with* the shared firing domains
     /// — `(t, DLB(t), min_k DUB(t_k))` triples — of the state whose
     /// [`clock_bounds_into`](Self::clock_bounds_into) walk is `bounds`,

@@ -207,6 +207,13 @@ impl<'net> Explorer<'net> {
         self.arena.get(id)
     }
 
+    /// The packed words of the last state this explorer fired into or
+    /// interned, read from its own successor buffer: the same words as
+    /// [`state`](Self::state) of the id that call returned.
+    pub fn successor(&self) -> &[u32] {
+        &self.successor
+    }
+
     /// Unpacks an interned state into the boundary [`State`] value type.
     pub fn unpack(&self, id: StateId) -> State {
         self.layout.unpack(self.arena.get(id))

@@ -4,15 +4,22 @@
 //! Usage:
 //!
 //! ```text
-//! paper_tables [--exp t1|s5|f3|f4|f8|x4|all]
+//! paper_tables [--exp t1|s5|f3|f4|f8|x1|x2|x3|x4|all]
 //! ```
+//!
+//! The X sections print deterministic counts only; wall times are
+//! perfbench's job.
 
+use ezrt_bench::{sweep_spec, SWEEP_INFEASIBLE_SEED, SWEEP_SEEDS, SWEEP_TASK_COUNTS};
 use ezrt_compose::translate;
 use ezrt_core::Project;
-use ezrt_scheduler::{synthesize, SchedulerConfig};
+use ezrt_scheduler::{synthesize, BranchOrdering, PorLevel, SchedulerConfig, SynthesizeError};
 use ezrt_sim::{simulate_online, OnlinePolicy};
 use ezrt_spec::corpus::{figure3_spec, figure4_spec, figure8_spec, mine_pump};
+use ezrt_spec::{EzSpec, SpecBuilder};
 use std::time::Instant;
+
+const POR_LEVELS: [PorLevel; 2] = [PorLevel::Off, PorLevel::Stubborn];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -29,6 +36,9 @@ fn main() {
         "f3" => figure_3(),
         "f4" => figure_4(),
         "f8" => figure_8(),
+        "x1" => experiment_x1(),
+        "x2" => experiment_x2(),
+        "x3" => experiment_x3(),
         "x4" => experiment_x4(),
         "all" => {
             table_1();
@@ -36,10 +46,13 @@ fn main() {
             figure_3();
             figure_4();
             figure_8();
+            experiment_x1();
+            experiment_x2();
+            experiment_x3();
             experiment_x4();
         }
         other => {
-            eprintln!("unknown experiment {other:?}; use t1|s5|f3|f4|f8|x4|all");
+            eprintln!("unknown experiment {other:?}; use t1|s5|f3|f4|f8|x1|x2|x3|x4|all");
             std::process::exit(2);
         }
     }
@@ -159,6 +172,132 @@ fn figure_8() {
     );
 }
 
+/// Experiment X1: how the searched state count grows with the task count
+/// on the synthetic non-preemptive sweep (the paper measures one case
+/// study). Visited and minimum states are averaged over the feasible
+/// seeds.
+fn experiment_x1() {
+    println!("== X1: state space versus task count ==");
+    println!(
+        "  {:<6} {:>10} {:>10} {:>9}",
+        "tasks", "visited", "minimum", "feasible"
+    );
+    for &tasks in &SWEEP_TASK_COUNTS {
+        let (mut visited, mut minimum, mut feasible) = (0u64, 0u64, 0u64);
+        for &seed in &SWEEP_SEEDS {
+            let tasknet = translate(&sweep_spec(tasks, seed));
+            if let Ok(s) = synthesize(&tasknet, &SchedulerConfig::default()) {
+                visited += s.stats.states_visited as u64;
+                minimum += s.stats.minimum_states();
+                feasible += 1;
+            }
+        }
+        println!(
+            "  {:<6} {:>10} {:>10} {:>7}/{}",
+            tasks,
+            visited.checked_div(feasible).unwrap_or(0),
+            minimum.checked_div(feasible).unwrap_or(0),
+            feasible,
+            SWEEP_SEEDS.len()
+        );
+    }
+    println!();
+}
+
+/// Experiment X2: the partial-order reduction (§4.4.1's state-space
+/// reduction) off and on. On the mine pump the residual branching is
+/// dependent grant arbitration, so both levels visit the same states;
+/// the two infeasibility proofs must close the whole space, so every
+/// interleaving the reduction prunes is a state the proof never pays for.
+fn experiment_x2() {
+    println!("== X2: partial-order reduction, off vs stubborn ==");
+    println!(
+        "  {:<15} {:<9} {:<11} {:>8} {:>15} {:>12}",
+        "spec", "por", "verdict", "states", "stubborn-skips", "sleep-skips"
+    );
+    for (name, spec) in [
+        ("mine_pump", mine_pump()),
+        ("overload8", overload8()),
+        ("sweep10_seed11", sweep_spec(10, SWEEP_INFEASIBLE_SEED)),
+    ] {
+        let tasknet = translate(&spec);
+        for por in POR_LEVELS {
+            let config = SchedulerConfig {
+                por,
+                ..SchedulerConfig::default()
+            };
+            let result = synthesize(&tasknet, &config);
+            let (verdict, stats) = match &result {
+                Ok(s) => ("feasible", &s.stats),
+                Err(e @ SynthesizeError::Infeasible { .. }) => ("infeasible", e.stats()),
+                Err(e) => ("budget", e.stats()),
+            };
+            println!(
+                "  {:<15} {:<9} {:<11} {:>8} {:>15} {:>12}",
+                name,
+                por.name(),
+                verdict,
+                stats.states_visited,
+                stats.por_stubborn_skips,
+                stats.por_sleep_skips
+            );
+        }
+    }
+    println!();
+}
+
+/// Eight tasks each needing a fifth of the processor: infeasible, and
+/// all eight arrive together every period.
+fn overload8() -> EzSpec {
+    let mut b = SpecBuilder::new("overload8");
+    for i in 0..8 {
+        b = b.task(format!("t{i}"), |t| {
+            t.computation(2).deadline(10).period(10)
+        });
+    }
+    b.build().expect("valid but overloaded")
+}
+
+/// Experiment X3: EDF branch ordering against naive net-order (FIFO)
+/// ordering, at both reduction levels, on the 6-task sweep.
+fn experiment_x3() {
+    println!("== X3: branch ordering, EDF vs FIFO (6 tasks) ==");
+    println!(
+        "  {:<9} {:<9} {:>14} {:>7}",
+        "ordering", "por", "mean visited", "solved"
+    );
+    let tasknets: Vec<_> = SWEEP_SEEDS
+        .iter()
+        .map(|&seed| translate(&sweep_spec(6, seed)))
+        .collect();
+    for ordering in [BranchOrdering::Edf, BranchOrdering::Fifo] {
+        for por in POR_LEVELS {
+            let config = SchedulerConfig {
+                por,
+                ordering,
+                max_states: 2_000_000,
+                ..SchedulerConfig::default()
+            };
+            let (mut visited, mut solved) = (0usize, 0usize);
+            for tasknet in &tasknets {
+                if let Ok(s) = synthesize(tasknet, &config) {
+                    visited += s.stats.states_visited;
+                    solved += 1;
+                }
+            }
+            println!(
+                "  {:<9} {:<9} {:>14} {:>5}/{}",
+                format!("{ordering:?}").to_lowercase(),
+                por.name(),
+                visited.checked_div(solved).unwrap_or(0),
+                solved,
+                tasknets.len()
+            );
+        }
+    }
+    println!();
+}
+
 /// Experiment X4: pre-runtime synthesis vs. online policies on the mine
 /// pump and on a utilization sweep.
 fn experiment_x4() {
@@ -196,7 +335,7 @@ fn experiment_x4() {
     );
     for &util in &ezrt_bench::UTILIZATION_LEVELS {
         let mut wins = [0usize; 4];
-        for &seed in &ezrt_bench::SWEEP_SEEDS {
+        for &seed in &SWEEP_SEEDS {
             let spec = ezrt_bench::feasibility_spec(util, seed);
             let config = SchedulerConfig {
                 max_states: 500_000,
@@ -218,7 +357,7 @@ fn experiment_x4() {
                 }
             }
         }
-        let n = ezrt_bench::SWEEP_SEEDS.len();
+        let n = SWEEP_SEEDS.len();
         println!(
             "  {:<6} {:>10}/{} {:>6}/{} {:>6}/{} {:>6}/{}",
             util, wins[0], n, wins[1], n, wins[2], n, wins[3], n

@@ -1,8 +1,8 @@
-//! Shared fixtures for the ezRealtime benchmark harness.
+//! Shared workload fixtures of the ezRealtime benchmark.
 //!
-//! Every table and figure of the paper has a bench target regenerating
-//! it (see `DESIGN.md`'s experiment index); the fixtures here keep the
-//! workloads identical across benches and the `paper_tables` binary.
+//! The `paper_tables` binary regenerates the paper's tables and figures
+//! and perfbench measures the workspace end to end; the fixtures here
+//! keep the synthetic workloads identical across the two.
 
 use ezrt_spec::generate::{synthetic_spec, WorkloadConfig};
 use ezrt_spec::EzSpec;
@@ -33,13 +33,13 @@ pub fn sweep_spec(tasks: usize, seed: u64) -> EzSpec {
 }
 
 /// The sweep seed whose 10-task workload is **feasible** with the deepest
-/// search among [`SWEEP_SEEDS`] — the parallel-scaling benchmarks use it
-/// for first-feasible-wins wall-time rows.
+/// search among [`SWEEP_SEEDS`]: perfbench's `proofs` workload runs it as
+/// its one deep feasible search.
 pub const SWEEP_FEASIBLE_SEED: u64 = 53;
 
 /// A sweep seed whose 10-task workload is **infeasible**: proving that
-/// exhausts the reachable space (~286k states sequentially), which is the
-/// workload shape where parallel workers genuinely divide the proof.
+/// exhausts the reachable space: 259,655 states at `por=stubborn` and
+/// 287,543 at `off` (`paper_tables --exp x2`).
 pub const SWEEP_INFEASIBLE_SEED: u64 = 11;
 
 /// Utilization levels for the feasibility comparison (experiment X4).

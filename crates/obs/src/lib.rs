@@ -14,8 +14,8 @@
 //!   registry handle (the search engine, the CLI).
 //! * [`mod@span`] — RAII tracing spans ([`span()`] → [`SpanGuard`]) gated on
 //!   one process-wide `AtomicBool`: with tracing disabled the entire
-//!   call is a single relaxed load and a `None` guard (bench-gated in
-//!   `crates/bench/benches/obs_overhead.rs`). Enabled spans record
+//!   call is a single relaxed load and a `None` guard (measured by
+//!   perfbench's `obs.trace_overhead` row). Enabled spans record
 //!   name/parent/start/duration into a bounded per-thread buffer; the
 //!   buffers aggregate on demand into a deterministic [`SpanTree`]
 //!   keyed by name path (`ezrt --trace` prints it after any one-shot

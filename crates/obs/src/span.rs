@@ -3,7 +3,7 @@
 //! [`span("name")`](span) returns an RAII [`SpanGuard`]. While tracing
 //! is disabled (the default) the call is one relaxed `AtomicBool` load
 //! and the guard is inert — cheap enough to leave in every hot path
-//! (bench-gated in `obs_overhead`). With tracing enabled
+//! (measured by perfbench's `obs.trace_overhead`). With tracing enabled
 //! ([`set_tracing(true)`](set_tracing)) each thread records
 //! name/parent/start/duration into its own bounded buffer behind a
 //! mutex only that thread touches on the hot path; [`drain_spans`]

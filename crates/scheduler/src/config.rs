@@ -42,7 +42,7 @@ pub enum BranchOrdering {
     #[default]
     Edf,
     /// Net order (transition ids): the naive baseline, kept for the
-    /// ablation benchmarks.
+    /// `paper_tables` X3 ablation.
     Fifo,
 }
 
@@ -57,7 +57,7 @@ pub enum BranchOrdering {
 pub enum PorLevel {
     /// No reduction: every fireable candidate is explored. The level the
     /// value-typed reference engine implements, so equivalence tests pin
-    /// it, and the baseline for the ablation benchmarks.
+    /// it, and the baseline of the `paper_tables` X2 ablation.
     Off,
     /// Stubborn-set + sleep-set reduction: a conflict-free bookkeeping
     /// class collapses to its single earliest candidate, a partially

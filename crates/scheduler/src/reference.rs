@@ -11,8 +11,8 @@
 //!    `states_visited` counts (see `tests/packed_equivalence.rs`). The
 //!    reference implements no partial-order reduction at all — the
 //!    simplest oracle — so it ignores [`SchedulerConfig::por`].
-//! 2. **Benchmarking**: the old-versus-packed comparison in
-//!    `ezrt-bench` quantifies what the packed kernel buys.
+//! 2. **Known answers**: perfbench checks the verdict of every small
+//!    document it runs against this engine, never the engine under test.
 //!
 //! Production callers use [`synthesize`](crate::synthesize).
 

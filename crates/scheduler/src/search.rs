@@ -1607,7 +1607,7 @@ mod tests {
     }
 
     /// The 10-task sweep proof of seed 11, `ezrt_bench::sweep_spec(10, 11)`:
-    /// infeasible, ~286k states at the default configuration.
+    /// infeasible, 259,655 states at the default configuration.
     fn sweep_proof() -> ezrt_spec::EzSpec {
         use ezrt_spec::generate::{synthetic_spec, WorkloadConfig};
         synthetic_spec(

@@ -27,7 +27,7 @@ const CASE_VAR: &str = "EZRT_SEARCH_MEMORY_CASE";
 #[derive(Debug, Clone, Copy)]
 enum Spec {
     /// The 10-task sweep spec of seed 11: an infeasibility proof over
-    /// ~286k states, the largest memory a search here takes.
+    /// 259,655 states, the largest memory a search here takes.
     BigProof,
     Pump,
     Figure8,

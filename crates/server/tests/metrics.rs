@@ -438,3 +438,150 @@ fn access_log_appends_one_valid_ndjson_line_per_request() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every `# HELP` and `# TYPE` line a fresh server's `/v1/metrics`
+/// prints with a disk tier, in render order. Without one, the same
+/// lines minus the eight `ezrt_disk_*` families. Scrapers key on these
+/// names, types and help texts, so a change here is a breaking change.
+const FAMILIES_WITH_DISK_TIER: &str = "\
+# HELP ezrt_cache_capacity Configured outcome-entry bound (0 = memory tier disabled).
+# TYPE ezrt_cache_capacity gauge
+# HELP ezrt_cache_disk_hits_total Requests revived from the disk tier without a synthesis.
+# TYPE ezrt_cache_disk_hits_total counter
+# HELP ezrt_cache_entries Completed outcomes resident in the memory tier.
+# TYPE ezrt_cache_entries gauge
+# HELP ezrt_cache_evictions_total Outcome entries evicted under LRU pressure.
+# TYPE ezrt_cache_evictions_total counter
+# HELP ezrt_cache_hits_total Requests served from a completed in-memory cache entry.
+# TYPE ezrt_cache_hits_total counter
+# HELP ezrt_cache_inflight Syntheses currently in flight.
+# TYPE ezrt_cache_inflight gauge
+# HELP ezrt_cache_joined_total Requests that waited on another request's in-flight synthesis.
+# TYPE ezrt_cache_joined_total counter
+# HELP ezrt_cache_misses_total Synthesis runs started (one per singleflight group).
+# TYPE ezrt_cache_misses_total counter
+# HELP ezrt_disk_gc_evicted_total Valid disk entries evicted by the byte-budget sweep.
+# TYPE ezrt_disk_gc_evicted_total counter
+# HELP ezrt_disk_gc_reaped_total Stale temp files and misnamed entries reaped by sweeps.
+# TYPE ezrt_disk_gc_reaped_total counter
+# HELP ezrt_disk_gc_reclaimed_bytes_total Total bytes reclaimed by disk-tier sweeps.
+# TYPE ezrt_disk_gc_reclaimed_bytes_total counter
+# HELP ezrt_disk_load_errors_total Disk-tier files that failed verification or decoding.
+# TYPE ezrt_disk_load_errors_total counter
+# HELP ezrt_disk_load_misses_total Disk-tier lookups that found no file.
+# TYPE ezrt_disk_load_misses_total counter
+# HELP ezrt_disk_loads_total Disk-tier entries successfully loaded and decoded.
+# TYPE ezrt_disk_loads_total counter
+# HELP ezrt_disk_write_errors_total Disk-tier writes that failed (ignored, memory tier keeps serving).
+# TYPE ezrt_disk_write_errors_total counter
+# HELP ezrt_disk_writes_total Disk-tier entries successfully written.
+# TYPE ezrt_disk_writes_total counter
+# HELP ezrt_http_artifact_requests_total Artifact requests (GET /v1/artifact and the artifact POST routes).
+# TYPE ezrt_http_artifact_requests_total counter
+# HELP ezrt_http_connections_total Connections accepted into the worker queue.
+# TYPE ezrt_http_connections_total counter
+# HELP ezrt_http_errors_total Responses with status 400 or above.
+# TYPE ezrt_http_errors_total counter
+# HELP ezrt_http_not_modified_total 304 Not Modified responses (conditional hits).
+# TYPE ezrt_http_not_modified_total counter
+# HELP ezrt_http_por_sleep_skips_total Candidates dropped by sleep-set filtering.
+# TYPE ezrt_http_por_sleep_skips_total counter
+# HELP ezrt_http_por_stubborn_skips_total Candidates dropped by stubborn-set reduction.
+# TYPE ezrt_http_por_stubborn_skips_total counter
+# HELP ezrt_http_request_micros Routed request duration in microseconds (parse through response enqueue).
+# TYPE ezrt_http_request_micros histogram
+# HELP ezrt_http_requests_total HTTP requests parsed.
+# TYPE ezrt_http_requests_total counter
+# HELP ezrt_http_response_bytes Response body sizes in bytes.
+# TYPE ezrt_http_response_bytes histogram
+# HELP ezrt_http_schedule_requests_total POST /v1/schedule requests.
+# TYPE ezrt_http_schedule_requests_total counter
+# HELP ezrt_http_shed_connections_total Connections shed with 503 because the accept queue was full.
+# TYPE ezrt_http_shed_connections_total counter
+# HELP ezrt_http_workers Connection worker threads.
+# TYPE ezrt_http_workers gauge
+# HELP ezrt_http_write_micros Socket write+flush duration in microseconds per response batch.
+# TYPE ezrt_http_write_micros histogram
+# HELP ezrt_incr_replayed_total Seeded firings replayed before the search took over.
+# TYPE ezrt_incr_replayed_total counter
+# HELP ezrt_incr_seed_hits_total Searches warm-started from an ancestor's schedule prefix.
+# TYPE ezrt_incr_seed_hits_total counter
+# HELP ezrt_incr_states_saved_total States warm starts avoided visiting, relative to their ancestor's run.
+# TYPE ezrt_incr_states_saved_total counter
+# HELP ezrt_phase_cache_micros Cache lookup/coordination phase duration in microseconds.
+# TYPE ezrt_phase_cache_micros histogram
+# HELP ezrt_phase_digest_micros Digest computation phase duration in microseconds.
+# TYPE ezrt_phase_digest_micros histogram
+# HELP ezrt_phase_parse_micros Spec parse phase duration in microseconds.
+# TYPE ezrt_phase_parse_micros histogram
+# HELP ezrt_phase_render_micros Artifact render phase duration in microseconds.
+# TYPE ezrt_phase_render_micros histogram
+# HELP ezrt_phase_search_micros Synthesis/search phase duration in microseconds.
+# TYPE ezrt_phase_search_micros histogram
+# HELP ezrt_phase_warm_micros Warm-start ancestor resolution phase duration in microseconds.
+# TYPE ezrt_phase_warm_micros histogram
+# HELP ezrt_rendered_bytes Bytes of the rendered artifacts memoized on resident outcomes.
+# TYPE ezrt_rendered_bytes gauge
+# HELP ezrt_rendered_capacity Rendered-entry bound: outcome capacity times distinct kinds (0 = none memoized).
+# TYPE ezrt_rendered_capacity gauge
+# HELP ezrt_rendered_entries Rendered artifacts memoized on resident outcomes.
+# TYPE ezrt_rendered_entries gauge
+# HELP ezrt_rendered_evictions_total Memoized renderings dropped with their evicted outcomes.
+# TYPE ezrt_rendered_evictions_total counter
+# HELP ezrt_rendered_hits_total Artifact requests served from memoized rendered bytes.
+# TYPE ezrt_rendered_hits_total counter
+# HELP ezrt_rendered_misses_total Artifact requests that ran the render.
+# TYPE ezrt_rendered_misses_total counter
+# HELP ezrt_search_backtracks_total Backtracking steps: frames popped after exhausting their candidates.
+# TYPE ezrt_search_backtracks_total counter
+# HELP ezrt_search_elapsed_micros Search wall-clock per completed run, in microseconds.
+# TYPE ezrt_search_elapsed_micros histogram
+# HELP ezrt_search_frontier_depth DFS frontier depth, sampled every 1024 search-loop ticks.
+# TYPE ezrt_search_frontier_depth histogram
+# HELP ezrt_search_por_sleep_skips_total Candidates dropped by sleep-set filtering.
+# TYPE ezrt_search_por_sleep_skips_total counter
+# HELP ezrt_search_por_stubborn_skips_total Candidates dropped by stubborn-set reduction.
+# TYPE ezrt_search_por_stubborn_skips_total counter
+# HELP ezrt_search_runs_total Completed synthesis searches (feasible, infeasible or budget-aborted).
+# TYPE ezrt_search_runs_total counter
+# HELP ezrt_search_spare_bytes Bytes the idle spare holds: a finished search's arena, dead set, frames and path, kept for the next search.
+# TYPE ezrt_search_spare_bytes gauge
+# HELP ezrt_search_states_per_second Exploration throughput of completed searches, in states per second.
+# TYPE ezrt_search_states_per_second histogram
+# HELP ezrt_search_states_total States visited, counting the initial state and pruned successors.
+# TYPE ezrt_search_states_total counter
+# HELP ezrt_sweep_points_total Grid points expanded by completed sweeps.
+# TYPE ezrt_sweep_points_total counter
+# HELP ezrt_sweep_requests_total POST /v1/sweep requests (any status).
+# TYPE ezrt_sweep_requests_total counter
+# HELP ezrt_uptime_seconds Seconds since the server started.
+# TYPE ezrt_uptime_seconds gauge";
+
+fn family_lines(config: ServerConfig) -> String {
+    let server = Server::start("127.0.0.1:0", config).expect("server starts");
+    let (status, _, body) = close_request(server.addr(), "GET", "/v1/metrics", &[], "");
+    assert_eq!(status, 200);
+    server.stop();
+    let lines: Vec<&str> = body.lines().filter(|line| line.starts_with("# ")).collect();
+    lines.join("\n")
+}
+
+#[test]
+fn metric_families_are_frozen_for_a_fresh_server() {
+    let dir = std::env::temp_dir().join(format!("ezrt_families_test_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let with_disk = family_lines(ServerConfig {
+        cache_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(with_disk, FAMILIES_WITH_DISK_TIER);
+
+    let without_disk = family_lines(ServerConfig::default());
+    let expected: Vec<&str> = FAMILIES_WITH_DISK_TIER
+        .lines()
+        .filter(|line| !line.contains(" ezrt_disk_"))
+        .collect();
+    assert_eq!(FAMILIES_WITH_DISK_TIER.lines().count() - expected.len(), 16);
+    assert_eq!(without_disk, expected.join("\n"));
+}

@@ -2,7 +2,7 @@
 //!
 //! Priorities resolve same-instant conflicts deterministically (smaller
 //! value = higher priority, per the paper's `FT(s)` definition). The
-//! ordering encodes three rules worked out in DESIGN.md:
+//! ordering encodes three rules:
 //!
 //! 1. *bookkeeping before decisions* — finish/disarm/stage transitions are
 //!    `[0,0]` and logically forced, so they outrank the schedulable

@@ -5,8 +5,8 @@
 //!
 //! * [`metrics`] — named [`Counter`]s, [`Gauge`]s and log2-bucket
 //!   [`Histogram`]s. Cells are cheap `Arc` handles created wherever the
-//!   owning subsystem lives (the cache keeps its own hit/miss counters,
-//!   exactly as the old hand-rolled `AtomicU64`s did) and *registered*
+//!   owning subsystem lives (the service's, one [`metric_table!`] row
+//!   each, as fields of their owner) and *registered*
 //!   into a [`Registry`] that renders the whole set as sorted Prometheus
 //!   text exposition (`# HELP`/`# TYPE` lines, histogram
 //!   `_bucket`/`_sum`/`_count` samples). A process-wide [`global()`]
@@ -41,8 +41,8 @@ pub mod metrics;
 pub mod span;
 
 pub use metrics::{
-    global, render_prometheus, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
-    HISTOGRAM_BUCKETS,
+    global, render_prometheus, Counter, Gauge, Histogram, HistogramSnapshot, MetricRow, Registry,
+    TableCell, HISTOGRAM_BUCKETS,
 };
 pub use span::{
     drain_spans, set_tracing, span, tracing_enabled, SpanGuard, SpanNode, SpanTree, SPAN_CAPACITY,

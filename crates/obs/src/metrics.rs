@@ -232,31 +232,11 @@ impl Registry {
         }
     }
 
-    /// Registers an externally owned counter cell under `name`, so a
-    /// subsystem keeps its cell exactly where the old raw atomic lived
-    /// and the registry renders it. Replaces any previous registration
-    /// of the same name.
-    pub fn register_counter(&self, name: &str, help: &'static str, cell: &Counter) {
+    /// Registers an externally owned cell under `name`, replacing any
+    /// previous registration of the same name.
+    fn insert(&self, name: &str, metric: Metric) {
         let mut map = self.inner.lock().expect("registry poisoned");
-        map.insert(
-            name.to_owned(),
-            Metric::Counter {
-                help,
-                cell: cell.clone(),
-            },
-        );
-    }
-
-    /// Registers an externally owned histogram cell under `name`.
-    pub fn register_histogram(&self, name: &str, help: &'static str, cell: &Histogram) {
-        let mut map = self.inner.lock().expect("registry poisoned");
-        map.insert(
-            name.to_owned(),
-            Metric::Histogram {
-                help,
-                cell: cell.clone(),
-            },
-        );
+        map.insert(name.to_owned(), metric);
     }
 
     fn collect(&self, out: &mut BTreeMap<String, Metric>) {
@@ -313,6 +293,121 @@ pub fn render_prometheus(registries: &[&Registry]) -> String {
         }
     }
     out
+}
+
+/// A cell a [`metric_table!`](crate::metric_table) row owns: a
+/// [`Counter`] counts its own events, a [`Gauge`] shows a value its
+/// owner computes per snapshot.
+pub trait TableCell {
+    /// Registers the cell in `registry` under `family`, so a subsystem
+    /// keeps its cell and the registry renders it. Replaces any previous
+    /// registration of `family`.
+    fn register(&self, registry: &Registry, family: &str, help: &'static str);
+    /// The value a snapshot starts from: a counter's count, or 0 for a
+    /// gauge, which the owner computes.
+    fn read(&self) -> u64;
+    /// Shows a snapshot's value: a gauge takes it, a counter ignores it.
+    fn show(&self, value: u64);
+}
+
+impl TableCell for Counter {
+    fn register(&self, registry: &Registry, family: &str, help: &'static str) {
+        let cell = self.clone();
+        registry.insert(family, Metric::Counter { help, cell });
+    }
+
+    fn read(&self) -> u64 {
+        self.get()
+    }
+
+    fn show(&self, _value: u64) {}
+}
+
+impl TableCell for Gauge {
+    fn register(&self, registry: &Registry, family: &str, help: &'static str) {
+        let cell = self.clone();
+        registry.insert(family, Metric::Gauge { help, cell });
+    }
+
+    fn read(&self) -> u64 {
+        0
+    }
+
+    fn show(&self, value: u64) {
+        self.set(value);
+    }
+}
+
+/// One row of a [`metric_table!`](crate::metric_table), as `/v1/stats`
+/// reads it.
+pub struct MetricRow<S> {
+    /// The row's `/v1/stats` key, if it has one.
+    pub stats_key: Option<&'static str>,
+    /// The row's Prometheus family.
+    pub family: &'static str,
+    /// Reads the row's field from a snapshot.
+    pub get: fn(&S) -> u64,
+}
+
+/// Defines one owner's service metrics from one row per metric:
+/// `field: type, Counter|Gauge, /v1/stats key or None, family, help;`.
+///
+/// From the rows it generates the snapshot struct (one public field per
+/// row, in row order, documented by its help text; `ROWS`, one
+/// [`MetricRow`] each; `keyed`, its `/v1/stats` fields) and a private
+/// cells struct holding one [`TableCell`] per row, with `register`
+/// (every cell under its family) and `snapshot` (reads the counters,
+/// lets the owner compute the gauges, and shows those on their cells).
+/// The cells are plain fields, so counting an event stays one relaxed
+/// `fetch_add`.
+#[macro_export]
+macro_rules! metric_table {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $stats:ident;
+        struct $cells:ident;
+        $($field:ident: $ty:ty, $kind:ident, $key:expr, $family:literal, $help:literal;)*
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        $vis struct $stats {
+            $(#[doc = $help] pub $field: $ty,)*
+        }
+
+        impl $stats {
+            /// Every row, in row order.
+            pub const ROWS: &'static [$crate::MetricRow<$stats>] = &[$($crate::MetricRow {
+                stats_key: $key,
+                family: $family,
+                get: |stats| stats.$field as u64,
+            },)*];
+
+            /// The `(/v1/stats key, value)` of every keyed row, in row order.
+            pub fn keyed(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+                Self::ROWS.iter().filter_map(move |row| Some((row.stats_key?, (row.get)(self))))
+            }
+        }
+
+        #[derive(Debug, Default)]
+        struct $cells {
+            $($field: $crate::$kind,)*
+        }
+
+        impl $cells {
+            fn register(&self, registry: &$crate::Registry) {
+                $($crate::TableCell::register(&self.$field, registry, $family, $help);)*
+            }
+
+            fn snapshot(&self, gauges: impl FnOnce(&mut $stats)) -> $stats {
+                let mut stats = $stats {
+                    $($field: $crate::TableCell::read(&self.$field) as $ty,)*
+                };
+                gauges(&mut stats);
+                $($crate::TableCell::show(&self.$field, stats.$field as u64);)*
+                stats
+            }
+        }
+    };
 }
 
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
@@ -408,7 +503,7 @@ mod tests {
         let owned = Counter::new();
         owned.add(11);
         let first = Registry::new();
-        first.register_counter("shared_total", "Owned by the subsystem.", &owned);
+        owned.register(&first, "shared_total", "Owned by the subsystem.");
         let second = Registry::new();
         second.counter("shared_total", "A different cell.").add(99);
         second.counter("only_second_total", "Unique.").inc();
@@ -431,5 +526,45 @@ mod tests {
             .inc();
         let text = render_prometheus(&[&registry]);
         assert!(text.contains("via_clone_total 1"));
+    }
+
+    crate::metric_table! {
+        /// Demo rows.
+        struct DemoStats;
+        struct DemoCells;
+        hits: u64, Counter, Some("hits"), "demo_hits_total", "Demo hits.";
+        entries: usize, Gauge, None, "demo_entries", "Demo entries.";
+    }
+
+    #[test]
+    fn metric_table_registers_counts_and_shows_its_gauges() {
+        let cells = DemoCells::default();
+        let registry = Registry::new();
+        cells.register(&registry);
+        cells.hits.add(3);
+        let stats = cells.snapshot(|stats| stats.entries = 7);
+        assert_eq!(
+            stats,
+            DemoStats {
+                hits: 3,
+                entries: 7
+            }
+        );
+        let text = render_prometheus(&[&registry]);
+        assert!(text.contains("# TYPE demo_entries gauge\ndemo_entries 7\n"));
+        assert!(text.contains("# HELP demo_hits_total Demo hits.\n"));
+        assert!(text.contains("# TYPE demo_hits_total counter\ndemo_hits_total 3\n"));
+        let rows: Vec<_> = DemoStats::ROWS
+            .iter()
+            .map(|row| (row.stats_key, row.family, (row.get)(&stats)))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                (Some("hits"), "demo_hits_total", 3),
+                (None, "demo_entries", 7)
+            ]
+        );
+        assert_eq!(stats.keyed().collect::<Vec<_>>(), [("hits", 3)]);
     }
 }

@@ -1,4 +1,4 @@
-//! Deadline-boundary races: the priority scheme (DESIGN.md) promises
+//! Deadline-boundary races: the priority scheme (`ezrt_compose::priority`) promises
 //! that completing *exactly at* the deadline counts as met, including
 //! when the deadline coincides with the next arrival (`d == p`). These
 //! tests pin those races down.

@@ -33,7 +33,7 @@
 use crate::digest::SpecDigest;
 use crate::disk::{DiskStats, DiskTier};
 use ezrt_artifacts::{render, ArtifactKind, RenderError};
-use ezrt_obs::{Counter, Registry};
+use ezrt_obs::Registry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -72,37 +72,39 @@ impl Lookup {
     }
 }
 
-/// A point-in-time snapshot of the cache counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Requests served from a completed memory entry.
-    pub hits: u64,
-    /// Requests revived from the disk tier without a synthesis.
-    pub disk_hits: u64,
-    /// Synthesis runs started (one per singleflight group).
-    pub misses: u64,
-    /// Requests that waited on another request's in-flight synthesis.
-    pub joined: u64,
-    /// Entries evicted under LRU pressure.
-    pub evictions: u64,
-    /// Completed entries currently resident in memory.
-    pub entries: usize,
-    /// Syntheses currently in flight.
-    pub inflight: usize,
-    /// The configured entry bound (0 = memory caching disabled).
-    pub capacity: usize,
-    /// Artifact requests served from bytes memoized on their outcome.
-    pub rendered_hits: u64,
-    /// Artifact requests that ran the render.
-    pub rendered_misses: u64,
-    /// Memoized renderings dropped with their evicted outcomes.
-    pub rendered_evictions: u64,
-    /// Renderings memoized on resident outcomes.
-    pub rendered_entries: usize,
-    /// Bytes of the renderings memoized on resident outcomes.
-    pub rendered_bytes: u64,
-    /// The rendered-entry bound: `capacity` × [`ArtifactKind::COUNT`].
-    pub rendered_capacity: usize,
+ezrt_obs::metric_table! {
+    /// A point-in-time snapshot of the cache counters, one field per
+    /// metric, in `/v1/stats` order.
+    pub struct CacheStats;
+    struct CacheCells;
+    capacity: usize, Gauge, Some("cache_capacity"), "ezrt_cache_capacity",
+        "Configured outcome-entry bound (0 = memory tier disabled).";
+    entries: usize, Gauge, Some("cache_entries"), "ezrt_cache_entries",
+        "Completed outcomes resident in the memory tier.";
+    inflight: usize, Gauge, Some("cache_inflight"), "ezrt_cache_inflight",
+        "Syntheses currently in flight.";
+    hits: u64, Counter, Some("cache_hits"), "ezrt_cache_hits_total",
+        "Requests served from a completed in-memory cache entry.";
+    disk_hits: u64, Counter, Some("cache_disk_hits"), "ezrt_cache_disk_hits_total",
+        "Requests revived from the disk tier without a synthesis.";
+    misses: u64, Counter, Some("cache_misses"), "ezrt_cache_misses_total",
+        "Synthesis runs started (one per singleflight group).";
+    joined: u64, Counter, Some("cache_joined"), "ezrt_cache_joined_total",
+        "Requests that waited on another request's in-flight synthesis.";
+    evictions: u64, Counter, Some("cache_evictions"), "ezrt_cache_evictions_total",
+        "Outcome entries evicted under LRU pressure.";
+    rendered_capacity: usize, Gauge, Some("rendered_capacity"), "ezrt_rendered_capacity",
+        "Rendered-entry bound: outcome capacity times distinct kinds (0 = none memoized).";
+    rendered_entries: usize, Gauge, Some("rendered_entries"), "ezrt_rendered_entries",
+        "Rendered artifacts memoized on resident outcomes.";
+    rendered_hits: u64, Counter, Some("rendered_hits"), "ezrt_rendered_hits_total",
+        "Artifact requests served from memoized rendered bytes.";
+    rendered_misses: u64, Counter, Some("rendered_misses"), "ezrt_rendered_misses_total",
+        "Artifact requests that ran the render.";
+    rendered_evictions: u64, Counter, Some("rendered_evictions"), "ezrt_rendered_evictions_total",
+        "Memoized renderings dropped with their evicted outcomes.";
+    rendered_bytes: u64, Gauge, Some("rendered_bytes"), "ezrt_rendered_bytes",
+        "Bytes of the rendered artifacts memoized on resident outcomes.";
 }
 
 /// One artifact served by [`ResultCache::render_artifact`].
@@ -213,17 +215,8 @@ pub struct ResultCache {
     ancestors: Mutex<AncestorIndex>,
     /// Global LRU clock, bumped on every hit and insert.
     tick: AtomicU64,
-    // Per-instance observability cells (`ezrt_obs::Counter` is the
-    // same relaxed `AtomicU64` the hand-rolled counters were, behind a
-    // cloneable handle a `Registry` can render).
-    hits: Counter,
-    disk_hits: Counter,
-    misses: Counter,
-    joined: Counter,
-    evictions: Counter,
-    rendered_hits: Counter,
-    rendered_misses: Counter,
-    rendered_evictions: Counter,
+    /// The counters and gauges of [`CacheStats`].
+    cells: CacheCells,
 }
 
 impl ResultCache {
@@ -250,62 +243,15 @@ impl ResultCache {
             disk,
             ancestors: Mutex::new(AncestorIndex::default()),
             tick: AtomicU64::new(0),
-            hits: Counter::new(),
-            disk_hits: Counter::new(),
-            misses: Counter::new(),
-            joined: Counter::new(),
-            evictions: Counter::new(),
-            rendered_hits: Counter::new(),
-            rendered_misses: Counter::new(),
-            rendered_evictions: Counter::new(),
+            cells: CacheCells::default(),
         }
     }
 
-    /// Registers this cache's counters — outcomes, rendered bytes and
-    /// the disk tier — into
-    /// `registry` for Prometheus exposition. The cells stay owned by
-    /// the cache (per-instance counts), the registry just renders them.
+    /// Registers this cache's metrics, the disk tier's included, in
+    /// `registry` for Prometheus exposition. The cells stay owned by the
+    /// cache (per-instance counts); the registry just renders them.
     pub fn register_metrics(&self, registry: &Registry) {
-        registry.register_counter(
-            "ezrt_cache_hits_total",
-            "Requests served from a completed in-memory cache entry.",
-            &self.hits,
-        );
-        registry.register_counter(
-            "ezrt_cache_disk_hits_total",
-            "Requests revived from the disk tier without a synthesis.",
-            &self.disk_hits,
-        );
-        registry.register_counter(
-            "ezrt_cache_misses_total",
-            "Synthesis runs started (one per singleflight group).",
-            &self.misses,
-        );
-        registry.register_counter(
-            "ezrt_cache_joined_total",
-            "Requests that waited on another request's in-flight synthesis.",
-            &self.joined,
-        );
-        registry.register_counter(
-            "ezrt_cache_evictions_total",
-            "Outcome entries evicted under LRU pressure.",
-            &self.evictions,
-        );
-        registry.register_counter(
-            "ezrt_rendered_hits_total",
-            "Artifact requests served from memoized rendered bytes.",
-            &self.rendered_hits,
-        );
-        registry.register_counter(
-            "ezrt_rendered_misses_total",
-            "Artifact requests that ran the render.",
-            &self.rendered_misses,
-        );
-        registry.register_counter(
-            "ezrt_rendered_evictions_total",
-            "Memoized renderings dropped with their evicted outcomes.",
-            &self.rendered_evictions,
-        );
+        self.cells.register(registry);
         if let Some(disk) = &self.disk {
             disk.register_metrics(registry);
         }
@@ -332,7 +278,7 @@ impl ResultCache {
     ) -> Result<RenderedArtifact, RenderError> {
         let content_type = kind.content_type();
         if let Some(bytes) = outcome.rendered.get(kind) {
-            self.rendered_hits.inc();
+            self.cells.rendered_hits.inc();
             let bytes = Arc::clone(bytes);
             return Ok(RenderedArtifact {
                 content_type,
@@ -341,7 +287,7 @@ impl ResultCache {
             });
         }
         let bytes: Arc<[u8]> = render(outcome, kind)?.text.into_bytes().into();
-        self.rendered_misses.inc();
+        self.cells.rendered_misses.inc();
         // Only an outcome the memory tier may keep memoizes its bytes.
         if self.capacity > 0 && outcome.cacheable {
             outcome.rendered.fill(kind, Arc::clone(&bytes));
@@ -386,7 +332,7 @@ impl ResultCache {
                 let mut shard = self.shard(&digest).lock().expect("cache shard poisoned");
                 if let Some(entry) = shard.entries.get_mut(&digest) {
                     entry.last_used = self.next_tick();
-                    self.hits.inc();
+                    self.cells.hits.inc();
                     return (Arc::clone(&entry.outcome), Lookup::Hit);
                 }
                 match shard.inflight.get(&digest) {
@@ -408,10 +354,10 @@ impl ResultCache {
                         let (outcome, lookup) = self.run_compute(digest, &flight, || {
                             if let Some(revived) = self.disk.as_ref().and_then(|d| d.load(&digest))
                             {
-                                self.disk_hits.inc();
+                                self.cells.disk_hits.inc();
                                 return (revived, Lookup::Disk);
                             }
-                            self.misses.inc();
+                            self.cells.misses.inc();
                             (produce(), Lookup::Miss)
                         });
                         if lookup == Lookup::Miss && outcome.cacheable {
@@ -431,7 +377,7 @@ impl ResultCache {
                         slot = flight.completed.wait(slot).expect("inflight slot poisoned");
                     }
                     InflightSlot::Done(outcome, resolved) => {
-                        self.joined.inc();
+                        self.cells.joined.inc();
                         // Report the owner's resolution so every
                         // coalesced response is byte-identical: a
                         // joined synthesis is a "miss" (the latency
@@ -479,12 +425,12 @@ impl ResultCache {
             let mut shard = self.shard(&digest).lock().expect("cache shard poisoned");
             if let Some(entry) = shard.entries.get_mut(&digest) {
                 entry.last_used = self.next_tick();
-                self.hits.inc();
+                self.cells.hits.inc();
                 return Some((Arc::clone(&entry.outcome), Lookup::Hit));
             }
         }
         let revived = self.disk.as_ref().and_then(|d| d.load(&digest))?;
-        self.disk_hits.inc();
+        self.cells.disk_hits.inc();
         let outcome = Arc::new(revived);
         self.insert_completed(digest, &outcome);
         Some((outcome, Lookup::Disk))
@@ -576,42 +522,30 @@ impl ResultCache {
                 .expect("non-empty over-capacity shard");
             if let Some(evicted) = shard.entries.remove(&oldest) {
                 let (kinds, _) = evicted.outcome.rendered.footprint();
-                self.rendered_evictions.add(kinds as u64);
+                self.cells.rendered_evictions.add(kinds as u64);
             }
-            self.evictions.inc();
+            self.cells.evictions.inc();
         }
     }
 
     /// A consistent-enough snapshot of the counters (entry, inflight
-    /// and rendered counts sum over shards without a global lock).
+    /// and rendered counts sum over shards without a global lock); taking
+    /// it shows its gauges on `/v1/metrics`.
     pub fn stats(&self) -> CacheStats {
-        let (mut entries, mut inflight, mut rendered_entries, mut rendered_bytes) = (0, 0, 0, 0);
-        for shard in &self.shards {
-            let shard = shard.lock().expect("cache shard poisoned");
-            entries += shard.entries.len();
-            inflight += shard.inflight.len();
-            for entry in shard.entries.values() {
-                let (kinds, bytes) = entry.outcome.rendered.footprint();
-                rendered_entries += kinds;
-                rendered_bytes += bytes;
+        self.cells.snapshot(|stats| {
+            for shard in &self.shards {
+                let shard = shard.lock().expect("cache shard poisoned");
+                stats.entries += shard.entries.len();
+                stats.inflight += shard.inflight.len();
+                for entry in shard.entries.values() {
+                    let (kinds, bytes) = entry.outcome.rendered.footprint();
+                    stats.rendered_entries += kinds;
+                    stats.rendered_bytes += bytes;
+                }
             }
-        }
-        CacheStats {
-            hits: self.hits.get(),
-            disk_hits: self.disk_hits.get(),
-            misses: self.misses.get(),
-            joined: self.joined.get(),
-            evictions: self.evictions.get(),
-            entries,
-            inflight,
-            capacity: self.capacity,
-            rendered_hits: self.rendered_hits.get(),
-            rendered_misses: self.rendered_misses.get(),
-            rendered_evictions: self.rendered_evictions.get(),
-            rendered_entries,
-            rendered_bytes,
-            rendered_capacity: self.capacity.saturating_mul(ArtifactKind::COUNT),
-        }
+            stats.capacity = self.capacity;
+            stats.rendered_capacity = self.capacity.saturating_mul(ArtifactKind::COUNT);
+        })
     }
 }
 

@@ -34,7 +34,7 @@
 use crate::cache::SynthesisOutcome;
 use crate::digest::SpecDigest;
 use ezrt_artifacts::codec;
-use ezrt_obs::{Counter, Registry};
+use ezrt_obs::Registry;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
@@ -47,27 +47,27 @@ const ENTRY_EXTENSION: &str = "ezrtc";
 /// rename; anything this stale belongs to a crashed process.
 const TEMP_FILE_TTL: Duration = Duration::from_secs(120);
 
-/// Counters of one [`DiskTier`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DiskStats {
-    /// Entries successfully loaded and decoded.
-    pub loads: u64,
-    /// Lookups that found no file (a clean miss).
-    pub load_misses: u64,
-    /// Files that existed but failed verification or decoding (and
-    /// were ignored).
-    pub load_errors: u64,
-    /// Entries successfully written.
-    pub writes: u64,
-    /// Failed writes (ignored; the memory tier keeps serving).
-    pub write_errors: u64,
-    /// Valid entries evicted by the byte-budget sweep (oldest mtime
-    /// first).
-    pub gc_evicted: u64,
-    /// Stale temp files and misnamed `.ezrtc` files reaped by sweeps.
-    pub gc_reaped: u64,
-    /// Total bytes reclaimed by sweeps (evictions plus reaps).
-    pub gc_reclaimed_bytes: u64,
+ezrt_obs::metric_table! {
+    /// Counters of one [`DiskTier`], in `/v1/stats` order; the rows with
+    /// no key are on `/v1/metrics` only.
+    pub struct DiskStats;
+    struct DiskCells;
+    loads: u64, Counter, None, "ezrt_disk_loads_total",
+        "Disk-tier entries successfully loaded and decoded.";
+    load_misses: u64, Counter, None, "ezrt_disk_load_misses_total",
+        "Disk-tier lookups that found no file.";
+    writes: u64, Counter, Some("disk_writes"), "ezrt_disk_writes_total",
+        "Disk-tier entries successfully written.";
+    load_errors: u64, Counter, Some("disk_load_errors"), "ezrt_disk_load_errors_total",
+        "Disk-tier files that failed verification or decoding.";
+    write_errors: u64, Counter, None, "ezrt_disk_write_errors_total",
+        "Disk-tier writes that failed (ignored, memory tier keeps serving).";
+    gc_evicted: u64, Counter, Some("disk_gc_evicted"), "ezrt_disk_gc_evicted_total",
+        "Valid disk entries evicted by the byte-budget sweep.";
+    gc_reaped: u64, Counter, Some("disk_gc_reaped"), "ezrt_disk_gc_reaped_total",
+        "Stale temp files and misnamed entries reaped by sweeps.";
+    gc_reclaimed_bytes: u64, Counter, Some("disk_gc_reclaimed_bytes"),
+        "ezrt_disk_gc_reclaimed_bytes_total", "Total bytes reclaimed by disk-tier sweeps.";
 }
 
 /// A directory of persisted synthesis outcomes. See the
@@ -80,14 +80,7 @@ pub struct DiskTier {
     max_bytes: Option<u64>,
     /// Uniquifies temp-file names within this process.
     sequence: AtomicU64,
-    loads: Counter,
-    load_misses: Counter,
-    load_errors: Counter,
-    writes: Counter,
-    write_errors: Counter,
-    gc_evicted: Counter,
-    gc_reaped: Counter,
-    gc_reclaimed_bytes: Counter,
+    cells: DiskCells,
 }
 
 impl DiskTier {
@@ -124,62 +117,16 @@ impl DiskTier {
             dir,
             max_bytes,
             sequence: AtomicU64::new(0),
-            loads: Counter::new(),
-            load_misses: Counter::new(),
-            load_errors: Counter::new(),
-            writes: Counter::new(),
-            write_errors: Counter::new(),
-            gc_evicted: Counter::new(),
-            gc_reaped: Counter::new(),
-            gc_reclaimed_bytes: Counter::new(),
+            cells: DiskCells::default(),
         };
         tier.sweep();
         Ok(tier)
     }
 
-    /// Registers the disk tier's counters — including the GC sweep
-    /// family — into `registry` for Prometheus exposition.
+    /// Registers the disk tier's counters, the GC sweep's included, in
+    /// `registry` for Prometheus exposition.
     pub fn register_metrics(&self, registry: &Registry) {
-        registry.register_counter(
-            "ezrt_disk_loads_total",
-            "Disk-tier entries successfully loaded and decoded.",
-            &self.loads,
-        );
-        registry.register_counter(
-            "ezrt_disk_load_misses_total",
-            "Disk-tier lookups that found no file.",
-            &self.load_misses,
-        );
-        registry.register_counter(
-            "ezrt_disk_load_errors_total",
-            "Disk-tier files that failed verification or decoding.",
-            &self.load_errors,
-        );
-        registry.register_counter(
-            "ezrt_disk_writes_total",
-            "Disk-tier entries successfully written.",
-            &self.writes,
-        );
-        registry.register_counter(
-            "ezrt_disk_write_errors_total",
-            "Disk-tier writes that failed (ignored, memory tier keeps serving).",
-            &self.write_errors,
-        );
-        registry.register_counter(
-            "ezrt_disk_gc_evicted_total",
-            "Valid disk entries evicted by the byte-budget sweep.",
-            &self.gc_evicted,
-        );
-        registry.register_counter(
-            "ezrt_disk_gc_reaped_total",
-            "Stale temp files and misnamed entries reaped by sweeps.",
-            &self.gc_reaped,
-        );
-        registry.register_counter(
-            "ezrt_disk_gc_reclaimed_bytes_total",
-            "Total bytes reclaimed by disk-tier sweeps.",
-            &self.gc_reclaimed_bytes,
-        );
+        self.cells.register(registry);
     }
 
     /// The configured byte budget, when one is set.
@@ -205,23 +152,23 @@ impl DiskTier {
         let bytes = match std::fs::read(self.entry_path(digest)) {
             Ok(bytes) => bytes,
             Err(error) if error.kind() == std::io::ErrorKind::NotFound => {
-                self.load_misses.inc();
+                self.cells.load_misses.inc();
                 return None;
             }
             Err(_) => {
-                self.load_errors.inc();
+                self.cells.load_errors.inc();
                 return None;
             }
         };
         match codec::decode_file(&bytes) {
             Ok(outcome) if outcome.digest == *digest => {
-                self.loads.inc();
+                self.cells.loads.inc();
                 Some(outcome)
             }
             Ok(_) | Err(_) => {
                 // Misnamed (digest mismatch) or failed verification:
                 // ignore and let the caller re-synthesize.
-                self.load_errors.inc();
+                self.cells.load_errors.inc();
                 None
             }
         }
@@ -241,7 +188,7 @@ impl DiskTier {
             .and_then(|()| std::fs::rename(&temp, self.entry_path(&outcome.digest)));
         match finish {
             Ok(()) => {
-                self.writes.inc();
+                self.cells.writes.inc();
                 // Keep the store inside its budget: GC after every
                 // write (the sweep is a no-op scan when under budget).
                 if self.max_bytes.is_some() {
@@ -250,7 +197,7 @@ impl DiskTier {
             }
             Err(_) => {
                 let _ = std::fs::remove_file(&temp);
-                self.write_errors.inc();
+                self.cells.write_errors.inc();
             }
         }
     }
@@ -317,8 +264,8 @@ impl DiskTier {
             }
             total = total.saturating_sub(len);
             if std::fs::remove_file(&path).is_ok() {
-                self.gc_evicted.inc();
-                self.gc_reclaimed_bytes.add(len);
+                self.cells.gc_evicted.inc();
+                self.cells.gc_reclaimed_bytes.add(len);
             }
         }
     }
@@ -326,23 +273,14 @@ impl DiskTier {
     /// Removes one reap candidate, counting it when the removal stuck.
     fn reap(&self, path: &Path, len: u64) {
         if std::fs::remove_file(path).is_ok() {
-            self.gc_reaped.inc();
-            self.gc_reclaimed_bytes.add(len);
+            self.cells.gc_reaped.inc();
+            self.cells.gc_reclaimed_bytes.add(len);
         }
     }
 
     /// A snapshot of the counters.
     pub fn stats(&self) -> DiskStats {
-        DiskStats {
-            loads: self.loads.get(),
-            load_misses: self.load_misses.get(),
-            load_errors: self.load_errors.get(),
-            writes: self.writes.get(),
-            write_errors: self.write_errors.get(),
-            gc_evicted: self.gc_evicted.get(),
-            gc_reaped: self.gc_reaped.get(),
-            gc_reclaimed_bytes: self.gc_reclaimed_bytes.get(),
-        }
+        self.cells.snapshot(|_| {})
     }
 }
 

@@ -60,7 +60,12 @@
 //! add `X-Ezrt-Elapsed-Micros`. The same phases feed per-phase
 //! histograms exposed at `/v1/metrics`, and an optional NDJSON access
 //! log ([`ServerConfig::log_file`]) records one line per routed
-//! request.
+//! request. Each service metric is one table row: `HttpStats` here,
+//! [`CacheStats`](crate::CacheStats) and [`DiskStats`](crate::DiskStats)
+//! (field, `/v1/stats` key or none, family, counter or gauge, help; see
+//! [`ezrt_obs::metric_table!`]), and the histograms' `HISTOGRAMS`. The
+//! rows drive both `/v1/stats` and `/v1/metrics`, so to add a service
+//! metric, add one row.
 
 use crate::cache::{
     compute_outcome, compute_outcome_incremental, Lookup, ResultCache, SynthesisOutcome, SHARDS,
@@ -71,7 +76,7 @@ use crate::report::{self, JsonFields};
 use crate::sweep::{run_sweep, SweepOptions};
 use ezrt_artifacts::{ArtifactKind, RenderError};
 use ezrt_core::Project;
-use ezrt_obs::{Counter, Gauge, Histogram, Registry};
+use ezrt_obs::{Counter, Histogram, Registry};
 use ezrt_scheduler::{Parallelism, PorLevel, SchedulerConfig, SearchCounter, SearchStats};
 use ezrt_spec::sweep::SweepGrid;
 use std::collections::VecDeque;
@@ -151,6 +156,76 @@ impl Default for ServerConfig {
 /// arrivals — the bounded last resort when even shedding is saturated.
 const MAX_SHED_BACKLOG: usize = 128;
 
+ezrt_obs::metric_table! {
+    /// The HTTP front end's counters and gauges. `connections`,
+    /// `requests` and `workers` lead `/v1/stats`, which renders them by
+    /// hand; `uptime_seconds` is there as `uptime_ms`.
+    struct HttpStats;
+    struct HttpCells;
+    connections: u64, Counter, Some("connections"), "ezrt_http_connections_total",
+        "Connections accepted into the worker queue.";
+    requests: u64, Counter, Some("requests"), "ezrt_http_requests_total",
+        "HTTP requests parsed.";
+    shed_connections: u64, Counter, Some("shed_connections"), "ezrt_http_shed_connections_total",
+        "Connections shed with 503 because the accept queue was full.";
+    schedule_requests: u64, Counter, Some("schedule_requests"),
+        "ezrt_http_schedule_requests_total", "POST /v1/schedule requests.";
+    artifact_requests: u64, Counter, Some("artifact_requests"),
+        "ezrt_http_artifact_requests_total",
+        "Artifact requests (GET /v1/artifact and the artifact POST routes).";
+    sweep_requests: u64, Counter, Some("sweep_requests"), "ezrt_sweep_requests_total",
+        "POST /v1/sweep requests (any status).";
+    sweep_points: u64, Counter, Some("sweep_points"), "ezrt_sweep_points_total",
+        "Grid points expanded by completed sweeps.";
+    http_errors: u64, Counter, Some("http_errors"), "ezrt_http_errors_total",
+        "Responses with status 400 or above.";
+    not_modified: u64, Counter, Some("not_modified"), "ezrt_http_not_modified_total",
+        "304 Not Modified responses (conditional hits).";
+    uptime_seconds: u64, Gauge, None, "ezrt_uptime_seconds",
+        "Seconds since the server started.";
+    workers: u64, Gauge, Some("workers"), "ezrt_http_workers",
+        "Connection worker threads.";
+}
+
+/// A timed phase of a routed request; indexes the first six rows of
+/// [`HISTOGRAMS`].
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    Parse,
+    Digest,
+    Cache,
+    Warm,
+    Search,
+    Render,
+}
+
+/// The HTTP front end's histograms, one `(name, family, help)` row each:
+/// the six [`Phase`]s, named as in `Server-Timing` and the access log,
+/// then [`REQUEST`], [`WRITE`] and [`RESPONSE_BYTES`].
+#[rustfmt::skip]
+const HISTOGRAMS: [(&str, &str, &str); 9] = [
+    ("parse", "ezrt_phase_parse_micros", "Spec parse phase duration in microseconds."),
+    ("digest", "ezrt_phase_digest_micros",
+        "Digest computation phase duration in microseconds."),
+    ("cache", "ezrt_phase_cache_micros",
+        "Cache lookup/coordination phase duration in microseconds."),
+    ("warm", "ezrt_phase_warm_micros",
+        "Warm-start ancestor resolution phase duration in microseconds."),
+    ("search", "ezrt_phase_search_micros", "Synthesis/search phase duration in microseconds."),
+    ("render", "ezrt_phase_render_micros", "Artifact render phase duration in microseconds."),
+    ("request", "ezrt_http_request_micros",
+        "Routed request duration in microseconds (parse through response enqueue)."),
+    ("write", "ezrt_http_write_micros",
+        "Socket write+flush duration in microseconds per response batch."),
+    ("response_bytes", "ezrt_http_response_bytes", "Response body sizes in bytes."),
+];
+/// The [`HISTOGRAMS`] row of the routed-request total.
+const REQUEST: usize = 6;
+/// The [`HISTOGRAMS`] row of the socket write per response batch.
+const WRITE: usize = 7;
+/// The [`HISTOGRAMS`] row of the response body size.
+const RESPONSE_BYTES: usize = 8;
+
 /// Shared server state: the cache, the connection queue, the counters.
 #[derive(Debug)]
 struct Shared {
@@ -171,164 +246,28 @@ struct Shared {
     /// The per-server metrics registry `GET /v1/metrics` renders
     /// (merged with the process-wide engine registry at scrape time).
     registry: Registry,
-    /// Per-request latency/size histograms, registered in `registry`.
-    metrics: HttpMetrics,
-    /// Scrape-time gauges (entry counts, resident bytes), set on each
-    /// `/v1/metrics` render.
-    gauges: ServerGauges,
     /// The NDJSON access log (`--log-file`), line-buffered.
     log: Option<Mutex<LineWriter<std::fs::File>>>,
-    connections: Counter,
-    shed_connections: Counter,
-    requests: Counter,
-    schedule_requests: Counter,
-    artifact_requests: Counter,
-    /// `POST /v1/sweep` requests (any status).
-    sweep_requests: Counter,
-    /// Grid points expanded by completed sweeps (rows rendered,
-    /// including invalid points).
-    sweep_points: Counter,
-    http_errors: Counter,
-    /// `304 Not Modified` responses (conditional hits).
-    not_modified: Counter,
+    /// The counters and gauges of [`HttpStats`].
+    cells: HttpCells,
+    /// One histogram per [`HISTOGRAMS`] row.
+    histograms: [Histogram; HISTOGRAMS.len()],
     /// Per-miss search counters: one cell per [`SearchStats::COUNTERS`]
     /// entry with a server family, in table order, summed over the
     /// searches schedule misses ran.
     search_counters: Vec<(&'static SearchCounter, Counter)>,
 }
 
-/// The HTTP layer's latency and size histograms (all microseconds
-/// except `response_bytes`). Created through the registry, so they are
-/// registered the moment the server starts.
-#[derive(Debug)]
-struct HttpMetrics {
-    /// Total routed-request duration (parse through enqueue).
-    request_micros: Histogram,
-    /// Socket write+flush duration per non-pipelined response batch.
-    write_micros: Histogram,
-    /// Response body sizes.
-    response_bytes: Histogram,
-    /// Per-phase durations, same names as the `Server-Timing` header.
-    phase_parse: Histogram,
-    phase_digest: Histogram,
-    phase_cache: Histogram,
-    phase_warm: Histogram,
-    phase_search: Histogram,
-    phase_render: Histogram,
-}
-
-impl HttpMetrics {
-    fn register(registry: &Registry) -> HttpMetrics {
-        HttpMetrics {
-            request_micros: registry.histogram(
-                "ezrt_http_request_micros",
-                "Routed request duration in microseconds (parse through response enqueue).",
-            ),
-            write_micros: registry.histogram(
-                "ezrt_http_write_micros",
-                "Socket write+flush duration in microseconds per response batch.",
-            ),
-            response_bytes: registry
-                .histogram("ezrt_http_response_bytes", "Response body sizes in bytes."),
-            phase_parse: registry.histogram(
-                "ezrt_phase_parse_micros",
-                "Spec parse phase duration in microseconds.",
-            ),
-            phase_digest: registry.histogram(
-                "ezrt_phase_digest_micros",
-                "Digest computation phase duration in microseconds.",
-            ),
-            phase_cache: registry.histogram(
-                "ezrt_phase_cache_micros",
-                "Cache lookup/coordination phase duration in microseconds.",
-            ),
-            phase_warm: registry.histogram(
-                "ezrt_phase_warm_micros",
-                "Warm-start ancestor resolution phase duration in microseconds.",
-            ),
-            phase_search: registry.histogram(
-                "ezrt_phase_search_micros",
-                "Synthesis/search phase duration in microseconds.",
-            ),
-            phase_render: registry.histogram(
-                "ezrt_phase_render_micros",
-                "Artifact render phase duration in microseconds.",
-            ),
-        }
-    }
-
-    fn phase(&self, name: &str) -> Option<&Histogram> {
-        match name {
-            "parse" => Some(&self.phase_parse),
-            "digest" => Some(&self.phase_digest),
-            "cache" => Some(&self.phase_cache),
-            "warm" => Some(&self.phase_warm),
-            "search" => Some(&self.phase_search),
-            "render" => Some(&self.phase_render),
-            _ => None,
-        }
-    }
-}
-
-/// Gauges `/v1/metrics` sets at scrape time (resident counts move both
-/// ways, so they cannot be counters).
-#[derive(Debug)]
-struct ServerGauges {
-    uptime_seconds: Gauge,
-    workers: Gauge,
-    cache_entries: Gauge,
-    cache_inflight: Gauge,
-    cache_capacity: Gauge,
-    rendered_entries: Gauge,
-    rendered_bytes: Gauge,
-    rendered_capacity: Gauge,
-}
-
-impl ServerGauges {
-    fn register(registry: &Registry) -> ServerGauges {
-        ServerGauges {
-            uptime_seconds: registry
-                .gauge("ezrt_uptime_seconds", "Seconds since the server started."),
-            workers: registry.gauge("ezrt_http_workers", "Connection worker threads."),
-            cache_entries: registry.gauge(
-                "ezrt_cache_entries",
-                "Completed outcomes resident in the memory tier.",
-            ),
-            cache_inflight: registry.gauge("ezrt_cache_inflight", "Syntheses currently in flight."),
-            cache_capacity: registry.gauge(
-                "ezrt_cache_capacity",
-                "Configured outcome-entry bound (0 = memory tier disabled).",
-            ),
-            rendered_entries: registry.gauge(
-                "ezrt_rendered_entries",
-                "Rendered artifacts memoized on resident outcomes.",
-            ),
-            rendered_bytes: registry.gauge(
-                "ezrt_rendered_bytes",
-                "Bytes of the rendered artifacts memoized on resident outcomes.",
-            ),
-            rendered_capacity: registry.gauge(
-                "ezrt_rendered_capacity",
-                "Rendered-entry bound: outcome capacity times distinct kinds (0 = none memoized).",
-            ),
-        }
-    }
-
-    /// Reads each value the gauges show once and sets them.
-    fn refresh(&self, shared: &Shared) {
-        let cache = shared.cache.stats();
-        self.uptime_seconds.set(shared.started.elapsed().as_secs());
-        self.workers.set(shared.workers as u64);
-        self.cache_entries.set(cache.entries as u64);
-        self.cache_inflight.set(cache.inflight as u64);
-        self.cache_capacity.set(cache.capacity as u64);
-        self.rendered_entries.set(cache.rendered_entries as u64);
-        self.rendered_bytes.set(cache.rendered_bytes);
-        self.rendered_capacity.set(cache.rendered_capacity as u64);
-    }
-}
-
 impl Shared {
+    /// The HTTP counters, with the uptime and worker gauges; taking it
+    /// shows those gauges on `/v1/metrics`.
+    fn snapshot(&self) -> HttpStats {
+        self.cells.snapshot(|stats| {
+            stats.uptime_seconds = self.started.elapsed().as_secs();
+            stats.workers = self.workers as u64;
+        })
+    }
+
     /// Appends one NDJSON line for a routed request to the access log,
     /// when one is configured. Schema (one object per line): `t_micros`
     /// (since server start), `method`, `path`, `status`, `digest`,
@@ -362,11 +301,11 @@ impl Shared {
             }
         }
         line.push_str(",\"phases\":{");
-        for (index, (name, micros)) in timing.phases.iter().enumerate() {
+        for (index, (phase, micros)) in timing.phases.iter().enumerate() {
             if index > 0 {
                 line.push(',');
             }
-            line.push_str(&format!("\"{name}\":{micros}"));
+            line.push_str(&format!("\"{}\":{micros}", HISTOGRAMS[*phase as usize].0));
         }
         line.push_str(&format!(
             "}},\"elapsed_micros\":{},\"write_micros\":{write_micros},\"bytes\":{}}}",
@@ -442,11 +381,11 @@ impl Server {
         // The engine's families live in the global registry; register
         // them now so a scrape before the first search lists them too.
         ezrt_scheduler::register_metrics();
-        let metrics = HttpMetrics::register(&registry);
-        let gauges = ServerGauges::register(&registry);
+        let cells = HttpCells::default();
+        cells.register(&registry);
+        let histograms = HISTOGRAMS.map(|(_, family, help)| registry.histogram(family, help));
         let cache = ResultCache::with_disk(config.cache_capacity, SHARDS, disk);
         cache.register_metrics(&registry);
-        let counter = |name, help| registry.counter(name, help);
         let shared = Arc::new(Shared {
             addr: local,
             running: AtomicBool::new(true),
@@ -459,47 +398,14 @@ impl Server {
             workers,
             max_pending: config.max_pending,
             started: Instant::now(),
-            connections: counter(
-                "ezrt_http_connections_total",
-                "Connections accepted into the worker queue.",
-            ),
-            shed_connections: counter(
-                "ezrt_http_shed_connections_total",
-                "Connections shed with 503 because the accept queue was full.",
-            ),
-            requests: counter("ezrt_http_requests_total", "HTTP requests parsed."),
-            schedule_requests: counter(
-                "ezrt_http_schedule_requests_total",
-                "POST /v1/schedule requests.",
-            ),
-            artifact_requests: counter(
-                "ezrt_http_artifact_requests_total",
-                "Artifact requests (GET /v1/artifact and the artifact POST routes).",
-            ),
-            sweep_requests: counter(
-                "ezrt_sweep_requests_total",
-                "POST /v1/sweep requests (any status).",
-            ),
-            sweep_points: counter(
-                "ezrt_sweep_points_total",
-                "Grid points expanded by completed sweeps.",
-            ),
-            http_errors: counter(
-                "ezrt_http_errors_total",
-                "Responses with status 400 or above.",
-            ),
-            not_modified: counter(
-                "ezrt_http_not_modified_total",
-                "304 Not Modified responses (conditional hits).",
-            ),
             search_counters: SearchStats::COUNTERS
                 .iter()
-                .filter_map(|c| Some((c, counter(c.server_family?, c.help))))
+                .filter_map(|c| Some((c, registry.counter(c.server_family?, c.help))))
                 .collect(),
             registry,
-            metrics,
-            gauges,
             log,
+            cells,
+            histograms,
         });
 
         let mut threads = Vec::with_capacity(workers + 2);
@@ -576,7 +482,7 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                     // accept loop must never block on a client, which
                     // is exactly what a shed-worthy overload produces.
                     drop(queue);
-                    shared.shed_connections.inc();
+                    shared.cells.shed_connections.inc();
                     let mut sheds = shared.shed_queue.lock().expect("shed queue poisoned");
                     if sheds.len() < MAX_SHED_BACKLOG {
                         sheds.push_back(stream);
@@ -783,7 +689,7 @@ impl Connection {
 }
 
 fn handle_connection(shared: &Shared, stream: TcpStream) {
-    shared.connections.inc();
+    shared.cells.connections.inc();
     // Keep-alive turns each connection into a request/response ping-pong
     // of small writes; without TCP_NODELAY, Nagle holds every second
     // write until the peer's (possibly delayed) ACK, stalling loopback
@@ -808,8 +714,8 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 break;
             }
             Err(response) => {
-                shared.requests.inc();
-                shared.http_errors.inc();
+                shared.cells.requests.inc();
+                shared.cells.http_errors.inc();
                 // Parse errors answer before the body was consumed, so
                 // a plain close would RST the error response away.
                 conn.enqueue(&response, true, false);
@@ -819,7 +725,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 break;
             }
         };
-        shared.requests.inc();
+        shared.cells.requests.inc();
         served += 1;
         let head_only = request.method == "HEAD";
         let mut timing = RequestTiming::new();
@@ -831,25 +737,20 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         }))
         .unwrap_or_else(|_| Response::error(500, "internal error while handling the request"));
         if response.status >= 400 {
-            shared.http_errors.inc();
+            shared.cells.http_errors.inc();
         }
         if response.status == 304 {
-            shared.not_modified.inc();
+            shared.cells.not_modified.inc();
         }
         // Observability: total + phase histograms, then the phase
         // breakdown as a `Server-Timing` header and — on the
         // digest-addressed routes, recognizable by their provenance
         // header — the total as `X-Ezrt-Elapsed-Micros`.
         let elapsed_micros = timing.elapsed_micros();
-        shared.metrics.request_micros.observe(elapsed_micros);
-        shared
-            .metrics
-            .response_bytes
-            .observe(response.body.as_bytes().len() as u64);
-        for (name, micros) in &timing.phases {
-            if let Some(histogram) = shared.metrics.phase(name) {
-                histogram.observe(*micros);
-            }
+        shared.histograms[REQUEST].observe(elapsed_micros);
+        shared.histograms[RESPONSE_BYTES].observe(response.body.as_bytes().len() as u64);
+        for (phase, micros) in &timing.phases {
+            shared.histograms[*phase as usize].observe(*micros);
         }
         if header_value(&response, "X-Ezrt-Cache").is_some() {
             response
@@ -872,7 +773,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             let write_started = Instant::now();
             let result = conn.flush();
             write_micros = write_started.elapsed().as_micros() as u64;
-            shared.metrics.write_micros.observe(write_micros);
+            shared.histograms[WRITE].observe(write_micros);
             Some(result)
         } else {
             None
@@ -1050,8 +951,8 @@ impl Response {
 /// histograms, and written to the access log.
 struct RequestTiming {
     started: Instant,
-    /// `(phase name, duration in micros)`, in the order measured.
-    phases: Vec<(&'static str, u64)>,
+    /// `(phase, duration in micros)`, in the order measured.
+    phases: Vec<(Phase, u64)>,
 }
 
 impl RequestTiming {
@@ -1063,15 +964,15 @@ impl RequestTiming {
     }
 
     /// Records a phase measured externally.
-    fn phase(&mut self, name: &'static str, micros: u64) {
-        self.phases.push((name, micros));
+    fn phase(&mut self, phase: Phase, micros: u64) {
+        self.phases.push((phase, micros));
     }
 
-    /// Times `body` as phase `name`.
-    fn time<T>(&mut self, name: &'static str, body: impl FnOnce() -> T) -> T {
+    /// Times `body` as `phase`.
+    fn time<T>(&mut self, phase: Phase, body: impl FnOnce() -> T) -> T {
         let started = Instant::now();
         let value = body();
-        self.phase(name, started.elapsed().as_micros() as u64);
+        self.phase(phase, started.elapsed().as_micros() as u64);
         value
     }
 
@@ -1083,7 +984,8 @@ impl RequestTiming {
     /// total, durations in milliseconds per the header's spec.
     fn server_timing(&self) -> String {
         let mut value = String::new();
-        for (name, micros) in &self.phases {
+        for (phase, micros) in &self.phases {
+            let name = HISTOGRAMS[*phase as usize].0;
             value.push_str(&format!("{name};dur={:.3}, ", *micros as f64 / 1e3));
         }
         value.push_str(&format!(
@@ -1270,12 +1172,12 @@ fn parse_project(shared: &Shared, request: &Request) -> Result<Project, Response
 }
 
 fn schedule(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> Response {
-    shared.schedule_requests.inc();
-    let project = match timing.time("parse", || parse_project(shared, request)) {
+    shared.cells.schedule_requests.inc();
+    let project = match timing.time(Phase::Parse, || parse_project(shared, request)) {
         Ok(project) => project,
         Err(response) => return response,
     };
-    let digest = timing.time("digest", || project_digest(&project));
+    let digest = timing.time(Phase::Digest, || project_digest(&project));
     // The report is addressed by the digest alone (the volatile `cache`
     // provenance field is not part of the resource), so a matching tag
     // proves the client's copy is current before any lookup or
@@ -1315,12 +1217,12 @@ fn schedule(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> R
     });
     let lookup_micros = lookup_started.elapsed().as_micros() as u64;
     timing.phase(
-        "cache",
+        Phase::Cache,
         lookup_micros.saturating_sub(warm_micros.get() + search_micros.get()),
     );
     if lookup == Lookup::Miss {
-        timing.phase("warm", warm_micros.get());
-        timing.phase("search", search_micros.get());
+        timing.phase(Phase::Warm, warm_micros.get());
+        timing.phase(Phase::Search, search_micros.get());
     }
     // Only the flight that ran the search reports its warm-start
     // counters (joiners and cache hits would double-count them), and
@@ -1354,8 +1256,8 @@ fn schedule(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> R
 /// never change the rows; wall-clock and dedup provenance travel in
 /// `X-Ezrt-Sweep-*` headers, never in the body.
 fn sweep(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> Response {
-    shared.sweep_requests.inc();
-    let project = match timing.time("parse", || parse_project(shared, request)) {
+    shared.cells.sweep_requests.inc();
+    let project = match timing.time(Phase::Parse, || parse_project(shared, request)) {
         Ok(project) => project,
         Err(response) => return response,
     };
@@ -1375,13 +1277,13 @@ fn sweep(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> Resp
     };
     // Oversize grids come back from the engine as the only error it
     // reports; everything per-point is a row, not a failure.
-    let report = match timing.time("search", || {
+    let report = match timing.time(Phase::Search, || {
         run_sweep(project.spec(), &grid, &options, &shared.cache)
     }) {
         Ok(report) => report,
         Err(message) => return Response::error(400, &message),
     };
-    shared.sweep_points.add(report.rows.len() as u64);
+    shared.cells.sweep_points.add(report.rows.len() as u64);
     let mut response = Response::json(200, report.render());
     response.content_type = "application/x-ndjson";
     response
@@ -1452,7 +1354,7 @@ fn artifact_get(
     request: &Request,
     timing: &mut RequestTiming,
 ) -> Response {
-    shared.artifact_requests.inc();
+    shared.cells.artifact_requests.inc();
     let Some((digest_hex, kind_text)) = rest.split_once('/') else {
         return Response::error(400, "expected /v1/artifact/<digest>/<kind>");
     };
@@ -1463,7 +1365,7 @@ fn artifact_get(
         Ok(kind) => kind,
         Err(message) => return Response::error(400, &message),
     };
-    let lookup_result = timing.time("cache", || shared.cache.lookup(digest));
+    let lookup_result = timing.time(Phase::Cache, || shared.cache.lookup(digest));
     let Some((outcome, lookup)) = lookup_result else {
         return Response::error(
             404,
@@ -1481,12 +1383,12 @@ fn artifact_post(
     kind: ArtifactKind,
     timing: &mut RequestTiming,
 ) -> Response {
-    shared.artifact_requests.inc();
-    let project = match timing.time("parse", || parse_project(shared, request)) {
+    shared.cells.artifact_requests.inc();
+    let project = match timing.time(Phase::Parse, || parse_project(shared, request)) {
         Ok(project) => project,
         Err(response) => return response,
     };
-    let digest = timing.time("digest", || project_digest(&project));
+    let digest = timing.time(Phase::Digest, || project_digest(&project));
     let search_micros = std::cell::Cell::new(0u64);
     let lookup_started = Instant::now();
     let (outcome, lookup) = shared.cache.get_or_compute(digest, || {
@@ -1496,9 +1398,10 @@ fn artifact_post(
         outcome
     });
     let lookup_micros = lookup_started.elapsed().as_micros() as u64;
-    timing.phase("cache", lookup_micros.saturating_sub(search_micros.get()));
+    let cache_micros = lookup_micros.saturating_sub(search_micros.get());
+    timing.phase(Phase::Cache, cache_micros);
     if lookup == Lookup::Miss {
-        timing.phase("search", search_micros.get());
+        timing.phase(Phase::Search, search_micros.get());
     }
     respond_artifact(shared, &outcome, kind, lookup, request, timing)
 }
@@ -1533,7 +1436,9 @@ fn respond_artifact(
         ];
         return response;
     }
-    match timing.time("render", || shared.cache.render_artifact(outcome, kind)) {
+    match timing.time(Phase::Render, || {
+        shared.cache.render_artifact(outcome, kind)
+    }) {
         Ok(artifact) => Response {
             status: 200,
             content_type: artifact.content_type,
@@ -1561,7 +1466,7 @@ fn check(request: &Request, timing: &mut RequestTiming) -> Response {
         Ok(xml) => xml,
         Err(_) => return Response::error(400, "spec body is not UTF-8"),
     };
-    let project = match timing.time("parse", || Project::from_dsl(xml)) {
+    let project = match timing.time(Phase::Parse, || Project::from_dsl(xml)) {
         Ok(project) => project,
         Err(error) => {
             return Response::json(
@@ -1593,10 +1498,13 @@ fn check(request: &Request, timing: &mut RequestTiming) -> Response {
 /// `GET /v1/stats`: the human-facing JSON counters. Each cell is read
 /// once per response, so one body cannot contradict itself by
 /// re-reading a moving counter mid-render. The field list, order and
-/// formatting are frozen — clients parse this.
+/// formatting are frozen — clients parse this. The leading fields have
+/// formats of their own; every later one is a keyed table row:
+/// [`HttpStats`], the server's search counters, [`CacheStats`], then
+/// [`DiskStats`] (zero without a disk tier).
 fn stats(shared: &Shared) -> Response {
-    let connections = shared.connections.get();
-    let requests = shared.requests.get();
+    let http = shared.snapshot();
+    let (connections, requests) = (http.connections, http.requests);
     let mut fields: JsonFields = vec![
         ("status", "\"ok\"".to_owned()),
         (
@@ -1620,53 +1528,31 @@ fn stats(shared: &Shared) -> Response {
         ),
         ("max_pending", shared.max_pending.to_string()),
     ];
-    for (key, cell) in [
-        ("shed_connections", &shared.shed_connections),
-        ("schedule_requests", &shared.schedule_requests),
-        ("artifact_requests", &shared.artifact_requests),
-        ("sweep_requests", &shared.sweep_requests),
-        ("sweep_points", &shared.sweep_points),
-        ("http_errors", &shared.http_errors),
-        ("not_modified", &shared.not_modified),
-    ] {
-        fields.push((key, cell.get().to_string()));
-    }
-    for (counter, cell) in &shared.search_counters {
-        fields.push((counter.field, cell.get().to_string()));
-    }
+    let search = shared
+        .search_counters
+        .iter()
+        .map(|(counter, cell)| (counter.field, cell.get()));
     let cache = shared.cache.stats();
     let disk = shared.cache.disk_stats().unwrap_or_default();
-    for (key, value) in [
-        ("cache_capacity", cache.capacity as u64),
-        ("cache_entries", cache.entries as u64),
-        ("cache_inflight", cache.inflight as u64),
-        ("cache_hits", cache.hits),
-        ("cache_disk_hits", cache.disk_hits),
-        ("cache_misses", cache.misses),
-        ("cache_joined", cache.joined),
-        ("cache_evictions", cache.evictions),
-        ("rendered_capacity", cache.rendered_capacity as u64),
-        ("rendered_entries", cache.rendered_entries as u64),
-        ("rendered_hits", cache.rendered_hits),
-        ("rendered_misses", cache.rendered_misses),
-        ("rendered_evictions", cache.rendered_evictions),
-        ("rendered_bytes", cache.rendered_bytes),
-        ("disk_writes", disk.writes),
-        ("disk_load_errors", disk.load_errors),
-        ("disk_gc_evicted", disk.gc_evicted),
-        ("disk_gc_reaped", disk.gc_reaped),
-        ("disk_gc_reclaimed_bytes", disk.gc_reclaimed_bytes),
-    ] {
-        fields.push((key, value.to_string()));
+    let rows = http
+        .keyed()
+        .chain(search)
+        .chain(cache.keyed())
+        .chain(disk.keyed());
+    for (key, value) in rows {
+        if !fields.iter().any(|(lead, _)| *lead == key) {
+            fields.push((key, value.to_string()));
+        }
     }
     Response::json(200, report::render_pretty(&fields))
 }
 
 /// `GET /v1/metrics`: Prometheus text exposition (version 0.0.4) of the
 /// per-server registry merged with the process-wide engine registry.
-/// Scrape-time gauges are refreshed first.
+/// Taking the HTTP and cache snapshots first shows their gauges.
 fn metrics(shared: &Shared) -> Response {
-    shared.gauges.refresh(shared);
+    shared.snapshot();
+    shared.cache.stats();
     let text = ezrt_obs::render_prometheus(&[&shared.registry, ezrt_obs::global()]);
     let mut response = Response::json(200, text);
     response.content_type = "text/plain; version=0.0.4";
@@ -1686,6 +1572,8 @@ fn query_value<'a>(query: &'a str, key: &str) -> Option<&'a str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
+    use crate::disk::DiskStats;
 
     #[test]
     fn query_values_parse() {
@@ -1739,5 +1627,137 @@ mod tests {
         assert!(text.contains("ETag: \"d:report-json\"\r\n"));
         assert!(text.contains("Content-Length: 0\r\n"));
         assert!(text.ends_with("\r\n\r\n"), "no body");
+    }
+
+    /// Sends one `Connection: close` request; returns `(status, body)`.
+    fn send(addr: SocketAddr, method: &str, target: &str, etag: &str, body: &str) -> (u16, String) {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .expect("read timeout");
+        let condition = if etag.is_empty() {
+            String::new()
+        } else {
+            format!("If-None-Match: {etag}\r\n")
+        };
+        let head = format!(
+            "{method} {target} HTTP/1.1\r\n{condition}Content-Length: {}\r\nConnection: close\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(head.as_bytes()).expect("write head");
+        stream.write_all(body.as_bytes()).expect("write body");
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("read response");
+        let status = raw[9..12].parse().expect("status code");
+        let (_, body) = raw.split_once("\r\n\r\n").expect("header/body split");
+        (status, body.to_owned())
+    }
+
+    fn spec_xml(period: u64) -> String {
+        let spec = ezrt_spec::SpecBuilder::new("agree")
+            .task("t", |t| t.computation(1).deadline(period).period(period))
+            .build()
+            .expect("tiny spec");
+        ezrt_dsl::to_xml(&spec)
+    }
+
+    /// `(key, value)` of every integer `/v1/stats` field (`separator`
+    /// `": "`) or unlabelled `/v1/metrics` sample (`" "`).
+    fn numbers(text: &str, separator: &str) -> std::collections::BTreeMap<String, u64> {
+        text.lines()
+            .filter_map(|line| {
+                let (key, value) = line.trim().trim_end_matches(',').rsplit_once(separator)?;
+                Some((key.trim_matches('"').to_owned(), value.parse().ok()?))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stats_and_metrics_agree_on_every_keyed_counter() {
+        let dir = std::env::temp_dir().join(format!("ezrt_agree_test_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServerConfig {
+            cache_capacity: 1,
+            cache_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        };
+        let server = Server::start("127.0.0.1:0", config).expect("server starts");
+        let addr = server.addr();
+
+        // Nine digests in eight one-entry shards: at least one LRU
+        // eviction. The last one stays resident, so repeating it hits;
+        // repeating the rest revives the evicted ones from disk.
+        let digests: Vec<String> = (0..9)
+            .map(|index| {
+                let (status, body) = send(addr, "POST", "/v1/schedule", "", &spec_xml(4 + index));
+                assert_eq!(status, 200, "{body}");
+                let start = body.find("\"spec_digest\": \"").expect("digest") + 16;
+                body[start..start + 48].to_owned()
+            })
+            .collect();
+        for index in (0..9).rev() {
+            let (status, _) = send(addr, "POST", "/v1/schedule", "", &spec_xml(4 + index));
+            assert_eq!(status, 200);
+        }
+        let target = format!("/v1/artifact/{}/table", digests[0]);
+        for etag in ["", "", &format!("\"{}:table\"", digests[0])] {
+            let (status, _) = send(addr, "GET", &target, etag, "");
+            assert_eq!(status, if etag.is_empty() { 200 } else { 304 });
+        }
+        let grid = "/v1/sweep?grid=periods:100,150";
+        assert_eq!(send(addr, "POST", grid, "", &spec_xml(4)).0, 200);
+
+        let stats = numbers(&send(addr, "GET", "/v1/stats", "", "").1, ": ");
+        let (_, exposition) = send(addr, "GET", "/v1/metrics", "", "");
+        let samples = numbers(&exposition, " ");
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+        for key in [
+            "cache_misses",
+            "cache_hits",
+            "cache_disk_hits",
+            "cache_evictions",
+        ] {
+            assert!(stats[key] > 0, "{key} never moved");
+        }
+        for key in [
+            "not_modified",
+            "rendered_hits",
+            "sweep_requests",
+            "disk_writes",
+        ] {
+            assert!(stats[key] > 0, "{key} never moved");
+        }
+
+        let search = SearchStats::COUNTERS
+            .iter()
+            .filter_map(|counter| Some((Some(counter.field), counter.server_family?)));
+        let rows = HttpStats::ROWS
+            .iter()
+            .map(|row| (row.stats_key, row.family))
+            .chain(
+                CacheStats::ROWS
+                    .iter()
+                    .map(|row| (row.stats_key, row.family)),
+            )
+            .chain(
+                DiskStats::ROWS
+                    .iter()
+                    .map(|row| (row.stats_key, row.family)),
+            )
+            .chain(search);
+        let mut compared = 0;
+        for (key, family) in rows {
+            let Some(key) = key else { continue };
+            if !exposition.contains(&format!("# TYPE {family} counter\n")) {
+                continue;
+            }
+            // The scrape's own connection and request count before it
+            // renders; /v1/stats was read one request earlier.
+            let offset = u64::from(matches!(key, "connections" | "requests"));
+            assert_eq!(samples[family], stats[key] + offset, "{key} vs {family}");
+            compared += 1;
+        }
+        assert_eq!(compared, 9 + 8 + 5 + 5, "every keyed counter row");
     }
 }

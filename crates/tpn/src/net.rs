@@ -194,11 +194,6 @@ impl TpnBuilder {
             .map(TransitionId::from_index)
     }
 
-    /// Overrides the priority of an existing transition.
-    pub fn set_priority(&mut self, transition: TransitionId, priority: u32) {
-        self.transitions[transition.index()].priority = priority;
-    }
-
     /// Attaches (or replaces) the code binding of an existing transition.
     pub fn set_code(&mut self, transition: TransitionId, code: impl Into<String>) {
         self.transitions[transition.index()].code = Some(code.into());

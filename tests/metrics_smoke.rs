@@ -1,5 +1,6 @@
 //! End-to-end observability smoke: boot the real `ezrt serve` binary
-//! with an access log, drive three requests (miss, hit, healthz),
+//! with an access log and a disk tier, so the checker sees the
+//! `ezrt_disk_*` families too, drive three requests (miss, hit, healthz),
 //! scrape `GET /v1/metrics`, validate the exposition with the checked-in
 //! `scripts/check-prometheus.sh`, and validate the NDJSON access log —
 //! the same sequence the CI smoke step runs under `RUST_TEST_THREADS=1`.
@@ -48,6 +49,7 @@ fn metrics_scrape_and_access_log_survive_the_checker() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("smoke dir");
     let log_path = dir.join("access.ndjson");
+    let cache_dir = dir.join("cache");
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_ezrt"))
         .args([
@@ -58,6 +60,8 @@ fn metrics_scrape_and_access_log_survive_the_checker() {
             "2",
             "--log-file",
             log_path.to_str().expect("utf-8 path"),
+            "--cache-dir",
+            cache_dir.to_str().expect("utf-8 path"),
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -100,6 +104,8 @@ fn metrics_scrape_and_access_log_survive_the_checker() {
         "ezrt_http_schedule_requests_total 2",
         "ezrt_search_runs_total",
         "ezrt_phase_search_micros_count 1",
+        "ezrt_disk_writes_total 1",
+        "ezrt_disk_load_misses_total 1",
     ] {
         assert!(exposition.contains(family), "missing {family} in scrape");
     }

@@ -4,9 +4,9 @@
 //! Only the irreducible results are serialized — the spec (as its
 //! canonical XML DSL), the firing schedule (transition index + delay
 //! per firing), the search counters and the pre-rendered report fields.
-//! The derived structures (net, timeline, table) are rebuilt lazily on
-//! the decode side, so a decoded outcome renders byte-identical
-//! artifacts to the original (tested in `tests/roundtrip.rs`).
+//! Decoding translates the spec once, for the replay gate, and hands
+//! that net to the revived [`Solution`]; so a decoded outcome renders
+//! byte-identical artifacts to the original (`tests/corpus.rs`).
 //!
 //! File layout:
 //!
@@ -24,9 +24,10 @@
 //! same way — ignore the file and re-synthesize.
 
 use crate::digest::SpecDigest;
-use crate::outcome::{RenderMemo, Solution, SynthesisOutcome};
+use crate::outcome::{RenderMemo, SynthesisOutcome};
 use crate::report;
 use ezrt_compose::translate;
+use ezrt_core::Solution;
 use ezrt_scheduler::{FeasibleSchedule, ScheduledFiring, SearchStats};
 use ezrt_tpn::TransitionId;
 use std::fmt;
@@ -247,7 +248,7 @@ fn decode_payload(payload: &[u8]) -> Result<SynthesisOutcome, CodecError> {
                     replayed.firings
                 )));
             }
-            Some(Solution::new(spec, schedule))
+            Some(Solution::new(spec, tasknet, schedule))
         }
         other => return Err(malformed(format!("solution flag {other}"))),
     };
@@ -439,7 +440,6 @@ mod tests {
 
     #[test]
     fn a_valid_envelope_with_a_bogus_schedule_fails_the_replay_gate() {
-        use crate::outcome::Solution;
         use ezrt_compose::TransitionRole;
         use ezrt_scheduler::ScheduledFiring;
         use ezrt_tpn::TransitionId;
@@ -471,6 +471,7 @@ mod tests {
                 replay_ok: Some(true),
                 solution: Some(Solution::new(
                     solution.spec().clone(),
+                    solution.tasknet().clone(),
                     FeasibleSchedule::from_firings(firings),
                 )),
                 rendered: RenderMemo::default(),

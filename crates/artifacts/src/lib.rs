@@ -11,9 +11,10 @@
 //! * [`digest`] — the stable FNV-1a 64+128 spec digest (the
 //!   content-address every artifact is keyed under);
 //! * [`outcome`] — [`SynthesisOutcome`]: one synthesis run packaged
-//!   with its spec + schedule so any artifact can be re-rendered
-//!   without re-searching ([`compute_outcome`] produces it,
-//!   [`Solution`] lazily re-derives net/timeline/table);
+//!   with its [`ezrt_core::Solution`] (spec, net, schedule, and the
+//!   timeline and table derived once) so any artifact can be
+//!   re-rendered without re-searching ([`compute_outcome`] produces
+//!   it);
 //! * [`kind`] — [`ArtifactKind`]: the closed set of artifact kinds and
 //!   their stable textual names (`report-json`, `table`,
 //!   `codegen:<target>`, `gantt`, `pnml`);
@@ -60,7 +61,5 @@ pub use digest::{
     format_task_subdigests, project_digest, structure_digest, task_subdigests, SpecDigest,
 };
 pub use kind::ArtifactKind;
-pub use outcome::{
-    compute_outcome, compute_outcome_incremental, RenderMemo, Solution, SynthesisOutcome,
-};
+pub use outcome::{compute_outcome, compute_outcome_incremental, RenderMemo, SynthesisOutcome};
 pub use render::{default_gantt_window, render, Artifact, RenderError};

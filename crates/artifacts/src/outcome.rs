@@ -2,25 +2,18 @@
 //! downstream artifact — report JSON, schedule table, generated C,
 //! Gantt, PNML — can be rendered from it without re-searching.
 //!
-//! A [`SynthesisOutcome`] keeps only the *irreducible* results (the
-//! parsed spec, the feasible firing schedule, the search counters and
-//! the pre-rendered report fields); everything else — the translated
-//! net, the execution timeline, the Fig. 8 table — is a deterministic
-//! function of spec + schedule and is re-derived lazily on first
-//! artifact render (`Solution::derived`). That is what makes the type
-//! disk-persistable: the codec serializes spec + schedule, and a
-//! decoded outcome renders byte-identical artifacts by construction.
-//! The rendered bytes themselves can be memoized on the outcome
+//! A [`SynthesisOutcome`] holds the search counters, the pre-rendered
+//! report fields and the feasible [`Solution`], moved in whole from the
+//! synthesis. The codec persists its spec + schedule, and a decoded
+//! outcome renders byte-identical artifacts by construction. The
+//! rendered bytes themselves can be memoized on the outcome
 //! ([`RenderMemo`]), so they live exactly as long as it does.
 
 use crate::digest::SpecDigest;
 use crate::kind::ArtifactKind;
 use crate::report::{self, JsonFields};
-use ezrt_codegen::ScheduleTable;
-use ezrt_compose::{translate, TaskNet};
-use ezrt_core::Project;
-use ezrt_scheduler::{FeasibleSchedule, SearchStats, SynthesizeError, Timeline};
-use ezrt_spec::EzSpec;
+use ezrt_core::{Project, Solution};
+use ezrt_scheduler::{SearchStats, SynthesizeError};
 use std::sync::{Arc, OnceLock};
 
 /// Everything one synthesis run produced, cached under its digest: the
@@ -51,9 +44,9 @@ pub struct SynthesisOutcome {
     /// `Some(false)` when it did not (a kernel bug), `None` for
     /// infeasible outcomes.
     pub replay_ok: Option<bool>,
-    /// The feasible solution — spec + schedule, plus lazily re-derived
-    /// net/timeline/table — that schedule-dependent artifacts render
-    /// from. `None` for infeasible outcomes.
+    /// The feasible solution — spec, net and schedule, with its
+    /// timeline and table derived once — that schedule-dependent
+    /// artifacts render from. `None` for infeasible outcomes.
     pub solution: Option<Solution>,
     /// Artifact bytes already rendered from this outcome. Empty when
     /// packaged or decoded; the serving cache fills it.
@@ -88,90 +81,6 @@ impl RenderMemo {
             .fold((0, 0), |(kinds, total), bytes| {
                 (kinds + 1, total + bytes.len() as u64)
             })
-    }
-}
-
-/// A feasible solution: the parsed specification and the firing
-/// schedule, with the derived structures (translated net, timeline,
-/// schedule table) materialized on first use and shared afterwards.
-#[derive(Debug)]
-pub struct Solution {
-    spec: EzSpec,
-    schedule: FeasibleSchedule,
-    derived: OnceLock<Derived>,
-}
-
-/// Structures deterministically derivable from spec + schedule.
-#[derive(Debug)]
-pub(crate) struct Derived {
-    pub(crate) tasknet: TaskNet,
-    pub(crate) timeline: Timeline,
-    pub(crate) table: ScheduleTable,
-}
-
-impl Solution {
-    /// Wraps a spec + schedule pair; derived structures materialize on
-    /// first artifact render. This is the decode path of the disk cache.
-    pub fn new(spec: EzSpec, schedule: FeasibleSchedule) -> Solution {
-        Solution {
-            spec,
-            schedule,
-            derived: OnceLock::new(),
-        }
-    }
-
-    pub(crate) fn with_derived(
-        spec: EzSpec,
-        schedule: FeasibleSchedule,
-        derived: Derived,
-    ) -> Solution {
-        let cell = OnceLock::new();
-        let _ = cell.set(derived);
-        Solution {
-            spec,
-            schedule,
-            derived: cell,
-        }
-    }
-
-    /// The parsed specification.
-    pub fn spec(&self) -> &EzSpec {
-        &self.spec
-    }
-
-    /// The feasible firing schedule.
-    pub fn schedule(&self) -> &FeasibleSchedule {
-        &self.schedule
-    }
-
-    pub(crate) fn derived(&self) -> &Derived {
-        self.derived.get_or_init(|| {
-            let tasknet = translate(&self.spec);
-            let timeline = Timeline::from_schedule(&tasknet, &self.schedule);
-            let table = ScheduleTable::from_timeline(&self.spec, &timeline);
-            Derived {
-                tasknet,
-                timeline,
-                table,
-            }
-        })
-    }
-
-    /// The ASCII Gantt chart of the window `[from, to)` — the windowed
-    /// variant behind the CLI's explicit `ezrt gantt spec.xml from to`
-    /// form (the canonical `gantt` artifact uses the default window).
-    pub fn gantt_window(&self, from: u64, to: u64) -> String {
-        let derived = self.derived();
-        derived.timeline.gantt(&derived.tasknet, from, to)
-    }
-
-    /// Re-checks the derived timeline against the specification with
-    /// the net-independent validator; empty means valid. This is how a
-    /// caller holding only a cached outcome (the CLI's human `schedule`
-    /// report, say) can show *which* constraints a nonzero `violations`
-    /// count refers to.
-    pub fn validate(&self) -> Vec<ezrt_scheduler::validate::ScheduleViolation> {
-        ezrt_scheduler::validate::check(&self.spec, &self.derived().timeline)
     }
 }
 
@@ -220,37 +129,17 @@ fn package(
 ) -> SynthesisOutcome {
     let _span = ezrt_obs::span("package");
     match result {
-        Ok(outcome) => {
-            let fields = report::success_fields(&digest, project, &outcome);
-            let ezrt_core::Outcome {
-                spec,
-                tasknet,
-                schedule,
-                stats,
-                replay_ok,
-                timeline,
-                table,
-            } = outcome;
-            SynthesisOutcome {
-                digest,
-                feasible: true,
-                error: None,
-                fields,
-                stats,
-                cacheable: true,
-                replay_ok: Some(replay_ok),
-                solution: Some(Solution::with_derived(
-                    spec,
-                    schedule,
-                    Derived {
-                        tasknet,
-                        timeline,
-                        table,
-                    },
-                )),
-                rendered: RenderMemo::default(),
-            }
-        }
+        Ok(outcome) => SynthesisOutcome {
+            digest,
+            feasible: true,
+            error: None,
+            fields: report::success_fields(&digest, project, &outcome),
+            stats: outcome.stats,
+            cacheable: true,
+            replay_ok: Some(outcome.replay_ok),
+            solution: Some(outcome.solution),
+            rendered: RenderMemo::default(),
+        },
         Err(error) => SynthesisOutcome {
             digest,
             feasible: false,
@@ -306,19 +195,5 @@ mod tests {
                 ..SchedulerConfig::default()
             }));
         assert_ne!(digest, config_digest);
-    }
-
-    #[test]
-    fn lazily_derived_solution_matches_the_seeded_one() {
-        let project = Project::new(small_control());
-        let digest = project_digest(&project);
-        let computed = compute_outcome(&project, digest);
-        let seeded = computed.solution.as_ref().expect("feasible");
-        let lazy = Solution::new(seeded.spec().clone(), seeded.schedule().clone());
-        assert_eq!(
-            seeded.derived().table.to_c_array(),
-            lazy.derived().table.to_c_array()
-        );
-        assert_eq!(seeded.gantt_window(0, 20), lazy.gantt_window(0, 20));
     }
 }

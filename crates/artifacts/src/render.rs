@@ -5,15 +5,15 @@
 //! Rendering is a **pure function** of the outcome: two calls with the
 //! same outcome and kind produce identical bytes, and an outcome that
 //! round-trips through the disk-cache codec renders the same bytes as
-//! the freshly computed one (the derived net/timeline/table are
-//! deterministic functions of spec + schedule). The byte formats are
+//! the freshly computed one (the timeline and table are deterministic
+//! functions of net + schedule). Each artifact's text comes from one
+//! [`Solution`](ezrt_core::Solution) method. The byte formats are
 //! exactly what the CLI has always printed, so switching the CLI onto
 //! this layer changed no output.
 
 use crate::kind::ArtifactKind;
 use crate::outcome::SynthesisOutcome;
 use crate::report;
-use ezrt_codegen::CodeGenerator;
 use std::fmt;
 
 /// One rendered artifact.
@@ -79,12 +79,11 @@ pub fn render(outcome: &SynthesisOutcome, kind: ArtifactKind) -> Result<Artifact
                     error: outcome.error.clone(),
                 });
             };
-            let derived = solution.derived();
             match schedule_kind {
                 ArtifactKind::ReportJson => unreachable!("handled above"),
-                ArtifactKind::Table => derived.table.to_c_array(),
+                ArtifactKind::Table => solution.table().to_c_array(),
                 ArtifactKind::Codegen(target) => {
-                    let code = CodeGenerator::new(target).generate(solution.spec(), &derived.table);
+                    let code = solution.generate_code(target);
                     format!(
                         "/* ===== {} ===== */\n{}\n/* ===== {} ===== */\n{}\n",
                         code.header_name, code.header, code.source_name, code.source
@@ -92,10 +91,10 @@ pub fn render(outcome: &SynthesisOutcome, kind: ArtifactKind) -> Result<Artifact
                 }
                 ArtifactKind::Gantt => {
                     let (from, to) = default_gantt_window(solution.spec().hyperperiod());
-                    derived.timeline.gantt(&derived.tasknet, from, to)
+                    solution.gantt(from, to)
                 }
                 ArtifactKind::Pnml => {
-                    let mut text = ezrt_pnml::to_pnml(derived.tasknet.net());
+                    let mut text = solution.to_pnml();
                     text.push('\n');
                     text
                 }

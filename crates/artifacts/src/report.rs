@@ -45,6 +45,7 @@ pub fn json_string(text: &str) -> String {
 /// produced the result (all zero on cold runs).
 pub fn success_fields(digest: &SpecDigest, project: &Project, outcome: &Outcome) -> JsonFields {
     let stats = &outcome.stats;
+    let schedule = outcome.solution.schedule();
     let mut fields = vec![
         ("feasible", "true".to_owned()),
         ("spec_digest", json_string(&digest.to_hex())),
@@ -56,8 +57,8 @@ pub fn success_fields(digest: &SpecDigest, project: &Project, outcome: &Outcome)
             "task_subdigests",
             json_string(&format_task_subdigests(&task_subdigests(project))),
         ),
-        ("firings", outcome.schedule.firings().len().to_string()),
-        ("makespan", outcome.schedule.makespan().to_string()),
+        ("firings", schedule.firings().len().to_string()),
+        ("makespan", schedule.makespan().to_string()),
     ];
     push_counters(&mut fields, stats);
     fields.extend([
@@ -65,7 +66,7 @@ pub fn success_fields(digest: &SpecDigest, project: &Project, outcome: &Outcome)
         ("overhead_ratio", format!("{:.6}", stats.overhead_ratio())),
     ]);
     push_rates(&mut fields, stats);
-    fields.push(("violations", outcome.validate().len().to_string()));
+    fields.push(("violations", outcome.solution.validate().len().to_string()));
     fields
 }
 

@@ -128,23 +128,26 @@ fn section_5() {
 /// Figure 3: the precedence-relation model.
 fn figure_3() {
     println!("== Figure 3: Precedence relation model ==");
-    let spec = figure3_spec();
-    let tasknet = translate(&spec);
-    let net = tasknet.net();
+    let solution = Project::new(figure3_spec())
+        .synthesize()
+        .expect("feasible")
+        .solution;
+    let net = solution.tasknet().net();
     for name in ["tr0_T1", "tr1_T2", "td0_T1", "td1_T2", "tprec_0_1"] {
         let id = net.transition_id(name).expect("figure transition");
         println!("  {:<10} interval {}", name, net.transition(id).interval());
     }
-    let outcome = Project::new(spec).synthesize().expect("feasible");
-    println!("  schedule:\n{}\n", indent(&outcome.gantt(0, 120)));
+    println!("  schedule:\n{}\n", indent(&solution.gantt(0, 120)));
 }
 
 /// Figure 4: the exclusion-relation model.
 fn figure_4() {
     println!("== Figure 4: Exclusion relation model ==");
-    let spec = figure4_spec();
-    let tasknet = translate(&spec);
-    let net = tasknet.net();
+    let solution = Project::new(figure4_spec())
+        .synthesize()
+        .expect("feasible")
+        .solution;
+    let net = solution.tasknet().net();
     let tr0 = net.transition_id("tr0_T0").unwrap();
     let tr2 = net.transition_id("tr1_T2").unwrap();
     let budget0 = net.post_set(tr0).iter().map(|&(_, w)| w).max().unwrap();
@@ -155,20 +158,21 @@ fn figure_4() {
         "  shared lock place: {}",
         net.place(net.place_id("pexcl_0_1").unwrap()).name()
     );
-    let outcome = Project::new(spec).synthesize().expect("feasible");
-    println!("  schedule:\n{}\n", indent(&outcome.gantt(0, 120)));
+    println!("  schedule:\n{}\n", indent(&solution.gantt(0, 120)));
 }
 
 /// Figure 8: the schedule table.
 fn figure_8() {
     println!("== Figure 8: Schedule table (preemptive example) ==");
-    let spec = figure8_spec();
-    let outcome = Project::new(spec).synthesize().expect("feasible");
-    println!("{}", outcome.table.to_c_array());
+    let solution = Project::new(figure8_spec())
+        .synthesize()
+        .expect("feasible")
+        .solution;
+    println!("{}", solution.table().to_c_array());
     println!(
         "{} execution parts, {} preemption(s)\n",
-        outcome.table.entries().len(),
-        outcome.timeline.preemption_count()
+        solution.table().entries().len(),
+        solution.timeline().preemption_count()
     );
 }
 
@@ -309,7 +313,7 @@ fn experiment_x4() {
         "scheduler", "misses", "preemptions", "jitter"
     );
     let outcome = Project::new(spec.clone()).synthesize().expect("feasible");
-    let report = outcome.execute_for(2);
+    let report = outcome.solution.execute_for(2);
     println!(
         "  {:<22} {:>10} {:>12} {:>12}",
         "pre-runtime (paper)",

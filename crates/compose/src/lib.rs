@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod blocks;
-pub mod operators;
 mod priority;
 mod relations;
 mod roles;

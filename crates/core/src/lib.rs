@@ -11,10 +11,11 @@
 //!    (composition of building blocks), runs the pre-runtime depth-first
 //!    search and reconstructs the execution timeline and the Fig. 8
 //!    schedule table;
-//! 3. the resulting [`Outcome`] generates C code for a chosen
+//! 3. the resulting [`Outcome`]'s [`Solution`] (spec, net, schedule;
+//!    timeline and table derived once) generates C code for a chosen
 //!    [`Target`](ezrt_codegen::Target), executes the schedule on the
 //!    simulated dispatcher, re-validates it against the specification,
-//!    and exports PNML.
+//!    and exports its Gantt chart and PNML.
 //!
 //! # Examples
 //!
@@ -27,13 +28,14 @@
 //! let project = Project::new(small_control());
 //! let outcome = project.synthesize()?;
 //!
-//! assert!(outcome.schedule.is_feasible());
-//! assert!(outcome.validate().is_empty());
+//! let solution = &outcome.solution;
+//! assert!(solution.schedule().is_feasible());
+//! assert!(solution.validate().is_empty());
 //!
-//! let code = outcome.generate_code(Target::PosixSim);
+//! let code = solution.generate_code(Target::PosixSim);
 //! assert!(code.source.contains("scheduleTable"));
 //!
-//! let report = outcome.execute_for(3);
+//! let report = solution.execute_for(3);
 //! assert!(report.is_timely());
 //! # Ok(())
 //! # }
@@ -44,5 +46,7 @@
 
 mod canonical;
 mod project;
+mod solution;
 
 pub use project::{Outcome, Project};
+pub use solution::Solution;

@@ -1,16 +1,13 @@
 //! The [`Project`] facade and its synthesis [`Outcome`].
 
-use ezrt_codegen::{CodeGenerator, GeneratedSource, ScheduleTable, Target};
+use crate::solution::Solution;
 use ezrt_compose::{translate, TaskNet};
 use ezrt_dsl::ParseDslError;
 use ezrt_scheduler::replay::replay;
-use ezrt_scheduler::validate::ScheduleViolation;
 use ezrt_scheduler::{
     synthesize, synthesize_seeded, FeasibleSchedule, Parallelism, PorLevel, SchedulerConfig,
-    SearchStats, Synthesis, SynthesizeError, Timeline,
+    SearchStats, Synthesis, SynthesizeError,
 };
-use ezrt_sim::dispatch::{execute, DispatchConfig};
-use ezrt_sim::ExecutionReport;
 use ezrt_spec::EzSpec;
 
 /// An ezRealtime project: a specification plus the synthesis
@@ -78,8 +75,9 @@ impl Project {
 
     /// Translates the specification into its time Petri net without
     /// searching — useful for inspection, DOT rendering and PNML export
-    /// of unsolved models.
+    /// of unsolved models. Traced as one `translate` span.
     pub fn translate(&self) -> TaskNet {
+        let _span = ezrt_obs::span("translate");
         translate(&self.spec)
     }
 
@@ -177,10 +175,7 @@ impl Project {
     /// search budget is exhausted.
     pub fn synthesize(&self) -> Result<Outcome, SynthesizeError> {
         let _span = ezrt_obs::span("synthesize");
-        let tasknet = {
-            let _span = ezrt_obs::span("translate");
-            translate(&self.spec)
-        };
+        let tasknet = self.translate();
         let synthesis = synthesize(&tasknet, &self.config)?;
         Ok(self.outcome(tasknet, synthesis))
     }
@@ -211,29 +206,24 @@ impl Project {
         prev: &FeasibleSchedule,
     ) -> Result<Outcome, SynthesizeError> {
         let _span = ezrt_obs::span("synthesize-incremental");
-        let tasknet = {
-            let _span = ezrt_obs::span("translate");
-            translate(&self.spec)
-        };
+        let tasknet = self.translate();
         let synthesis = synthesize_seeded(&tasknet, &self.config, prev.firings())?;
         Ok(self.outcome(tasknet, synthesis))
     }
 
     /// Checks a search result with the replay oracle (unless it came out
-    /// of a replay) and derives its timeline and schedule table.
+    /// of a replay) and derives its timeline and schedule table eagerly,
+    /// inside the `derive` span.
     fn outcome(&self, tasknet: TaskNet, synthesis: Synthesis) -> Outcome {
         let replay_ok = synthesis.replayed || replay(&tasknet, &synthesis.schedule).is_ok();
-        let _derive = ezrt_obs::span("derive");
-        let timeline = Timeline::from_schedule(&tasknet, &synthesis.schedule);
-        let table = ScheduleTable::from_timeline(&self.spec, &timeline);
+        let solution = Solution::new(self.spec.clone(), tasknet, synthesis.schedule);
+        let derive = ezrt_obs::span("derive");
+        solution.table();
+        drop(derive);
         Outcome {
-            spec: self.spec.clone(),
-            tasknet,
-            schedule: synthesis.schedule,
+            solution,
             stats: synthesis.stats,
             replay_ok,
-            timeline,
-            table,
         }
     }
 }
@@ -241,76 +231,20 @@ impl Project {
 /// Everything a successful synthesis produces.
 #[derive(Debug, Clone)]
 pub struct Outcome {
-    /// The specification the outcome belongs to.
-    pub spec: EzSpec,
-    /// The translated net with its semantic maps.
-    pub tasknet: TaskNet,
-    /// The feasible firing schedule (Def. 3.2).
-    pub schedule: FeasibleSchedule,
+    /// The feasible solution: spec, net, schedule and everything derived
+    /// from them.
+    pub solution: Solution,
     /// Search statistics (the §5 numbers).
     pub stats: SearchStats,
     /// Whether the schedule passed the net-level replay oracle (always
     /// true unless the engine has a bug).
     pub replay_ok: bool,
-    /// The task-level execution timeline.
-    pub timeline: Timeline,
-    /// The Fig. 8 schedule table (first processor).
-    pub table: ScheduleTable,
-}
-
-impl Outcome {
-    /// Generates the scheduled C code for `target` (paper §4.4.2).
-    pub fn generate_code(&self, target: Target) -> GeneratedSource {
-        CodeGenerator::new(target).generate(&self.spec, &self.table)
-    }
-
-    /// Executes the schedule on the simulated dispatcher for one
-    /// schedule period.
-    pub fn execute(&self) -> ExecutionReport {
-        self.execute_for(1)
-    }
-
-    /// Executes the schedule for `hyperperiods` schedule periods.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hyperperiods` is zero.
-    pub fn execute_for(&self, hyperperiods: u64) -> ExecutionReport {
-        execute(
-            &self.spec,
-            &self.timeline,
-            &DispatchConfig {
-                hyperperiods,
-                ..DispatchConfig::default()
-            },
-        )
-    }
-
-    /// Re-validates the timeline against the specification with the
-    /// net-independent checker; empty means valid.
-    pub fn validate(&self) -> Vec<ScheduleViolation> {
-        ezrt_scheduler::validate::check(&self.spec, &self.timeline)
-    }
-
-    /// Exports the synthesized time Petri net as PNML (ISO 15909-2).
-    pub fn to_pnml(&self) -> String {
-        ezrt_pnml::to_pnml(self.tasknet.net())
-    }
-
-    /// Renders the net as Graphviz DOT.
-    pub fn to_dot(&self) -> String {
-        ezrt_tpn::dot::to_dot(self.tasknet.net())
-    }
-
-    /// ASCII Gantt chart of the window `[from, to)`.
-    pub fn gantt(&self, from: u64, to: u64) -> String {
-        self.timeline.gantt(&self.tasknet, from, to)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ezrt_codegen::Target;
     use ezrt_spec::corpus::{mine_pump, small_control};
 
     #[test]
@@ -318,9 +252,9 @@ mod tests {
         let outcome = Project::new(mine_pump()).synthesize().expect("feasible");
         // §5 shape: visited within a few percent of the forced minimum.
         assert!(outcome.stats.overhead_ratio() < 1.05);
-        assert_eq!(outcome.table.entries().len(), 782);
-        assert!(outcome.validate().is_empty());
-        let report = outcome.execute();
+        assert_eq!(outcome.solution.table().entries().len(), 782);
+        assert!(outcome.solution.validate().is_empty());
+        let report = outcome.solution.execute_for(1);
         assert!(report.is_timely());
         assert_eq!(report.max_release_jitter(), 0);
     }
@@ -341,13 +275,12 @@ mod tests {
     #[test]
     fn exports_are_consistent() {
         let outcome = Project::new(small_control()).synthesize().unwrap();
-        let pnml = outcome.to_pnml();
+        let solution = &outcome.solution;
+        let pnml = solution.to_pnml();
         assert!(pnml.contains("<pnml"));
         let reread = ezrt_pnml::from_pnml(&pnml).expect("own pnml rereads");
-        assert_eq!(reread.place_count(), outcome.tasknet.net().place_count());
-        let dot = outcome.to_dot();
-        assert!(dot.starts_with("digraph"));
-        let gantt = outcome.gantt(0, 20);
+        assert_eq!(reread.place_count(), solution.tasknet().net().place_count());
+        let gantt = solution.gantt(0, 20);
         assert!(gantt.contains('#'));
     }
 
@@ -374,13 +307,13 @@ mod tests {
                 .with_jobs(jobs)
                 .synthesize()
                 .expect("feasible");
-            assert_eq!(outcome.schedule, sequential.schedule);
+            assert_eq!(outcome.solution.schedule(), sequential.solution.schedule());
             assert_eq!(
                 outcome.stats.states_visited,
                 sequential.stats.states_visited
             );
-            assert!(outcome.validate().is_empty());
-            assert!(outcome.execute().is_timely());
+            assert!(outcome.solution.validate().is_empty());
+            assert!(outcome.solution.execute_for(1).is_timely());
         }
     }
 
@@ -396,7 +329,7 @@ mod tests {
         // Stubborn never explores more than the unreduced search and its
         // schedule still passes the spec-level checker.
         assert!(stubborn.stats.states_visited <= off.stats.states_visited);
-        assert!(stubborn.validate().is_empty());
+        assert!(stubborn.solution.validate().is_empty());
         assert!(off.replay_ok && stubborn.replay_ok);
     }
 
@@ -404,7 +337,7 @@ mod tests {
     fn code_generation_reaches_all_targets() {
         let outcome = Project::new(small_control()).synthesize().unwrap();
         for target in Target::ALL {
-            let code = outcome.generate_code(target);
+            let code = outcome.solution.generate_code(target);
             assert!(code.source.contains("ezrt_dispatch"), "{target}");
         }
     }

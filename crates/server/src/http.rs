@@ -273,13 +273,15 @@ impl Shared {
     /// (since server start), `method`, `path`, `status`, `digest`,
     /// `cache`, `rendered` (absent when the response carries no such
     /// header), `phases` (name → micros, in call order),
-    /// `elapsed_micros`, `write_micros` (0 when the flush was deferred
-    /// to a pipelined batch), `bytes`.
+    /// `elapsed_micros` (the request's one clock reading, taken before
+    /// the flush), `write_micros` (the flush; 0 when it was deferred to
+    /// a pipelined batch), `bytes`.
     fn log_request(
         &self,
         request: &Request,
         response: &Response,
         timing: &RequestTiming,
+        elapsed_micros: u64,
         write_micros: u64,
     ) {
         let Some(log) = &self.log else { return };
@@ -308,8 +310,7 @@ impl Shared {
             line.push_str(&format!("\"{}\":{micros}", HISTOGRAMS[*phase as usize].0));
         }
         line.push_str(&format!(
-            "}},\"elapsed_micros\":{},\"write_micros\":{write_micros},\"bytes\":{}}}",
-            timing.elapsed_micros(),
+            "}},\"elapsed_micros\":{elapsed_micros},\"write_micros\":{write_micros},\"bytes\":{}}}",
             response.body.as_bytes().len(),
         ));
         let mut writer = log.lock().expect("access log poisoned");
@@ -742,10 +743,11 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         if response.status == 304 {
             shared.cells.not_modified.inc();
         }
-        // Observability: total + phase histograms, then the phase
-        // breakdown as a `Server-Timing` header and — on the
-        // digest-addressed routes, recognizable by their provenance
-        // header — the total as `X-Ezrt-Elapsed-Micros`.
+        // Observability: one reading of the request clock is the total
+        // everywhere — its histogram, the `Server-Timing` header with
+        // the phase breakdown, `X-Ezrt-Elapsed-Micros` on the
+        // digest-addressed routes (recognizable by their provenance
+        // header) and the access log.
         let elapsed_micros = timing.elapsed_micros();
         shared.histograms[REQUEST].observe(elapsed_micros);
         shared.histograms[RESPONSE_BYTES].observe(response.body.as_bytes().len() as u64);
@@ -759,7 +761,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         }
         response
             .headers
-            .push(("Server-Timing", timing.server_timing()));
+            .push(("Server-Timing", timing.server_timing(elapsed_micros)));
         let close = !request.keep_alive
             || served >= MAX_CONNECTION_REQUESTS
             || !shared.running.load(Ordering::SeqCst);
@@ -778,7 +780,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         } else {
             None
         };
-        shared.log_request(&request, &response, &timing, write_micros);
+        shared.log_request(&request, &response, &timing, elapsed_micros, write_micros);
         if close {
             // The client may still have pipelined requests in flight
             // past the per-connection cap; linger so the final response
@@ -980,18 +982,15 @@ impl RequestTiming {
         self.started.elapsed().as_micros() as u64
     }
 
-    /// The `Server-Timing` header value: every phase plus the running
-    /// total, durations in milliseconds per the header's spec.
-    fn server_timing(&self) -> String {
+    /// The `Server-Timing` header value: every phase plus the total
+    /// `elapsed_micros`, durations in milliseconds per the header's spec.
+    fn server_timing(&self, elapsed_micros: u64) -> String {
         let mut value = String::new();
         for (phase, micros) in &self.phases {
             let name = HISTOGRAMS[*phase as usize].0;
             value.push_str(&format!("{name};dur={:.3}, ", *micros as f64 / 1e3));
         }
-        value.push_str(&format!(
-            "total;dur={:.3}",
-            self.elapsed_micros() as f64 / 1e3
-        ));
+        value.push_str(&format!("total;dur={:.3}", elapsed_micros as f64 / 1e3));
         value
     }
 }

@@ -337,7 +337,18 @@ fn metrics_exposition_covers_every_subsystem_and_counters_move() {
 
 #[test]
 fn timing_headers_ride_every_artifact_response() {
-    let server = Server::start("127.0.0.1:0", ServerConfig::default()).expect("server starts");
+    let dir = std::env::temp_dir().join(format!("ezrt_timing_test_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("log dir");
+    let log_path = dir.join("access.ndjson");
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            log_file: Some(log_path.clone()),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
     let addr = server.addr();
     let xml = tiny_spec_xml("metrics-timing");
 
@@ -355,6 +366,9 @@ fn timing_headers_ride_every_artifact_response() {
     for phase in ["parse;dur=", "digest;dur=", "search;dur=", "total;dur="] {
         assert!(timing.contains(phase), "missing {phase} in {timing}");
     }
+    // One clock reading is the total on every surface.
+    let total = format!("total;dur={:.3}", elapsed as f64 / 1000.0);
+    assert!(timing.ends_with(&total), "{total} vs {timing}");
 
     // Hit: no search phase, but the header set persists.
     let (status, head, _) = close_request(addr, "POST", "/v1/table", &[], &xml);
@@ -384,7 +398,14 @@ fn timing_headers_ride_every_artifact_response() {
     assert_eq!(status, 304);
     assert!(header(&head, "Server-Timing").is_some(), "{head}");
 
-    server.stop();
+    server.stop(); // joins every worker: all lines flushed
+    let log = std::fs::read_to_string(&log_path).expect("read access log");
+    let miss = log.lines().next().expect("the miss is logged");
+    assert!(
+        miss.contains(&format!("\"elapsed_micros\":{elapsed},")),
+        "{elapsed} vs {miss}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,64 +1,13 @@
 //! Structural analysis of time Petri nets.
 //!
-//! These checks operate on the net graph only (no state-space exploration)
-//! and are used both as sanity checks on composed nets and as building
-//! blocks for the schedule-synthesis diagnostics: a net whose structure is
-//! already broken (dead transitions, leaking invariants) can never yield a
-//! feasible schedule.
+//! These checks operate on the net graph only (no state-space exploration).
+//! The translation and invariant tests use them as oracles on composed
+//! nets: a net whose structure is already broken (source transitions,
+//! isolated places, dead transitions, leaking invariants) can never yield
+//! a feasible schedule. The search's own structural-conflict relation is
+//! the conflict rows of [`DependencyMatrix`](crate::por::DependencyMatrix).
 
 use crate::{PlaceId, TimePetriNet, TransitionId};
-
-/// A pair of transitions in *structural conflict*: they share at least one
-/// input place, so firing one may disable the other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Conflict {
-    /// First transition of the pair (lower id).
-    pub first: TransitionId,
-    /// Second transition of the pair (higher id).
-    pub second: TransitionId,
-    /// A witness shared input place.
-    pub place: PlaceId,
-}
-
-/// Finds all structural conflict pairs.
-///
-/// In the ezRealtime translation the only intended conflicts are (a) tasks
-/// competing for a processor or exclusion lock and (b) the deadline-miss
-/// race `t_pc` vs `t_d`; anything else indicates a malformed composition.
-///
-/// # Examples
-///
-/// ```
-/// use ezrt_tpn::{TpnBuilder, TimeInterval, analysis};
-///
-/// # fn main() -> Result<(), ezrt_tpn::BuildNetError> {
-/// let mut b = TpnBuilder::new("c");
-/// let p = b.place_with_tokens("p", 1);
-/// let t0 = b.transition("t0", TimeInterval::immediate());
-/// let t1 = b.transition("t1", TimeInterval::immediate());
-/// b.arc_place_to_transition(p, t0, 1);
-/// b.arc_place_to_transition(p, t1, 1);
-/// let net = b.build()?;
-/// assert_eq!(analysis::structural_conflicts(&net).len(), 1);
-/// # Ok(())
-/// # }
-/// ```
-pub fn structural_conflicts(net: &TimePetriNet) -> Vec<Conflict> {
-    let mut conflicts = Vec::new();
-    for (p, _) in net.places() {
-        let consumers = net.consumers(p);
-        for (i, &a) in consumers.iter().enumerate() {
-            for &b in &consumers[i + 1..] {
-                conflicts.push(Conflict {
-                    first: a.min(b),
-                    second: a.max(b),
-                    place: p,
-                });
-            }
-        }
-    }
-    conflicts
-}
 
 /// Transitions with an empty pre-set. A source transition is enabled in
 /// *every* marking and usually indicates a modelling mistake in the
@@ -66,14 +15,6 @@ pub fn structural_conflicts(net: &TimePetriNet) -> Vec<Conflict> {
 pub fn source_transitions(net: &TimePetriNet) -> Vec<TransitionId> {
     net.transitions()
         .filter(|&(t, _)| net.pre_set(t).is_empty())
-        .map(|(t, _)| t)
-        .collect()
-}
-
-/// Transitions with an empty post-set (token sinks).
-pub fn sink_transitions(net: &TimePetriNet) -> Vec<TransitionId> {
-    net.transitions()
-        .filter(|&(t, _)| net.post_set(t).is_empty())
         .map(|(t, _)| t)
         .collect()
 }
@@ -183,9 +124,8 @@ mod tests {
     }
 
     #[test]
-    fn cycle_net_is_conflict_free_and_invariant() {
+    fn cycle_net_is_invariant() {
         let net = cycle_net();
-        assert!(structural_conflicts(&net).is_empty());
         let a = net.place_id("a").unwrap();
         let c = net.place_id("c").unwrap();
         assert!(is_place_invariant(&net, &[(a, 1), (c, 1)]));
@@ -195,7 +135,7 @@ mod tests {
     }
 
     #[test]
-    fn detects_sources_sinks_and_isolated_places() {
+    fn detects_sources_and_isolated_places() {
         let mut b = TpnBuilder::new("odd");
         let _iso = b.place_with_tokens("iso", 2);
         let p = b.place("p");
@@ -205,7 +145,6 @@ mod tests {
         b.arc_place_to_transition(p, snk, 1);
         let net = b.build().unwrap();
         assert_eq!(source_transitions(&net), vec![src]);
-        assert_eq!(sink_transitions(&net), vec![snk]);
         assert_eq!(isolated_places(&net).len(), 1);
     }
 
@@ -223,21 +162,5 @@ mod tests {
     fn live_transition_is_not_reported_dead() {
         let net = cycle_net();
         assert!(structurally_dead_transitions(&net).is_empty());
-    }
-
-    #[test]
-    fn conflict_reports_witness_place() {
-        let mut b = TpnBuilder::new("w");
-        let p = b.place_with_tokens("shared", 1);
-        let t0 = b.transition("t0", TimeInterval::immediate());
-        let t1 = b.transition("t1", TimeInterval::immediate());
-        b.arc_place_to_transition(p, t0, 1);
-        b.arc_place_to_transition(p, t1, 1);
-        let net = b.build().unwrap();
-        let conflicts = structural_conflicts(&net);
-        assert_eq!(conflicts.len(), 1);
-        assert_eq!(conflicts[0].place, p);
-        assert_eq!(conflicts[0].first, t0);
-        assert_eq!(conflicts[0].second, t1);
     }
 }

@@ -4,8 +4,8 @@ use std::fmt;
 
 /// Index of a place within a [`TimePetriNet`](crate::TimePetriNet).
 ///
-/// Place ids are dense (`0..place_count`) and stable: composition operators
-/// never reorder existing places.
+/// Place ids are dense (`0..place_count`) and stable: composition never
+/// reorders existing places.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PlaceId(pub(crate) u32);
 

@@ -71,8 +71,8 @@ pub(crate) const DEFAULT_PRIORITY: u32 = 100;
 ///
 /// The ezRealtime building-block composition (paper §3.3) is implemented in
 /// `ezrt-compose` as a sequence of builder operations; the builder therefore
-/// exposes enough surgery (arc merging, priority/code updates, lookup by
-/// name) for block composition operators to work on a single growing net.
+/// exposes enough surgery (arc merging, code updates, lookup by name) for
+/// the block functions to work on a single growing net.
 ///
 /// # Examples
 ///
@@ -157,8 +157,8 @@ impl TpnBuilder {
 
     /// Adds (or merges into an existing) input arc `place → transition`.
     ///
-    /// Repeated calls for the same pair accumulate weight, which is how the
-    /// composition operators "strengthen" an arc.
+    /// Repeated calls for the same pair accumulate weight, which is how a
+    /// building block "strengthens" an arc.
     pub fn arc_place_to_transition(
         &mut self,
         place: PlaceId,
@@ -197,41 +197,6 @@ impl TpnBuilder {
     /// Attaches (or replaces) the code binding of an existing transition.
     pub fn set_code(&mut self, transition: TransitionId, code: impl Into<String>) {
         self.transitions[transition.index()].code = Some(code.into());
-    }
-
-    /// Sets the initial token count of an existing place.
-    pub fn set_initial_tokens(&mut self, place: PlaceId, tokens: u32) {
-        self.places[place.index()].initial_tokens = tokens;
-    }
-
-    /// The current initial token count of a place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `place` is out of range.
-    pub fn initial_tokens(&self, place: PlaceId) -> u32 {
-        self.places[place.index()].initial_tokens
-    }
-
-    /// The firing interval of a transition under construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `transition` is out of range.
-    pub fn interval_of(&self, transition: TransitionId) -> TimeInterval {
-        self.transitions[transition.index()].interval
-    }
-
-    /// Removes the input arc `place → transition`, returning its weight
-    /// (or `None` when absent). Composition operators use this to
-    /// redirect arcs during place fusion and transition synchronization.
-    pub fn take_input_arc(&mut self, place: PlaceId, transition: TransitionId) -> Option<u32> {
-        take_arc(&mut self.pre[transition.index()], place)
-    }
-
-    /// Removes the output arc `transition → place`, returning its weight.
-    pub fn take_output_arc(&mut self, transition: TransitionId, place: PlaceId) -> Option<u32> {
-        take_arc(&mut self.post[transition.index()], place)
     }
 
     /// Number of places added so far.
@@ -355,11 +320,6 @@ fn merge_arc(arcs: &mut Vec<(PlaceId, u32)>, place: PlaceId, weight: u32) {
     } else {
         arcs.push((place, weight));
     }
-}
-
-fn take_arc(arcs: &mut Vec<(PlaceId, u32)>, place: PlaceId) -> Option<u32> {
-    let index = arcs.iter().position(|&(p, _)| p == place)?;
-    Some(arcs.swap_remove(index).1)
 }
 
 /// An immutable time Petri net `P = (P, T, F, W, m0, I)` extended with

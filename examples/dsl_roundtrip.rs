@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Synthesize the pre-runtime schedule.
     let outcome = project.synthesize()?;
     println!("timeline:");
-    print!("{}", outcome.gantt(0, 40));
+    print!("{}", outcome.solution.gantt(0, 40));
 
     // Round trip: the printer output parses back to the same model.
     let emitted = project.to_dsl();
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // And the synthesized net travels as PNML.
-    let pnml = outcome.to_pnml();
+    let pnml = outcome.solution.to_pnml();
     let net = ezrealtime::pnml::from_pnml(&pnml)?;
     println!(
         "PNML round trip: {} places, {} transitions ({} bytes)",

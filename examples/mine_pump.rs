@@ -36,15 +36,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // No violations when re-checked against the specification.
-    let violations = outcome.validate();
+    let violations = outcome.solution.validate();
     println!("  validator       {:>6} violations", violations.len());
 
     // The first 160 time units of the synthesized schedule.
     println!("\ntimeline [0, 160):");
-    print!("{}", outcome.gantt(0, 160));
+    print!("{}", outcome.solution.gantt(0, 160));
 
     // Execute two hyper-periods on the simulated dispatcher.
-    let report = outcome.execute_for(2);
+    let report = outcome.solution.execute_for(2);
     println!(
         "\ndispatcher execution over 2 periods: misses={} jitter={} busy={} idle={}",
         report.deadline_misses.len(),
@@ -56,15 +56,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Artefacts: schedule table, C code, PNML.
     println!(
         "\nschedule table rows: {} (one per instance; all non-preemptive)",
-        outcome.table.entries().len()
+        outcome.solution.table().entries().len()
     );
-    let code = outcome.generate_code(Target::I8051);
+    let code = outcome.solution.generate_code(Target::I8051);
     println!(
         "generated {} for the 8051 target ({} bytes)",
         code.source_name,
         code.source.len()
     );
-    let pnml = outcome.to_pnml();
+    let pnml = outcome.solution.to_pnml();
     println!("PNML export: {} bytes (ISO/IEC 15909-2)", pnml.len());
     Ok(())
 }

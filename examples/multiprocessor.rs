@@ -55,30 +55,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("specification:\n{spec}");
 
-    let outcome = Project::new(spec).synthesize()?;
+    let solution = Project::new(spec).synthesize()?.solution;
     println!("joint schedule over both processors:");
-    print!("{}", outcome.gantt(0, 40));
+    print!("{}", solution.gantt(0, 40));
 
     // The frame takes 1 (arbitration) + 2 (transfer) units on can0
     // after `transmit` finishes; `actuate` waits for delivery.
-    let spec = outcome.spec.clone();
+    let spec = solution.spec();
     let transmit = spec.task_id("transmit").unwrap();
     let actuate = spec.task_id("actuate").unwrap();
     println!(
         "\nframe: sent at {}, actuate starts at {} (delivery = sent + 1 + 2)",
-        outcome.timeline.instance_completion(transmit, 0).unwrap(),
-        outcome.timeline.instance_start(actuate, 0).unwrap(),
+        solution
+            .timeline()
+            .instance_completion(transmit, 0)
+            .unwrap(),
+        solution.timeline().instance_start(actuate, 0).unwrap(),
     );
 
     // One schedule table — and one generated dispatcher — per MCU.
     for name in ["sensor_mcu", "control_mcu"] {
         let processor = spec.processor_id(name).unwrap();
-        let table = ScheduleTable::from_timeline_for(&spec, &outcome.timeline, processor);
+        let table = ScheduleTable::from_timeline_for(spec, solution.timeline(), processor);
         println!("\n{name}: {} execution part(s)", table.entries().len());
         print!("{}", table.to_c_array());
     }
 
-    let report = outcome.execute_for(2);
+    let report = solution.execute_for(2);
     println!(
         "\nsimulated 2 periods across both MCUs: misses={} busy={} of horizon {}",
         report.deadline_misses.len(),

@@ -19,14 +19,14 @@ fn main() {
         utilization: 0.45,
     };
     let mut spec = family_spec(&family, 7);
-    let mut schedule = match Project::new(spec.clone()).synthesize() {
+    let mut solution = match Project::new(spec.clone()).synthesize() {
         Ok(outcome) => {
             println!(
                 "base {:<14} feasible cold in {} states",
                 spec.name(),
                 outcome.stats.states_visited
             );
-            Some(outcome.schedule)
+            Some(outcome.solution)
         }
         Err(e) => {
             println!("base {:<14} {e}", spec.name());
@@ -49,8 +49,8 @@ fn main() {
         let project = Project::new(mutated.clone());
         // Warm-start from the previous schedule when there is one;
         // fall back to a cold search after an infeasible step.
-        let result = match &schedule {
-            Some(seed) => project.synthesize_incremental(seed),
+        let result = match &solution {
+            Some(seed) => project.synthesize_incremental(seed.schedule()),
             None => project.synthesize(),
         };
         match result {
@@ -60,12 +60,12 @@ fn main() {
                      {} fresh states ({} firings replayed)",
                     outcome.stats.states_visited, outcome.stats.incr_replayed
                 );
-                schedule = Some(outcome.schedule);
+                solution = Some(outcome.solution);
                 spec = mutated;
             }
             Err(e) => {
                 println!("step {step}: {mutation:?} touched {touched:?} → {e}");
-                schedule = None;
+                solution = None;
                 spec = mutated;
             }
         }

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Pre-runtime: synthesize once, dispatch a fixed table.
     let outcome = Project::new(spec.clone()).synthesize()?;
-    let report = outcome.execute_for(2);
+    let report = outcome.solution.execute_for(2);
     println!(
         "{:<24} {:>8} {:>12} {:>14} {:>10}",
         "pre-runtime synthesis",

@@ -17,31 +17,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = figure8_spec();
     println!("specification:\n{spec}");
 
-    let outcome = Project::new(spec).synthesize()?;
+    let solution = Project::new(spec).synthesize()?.solution;
 
     println!("timeline ('#' = execution part, '+' = resumed part):");
-    print!("{}", outcome.gantt(0, 24));
+    print!("{}", solution.gantt(0, 24));
 
     println!(
         "\n{} execution parts for {} instances — {} preemptions\n",
-        outcome.table.entries().len(),
-        outcome.spec.total_instances(),
-        outcome.timeline.preemption_count()
+        solution.table().entries().len(),
+        solution.spec().total_instances(),
+        solution.timeline().preemption_count()
     );
 
     // The Fig. 8 artefact itself.
-    println!("{}", outcome.table.to_c_array());
+    println!("{}", solution.table().to_c_array());
 
     // Bare-metal code for an AVR: the resumed rows drive
     // EZRT_CONTEXT_RESTORE instead of a fresh call.
-    let code = outcome.generate_code(Target::Avr8);
+    let code = solution.generate_code(Target::Avr8);
     let restore_sites = code.source.matches("EZRT_CONTEXT_RESTORE").count();
     println!(
         "generated {} with {} context-restore dispatch path(s)",
         code.source_name, restore_sites
     );
 
-    let report = outcome.execute_for(3);
+    let report = solution.execute_for(3);
     println!(
         "simulated 3 periods: misses={} context switches={} preemptions={}",
         report.deadline_misses.len(),

@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outcome = project.synthesize()?;
     println!(
         "synthesis: {} firings, {} states searched (minimum {}), {:?}",
-        outcome.schedule.firings().len(),
+        outcome.solution.schedule().firings().len(),
         outcome.stats.states_visited,
         outcome.stats.minimum_states(),
         outcome.stats.elapsed,
@@ -55,13 +55,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Inspect the execution timeline.
     println!("\ntimeline (one schedule period):");
-    print!("{}", outcome.gantt(0, 25));
+    print!("{}", outcome.solution.gantt(0, 25));
 
     // 4. The Fig. 8 schedule table…
-    println!("\nschedule table:\n{}", outcome.table.to_c_array());
+    println!(
+        "\nschedule table:\n{}",
+        outcome.solution.table().to_c_array()
+    );
 
     // 5. …and the scheduled C code for a host-runnable target.
-    let code = outcome.generate_code(Target::PosixSim);
+    let code = outcome.solution.generate_code(Target::PosixSim);
     println!(
         "generated {} ({} bytes) and {} ({} bytes)",
         code.header_name,
@@ -71,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 6. Execute on the simulated dispatcher: timely and predictable.
-    let report = outcome.execute_for(4);
+    let report = outcome.solution.execute_for(4);
     println!(
         "\nsimulated 4 schedule periods: misses={}, release jitter={}, utilization={:.2}",
         report.deadline_misses.len(),

@@ -654,7 +654,7 @@ fn gantt(
     let Some(solution) = outcome.solution.as_ref() else {
         return Err(infeasible_error(&outcome));
     };
-    print!("{}", solution.gantt_window(from, to));
+    print!("{}", solution.gantt(from, to));
     Ok(())
 }
 
@@ -672,7 +672,7 @@ fn codegen(project: &Project, target: Option<&String>, cache: &ResultCache) -> R
 fn simulate(project: &Project, periods: Option<&String>) -> Result<(), String> {
     let periods = parse_number(periods, 1)?.max(1);
     let outcome = synthesize(project)?;
-    let report = outcome.execute_for(periods);
+    let report = outcome.solution.execute_for(periods);
     println!(
         "simulated {periods} schedule period(s), horizon {}",
         report.horizon
@@ -737,7 +737,7 @@ fn compare(project: &Project) -> Result<(), String> {
     );
     match project.synthesize() {
         Ok(outcome) => {
-            let report = outcome.execute_for(1);
+            let report = outcome.solution.execute_for(1);
             println!(
                 "{:<14} {:>8} {:>12} {:>14}",
                 "pre-runtime",

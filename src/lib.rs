@@ -21,7 +21,9 @@
 //!   EDF/RM/DM baselines.
 //! * [`dsl`] — the `<rt:ez-spec>` XML language (paper Fig. 7).
 //! * [`pnml`] — PNML ISO/IEC 15909-2 interchange (paper §4.1).
-//! * [`core`] — the end-to-end [`core::Project`] pipeline (paper Fig. 6).
+//! * [`core`] — the end-to-end [`core::Project`] pipeline (paper Fig. 6)
+//!   and [`core::Solution`], the one feasible-result type every artifact
+//!   is derived from.
 //! * [`artifacts`] — the artifact layer: every output of a synthesis
 //!   (report JSON, schedule table, generated C, Gantt, PNML) rendered
 //!   as a pure function of one cached outcome, plus the disk-cache
@@ -46,7 +48,13 @@
 //!
 //! let project = Project::new(spec);
 //! let outcome = project.synthesize()?;
-//! assert!(outcome.schedule.is_feasible());
+//!
+//! // One solution — spec, net and schedule — is the source of every
+//! // artifact: its timeline and schedule table are derived once.
+//! let solution = &outcome.solution;
+//! assert!(solution.schedule().is_feasible());
+//! assert!(solution.validate().is_empty());
+//! assert!(solution.table().to_c_array().contains("sensor"));
 //! # Ok(())
 //! # }
 //! ```

@@ -1,9 +1,11 @@
 //! Replays the checked-in regression corpus under `tests/corpus/` on
 //! every test run. Each file is a canonical spec XML whose expected
 //! verdict is encoded in its filename (`feasible__*` / `infeasible__*`);
-//! a behaviour change in the parser, the digest, the search or the
-//! simulator shows up here as a corpus divergence before it ships.
+//! a behaviour change in the parser, the digest, the search, the
+//! simulator or the disk-cache revival shows up here as a corpus
+//! divergence before it ships.
 
+use ezrealtime::artifacts::{codec, compute_outcome, render, ArtifactKind};
 use ezrealtime::core::Project;
 use ezrealtime::scheduler::{SchedulerConfig, SynthesizeError};
 use ezrealtime::server::digest::project_digest;
@@ -50,15 +52,33 @@ fn checked_in_corpus_replays_with_the_recorded_verdicts() {
             "{name}: digest moved across the roundtrip"
         );
 
-        // The recorded verdict still holds, and feasible schedules
-        // still satisfy the net-semantics oracle.
+        // The recorded verdict still holds, feasible schedules still
+        // satisfy the net-semantics oracle, and a feasible outcome
+        // revived from its cache file renders every artifact the same
+        // bytes as the fresh one: the fresh solution derived its
+        // timeline and table eagerly, the decoded one derives them on
+        // first render from the net its replay gate translated.
         match project.synthesize() {
             Ok(outcome) => {
                 assert!(expect_feasible, "{name}: recorded infeasible, now feasible");
-                let violations = outcome.validate();
+                let violations = outcome.solution.validate();
                 assert!(violations.is_empty(), "{name}: {violations:?}");
-                ezrealtime::sim::replay::replay(&outcome.tasknet, &outcome.schedule)
-                    .unwrap_or_else(|e| panic!("{name}: oracle rejects schedule: {e}"));
+                ezrealtime::sim::replay::replay(
+                    outcome.solution.tasknet(),
+                    outcome.solution.schedule(),
+                )
+                .unwrap_or_else(|e| panic!("{name}: oracle rejects schedule: {e}"));
+
+                let fresh = compute_outcome(&project, project_digest(&project));
+                let revived = codec::decode_file(&codec::encode_file(&fresh))
+                    .unwrap_or_else(|e| panic!("{name}: cache file does not decode: {e}"));
+                for kind in ArtifactKind::ALL {
+                    assert_eq!(
+                        render(&revived, kind).map(|a| a.text),
+                        render(&fresh, kind).map(|a| a.text),
+                        "{name}: revived {kind} differs from the fresh one"
+                    );
+                }
             }
             Err(SynthesizeError::Infeasible { .. }) => {
                 assert!(

@@ -198,7 +198,7 @@ proptest! {
             return Ok(()); // no schedule to warm-start from
         };
         let cold = after.synthesize();
-        let warm = after.synthesize_incremental(&ancestor.schedule);
+        let warm = after.synthesize_incremental(ancestor.solution.schedule());
         prop_assert_eq!(
             warm.is_ok(), cold.is_ok(),
             "{}: warm and cold verdicts diverge", label
@@ -210,9 +210,9 @@ proptest! {
                     "{}: warm visited {} states, cold {}",
                     label, warm.stats.states_visited, cold.stats.states_visited
                 );
-                let violations = warm.validate();
+                let violations = warm.solution.validate();
                 prop_assert!(violations.is_empty(), "{}: {:?}", label, violations);
-                let replay = ezrealtime::sim::replay::replay(&warm.tasknet, &warm.schedule);
+                let replay = ezrealtime::sim::replay::replay(warm.solution.tasknet(), warm.solution.schedule());
                 prop_assert!(replay.is_ok(), "{}: oracle rejects warm schedule", label);
             }
             (Err(warm), Err(cold)) => {
@@ -232,13 +232,16 @@ fn unchanged_spec_replays_verbatim_with_zero_search_work() {
     let project = Project::new(mine_pump());
     let cold = project.synthesize().expect("feasible");
     let warm = project
-        .synthesize_incremental(&cold.schedule)
+        .synthesize_incremental(cold.solution.schedule())
         .expect("feasible");
-    assert_eq!(warm.schedule, cold.schedule);
+    assert_eq!(warm.solution.schedule(), cold.solution.schedule());
     assert_eq!(warm.stats.states_visited, 0);
     assert_eq!(warm.stats.incr_seed_hits, 1);
-    assert_eq!(warm.stats.incr_replayed, cold.schedule.firings().len());
-    assert!(warm.validate().is_empty());
+    assert_eq!(
+        warm.stats.incr_replayed,
+        cold.solution.schedule().firings().len()
+    );
+    assert!(warm.solution.validate().is_empty());
 }
 
 #[test]
@@ -251,13 +254,15 @@ fn warm_start_after_a_deadline_edit_is_sound_and_no_costlier() {
     assert_eq!(edited.changed_tasks(previous.spec()).len(), 1);
 
     let warm = edited
-        .synthesize_incremental(&ancestor.schedule)
+        .synthesize_incremental(ancestor.solution.schedule())
         .expect("feasible");
     // Soundness: the warm-started schedule satisfies the edited spec by
     // both oracles — the net-independent validator and a full replay
     // through the net semantics.
-    assert!(warm.validate().is_empty());
-    assert!(ezrealtime::sim::replay::replay(&warm.tasknet, &warm.schedule).is_ok());
+    assert!(warm.solution.validate().is_empty());
+    assert!(
+        ezrealtime::sim::replay::replay(warm.solution.tasknet(), warm.solution.schedule()).is_ok()
+    );
     // Economy: the seed was accepted and the warm search visited no
     // more states than a cold one.
     let cold = edited.synthesize().expect("feasible");
@@ -271,12 +276,12 @@ fn warm_start_after_a_deadline_edit_is_sound_and_no_costlier() {
 #[test]
 fn edits_warm_start_identically_at_any_job_count() {
     let previous = Project::new(mine_pump()).synthesize().expect("feasible");
-    let edited_xml = nudge_first_deadline(&to_xml(&previous.spec), 1);
+    let edited_xml = nudge_first_deadline(&to_xml(previous.solution.spec()), 1);
     let warm_at = |jobs| {
         Project::from_dsl(&edited_xml)
             .expect("edited spec parses")
             .with_jobs(jobs)
-            .synthesize_incremental(&previous.schedule)
+            .synthesize_incremental(previous.solution.schedule())
             .expect("feasible")
     };
     let one = warm_at(1);
@@ -284,6 +289,6 @@ fn edits_warm_start_identically_at_any_job_count() {
     assert_eq!(two.stats.incr_seed_hits, 1);
     assert_eq!(two.stats.incr_replayed, one.stats.incr_replayed);
     assert_eq!(two.stats.states_visited, one.stats.states_visited);
-    assert_eq!(two.schedule, one.schedule);
-    assert!(two.validate().is_empty());
+    assert_eq!(two.solution.schedule(), one.solution.schedule());
+    assert!(two.solution.validate().is_empty());
 }

@@ -45,8 +45,8 @@ fn schedule_synthesis_reproduces_the_section_5_shape() {
 #[test]
 fn the_schedule_is_independently_valid_and_timely() {
     let outcome = Project::new(mine_pump()).synthesize().expect("feasible");
-    assert!(outcome.validate().is_empty());
-    let report = outcome.execute_for(2);
+    assert!(outcome.solution.validate().is_empty());
+    let report = outcome.solution.execute_for(2);
     assert!(report.is_timely());
     assert_eq!(report.max_release_jitter(), 0, "predictable: zero jitter");
     assert_eq!(report.preemptions, 0, "all tasks are non-preemptive");
@@ -89,7 +89,7 @@ fn online_baselines_bracket_the_pre_runtime_result() {
 #[test]
 fn schedule_table_covers_all_782_instances_in_order() {
     let outcome = Project::new(mine_pump()).synthesize().expect("feasible");
-    let entries = outcome.table.entries();
+    let entries = outcome.solution.table().entries();
     assert_eq!(entries.len(), 782);
     let mut last = 0;
     for entry in entries {

@@ -45,22 +45,23 @@ fn dual_node_spec() -> ezrealtime::spec::EzSpec {
 
 #[test]
 fn multiprocessor_schedule_synthesizes_and_validates() {
-    let outcome = Project::new(dual_node_spec())
+    let solution = Project::new(dual_node_spec())
         .synthesize()
-        .expect("feasible");
-    assert!(outcome.validate().is_empty());
+        .expect("feasible")
+        .solution;
+    assert!(solution.validate().is_empty());
 
-    let spec = outcome.spec.clone();
+    let spec = solution.spec().clone();
     // Tasks run on their own processors — the two MCUs overlap in time.
     let sensor = spec.processor_id("sensor_mcu").unwrap();
     let control = spec.processor_id("control_mcu").unwrap();
-    assert!(outcome
-        .timeline
+    assert!(solution
+        .timeline()
         .slices()
         .iter()
         .any(|s| s.processor == sensor));
-    assert!(outcome
-        .timeline
+    assert!(solution
+        .timeline()
         .slices()
         .iter()
         .any(|s| s.processor == control));
@@ -69,8 +70,11 @@ fn multiprocessor_schedule_synthesizes_and_validates() {
     // plus grant (1) plus transfer (2).
     let transmit = spec.task_id("transmit").unwrap();
     let actuate = spec.task_id("actuate").unwrap();
-    let sent = outcome.timeline.instance_completion(transmit, 0).unwrap();
-    let start = outcome.timeline.instance_start(actuate, 0).unwrap();
+    let sent = solution
+        .timeline()
+        .instance_completion(transmit, 0)
+        .unwrap();
+    let start = solution.timeline().instance_start(actuate, 0).unwrap();
     assert!(
         start >= sent + 1 + 2,
         "actuate started at {start}, frame delivered at {}",
@@ -81,15 +85,16 @@ fn multiprocessor_schedule_synthesizes_and_validates() {
 #[test]
 fn per_processor_schedule_tables() {
     use ezrealtime::codegen::ScheduleTable;
-    let outcome = Project::new(dual_node_spec())
+    let solution = Project::new(dual_node_spec())
         .synthesize()
-        .expect("feasible");
-    let spec = outcome.spec.clone();
+        .expect("feasible")
+        .solution;
+    let spec = solution.spec().clone();
     let sensor = spec.processor_id("sensor_mcu").unwrap();
     let control = spec.processor_id("control_mcu").unwrap();
 
-    let sensor_table = ScheduleTable::from_timeline_for(&spec, &outcome.timeline, sensor);
-    let control_table = ScheduleTable::from_timeline_for(&spec, &outcome.timeline, control);
+    let sensor_table = ScheduleTable::from_timeline_for(&spec, solution.timeline(), sensor);
+    let control_table = ScheduleTable::from_timeline_for(&spec, solution.timeline(), control);
     // sample + transmit on the sensor MCU; actuate + 2× local_watch on
     // the control MCU.
     assert_eq!(sensor_table.entries().len(), 2);
@@ -105,10 +110,11 @@ fn per_processor_schedule_tables() {
 
 #[test]
 fn parallel_execution_is_reflected_in_the_report() {
-    let outcome = Project::new(dual_node_spec())
+    let solution = Project::new(dual_node_spec())
         .synthesize()
-        .expect("feasible");
-    let report = outcome.execute_for(2);
+        .expect("feasible")
+        .solution;
+    let report = solution.execute_for(2);
     assert!(report.is_timely());
     // Both processors contribute busy time:
     // (3+2) + 4 + 2×2 per period = 13 per 40-unit period.
@@ -139,16 +145,16 @@ fn bus_resource_serializes_competing_messages() {
         .message("m2", "tx2", "rx2", "shared_bus", 0, 4)
         .build()
         .expect("valid");
-    let outcome = Project::new(spec).synthesize().expect("feasible");
-    assert!(outcome.validate().is_empty());
+    let solution = Project::new(spec).synthesize().expect("feasible").solution;
+    assert!(solution.validate().is_empty());
 
     // With a 4-unit transfer each and one bus token, the second receiver
     // cannot start before 2 + 4 + 4 = 10.
-    let spec = outcome.spec.clone();
+    let spec = solution.spec().clone();
     let rx1 = spec.task_id("rx1").unwrap();
     let rx2 = spec.task_id("rx2").unwrap();
-    let s1 = outcome.timeline.instance_start(rx1, 0).unwrap();
-    let s2 = outcome.timeline.instance_start(rx2, 0).unwrap();
+    let s1 = solution.timeline().instance_start(rx1, 0).unwrap();
+    let s2 = solution.timeline().instance_start(rx2, 0).unwrap();
     assert!(
         s1.max(s2) >= 10,
         "bus serialization violated: rx starts at {s1} and {s2}"

@@ -27,16 +27,16 @@ fn corpus_parallel_schedules_pass_validate_and_replay() {
                 .with_jobs(jobs)
                 .synthesize()
                 .unwrap_or_else(|e| panic!("{} at {jobs} jobs: {e}", spec.name()));
-            let violations = outcome.validate();
+            let violations = outcome.solution.validate();
             assert!(
                 violations.is_empty(),
                 "{} at {jobs} jobs: {violations:?}",
                 spec.name()
             );
-            let report = replay(&outcome.tasknet, &outcome.schedule)
+            let report = replay(outcome.solution.tasknet(), outcome.solution.schedule())
                 .unwrap_or_else(|e| panic!("{} at {jobs} jobs: {e}", spec.name()));
-            assert_eq!(report.firings, outcome.schedule.firings().len());
-            assert_eq!(report.makespan, outcome.schedule.makespan());
+            assert_eq!(report.firings, outcome.solution.schedule().firings().len());
+            assert_eq!(report.makespan, outcome.solution.schedule().makespan());
         }
     }
 }

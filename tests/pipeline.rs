@@ -13,20 +13,20 @@ fn dsl_to_code_to_simulation() {
     let outcome = project.synthesize().expect("feasible");
 
     // Independent validation.
-    assert!(outcome.validate().is_empty());
+    assert!(outcome.solution.validate().is_empty());
 
     // Code for every target, with the table embedded.
     for target in Target::ALL {
-        let code = outcome.generate_code(target);
+        let code = outcome.solution.generate_code(target);
         assert!(code.source.contains("scheduleTable"));
         assert!(
-            code.source.matches("(int *)").count() >= outcome.table.entries().len(),
+            code.source.matches("(int *)").count() >= outcome.solution.table().entries().len(),
             "{target}: one pointer per execution part"
         );
     }
 
     // Simulated dispatch stays timely over many periods.
-    let report = outcome.execute_for(10);
+    let report = outcome.solution.execute_for(10);
     assert!(report.is_timely());
     assert_eq!(report.max_release_jitter(), 0);
 }
@@ -40,12 +40,15 @@ fn pnml_export_of_synthesized_nets_reimports() {
         small_control(),
     ] {
         let outcome = Project::new(spec.clone()).synthesize().expect("feasible");
-        let pnml = outcome.to_pnml();
+        let pnml = outcome.solution.to_pnml();
         let reread = ezrealtime::pnml::from_pnml(&pnml).expect("reimports");
-        assert_eq!(reread.place_count(), outcome.tasknet.net().place_count());
+        assert_eq!(
+            reread.place_count(),
+            outcome.solution.tasknet().net().place_count()
+        );
         assert_eq!(
             reread.transition_count(),
-            outcome.tasknet.net().transition_count()
+            outcome.solution.tasknet().net().transition_count()
         );
     }
 }
@@ -54,25 +57,37 @@ fn pnml_export_of_synthesized_nets_reimports() {
 fn figure3_and_figure4_schedules_respect_their_relations() {
     // Fig. 3: T1 precedes T2.
     let outcome = Project::new(figure3_spec()).synthesize().expect("feasible");
-    let spec = outcome.spec.clone();
+    let spec = outcome.solution.spec().clone();
     let t1 = spec.task_id("T1").unwrap();
     let t2 = spec.task_id("T2").unwrap();
-    let t1_done = outcome.timeline.instance_completion(t1, 0).unwrap();
-    let t2_start = outcome.timeline.instance_start(t2, 0).unwrap();
+    let t1_done = outcome
+        .solution
+        .timeline()
+        .instance_completion(t1, 0)
+        .unwrap();
+    let t2_start = outcome.solution.timeline().instance_start(t2, 0).unwrap();
     assert!(t1_done <= t2_start);
 
     // Fig. 4: T0 excludes T2 — execution windows may not interleave.
     let outcome = Project::new(figure4_spec()).synthesize().expect("feasible");
-    let spec = outcome.spec.clone();
+    let spec = outcome.solution.spec().clone();
     let t0 = spec.task_id("T0").unwrap();
     let t2 = spec.task_id("T2").unwrap();
     let (s0, e0) = (
-        outcome.timeline.instance_start(t0, 0).unwrap(),
-        outcome.timeline.instance_completion(t0, 0).unwrap(),
+        outcome.solution.timeline().instance_start(t0, 0).unwrap(),
+        outcome
+            .solution
+            .timeline()
+            .instance_completion(t0, 0)
+            .unwrap(),
     );
     let (s2, e2) = (
-        outcome.timeline.instance_start(t2, 0).unwrap(),
-        outcome.timeline.instance_completion(t2, 0).unwrap(),
+        outcome.solution.timeline().instance_start(t2, 0).unwrap(),
+        outcome
+            .solution
+            .timeline()
+            .instance_completion(t2, 0)
+            .unwrap(),
     );
     assert!(
         e0 <= s2 || e2 <= s0,
@@ -83,7 +98,7 @@ fn figure3_and_figure4_schedules_respect_their_relations() {
 #[test]
 fn dot_export_renders_synthesized_nets() {
     let outcome = Project::new(figure3_spec()).synthesize().expect("feasible");
-    let dot = outcome.to_dot();
+    let dot = ezrealtime::tpn::dot::to_dot(outcome.solution.tasknet().net());
     assert!(dot.starts_with("digraph"));
     // Key Fig. 3 net elements appear.
     for needle in ["tr0_T1", "tprec_0_1", "pproc_cpu0"] {

@@ -109,7 +109,7 @@ fn each_feasible_result_is_replayed_once() {
     let loosened = pump_with("deadline", 20, 25);
     let (warm, replays) = count_replays(|| {
         loosened
-            .synthesize_incremental(&cold.schedule)
+            .synthesize_incremental(cold.solution.schedule())
             .expect("a loosened deadline stays feasible")
     });
     assert_eq!(warm.stats.states_visited, 0, "the seed replays verbatim");
@@ -118,7 +118,7 @@ fn each_feasible_result_is_replayed_once() {
 
     let cut = pump_with("computing", 15, 10);
     let (warm, replays) = count_replays(|| {
-        cut.synthesize_incremental(&cold.schedule)
+        cut.synthesize_incremental(cold.solution.schedule())
             .expect("a WCET cut stays feasible")
     });
     assert!(

@@ -51,14 +51,14 @@ proptest! {
         };
 
         // 1. Independent validation.
-        let violations = outcome.validate();
+        let violations = outcome.solution.validate();
         prop_assert!(violations.is_empty(), "seed {seed}: {violations:?}");
 
         // 2. Table ↔ timeline consistency (first processor).
         let cpu = spec.processors().next().unwrap().0;
-        let table = ScheduleTable::from_timeline(&spec, &outcome.timeline);
+        let table = ScheduleTable::from_timeline(&spec, outcome.solution.timeline());
         let parts = outcome
-            .timeline
+            .solution.timeline()
             .slices()
             .iter()
             .filter(|s| s.processor == cpu)
@@ -66,7 +66,7 @@ proptest! {
         prop_assert_eq!(table.entries().len(), parts);
 
         // 3. Execution is timely and jitter-free over three periods.
-        let report = outcome.execute_for(3);
+        let report = outcome.solution.execute_for(3);
         prop_assert!(report.is_timely());
         prop_assert_eq!(report.max_release_jitter(), 0);
 
@@ -76,9 +76,9 @@ proptest! {
         prop_assert_eq!(&reloaded, &spec);
 
         // 5. PNML round trip of the synthesized net.
-        let pnml = outcome.to_pnml();
+        let pnml = outcome.solution.to_pnml();
         let net = ezrealtime::pnml::from_pnml(&pnml).expect("own pnml parses");
-        prop_assert_eq!(net.place_count(), outcome.tasknet.net().place_count());
+        prop_assert_eq!(net.place_count(), outcome.solution.tasknet().net().place_count());
     }
 
     /// The searched state count never undercuts the forced minimum, and

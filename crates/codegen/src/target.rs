@@ -59,12 +59,6 @@ impl Target {
         }
     }
 
-    /// Whether the generated program is meant to compile and run on the
-    /// build host (true only for [`Target::PosixSim`]).
-    pub fn host_runnable(self) -> bool {
-        matches!(self, Target::PosixSim)
-    }
-
     /// `#include` lines for the generated source.
     pub(crate) fn includes(self) -> &'static str {
         match self {
@@ -154,14 +148,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Target::ALL.len());
-    }
-
-    #[test]
-    fn only_posix_is_host_runnable() {
-        assert!(Target::PosixSim.host_runnable());
-        for t in Target::ALL.into_iter().filter(|&t| t != Target::PosixSim) {
-            assert!(!t.host_runnable());
-        }
     }
 
     #[test]

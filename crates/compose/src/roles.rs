@@ -81,12 +81,6 @@ impl TransitionRole {
             | TransitionRole::BusTransfer(_) => None,
         }
     }
-
-    /// Whether this is the computation transition whose firings occupy
-    /// processor time.
-    pub fn is_compute(&self) -> bool {
-        matches!(self, TransitionRole::Compute(_))
-    }
 }
 
 impl fmt::Display for TransitionRole {
@@ -142,12 +136,6 @@ mod tests {
             TransitionRole::BusGrant(MessageId::from_index(0)).task(),
             None
         );
-    }
-
-    #[test]
-    fn compute_detection() {
-        assert!(TransitionRole::Compute(tid(0)).is_compute());
-        assert!(!TransitionRole::Grant(tid(0)).is_compute());
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use ezrt_core::Project;
 use ezrt_spec::corpus::{figure3_spec, figure8_spec, small_control};
-use ezrt_tpn::reachability::{explore, DelayMode, ExplorationLimits};
 
 #[test]
 fn outcome_spec_accessor_matches_project() {
@@ -29,33 +28,6 @@ fn schedule_and_timeline_agree_on_workload() {
         .map(|(id, t)| solution.spec().instances_of(id) * t.timing().computation)
         .sum();
     assert_eq!(busy_from_slices, demand);
-}
-
-#[test]
-fn bounded_reachability_agrees_with_the_search_on_figure3() {
-    // The generic breadth-first explorer (analysis tool) and the
-    // goal-directed DFS walk the same TLTS: under the earliest-firing
-    // policy the whole reachable space of the Fig. 3 net is tiny and
-    // contains the final marking the search reports.
-    let project = Project::new(figure3_spec());
-    let tasknet = project.translate();
-    let report = explore(
-        tasknet.net(),
-        DelayMode::Earliest,
-        ExplorationLimits {
-            max_states: 10_000,
-            max_depth: 10_000,
-        },
-    );
-    assert!(!report.truncated);
-    // Eager exploration of a two-task precedence net: fork, two arrival
-    // chains, serialized executions — a few dozen states at most.
-    assert!(report.states_visited < 100, "got {}", report.states_visited);
-    // The deadlocks include the success state MF (nothing enabled there).
-    assert!(report.deadlocks >= 1);
-
-    let outcome = project.synthesize().unwrap();
-    assert!(outcome.stats.states_visited <= report.states_visited + 1);
 }
 
 #[test]

@@ -100,7 +100,7 @@ impl std::fmt::Display for PorLevel {
 ///
 /// ```
 /// use ezrt_scheduler::{SchedulerConfig, BranchOrdering, PorLevel};
-/// use ezrt_tpn::reachability::DelayMode;
+/// use ezrt_tpn::DelayMode;
 ///
 /// let fast = SchedulerConfig::default();
 /// assert_eq!(fast.ordering, BranchOrdering::Edf);

@@ -284,11 +284,12 @@ mod tests {
         let mut state = explorer.intern_initial();
         let (mut enabled, mut next_enabled) = (Vec::new(), Vec::new());
         explorer.enabled_into(state, &mut enabled);
-        let mut domains = Vec::new();
+        let (mut bounds, mut domains) = (ClockBounds::default(), Vec::new());
         let mut run = Vec::new();
         let mut at = 0;
         loop {
-            explorer.fireable_domains_into(state, &enabled, &mut domains);
+            net.clock_bounds_into(explorer.state(state), &enabled, &mut bounds);
+            net.fireable_domains_into(&bounds, &mut domains);
             let Some(&(t, dlb, _)) = domains.first() else {
                 panic!("no deadline miss before the run deadlocked")
             };

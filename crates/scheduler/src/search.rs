@@ -18,8 +18,8 @@
 //! with its firing domains, the sleep-set guard's inputs and the
 //! candidates off them; no step re-walks every enabled clock. Debug
 //! builds check every push against that full walk
-//! ([`TimePetriNet::clock_bounds_into`]), which the replay oracle and the
-//! BFS still use. Frames pool their vectors across pushes, so in the
+//! ([`TimePetriNet::clock_bounds_into`]), which the replay oracle still
+//! uses. Frames pool their vectors across pushes, so in the
 //! steady state the loop performs **zero heap allocations per explored
 //! successor**. A finished search hands its arena, dead set, frames,
 //! carried bounds and path to one process-wide spare slot and the next

@@ -2,42 +2,22 @@
 //! pushed through the *same* work-queue + result-cache machinery as the
 //! HTTP front end, one JSON row per spec.
 //!
-//! Files fan out over [`Parallelism`] worker threads (the CLI's
-//! `--jobs`); each file's synthesis is one sequential search, so every
-//! row is deterministic and matches a standalone `ezrt schedule --json`
-//! run field for field regardless of the fan-out width. Duplicate specifications inside one batch (or repeated batch
+//! Files fan out over [`SchedulerConfig::parallelism`] worker threads
+//! (the CLI's `--jobs`); each file's synthesis is one sequential search,
+//! so every row is deterministic and matches a standalone
+//! `ezrt schedule --json` run field for field regardless of the fan-out
+//! width. Duplicate specifications inside one batch (or repeated batch
 //! runs over one [`ResultCache`]) deduplicate through the digest cache:
 //! later occurrences are served as `cache: "hit"`.
 
-use crate::cache::{compute_outcome, ResultCache};
-use crate::digest::project_digest;
-use crate::report::{self, JsonFields};
+use crate::cache::ResultCache;
+use ezrt_artifacts::report::{self, JsonFields};
+use ezrt_artifacts::{compute_outcome, project_digest};
 use ezrt_core::Project;
 use ezrt_scheduler::{Parallelism, SchedulerConfig};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Configuration of [`run_batch`].
-#[derive(Debug, Clone)]
-pub struct BatchOptions {
-    /// How many spec files are processed concurrently.
-    pub fanout: Parallelism,
-    /// The scheduler configuration every file is synthesized under.
-    pub scheduler: SchedulerConfig,
-    /// Result-cache bound in completed entries.
-    pub cache_capacity: usize,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions {
-            fanout: Parallelism::SEQUENTIAL,
-            scheduler: SchedulerConfig::default(),
-            cache_capacity: 1024,
-        }
-    }
-}
 
 /// One processed spec file.
 #[derive(Debug, Clone)]
@@ -52,7 +32,8 @@ pub struct BatchRow {
 }
 
 /// Synthesizes every `*.xml` specification under `dir`, fanning the
-/// files out over [`BatchOptions::fanout`] workers through `cache`.
+/// files out over `config.parallelism` workers through `cache`; every
+/// file is synthesized under `config`.
 /// Rows come back sorted by file name regardless of completion order.
 ///
 /// # Errors
@@ -62,7 +43,7 @@ pub struct BatchRow {
 /// their row (`ok == false`), not as an error.
 pub fn run_batch(
     dir: &Path,
-    options: &BatchOptions,
+    config: &SchedulerConfig,
     cache: &ResultCache,
 ) -> Result<Vec<BatchRow>, String> {
     let mut files: Vec<String> = std::fs::read_dir(dir)
@@ -81,8 +62,8 @@ pub fn run_batch(
         return Err(format!("no .xml specifications found in {}", dir.display()));
     }
 
-    Ok(fan_out(&files, options.fanout, |file| {
-        process_file(dir, file, options, cache)
+    Ok(fan_out(&files, config.parallelism, |file| {
+        process_file(dir, file, config, cache)
     }))
 }
 
@@ -118,7 +99,7 @@ pub(crate) fn fan_out<T: Sync, R: Send>(
         .collect()
 }
 
-fn process_file(dir: &Path, file: &str, options: &BatchOptions, cache: &ResultCache) -> BatchRow {
+fn process_file(dir: &Path, file: &str, config: &SchedulerConfig, cache: &ResultCache) -> BatchRow {
     let error_row = |message: String| BatchRow {
         file: file.to_owned(),
         ok: false,
@@ -135,7 +116,7 @@ fn process_file(dir: &Path, file: &str, options: &BatchOptions, cache: &ResultCa
         Ok(project) => project,
         Err(error) => return error_row(error.to_string()),
     };
-    let project = project.with_config(options.scheduler.clone());
+    let project = project.with_config(config.clone());
     let digest = project_digest(&project);
     let (outcome, lookup) = cache.get_or_compute(digest, || compute_outcome(&project, digest));
     let mut fields: JsonFields = Vec::with_capacity(outcome.fields.len() + 2);
@@ -180,7 +161,7 @@ mod tests {
             ],
         );
         let cache = ResultCache::new(64, 1);
-        let rows = run_batch(&dir, &BatchOptions::default(), &cache).expect("batch runs");
+        let rows = run_batch(&dir, &SchedulerConfig::default(), &cache).expect("batch runs");
         assert_eq!(
             rows.iter().map(|r| r.file.as_str()).collect::<Vec<_>>(),
             ["a_small.xml", "b_fig3.xml", "c_dup_small.xml"]
@@ -193,9 +174,9 @@ mod tests {
         let cache = ResultCache::new(64, 1);
         let parallel = run_batch(
             &dir,
-            &BatchOptions {
-                fanout: Parallelism::new(3),
-                ..BatchOptions::default()
+            &SchedulerConfig {
+                parallelism: Parallelism::new(3),
+                ..SchedulerConfig::default()
             },
             &cache,
         )
@@ -223,7 +204,7 @@ mod tests {
     fn unreadable_and_malformed_specs_get_error_rows() {
         let dir = batch_dir("errors", &[("bad.xml", "<nonsense/>".to_owned())]);
         let cache = ResultCache::new(4, 1);
-        let rows = run_batch(&dir, &BatchOptions::default(), &cache).expect("batch runs");
+        let rows = run_batch(&dir, &SchedulerConfig::default(), &cache).expect("batch runs");
         assert_eq!(rows.len(), 1);
         assert!(!rows[0].ok);
         assert!(rows[0].line.contains("\"error\": "));
@@ -234,7 +215,7 @@ mod tests {
     fn empty_directories_are_an_error() {
         let dir = batch_dir("empty", &[]);
         let cache = ResultCache::new(4, 1);
-        assert!(run_batch(&dir, &BatchOptions::default(), &cache).is_err());
+        assert!(run_batch(&dir, &SchedulerConfig::default(), &cache).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

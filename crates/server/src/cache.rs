@@ -30,15 +30,14 @@
 //! ([`RenderMemo`](ezrt_artifacts::RenderMemo)), so they leave memory
 //! with it and the outcome LRU bounds them too.
 
-use crate::digest::SpecDigest;
 use crate::disk::{DiskStats, DiskTier};
+use ezrt_artifacts::outcome::SynthesisOutcome;
+use ezrt_artifacts::SpecDigest;
 use ezrt_artifacts::{render, ArtifactKind, RenderError};
 use ezrt_obs::Registry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-pub use ezrt_artifacts::outcome::{compute_outcome, compute_outcome_incremental, SynthesisOutcome};
 
 /// The shard count of the service caches (`ezrt serve`, `ezrt batch`).
 pub const SHARDS: usize = 8;
@@ -552,7 +551,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digest::project_digest;
+    use ezrt_artifacts::{compute_outcome, project_digest};
     use ezrt_codegen::Target;
     use ezrt_core::Project;
     use ezrt_spec::corpus::small_control;

@@ -31,9 +31,8 @@
 //!   already-removed file is not an error, and a reader that loses a
 //!   file mid-load re-synthesizes exactly as it would for a clean miss.
 
-use crate::cache::SynthesisOutcome;
-use crate::digest::SpecDigest;
 use ezrt_artifacts::codec;
+use ezrt_artifacts::{SpecDigest, SynthesisOutcome};
 use ezrt_obs::Registry;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,19 +47,18 @@ const ENTRY_EXTENSION: &str = "ezrtc";
 const TEMP_FILE_TTL: Duration = Duration::from_secs(120);
 
 ezrt_obs::metric_table! {
-    /// Counters of one [`DiskTier`], in `/v1/stats` order; the rows with
-    /// no key are on `/v1/metrics` only.
+    /// Counters of one [`DiskTier`], in `/v1/stats` order.
     pub struct DiskStats;
     struct DiskCells;
-    loads: u64, Counter, None, "ezrt_disk_loads_total",
+    loads: u64, Counter, Some("disk_loads"), "ezrt_disk_loads_total",
         "Disk-tier entries successfully loaded and decoded.";
-    load_misses: u64, Counter, None, "ezrt_disk_load_misses_total",
+    load_misses: u64, Counter, Some("disk_load_misses"), "ezrt_disk_load_misses_total",
         "Disk-tier lookups that found no file.";
     writes: u64, Counter, Some("disk_writes"), "ezrt_disk_writes_total",
         "Disk-tier entries successfully written.";
     load_errors: u64, Counter, Some("disk_load_errors"), "ezrt_disk_load_errors_total",
         "Disk-tier files that failed verification or decoding.";
-    write_errors: u64, Counter, None, "ezrt_disk_write_errors_total",
+    write_errors: u64, Counter, Some("disk_write_errors"), "ezrt_disk_write_errors_total",
         "Disk-tier writes that failed (ignored, memory tier keeps serving).";
     gc_evicted: u64, Counter, Some("disk_gc_evicted"), "ezrt_disk_gc_evicted_total",
         "Valid disk entries evicted by the byte-budget sweep.";
@@ -127,11 +125,6 @@ impl DiskTier {
     /// `registry` for Prometheus exposition.
     pub fn register_metrics(&self, registry: &Registry) {
         self.cells.register(registry);
-    }
-
-    /// The configured byte budget, when one is set.
-    pub fn max_bytes(&self) -> Option<u64> {
-        self.max_bytes
     }
 
     /// The cache directory.

@@ -67,14 +67,14 @@
 //! rows drive both `/v1/stats` and `/v1/metrics`, so to add a service
 //! metric, add one row.
 
-use crate::cache::{
-    compute_outcome, compute_outcome_incremental, Lookup, ResultCache, SynthesisOutcome, SHARDS,
-};
-use crate::digest::{project_digest, structure_digest, SpecDigest};
+use crate::cache::{Lookup, ResultCache, SHARDS};
 use crate::disk::DiskTier;
-use crate::report::{self, JsonFields};
-use crate::sweep::{run_sweep, SweepOptions};
-use ezrt_artifacts::{ArtifactKind, RenderError};
+use crate::sweep::run_sweep;
+use ezrt_artifacts::report::{self, JsonFields};
+use ezrt_artifacts::{
+    compute_outcome, compute_outcome_incremental, project_digest, structure_digest, ArtifactKind,
+    RenderError, SpecDigest, SynthesisOutcome,
+};
 use ezrt_core::Project;
 use ezrt_obs::{Counter, Histogram, Registry};
 use ezrt_scheduler::{Parallelism, PorLevel, SchedulerConfig, SearchCounter, SearchStats};
@@ -1270,15 +1270,9 @@ fn sweep(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> Resp
         Ok(grid) => grid,
         Err(message) => return Response::error(400, &message),
     };
-    let options = SweepOptions {
-        fanout: project.config().parallelism,
-        scheduler: project.config().clone(),
-    };
     // Oversize grids come back from the engine as the only error it
     // reports; everything per-point is a row, not a failure.
-    let report = match timing.time(Phase::Search, || {
-        run_sweep(project.spec(), &grid, &options, &shared.cache)
-    }) {
+    let report = match timing.time(Phase::Search, || run_sweep(&project, &grid, &shared.cache)) {
         Ok(report) => report,
         Err(message) => return Response::error(400, &message),
     };
@@ -1757,6 +1751,6 @@ mod tests {
             assert_eq!(samples[family], stats[key] + offset, "{key} vs {family}");
             compared += 1;
         }
-        assert_eq!(compared, 9 + 8 + 5 + 5, "every keyed counter row");
+        assert_eq!(compared, 9 + 8 + 8 + 5, "every keyed counter row");
     }
 }

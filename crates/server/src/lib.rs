@@ -5,14 +5,15 @@
 //! The original ezRealtime is a one-shot Eclipse flow. In a CI loop or
 //! a model-editing session the same (or a near-identical) specification
 //! is synthesized over and over; this crate makes the repeat case a
-//! lookup instead of a search:
+//! lookup instead of a search. Its cache key is
+//! [`ezrt_artifacts::digest`], a stable FNV-1a 64+128 digest over the
+//! canonical serialization of the parsed spec + scheduler configuration
+//! ([`Project::canonical_bytes`](ezrt_core::Project::canonical_bytes)),
+//! so semantically identical XML documents (whitespace, attribute order)
+//! map to one cache key; its rows are [`ezrt_artifacts::report`]'s flat
+//! JSON, shared with `ezrt schedule --json`, so CLI and server outputs
+//! are byte-identical and join-able by `spec_digest`.
 //!
-//! * [`digest`] — a stable FNV-1a 64+128 digest over the canonical
-//!   serialization of the parsed spec + scheduler configuration
-//!   ([`Project::canonical_bytes`](ezrt_core::Project::canonical_bytes)),
-//!   so semantically identical XML documents (whitespace, attribute
-//!   order) map to one cache key (lives in `ezrt_artifacts`,
-//!   re-exported here);
 //! * [`cache`] — a sharded, singleflight [`ResultCache`]: digest →
 //!   `Arc<SynthesisOutcome>` behind per-shard mutexes, where concurrent
 //!   requests for the same digest block on a single in-flight synthesis,
@@ -48,16 +49,13 @@
 //!   with a parameter grid (`ezrt sweep`, `POST /v1/sweep`), every
 //!   point warm-started from the base outcome and deduplicated through
 //!   the digest cache, rows byte-identical across surfaces and fan-out
-//!   widths;
-//! * [`report`] — the flat-JSON rendering shared with `ezrt schedule
-//!   --json` (also rehomed to `ezrt_artifacts`), so CLI and server
-//!   outputs are byte-identical and join-able by `spec_digest`.
+//!   widths.
 //!
 //! # Examples
 //!
 //! ```
-//! use ezrt_server::cache::{compute_outcome, ResultCache};
-//! use ezrt_server::digest::project_digest;
+//! use ezrt_artifacts::{compute_outcome, project_digest};
+//! use ezrt_server::ResultCache;
 //! use ezrt_core::Project;
 //! use ezrt_spec::corpus::small_control;
 //!
@@ -81,12 +79,6 @@ pub mod disk;
 pub mod http;
 pub mod sweep;
 
-// The digest and flat-JSON report live in the artifact layer now
-// (`ezrt_artifacts`), shared with the CLI renderers; re-exported here
-// so service code and its callers keep their historical paths.
-pub use ezrt_artifacts::{digest, report};
-
-pub use cache::{CacheStats, Lookup, RenderedArtifact, ResultCache, SynthesisOutcome};
-pub use digest::SpecDigest;
+pub use cache::{CacheStats, Lookup, RenderedArtifact, ResultCache};
 pub use disk::{DiskStats, DiskTier};
 pub use http::{Server, ServerConfig};

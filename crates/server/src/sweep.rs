@@ -3,8 +3,8 @@
 //! per point.
 //!
 //! The engine reuses the batch fan-out loop — points spread over
-//! [`SweepOptions::fanout`] worker threads, each point's synthesis one
-//! sequential search — and adds one twist: the base
+//! [`SchedulerConfig::parallelism`] worker threads, each point's
+//! synthesis one sequential search — and adds one twist: the base
 //! spec is synthesized first, and every grid point warm-starts from the
 //! base outcome through the incremental seeding path. Seeding every
 //! point from the *same* fixed ancestor (rather than from whichever
@@ -23,34 +23,17 @@
 //! base spec itself.
 
 use crate::batch::fan_out;
-use crate::cache::{compute_outcome, compute_outcome_incremental, Lookup, ResultCache};
-use crate::digest::{project_digest, SpecDigest};
-use crate::report::{self, JsonFields};
-use ezrt_artifacts::outcome::SynthesisOutcome;
+use crate::cache::{Lookup, ResultCache};
+use ezrt_artifacts::report::{self, JsonFields};
+use ezrt_artifacts::{
+    compute_outcome, compute_outcome_incremental, project_digest, SpecDigest, SynthesisOutcome,
+};
 use ezrt_core::Project;
-use ezrt_scheduler::{Parallelism, SchedulerConfig};
+use ezrt_scheduler::SchedulerConfig;
 use ezrt_spec::sweep::{SweepGrid, SweepPoint, MAX_SWEEP_POINTS};
 use ezrt_spec::EzSpec;
 use std::collections::HashSet;
 use std::sync::Arc;
-
-/// Configuration of [`run_sweep`].
-#[derive(Debug, Clone)]
-pub struct SweepOptions {
-    /// How many grid points are processed concurrently.
-    pub fanout: Parallelism,
-    /// The scheduler configuration every point is synthesized under.
-    pub scheduler: SchedulerConfig,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            fanout: Parallelism::SEQUENTIAL,
-            scheduler: SchedulerConfig::default(),
-        }
-    }
-}
 
 /// One frontier row: a grid point and its rendered verdict.
 #[derive(Debug, Clone)]
@@ -97,9 +80,10 @@ impl SweepReport {
     }
 }
 
-/// Expands `grid` over `spec` and synthesizes every point through
-/// `cache`. Rows come back in grid order regardless of completion
-/// order.
+/// Expands `grid` over the base project's spec and synthesizes every
+/// point under its configuration through `cache`, fanning the points
+/// out over that configuration's `parallelism`. Rows come back in grid
+/// order regardless of completion order.
 ///
 /// # Errors
 ///
@@ -107,9 +91,8 @@ impl SweepReport {
 /// [`MAX_SWEEP_POINTS`] points. Per-point validation failures are
 /// reported in their row (`verdict: "invalid"`), not as an error.
 pub fn run_sweep(
-    spec: &EzSpec,
+    base: &Project,
     grid: &SweepGrid,
-    options: &SweepOptions,
     cache: &ResultCache,
 ) -> Result<SweepReport, String> {
     if grid.len() > MAX_SWEEP_POINTS {
@@ -121,17 +104,17 @@ pub fn run_sweep(
     // The base outcome is the fixed warm-start ancestor for every
     // point; computing it up front (before any fan-out) pins the seed
     // all workers share.
-    let base_project = Project::new(spec.clone()).with_config(options.scheduler.clone());
-    let base_digest = project_digest(&base_project);
+    let base_digest = project_digest(base);
     let (base_outcome, _) =
-        cache.get_or_compute(base_digest, || compute_outcome(&base_project, base_digest));
+        cache.get_or_compute(base_digest, || compute_outcome(base, base_digest));
     let ancestor = base_outcome
         .solution
         .is_some()
         .then(|| Arc::clone(&base_outcome));
 
-    let rows = fan_out(&grid.points(), options.fanout, |point| {
-        process_point(spec, *point, &options.scheduler, ancestor.as_ref(), cache)
+    let (spec, config) = (base.spec(), base.config());
+    let rows = fan_out(&grid.points(), config.parallelism, |point| {
+        process_point(spec, *point, config, ancestor.as_ref(), cache)
     });
 
     let unique: HashSet<SpecDigest> = rows.iter().filter_map(|row| row.digest).collect();
@@ -211,6 +194,7 @@ fn process_point(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ezrt_scheduler::Parallelism;
     use ezrt_spec::corpus::small_control;
 
     fn grid(text: &str) -> SweepGrid {
@@ -222,9 +206,8 @@ mod tests {
         let spec = small_control();
         let cache = ResultCache::new(64, 1);
         let report = run_sweep(
-            &spec,
+            &Project::new(spec.clone()),
             &grid("periods:100,150;deadlines:75,100;jitter:0,1"),
-            &SweepOptions::default(),
             &cache,
         )
         .expect("sweep runs");
@@ -232,12 +215,11 @@ mod tests {
         for jobs in [2, 5] {
             let cache = ResultCache::new(64, 1);
             let wide = run_sweep(
-                &spec,
+                &Project::new(spec.clone()).with_config(SchedulerConfig {
+                    parallelism: Parallelism::new(jobs),
+                    ..SchedulerConfig::default()
+                }),
                 &grid("periods:100,150;deadlines:75,100;jitter:0,1"),
-                &SweepOptions {
-                    fanout: Parallelism::new(jobs),
-                    ..SweepOptions::default()
-                },
                 &cache,
             )
             .expect("parallel sweep runs");
@@ -251,11 +233,10 @@ mod tests {
         let spec = small_control();
         let cache = ResultCache::new(64, 1);
         let report = run_sweep(
-            &spec,
+            &Project::new(spec),
             // Two identical axis values: four points, two distinct
             // specs — and the identity pair shares the base digest.
             &grid("periods:100,100;deadlines:100,80"),
-            &SweepOptions::default(),
             &cache,
         )
         .expect("sweep runs");
@@ -271,13 +252,8 @@ mod tests {
     fn points_warm_start_from_the_base_outcome() {
         let spec = small_control();
         let cache = ResultCache::new(64, 1);
-        let report = run_sweep(
-            &spec,
-            &grid("deadlines:90"),
-            &SweepOptions::default(),
-            &cache,
-        )
-        .expect("sweep runs");
+        let report =
+            run_sweep(&Project::new(spec), &grid("deadlines:90"), &cache).expect("sweep runs");
         let digest = report.rows[0].digest.expect("valid point");
         assert_ne!(digest, report.base_digest);
         let (outcome, _) = cache.lookup(digest).expect("cached point");
@@ -291,13 +267,8 @@ mod tests {
             .build()
             .unwrap();
         let cache = ResultCache::new(16, 1);
-        let report = run_sweep(
-            &spec,
-            &grid("periods:50,100"),
-            &SweepOptions::default(),
-            &cache,
-        )
-        .expect("sweep runs");
+        let report =
+            run_sweep(&Project::new(spec), &grid("periods:50,100"), &cache).expect("sweep runs");
         assert_eq!(report.invalid, 1);
         assert!(report.rows[0].line.contains("\"verdict\": \"invalid\""));
         assert!(report.rows[0].line.contains("\"error\": "));
@@ -310,7 +281,7 @@ mod tests {
         let cache = ResultCache::new(16, 1);
         let values: Vec<String> = (1..=257).map(|v| v.to_string()).collect();
         let oversized = grid(&format!("jitter:{}", values.join(",")));
-        let error = run_sweep(&spec, &oversized, &SweepOptions::default(), &cache).unwrap_err();
+        let error = run_sweep(&Project::new(spec), &oversized, &cache).unwrap_err();
         assert!(error.contains("257"), "{error}");
         assert_eq!(cache.stats().misses, 0, "refused before any synthesis");
     }

@@ -5,8 +5,8 @@
 //! restarted server sharing a `--cache-dir` must warm-start with zero
 //! synthesis calls.
 
-use ezrt_server::cache::{compute_outcome, Lookup, ResultCache};
-use ezrt_server::digest::project_digest;
+use ezrt_artifacts::{compute_outcome, project_digest};
+use ezrt_server::cache::{Lookup, ResultCache};
 use ezrt_server::disk::DiskTier;
 use ezrt_server::{Server, ServerConfig};
 use std::io::{Read, Write};

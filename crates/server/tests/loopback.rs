@@ -249,8 +249,11 @@ fn stats_body_is_frozen_for_a_fresh_server() {
   \"rendered_misses\": 0,
   \"rendered_evictions\": 0,
   \"rendered_bytes\": 0,
+  \"disk_loads\": 0,
+  \"disk_load_misses\": 0,
   \"disk_writes\": 0,
   \"disk_load_errors\": 0,
+  \"disk_write_errors\": 0,
   \"disk_gc_evicted\": 0,
   \"disk_gc_reaped\": 0,
   \"disk_gc_reclaimed_bytes\": 0
@@ -317,7 +320,7 @@ fn schedule_misses_then_hits_with_a_stable_digest() {
 
     // The digest joins with the CLI-side computation.
     let project = ezrt_core::Project::from_dsl(&xml).expect("spec parses");
-    let expected = ezrt_server::digest::project_digest(&project).to_hex();
+    let expected = ezrt_artifacts::project_digest(&project).to_hex();
     assert_eq!(digest, format!("\"{expected}\""));
 
     // /v1/check reports the same digest for the same document.

@@ -19,8 +19,8 @@
 //!
 //! The [`mod@replay`] module closes the loop at the net level: it
 //! re-exports the scheduler's replay oracle, which re-runs a synthesized
-//! firing schedule through the same packed
-//! [`Explorer`](ezrt_tpn::reachability::Explorer) kernel the scheduler
+//! firing schedule through the same packed firing rule
+//! ([`fire_into`](ezrt_tpn::TimePetriNet::fire_into)) the scheduler
 //! searched with, re-validating every firing against the TLTS semantics.
 //!
 //! # Examples

@@ -83,11 +83,6 @@ pub fn arrival_time(phase: Time, period: Time, instance: u64) -> Time {
     phase + period * instance
 }
 
-/// The absolute deadline of instance `k`: `ph + k·p + d`.
-pub fn absolute_deadline(phase: Time, period: Time, deadline: Time, instance: u64) -> Time {
-    arrival_time(phase, period, instance) + deadline
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,7 +123,6 @@ mod tests {
         assert_eq!(instances(30_000, 6000), 5);
         assert_eq!(arrival_time(3, 10, 0), 3);
         assert_eq!(arrival_time(3, 10, 4), 43);
-        assert_eq!(absolute_deadline(3, 10, 7, 4), 50);
     }
 
     #[test]

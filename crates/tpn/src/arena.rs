@@ -1,11 +1,10 @@
 //! The packed state kernel: contiguous state encoding and an interning
 //! arena that deduplicates states to dense `u32` ids.
 //!
-//! The TLTS explorers (the scheduler's DFS, [`reachability`](crate::reachability)'s
-//! BFS, the simulator's replay oracle) spend their time generating
-//! successor states and asking "have I seen this state before?". The
-//! boundary [`State`]/[`Marking`] value types answer that
-//! with per-state heap allocations and structural hashing of two separate
+//! The TLTS walkers (the scheduler's DFS and its replay oracle) spend
+//! their time generating successor states and asking "have I seen this
+//! state before?". The boundary [`State`]/[`Marking`] value types answer
+//! that with per-state heap allocations and structural hashing of two separate
 //! vectors. This module packs a state into **one contiguous `u32` slice**
 //! — token counts followed by split 64-bit clocks — described by a
 //! [`StateLayout`], and interns those slices in a [`StateArena`]: a single

@@ -168,11 +168,6 @@ impl TimeInterval {
         self.eft == 0 && self.lft == TimeBound::Finite(0)
     }
 
-    /// Whether this is a punctual `[v, v]` interval.
-    pub fn is_exact(&self) -> bool {
-        self.lft == TimeBound::Finite(self.eft)
-    }
-
     /// Dynamic lower bound: time that must still elapse before a transition
     /// with this interval and enabling age `clock` may fire
     /// (`DLB(t) = max(0, EFT(t) − c(t))`).
@@ -208,10 +203,9 @@ mod tests {
         assert_eq!(w.eft(), 3);
         assert_eq!(w.lft(), TimeBound::Finite(7));
         assert!(!w.is_immediate());
-        assert!(!w.is_exact());
 
         assert!(TimeInterval::immediate().is_immediate());
-        assert!(TimeInterval::exact(4).is_exact());
+        assert_eq!(TimeInterval::exact(4).lft(), TimeBound::Finite(4));
         assert!(TimeInterval::at_least(2).lft().is_infinite());
     }
 

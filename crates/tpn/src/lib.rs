@@ -27,7 +27,9 @@
 //! * [`Marking`], [`State`], [`Firing`] — the TLTS semantics;
 //! * [`analysis`] — structural queries (conflicts, dead transitions,
 //!   invariant-style token conservation checks);
-//! * [`reachability`] — bounded state-space exploration;
+//! * [`reachability`] — the packed [`Explorer`](reachability::Explorer)
+//!   the synthesis search interns its states through, and the delay-label
+//!   expansion it enumerates successors with;
 //! * [`dot`] — Graphviz export for debugging and documentation.
 //!
 //! # Examples
@@ -90,11 +92,12 @@ pub type Time = u64;
 
 /// How firing delays are enumerated when generating successors.
 ///
-/// This is the **single shared** delay-enumeration type for every explorer
-/// in the workspace: the bounded reachability search
-/// ([`reachability::explore`]), the scheduler's synthesis DFS
-/// (`ezrt_scheduler`) and the simulator's replay oracle (`ezrt_sim`) all
-/// take it, so a configuration travels unchanged across layers.
+/// The scheduler's synthesis DFS (`ezrt_scheduler`) expands each state's
+/// firing domains into labels under it
+/// ([`reachability::expand_delay_labels`]), and the value-typed reference
+/// [`reachability::successors`] takes it too. The modes nest: every
+/// `Earliest` label is a `Corners` label, and every `Corners` label a
+/// `Full` one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DelayMode {
     /// Fire each fireable transition as early as possible (`q = DLB`).

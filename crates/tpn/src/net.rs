@@ -630,7 +630,7 @@ impl TimePetriNet {
     /// is read, so any slice whose first `place_count` words are a marking
     /// works).
     #[inline]
-    pub fn is_enabled_packed(&self, state: &[u32], t: TransitionId) -> bool {
+    pub(crate) fn is_enabled_packed(&self, state: &[u32], t: TransitionId) -> bool {
         self.pre[t.index()]
             .iter()
             .all(|&(p, w)| state[p.index()] >= w)

@@ -151,11 +151,6 @@ impl DependencyMatrix {
         &self.sleep_dep[t.index() * self.words..(t.index() + 1) * self.words]
     }
 
-    /// Whether `a` and `b` are sleep-dependent.
-    pub fn sleep_dependent(&self, a: TransitionId, b: TransitionId) -> bool {
-        test_bit(self.sleep_dep_row(a), b.index())
-    }
-
     /// Computes the sleep-dependency relation from the structural
     /// dependency relation and the urgent cascades of `net`.
     ///
@@ -236,6 +231,12 @@ impl DependencyMatrix {
 mod tests {
     use super::*;
     use crate::{TimeInterval, TpnBuilder};
+
+    /// Whether `a` and `b` are sleep-dependent: bit `b` of `a`'s
+    /// sleep-dependency row.
+    fn sleep_dependent(m: &DependencyMatrix, a: usize, b: usize) -> bool {
+        test_bit(m.sleep_dep_row(TransitionId::from_index(a)), b)
+    }
 
     fn diamond_net() -> TimePetriNet {
         // p0 feeds t0 and t1 (conflict); p1 feeds t2 alone; t3 isolated.
@@ -329,21 +330,21 @@ mod tests {
         // Before the closure: t0 and t2 are structurally independent, and
         // the sleep relation falls back to the dependency relation.
         assert!(!m.dependent(TransitionId::from_index(0), TransitionId::from_index(2)));
-        assert!(!m.sleep_dependent(TransitionId::from_index(0), TransitionId::from_index(2)));
+        assert!(!sleep_dependent(&m, 0, 2));
 
         // Mark u as urgent: firing t0 can force u, and u conflicts with
         // t2 — so t0 and t2 become sleep-dependent, while t3 does not.
         let mut urgent = vec![0u64; m.words_per_row()];
         set_bit(&mut urgent, 1);
         m.build_sleep_closure(&net, &urgent);
-        assert!(m.sleep_dependent(TransitionId::from_index(0), TransitionId::from_index(2)));
-        assert!(m.sleep_dependent(TransitionId::from_index(2), TransitionId::from_index(0)));
-        assert!(!m.sleep_dependent(TransitionId::from_index(0), TransitionId::from_index(3)));
+        assert!(sleep_dependent(&m, 0, 2));
+        assert!(sleep_dependent(&m, 2, 0));
+        assert!(!sleep_dependent(&m, 0, 3));
         // The plain relations are untouched.
         assert!(!m.dependent(TransitionId::from_index(0), TransitionId::from_index(2)));
         assert!(!m.conflicts(TransitionId::from_index(0), TransitionId::from_index(2)));
         // Dependency pairs stay sleep-dependent, and the diagonal is set.
-        assert!(m.sleep_dependent(TransitionId::from_index(0), TransitionId::from_index(1)));
-        assert!(m.sleep_dependent(TransitionId::from_index(0), TransitionId::from_index(0)));
+        assert!(sleep_dependent(&m, 0, 1));
+        assert!(sleep_dependent(&m, 0, 0));
     }
 }

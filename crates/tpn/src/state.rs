@@ -41,11 +41,6 @@ impl State {
     pub fn clocks(&self) -> &[Time] {
         &self.clocks
     }
-
-    /// Deconstructs the state into its components.
-    pub fn into_parts(self) -> (Marking, Vec<Time>) {
-        (self.marking, self.clocks)
-    }
 }
 
 impl fmt::Display for State {
@@ -118,9 +113,7 @@ mod tests {
         let s = State::new(m.clone(), vec![0, 7]);
         assert_eq!(s.marking(), &m);
         assert_eq!(s.clock(TransitionId::from_index(1)), 7);
-        let (m2, c2) = s.into_parts();
-        assert_eq!(m2, m);
-        assert_eq!(c2, vec![0, 7]);
+        assert_eq!(s.clocks(), [0, 7]);
     }
 
     #[test]

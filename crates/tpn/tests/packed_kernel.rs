@@ -1,20 +1,21 @@
 //! Packed-kernel oracles: the packed firing/enumeration API must agree
 //! with the value-typed boundary API on arbitrary nets, the enabled sets
 //! and state keys it carries from state to state must equal full scans
-//! and full recomputations, the delay modes must visit monotonically
-//! growing state spaces, and an arena built on recycled buffers or fed
-//! carried keys must behave and account exactly like a fresh one fed
-//! full keys.
+//! and full recomputations, the delay modes must offer nested label sets,
+//! and an arena built on recycled buffers or fed carried keys must behave
+//! and account exactly like a fresh one fed full keys.
 
 use ezrt_compose::translate;
 use ezrt_spec::corpus::{figure3_spec, figure4_spec, figure8_spec, small_control};
 use ezrt_tpn::por::test_bit;
-use ezrt_tpn::reachability::{explore, successors, ExplorationLimits, Explorer};
+use ezrt_tpn::reachability::{expand_delay_labels, successors, Explorer};
 use ezrt_tpn::{
-    ClockBounds, DelayMode, StateArena, StateId, StateLayout, TimeBound, TimeInterval,
-    TimePetriNet, TpnBuilder, TransitionId,
+    ClockBounds, DelayMode, Firing, StateArena, StateId, StateLayout, Time, TimeBound,
+    TimeInterval, TimePetriNet, TpnBuilder, TransitionId,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::sync::OnceLock;
 
 /// A compact random-net description that is always well-formed.
 #[derive(Debug, Clone)]
@@ -78,99 +79,96 @@ fn build(desc: &RandomNet) -> TimePetriNet {
     b.build().expect("random nets are structurally valid")
 }
 
-fn corpus_nets() -> Vec<(String, TimePetriNet)> {
-    [
-        figure3_spec(),
-        figure4_spec(),
-        figure8_spec(),
-        small_control(),
-    ]
-    .into_iter()
-    .map(|spec| (spec.name().to_owned(), translate(&spec).into_net()))
-    .collect()
+/// The translated corpus nets, built once per test binary.
+fn corpus_nets() -> &'static [(String, TimePetriNet)] {
+    static NETS: OnceLock<Vec<(String, TimePetriNet)>> = OnceLock::new();
+    NETS.get_or_init(|| {
+        [
+            figure3_spec(),
+            figure4_spec(),
+            figure8_spec(),
+            small_control(),
+        ]
+        .into_iter()
+        .map(|spec| (spec.name().to_owned(), translate(&spec).into_net()))
+        .collect()
+    })
 }
 
 const MODES: [DelayMode; 3] = [DelayMode::Earliest, DelayMode::Corners, DelayMode::Full];
 
-/// Earliest ⊆ Corners ⊆ Full: under a common state cap, the visited state
-/// counts must grow monotonically with the delay mode — on every
-/// translated corpus net.
-#[test]
-fn corpus_delay_modes_visit_monotonically_growing_spaces() {
-    let limits = ExplorationLimits {
-        max_states: 10_000,
-        max_depth: 100_000,
-    };
-    for (name, net) in corpus_nets() {
-        let earliest = explore(&net, DelayMode::Earliest, limits);
-        let corners = explore(&net, DelayMode::Corners, limits);
-        let full = explore(&net, DelayMode::Full, limits);
-        assert!(
-            earliest.states_visited <= corners.states_visited,
-            "{name}: earliest {} > corners {}",
-            earliest.states_visited,
-            corners.states_visited
-        );
-        assert!(
-            corners.states_visited <= full.states_visited,
-            "{name}: corners {} > full {}",
-            corners.states_visited,
-            full.states_visited
-        );
-        assert!(earliest.states_visited > 1, "{name}: net explores");
-    }
+/// The fireable set of a packed state whose enabled set is `enabled`,
+/// with its firing domains: the net's clock-bounds walk, then
+/// `fireable_domains_into`.
+fn domains_of(
+    net: &TimePetriNet,
+    words: &[u32],
+    enabled: &[u64],
+) -> Vec<(TransitionId, Time, TimeBound)> {
+    let (mut bounds, mut domains) = (ClockBounds::default(), Vec::new());
+    net.clock_bounds_into(words, enabled, &mut bounds);
+    net.fireable_domains_into(&bounds, &mut domains);
+    domains
 }
 
-/// The packed BFS must report the same numbers as a value-typed
-/// re-exploration done with the boundary API.
-#[test]
-fn corpus_explorations_match_value_walks() {
-    use std::collections::{HashSet, VecDeque};
-    let limits = ExplorationLimits {
-        max_states: 4_000,
-        max_depth: 100_000,
+/// The labels `mode` offers from the fireable domains `domains`.
+fn labels_of(
+    mode: DelayMode,
+    domains: &[(TransitionId, Time, TimeBound)],
+) -> Vec<(TransitionId, Time)> {
+    let mut labels = Vec::new();
+    expand_delay_labels(mode, domains, &mut labels);
+    labels
+}
+
+/// Walks `net` from its initial state along `choices`, each step firing
+/// the chosen `Full` label, and checks at every state that the labels
+/// nest, Earliest ⊆ Corners ⊆ Full, each a subsequence of the next in
+/// the canonical label order. Nested labels at every state give nested
+/// reachable spaces, so a DFS under a smaller mode never leaves the
+/// space of a larger one. Returns the number of states checked.
+fn delay_labels_nest_along(
+    net: &TimePetriNet,
+    choices: &[prop::sample::Index],
+) -> Result<usize, TestCaseError> {
+    let is_subsequence = |small: &[(TransitionId, Time)], large: &[(TransitionId, Time)]| {
+        let mut large = large.iter();
+        small.iter().all(|label| large.any(|l| l == label))
     };
-    for (name, net) in corpus_nets() {
-        for mode in MODES {
-            let report = explore(&net, mode, limits);
-            // Value-typed reference BFS, mirroring the old implementation.
-            let mut visited = HashSet::new();
-            let mut queue = VecDeque::new();
-            let s0 = net.initial_state();
-            visited.insert(s0.clone());
-            queue.push_back((s0, 0usize));
-            let (mut states, mut edges, mut deadlocks, mut truncated) =
-                (1usize, 0usize, 0usize, false);
-            while let Some((state, depth)) = queue.pop_front() {
-                if depth >= limits.max_depth {
-                    truncated = true;
-                    continue;
-                }
-                let succs = successors(&net, &state, mode);
-                if succs.is_empty() {
-                    deadlocks += 1;
-                    continue;
-                }
-                for (_, next) in succs {
-                    edges += 1;
-                    if visited.contains(&next) {
-                        continue;
-                    }
-                    if states >= limits.max_states {
-                        truncated = true;
-                        continue;
-                    }
-                    visited.insert(next.clone());
-                    states += 1;
-                    queue.push_back((next, depth + 1));
-                }
-            }
-            assert_eq!(report.states_visited, states, "{name} {mode:?}");
-            assert_eq!(report.edges, edges, "{name} {mode:?}");
-            assert_eq!(report.deadlocks, deadlocks, "{name} {mode:?}");
-            assert_eq!(report.truncated, truncated, "{name} {mode:?}");
+    let mut explorer = Explorer::new(net);
+    let mut id = explorer.intern_initial();
+    let (mut enabled, mut next_enabled) = (Vec::new(), Vec::new());
+    explorer.enabled_into(id, &mut enabled);
+    let mut checked = 0;
+    for choice in choices {
+        let domains = domains_of(net, explorer.state(id), &enabled);
+        let [earliest, corners, full] = MODES.map(|mode| labels_of(mode, &domains));
+        prop_assert_eq!(
+            earliest.len(),
+            domains.len(),
+            "one earliest label per fireable"
+        );
+        prop_assert!(
+            is_subsequence(&earliest, &corners),
+            "earliest {:?} ⊄ corners {:?}",
+            earliest,
+            corners
+        );
+        prop_assert!(
+            is_subsequence(&corners, &full),
+            "corners {:?} ⊄ full {:?}",
+            corners,
+            full
+        );
+        checked += 1;
+        if full.is_empty() {
+            break; // deadlock
         }
+        let (t, q) = full[choice.index(full.len())];
+        id = explorer.fire(id, &enabled, t, q, &mut next_enabled).0;
+        std::mem::swap(&mut enabled, &mut next_enabled);
     }
+    Ok(checked)
 }
 
 /// The layout of a net with `places` places and `transitions`
@@ -345,56 +343,62 @@ proptest! {
         intern_fresh_and_recycled(layout, dirty, &drawn_states(layout, count, seed, range));
     }
 
-    /// Walking random nets, the packed explorer must generate exactly the
-    /// successor edges of the value API, with identical successor states.
+    /// Walking random nets, every label `expand_delay_labels` offers at a
+    /// state, fired through the packed explorer, must be exactly the
+    /// value API's successor edge, with an identical successor state.
     #[test]
     fn packed_successors_match_value_successors(
         desc in random_net_strategy(),
         choices in prop::collection::vec(any::<prop::sample::Index>(), 12),
     ) {
         let net = build(&desc);
+        let layout = net.layout();
         let mut explorer = Explorer::new(&net);
         let mut id = explorer.intern_initial();
         let mut state = net.initial_state();
-        let (mut enabled, mut edges, mut sets) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut enabled, mut next_enabled) = (Vec::new(), Vec::new());
         explorer.enabled_into(id, &mut enabled);
         for choice in choices {
+            let domains = domains_of(&net, explorer.state(id), &enabled);
+            let mut full = Vec::new();
             for mode in MODES {
-                explorer.successors_into(id, &enabled, mode, &mut edges, &mut sets);
+                let labels = labels_of(mode, &domains);
                 let value_edges = successors(&net, &state, mode);
-                prop_assert_eq!(edges.len(), value_edges.len());
-                for ((firing_p, next_p, _), (firing_v, next_v)) in
-                    edges.iter().zip(&value_edges)
-                {
-                    prop_assert_eq!(firing_p, firing_v);
-                    prop_assert_eq!(&explorer.unpack(*next_p), next_v);
+                prop_assert_eq!(labels.len(), value_edges.len());
+                for (&(t, q), (firing, next)) in labels.iter().zip(&value_edges) {
+                    prop_assert_eq!(Firing::new(t, q), *firing);
+                    let (next_id, _) = explorer.fire(id, &enabled, t, q, &mut next_enabled);
+                    prop_assert_eq!(&layout.unpack(explorer.state(next_id)), next);
                 }
+                full = labels;
             }
-            explorer.successors_into(id, &enabled, DelayMode::Full, &mut edges, &mut sets);
-            if edges.is_empty() {
+            if full.is_empty() {
                 break; // deadlock
             }
-            let pick = choice.index(edges.len());
-            let (firing, next_id, _) = edges[pick];
-            id = next_id;
-            enabled = sets.chunks_exact(enabled.len()).nth(pick).expect("one set per edge").to_vec();
-            state = net.fire_unchecked(&state, firing.transition(), firing.delay());
+            let (t, q) = full[choice.index(full.len())];
+            id = explorer.fire(id, &enabled, t, q, &mut next_enabled).0;
+            std::mem::swap(&mut enabled, &mut next_enabled);
+            state = net.fire_unchecked(&state, t, q);
         }
     }
 
-    /// Delay-mode monotonicity on random nets, under a common cap.
+    /// Earliest ⊆ Corners ⊆ Full at every state along walks of random
+    /// nets and of every translated corpus net.
     #[test]
-    fn random_delay_modes_are_monotone(desc in random_net_strategy()) {
-        let net = build(&desc);
-        let limits = ExplorationLimits { max_states: 1_500, max_depth: 60 };
-        let earliest = explore(&net, DelayMode::Earliest, limits);
-        let corners = explore(&net, DelayMode::Corners, limits);
-        let full = explore(&net, DelayMode::Full, limits);
-        prop_assert!(earliest.states_visited <= corners.states_visited);
-        prop_assert!(corners.states_visited <= full.states_visited);
+    fn delay_labels_nest_along_walks(
+        desc in random_net_strategy(),
+        choices in prop::collection::vec(any::<prop::sample::Index>(), 48),
+    ) {
+        delay_labels_nest_along(&build(&desc), &choices)?;
+        for (name, net) in corpus_nets() {
+            let checked = delay_labels_nest_along(net, &choices)?;
+            prop_assert!(checked > 1, "{}: the walk leaves the initial state", name);
+        }
     }
 
-    /// Pack/unpack round trips along random walks: interning is lossless.
+    /// Pack/unpack round trips along random walks: interning is lossless,
+    /// and re-interning the repacked words into an arena of their own
+    /// assigns every state the explorer's id and freshness.
     #[test]
     fn interning_round_trips_along_walks(
         desc in random_net_strategy(),
@@ -403,23 +407,25 @@ proptest! {
         let net = build(&desc);
         let layout = StateLayout::of(&net);
         let mut explorer = Explorer::new(&net);
+        let mut mirror = StateArena::new(layout);
         let mut id = explorer.intern_initial();
-        let (mut enabled, mut edges, mut sets) = (Vec::new(), Vec::new(), Vec::new());
+        let mut fresh = true;
+        let (mut enabled, mut next_enabled) = (Vec::new(), Vec::new());
+        let mut packed = vec![0u32; layout.words()];
         explorer.enabled_into(id, &mut enabled);
         for choice in choices {
-            let value = explorer.unpack(id);
-            let mut packed = vec![0u32; layout.words()];
+            let value = layout.unpack(explorer.arena().get(id));
             layout.pack(&value, &mut packed);
-            prop_assert_eq!(&packed[..], explorer.state(id));
-            prop_assert_eq!(explorer.intern_state(&value), (id, false));
+            prop_assert_eq!(&packed[..], explorer.arena().get(id));
+            prop_assert_eq!(mirror.intern(&packed), (id, fresh));
 
-            explorer.successors_into(id, &enabled, DelayMode::Earliest, &mut edges, &mut sets);
-            if edges.is_empty() {
+            let labels = labels_of(DelayMode::Earliest, &domains_of(&net, explorer.state(id), &enabled));
+            if labels.is_empty() {
                 break;
             }
-            let pick = choice.index(edges.len());
-            id = edges[pick].1;
-            enabled = sets.chunks_exact(enabled.len()).nth(pick).expect("one set per edge").to_vec();
+            let (t, q) = labels[choice.index(labels.len())];
+            (id, fresh) = explorer.fire(id, &enabled, t, q, &mut next_enabled);
+            std::mem::swap(&mut enabled, &mut next_enabled);
         }
     }
 
@@ -509,13 +515,9 @@ proptest! {
         prop_assert_eq!(explorers[1].intern_initial(), id);
         prop_assert_eq!(full.intern(explorers[0].state(id)), (id, true));
         let (mut enabled, mut next_enabled) = (Vec::new(), Vec::new());
-        let mut domains = Vec::new();
-        let mut labels = Vec::new();
         explorers[0].enabled_into(id, &mut enabled);
         for choice in choices {
-            explorers[0].fireable_domains_into(id, &enabled, &mut domains);
-            labels.clear();
-            ezrt_tpn::reachability::expand_delay_labels(DelayMode::Corners, &domains, &mut labels);
+            let labels = labels_of(DelayMode::Corners, &domains_of(&net, explorers[0].state(id), &enabled));
             if labels.is_empty() {
                 break; // deadlock
             }

@@ -8,9 +8,9 @@
 //! cargo run --example feasibility_frontier
 //! ```
 
-use ezrealtime::scheduler::Parallelism;
+use ezrealtime::core::Project;
 use ezrealtime::server::cache::ResultCache;
-use ezrealtime::server::sweep::{run_sweep, SweepOptions};
+use ezrealtime::server::sweep::run_sweep;
 use ezrealtime::spec::corpus::small_control;
 use ezrealtime::spec::sweep::SweepGrid;
 
@@ -22,11 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // uses: duplicate points become lookups, and every point
     // warm-starts from the base spec's schedule prefix.
     let cache = ResultCache::new(64, 4);
-    let options = SweepOptions {
-        fanout: Parallelism::new(4),
-        scheduler: Default::default(),
-    };
-    let report = run_sweep(&spec, &grid, &options, &cache)?;
+    let base = Project::new(spec).with_jobs(4);
+    let report = run_sweep(&base, &grid, &cache)?;
 
     // The rows are the frontier: deterministic JSON lines, identical
     // across runs and fan-out widths.
@@ -35,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\n{} points over {:?}: {} unique specs, {} feasible, {} invalid",
         report.rows.len(),
-        spec.name(),
+        base.spec().name(),
         report.unique_digests,
         report.feasible,
         report.invalid,

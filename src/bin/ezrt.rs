@@ -42,16 +42,15 @@
 //! diagnostics go to stderr and failures exit nonzero.
 
 use ezrealtime::artifacts::{
-    compute_outcome, compute_outcome_incremental, ArtifactKind, SpecDigest, SynthesisOutcome,
+    compute_outcome, compute_outcome_incremental, project_digest, report, ArtifactKind, SpecDigest,
+    SynthesisOutcome,
 };
 use ezrealtime::codegen::Target;
 use ezrealtime::core::Project;
-use ezrealtime::server::batch::{run_batch, BatchOptions};
+use ezrealtime::server::batch::run_batch;
 use ezrealtime::server::cache::{ResultCache, SHARDS};
-use ezrealtime::server::digest::project_digest;
 use ezrealtime::server::disk::DiskTier;
-use ezrealtime::server::report;
-use ezrealtime::server::sweep::{run_sweep, SweepOptions};
+use ezrealtime::server::sweep::run_sweep;
 use ezrealtime::server::{Server, ServerConfig};
 use ezrealtime::sim::{simulate_online, OnlinePolicy};
 use ezrealtime::spec::sweep::SweepGrid;
@@ -380,6 +379,9 @@ fn serve(
     Ok(())
 }
 
+/// Result-cache bound of `ezrt batch`, in completed entries.
+const BATCH_CACHE_CAPACITY: usize = 1024;
+
 /// `ezrt batch <dir> [--json]`: synthesize every `*.xml` spec under a
 /// directory through the same queue + digest cache as the server, one
 /// row per spec. `--jobs` fans the files out; each file's synthesis is
@@ -399,20 +401,17 @@ fn batch(
     if let Some(extra) = args.get(2) {
         return Err(format!("batch: unexpected argument {extra:?}"));
     }
-    let options = BatchOptions {
-        fanout: ezrealtime::scheduler::Parallelism::new(jobs),
-        scheduler: ezrealtime::scheduler::SchedulerConfig {
-            por,
-            ..ezrealtime::scheduler::SchedulerConfig::default()
-        },
-        ..BatchOptions::default()
+    let config = ezrealtime::scheduler::SchedulerConfig {
+        parallelism: ezrealtime::scheduler::Parallelism::new(jobs),
+        por,
+        ..ezrealtime::scheduler::SchedulerConfig::default()
     };
     let disk = match cache_dir {
         Some(dir) => Some(DiskTier::open_with_budget(dir, cache_max_bytes)?),
         None => None,
     };
-    let cache = ResultCache::with_disk(options.cache_capacity, SHARDS, disk);
-    let rows = run_batch(std::path::Path::new(dir), &options, &cache)?;
+    let cache = ResultCache::with_disk(BATCH_CACHE_CAPACITY, SHARDS, disk);
+    let rows = run_batch(std::path::Path::new(dir), &config, &cache)?;
     let mut failures = 0usize;
     for row in &rows {
         if json {
@@ -711,11 +710,7 @@ fn sweep(project: &Project, grid: Option<&str>, cache: &ResultCache) -> Result<(
     let started = std::time::Instant::now();
     // The global --jobs fans points out across threads; each point is
     // one sequential search, so the rows do not depend on the width.
-    let options = SweepOptions {
-        fanout: project.config().parallelism,
-        scheduler: project.config().clone(),
-    };
-    let report = run_sweep(project.spec(), &grid, &options, cache)?;
+    let report = run_sweep(project, &grid, cache)?;
     print!("{}", report.render());
     eprintln!(
         "swept {} point(s): {} unique spec(s), {} feasible, {} invalid, base {} ({} ms)",

@@ -118,7 +118,7 @@ fn cli_artifacts_match_http_bodies_byte_for_byte() {
     // The GET artifact route serves the same bytes for the now-cached
     // digest — including pnml, which has no POST endpoint.
     let project = ezrealtime::core::Project::from_dsl(&xml).expect("spec parses");
-    let digest = ezrealtime::server::digest::project_digest(&project).to_hex();
+    let digest = ezrealtime::artifacts::project_digest(&project).to_hex();
     for (cli_args, kind) in [
         (&["table", spec_path][..], "table"),
         (&["codegen", spec_path, "i8051"][..], "codegen:i8051"),
@@ -164,7 +164,7 @@ fn a_shared_cache_dir_joins_cli_and_server_outcomes() {
     )
     .expect("server");
     let project = ezrealtime::core::Project::from_dsl(&xml).expect("spec parses");
-    let digest = ezrealtime::server::digest::project_digest(&project).to_hex();
+    let digest = ezrealtime::artifacts::project_digest(&project).to_hex();
     let (status, body) = request(
         server.addr(),
         "GET",

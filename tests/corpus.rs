@@ -5,10 +5,9 @@
 //! simulator or the disk-cache revival shows up here as a corpus
 //! divergence before it ships.
 
-use ezrealtime::artifacts::{codec, compute_outcome, render, ArtifactKind};
+use ezrealtime::artifacts::{codec, compute_outcome, project_digest, render, ArtifactKind};
 use ezrealtime::core::Project;
 use ezrealtime::scheduler::{SchedulerConfig, SynthesizeError};
-use ezrealtime::server::digest::project_digest;
 
 #[test]
 fn checked_in_corpus_replays_with_the_recorded_verdicts() {

@@ -8,12 +8,12 @@
 //! these cases are byte-for-byte reproducible in CI with no seed
 //! plumbing.
 
+use ezrealtime::artifacts::project_digest;
 use ezrealtime::compose::translate;
 use ezrealtime::core::Project;
 use ezrealtime::scheduler::{
     synthesize, synthesize_reference, synthesize_seeded, PorLevel, SchedulerConfig, SynthesizeError,
 };
-use ezrealtime::server::digest::project_digest;
 use ezrealtime::sim::replay;
 use ezrealtime::spec::generate::{family_spec, Family};
 use proptest::prelude::*;

@@ -17,7 +17,7 @@ pub struct SearchCounter {
     /// The process-wide `ezrt_search_*` family summing it over every
     /// search, if any.
     pub engine_family: Option<&'static str>,
-    /// The per-server family summing it over schedule misses, if any.
+    /// The per-server family summing it over every search the server runs, if any.
     pub server_family: Option<&'static str>,
     /// The help text of every family the counter feeds.
     pub help: &'static str,

@@ -10,9 +10,9 @@
 //! runs over one [`ResultCache`]) deduplicate through the digest cache:
 //! later occurrences are served as `cache: "hit"`.
 
-use crate::cache::ResultCache;
+use crate::cache::{ResultCache, Warm};
+use ezrt_artifacts::project_digest;
 use ezrt_artifacts::report::{self, JsonFields};
-use ezrt_artifacts::{compute_outcome, project_digest};
 use ezrt_core::Project;
 use ezrt_scheduler::{Parallelism, SchedulerConfig};
 use std::path::Path;
@@ -118,7 +118,8 @@ fn process_file(dir: &Path, file: &str, config: &SchedulerConfig, cache: &Result
     };
     let project = project.with_config(config.clone());
     let digest = project_digest(&project);
-    let (outcome, lookup) = cache.get_or_compute(digest, || compute_outcome(&project, digest));
+    let resolved = cache.resolve(&project, digest, Warm::Cold);
+    let (outcome, lookup) = (resolved.outcome, resolved.lookup);
     let mut fields: JsonFields = Vec::with_capacity(outcome.fields.len() + 2);
     fields.push(("file", report::json_string(file)));
     fields.extend(outcome.fields.iter().cloned());

@@ -25,6 +25,11 @@
 //! so all concurrent first-requests for one digest produce
 //! byte-identical responses.
 //!
+//! Resolving: [`ResultCache::resolve`] is every front end's one path
+//! from a project to its outcome. A miss runs the cold or warm-started
+//! synthesis its [`Warm`] asks for, and every search it runs is summed
+//! into the server-family search counters. Ancestor probes count no hit.
+//!
 //! Rendered bytes: [`ResultCache::render_artifact`] memoizes each
 //! artifact's bytes on the outcome that produced them
 //! ([`RenderMemo`](ezrt_artifacts::RenderMemo)), so they leave memory
@@ -32,12 +37,15 @@
 
 use crate::disk::{DiskStats, DiskTier};
 use ezrt_artifacts::outcome::SynthesisOutcome;
-use ezrt_artifacts::SpecDigest;
+use ezrt_artifacts::{compute_outcome, compute_outcome_incremental, structure_digest, SpecDigest};
 use ezrt_artifacts::{render, ArtifactKind, RenderError};
-use ezrt_obs::Registry;
+use ezrt_core::Project;
+use ezrt_obs::{Counter, Registry, TableCell};
+use ezrt_scheduler::{SearchCounter, SearchStats};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
 /// The shard count of the service caches (`ezrt serve`, `ezrt batch`).
 pub const SHARDS: usize = 8;
@@ -104,6 +112,31 @@ ezrt_obs::metric_table! {
         "Memoized renderings dropped with their evicted outcomes.";
     rendered_bytes: u64, Gauge, Some("rendered_bytes"), "ezrt_rendered_bytes",
         "Bytes of the rendered artifacts memoized on resident outcomes.";
+}
+
+/// The ancestor a [`ResultCache::resolve`] miss warm-starts from.
+#[derive(Debug, Clone, Copy)]
+pub enum Warm<'a> {
+    /// A cold search.
+    Cold,
+    /// This outcome's schedule, if it has one (sweep points, `--warm-from`).
+    From(&'a SynthesisOutcome),
+    /// The hinted digest (`?warm=`), else the nearest entry of the
+    /// ancestor index, which a feasible result then joins.
+    Nearest(Option<SpecDigest>),
+}
+
+/// A [`ResultCache::resolve`] answer.
+#[derive(Debug)]
+pub struct Resolved {
+    /// The outcome.
+    pub outcome: Arc<SynthesisOutcome>,
+    /// How the cache answered.
+    pub lookup: Lookup,
+    /// Microseconds this call spent choosing a [`Warm::Nearest`] ancestor.
+    pub warm_micros: Option<u64>,
+    /// Microseconds this call spent searching.
+    pub search_micros: Option<u64>,
 }
 
 /// One artifact served by [`ResultCache::render_artifact`].
@@ -216,6 +249,9 @@ pub struct ResultCache {
     tick: AtomicU64,
     /// The counters and gauges of [`CacheStats`].
     cells: CacheCells,
+    /// One cell per [`SearchStats::COUNTERS`] entry with a server
+    /// family, summed over the searches `resolve` ran.
+    search: Vec<(&'static SearchCounter, &'static str, Counter)>,
 }
 
 impl ResultCache {
@@ -243,17 +279,31 @@ impl ResultCache {
             ancestors: Mutex::new(AncestorIndex::default()),
             tick: AtomicU64::new(0),
             cells: CacheCells::default(),
+            search: SearchStats::COUNTERS
+                .iter()
+                .filter_map(|counter| Some((counter, counter.server_family?, Counter::new())))
+                .collect(),
         }
     }
 
-    /// Registers this cache's metrics, the disk tier's included, in
-    /// `registry` for Prometheus exposition. The cells stay owned by the
-    /// cache (per-instance counts); the registry just renders them.
+    /// Registers this cache's metrics, the disk tier's and the search
+    /// counters included, in `registry` for Prometheus exposition. The
+    /// cells stay owned by the cache; the registry just renders them.
     pub fn register_metrics(&self, registry: &Registry) {
         self.cells.register(registry);
+        for (counter, family, cell) in &self.search {
+            cell.register(registry, family, counter.help);
+        }
         if let Some(disk) = &self.disk {
             disk.register_metrics(registry);
         }
+    }
+
+    /// The `(/v1/stats key, total)` of every server-family search counter.
+    pub fn search_totals(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.search
+            .iter()
+            .map(|(counter, _, cell)| (counter.field, cell.get()))
     }
 
     /// The disk tier's counters, when one is configured.
@@ -394,25 +444,88 @@ impl ResultCache {
         }
     }
 
-    /// Records that `digest` (a full spec digest with a completed
-    /// outcome) was seen with `structure`, making it a warm-start
-    /// candidate for future same-structure misses. Most recent first;
-    /// bounded on both axes.
-    pub fn note_ancestor(&self, structure: SpecDigest, digest: SpecDigest) {
-        self.ancestors
-            .lock()
-            .expect("ancestor index poisoned")
-            .note(structure, digest);
+    /// Resolves `project` (digest `digest`) to its outcome under
+    /// singleflight, running the search `warm` asks for on a miss. Only
+    /// [`Warm::Nearest`] reads and writes the ancestor index, and it
+    /// computes the structure digest only on a miss or disk revival.
+    pub fn resolve(&self, project: &Project, digest: SpecDigest, warm: Warm<'_>) -> Resolved {
+        let (mut structure, mut warm_micros, mut search_micros) = (None, None, None);
+        let (outcome, lookup) = self.get_or_compute(digest, || {
+            let nearest;
+            let ancestor = match warm {
+                Warm::Cold => None,
+                Warm::From(ancestor) => Some(ancestor),
+                Warm::Nearest(hint) => {
+                    let started = Instant::now();
+                    let shape = *structure.insert(structure_digest(project));
+                    nearest = self.nearest_ancestor(project, digest, shape, hint);
+                    warm_micros = Some(started.elapsed().as_micros() as u64);
+                    nearest.as_deref()
+                }
+            };
+            let started = Instant::now();
+            let outcome = match ancestor {
+                Some(ancestor) => compute_outcome_incremental(project, digest, ancestor),
+                None => compute_outcome(project, digest),
+            };
+            search_micros = Some(started.elapsed().as_micros() as u64);
+            outcome
+        });
+        // Only the flight that ran the search counts it.
+        if lookup == Lookup::Miss {
+            for (counter, _, cell) in &self.search {
+                cell.add((counter.get)(&outcome.stats));
+            }
+        }
+        if matches!(warm, Warm::Nearest(_))
+            && matches!(lookup, Lookup::Miss | Lookup::Disk)
+            && outcome.feasible
+        {
+            let structure = structure.unwrap_or_else(|| structure_digest(project));
+            let mut ancestors = self.ancestors.lock().expect("ancestor index poisoned");
+            ancestors.note(structure, digest);
+        }
+        Resolved {
+            outcome,
+            lookup,
+            warm_micros,
+            search_micros,
+        }
     }
 
-    /// The recent full digests recorded for `structure`, most recent
-    /// first — the warm-start candidates a miss for a same-structure
-    /// spec may seed from. Empty when the structure is unknown.
-    pub fn ancestor_candidates(&self, structure: &SpecDigest) -> Vec<SpecDigest> {
-        self.ancestors
-            .lock()
-            .expect("ancestor index poisoned")
-            .candidates(structure)
+    /// The ancestor of a [`Warm::Nearest`] miss: the hinted digest when
+    /// it names a cached feasible outcome, else, among the feasible
+    /// same-structure candidates, the one whose spec differs in the
+    /// fewest tasks, ties going to the most recent.
+    fn nearest_ancestor(
+        &self,
+        project: &Project,
+        digest: SpecDigest,
+        structure: SpecDigest,
+        hint: Option<SpecDigest>,
+    ) -> Option<Arc<SynthesisOutcome>> {
+        if let Some(warm) = hint {
+            if warm == digest {
+                return None;
+            }
+            let (outcome, _) = self.find(warm)?;
+            return outcome.solution.is_some().then_some(outcome);
+        }
+        let index = self.ancestors.lock().expect("ancestor index poisoned");
+        let candidates = index.candidates(&structure);
+        drop(index);
+        // Candidates arrive most-recent-first, and `min_by_key` keeps the
+        // first of equally-close ancestors.
+        candidates
+            .into_iter()
+            .filter(|&candidate| candidate != digest)
+            .filter_map(|candidate| self.find(candidate))
+            .filter_map(|(outcome, _)| {
+                let changed = project.changed_tasks(outcome.solution.as_ref()?.spec());
+                Some((changed.len(), outcome))
+            })
+            .min_by_key(|(changed, _)| *changed)
+            .map(|(_, outcome)| outcome)
     }
 
     /// Read-only lookup for the artifact endpoints: a completed memory
@@ -420,16 +533,26 @@ impl ResultCache {
     /// Never joins an in-flight synthesis and never computes — an
     /// in-flight digest with no disk entry reads as absent.
     pub fn lookup(&self, digest: SpecDigest) -> Option<(Arc<SynthesisOutcome>, Lookup)> {
+        let (outcome, lookup) = self.find(digest)?;
+        match lookup {
+            Lookup::Hit => self.cells.hits.inc(),
+            _ => self.cells.disk_hits.inc(),
+        }
+        Some((outcome, lookup))
+    }
+
+    /// [`lookup`](Self::lookup) without counting a request: a completed
+    /// memory entry ([`Lookup::Hit`]), else a disk revival published into
+    /// memory ([`Lookup::Disk`]).
+    fn find(&self, digest: SpecDigest) -> Option<(Arc<SynthesisOutcome>, Lookup)> {
         {
             let mut shard = self.shard(&digest).lock().expect("cache shard poisoned");
             if let Some(entry) = shard.entries.get_mut(&digest) {
                 entry.last_used = self.next_tick();
-                self.cells.hits.inc();
                 return Some((Arc::clone(&entry.outcome), Lookup::Hit));
             }
         }
         let revived = self.disk.as_ref().and_then(|d| d.load(&digest))?;
-        self.cells.disk_hits.inc();
         let outcome = Arc::new(revived);
         self.insert_completed(digest, &outcome);
         Some((outcome, Lookup::Disk))
@@ -581,9 +704,74 @@ mod tests {
     fn cached_feasible(cache: &ResultCache) -> Arc<SynthesisOutcome> {
         let project = Project::new(small_control());
         let digest = project_digest(&project);
-        cache
-            .get_or_compute(digest, || compute_outcome(&project, digest))
-            .0
+        cache.resolve(&project, digest, Warm::Cold).outcome
+    }
+
+    /// The small-control spec with its deadlines scaled to `percent`: a
+    /// timing edit, so the structure digest is unchanged.
+    fn edited(percent: u32) -> (Project, SpecDigest) {
+        let grid = ezrt_spec::sweep::SweepGrid::parse(&format!("deadlines:{percent}"));
+        let point = grid.expect("grid parses").points()[0];
+        let project = Project::new(point.apply(&small_control()).expect("valid point"));
+        let digest = project_digest(&project);
+        (project, digest)
+    }
+
+    /// The `(/v1/stats key, total)` search counters of `cache`.
+    fn totals(cache: &ResultCache) -> HashMap<&'static str, u64> {
+        cache.search_totals().collect()
+    }
+
+    #[test]
+    fn nearest_misses_seed_from_their_ancestor_without_counting_hits() {
+        let cache = ResultCache::new(8, 1);
+        let (base, base_digest) = edited(100);
+        let first = cache.resolve(&base, base_digest, Warm::Nearest(None));
+        assert_eq!(first.lookup, Lookup::Miss);
+        assert!(first.warm_micros.is_some() && first.search_micros.is_some());
+        let (edit, digest) = edited(90);
+        let second = cache.resolve(&edit, digest, Warm::Nearest(None));
+        assert_eq!(second.lookup, Lookup::Miss);
+        assert_eq!(second.outcome.stats.incr_seed_hits, 1, "seeded");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.disk_hits), (0, 2, 0));
+        let after_edit = totals(&cache);
+        assert_eq!(after_edit["incr_seed_hits"], 1);
+        let replayed = second.outcome.stats.incr_replayed as u64;
+        assert_eq!(after_edit["incr_replayed"], replayed);
+
+        // A repeat is a hit that runs nothing and counts nothing more.
+        let again = cache.resolve(&edit, digest, Warm::Nearest(None));
+        assert_eq!(again.lookup, Lookup::Hit);
+        assert_eq!((again.warm_micros, again.search_micros), (None, None));
+        assert_eq!(totals(&cache), after_edit);
+    }
+
+    #[test]
+    fn a_hint_seeds_and_only_nearest_resolution_uses_the_index() {
+        let cache = ResultCache::new(8, 1);
+        let (base, base_digest) = edited(100);
+        cache.resolve(&base, base_digest, Warm::Cold);
+        // A cold result is no ancestor for the index...
+        let (edit, digest) = edited(90);
+        let unseeded = cache.resolve(&edit, digest, Warm::Nearest(None));
+        assert_eq!(unseeded.outcome.stats.incr_seed_hits, 0);
+        // ...but a hint names any cached outcome.
+        let (hinted, hinted_digest) = edited(95);
+        let seeded = cache.resolve(&hinted, hinted_digest, Warm::Nearest(Some(base_digest)));
+        assert_eq!(seeded.outcome.stats.incr_seed_hits, 1);
+        // A given ancestor seeds without reading or writing the index.
+        let (given, given_digest) = edited(85);
+        let from = Warm::From(&seeded.outcome);
+        let from = cache.resolve(&given, given_digest, from);
+        assert_eq!(from.outcome.stats.incr_seed_hits, 1);
+        assert_eq!(from.warm_micros, None);
+        let structure = ezrt_artifacts::structure_digest(&base);
+        let index = cache.ancestors.lock().expect("ancestor index");
+        assert_eq!(index.candidates(&structure), vec![hinted_digest, digest]);
+        drop(index);
+        assert_eq!(cache.stats().hits, 0, "the hint probe is no request");
+        assert_eq!(totals(&cache)["incr_seed_hits"], 2);
     }
 
     #[test]
@@ -839,34 +1027,34 @@ mod tests {
 
     #[test]
     fn ancestor_index_orders_dedupes_and_bounds() {
-        let cache = ResultCache::new(8, 1);
+        let mut index = AncestorIndex::default();
         let structure = digest_of(60);
-        assert!(cache.ancestor_candidates(&structure).is_empty());
+        assert!(index.candidates(&structure).is_empty());
 
         // Most recent first, duplicates move to the front.
-        cache.note_ancestor(structure, digest_of(61));
-        cache.note_ancestor(structure, digest_of(62));
-        cache.note_ancestor(structure, digest_of(61));
+        index.note(structure, digest_of(61));
+        index.note(structure, digest_of(62));
+        index.note(structure, digest_of(61));
         assert_eq!(
-            cache.ancestor_candidates(&structure),
+            index.candidates(&structure),
             vec![digest_of(61), digest_of(62)]
         );
 
         // Per-structure bound: only the newest ANCESTORS_PER_STRUCTURE.
         for byte in 100..120 {
-            cache.note_ancestor(structure, digest_of(byte));
+            index.note(structure, digest_of(byte));
         }
-        let candidates = cache.ancestor_candidates(&structure);
+        let candidates = index.candidates(&structure);
         assert_eq!(candidates.len(), ANCESTORS_PER_STRUCTURE);
         assert_eq!(candidates[0], digest_of(119));
 
         // Structure bound: the oldest structure is dropped.
         for byte in 0..=u8::MAX {
             for high in 0..2u8 {
-                cache.note_ancestor(SpecDigest::of(&[high, byte]), digest_of(1));
+                index.note(SpecDigest::of(&[high, byte]), digest_of(1));
             }
         }
-        assert!(cache.ancestor_candidates(&structure).is_empty());
+        assert!(index.candidates(&structure).is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! | method | path           | behaviour                                        |
 //! |--------|----------------|--------------------------------------------------|
 //! | POST   | `/v1/schedule` | spec XML body → the `ezrt schedule --json` object plus `spec_digest` and `cache: "hit"\|"disk"\|"miss"`; `?por=off\|stubborn` overrides the partial-order reduction level (and, being result-relevant, keys its own cache entry); `?warm=<digest>` seeds a miss's search from that cached schedule (without the hint, a miss consults the structural ancestor index automatically); `?jobs=N` is validated (400 outside `1..=64`) and changes nothing |
-//! | POST   | `/v1/check`    | spec XML body → parse/validation verdict and spec summary |
+//! | POST   | `/v1/check`    | spec XML body → parse/validation verdict and spec summary; `spec_digest` is the key `/v1/schedule` gives the body, and `?por=`/`?jobs=` are read and validated as there |
 //! | POST   | `/v1/table`    | spec XML body → the Fig. 8 schedule table (C array), byte-identical to `ezrt table` |
 //! | POST   | `/v1/codegen`  | spec XML body → the generated C translation unit; `?target=<t>` picks the target (default `posix_sim`) |
 //! | POST   | `/v1/gantt`    | spec XML body → the ASCII timeline over the default window |
@@ -67,17 +67,14 @@
 //! rows drive both `/v1/stats` and `/v1/metrics`, so to add a service
 //! metric, add one row.
 
-use crate::cache::{Lookup, ResultCache, SHARDS};
+use crate::cache::{Lookup, Resolved, ResultCache, Warm, SHARDS};
 use crate::disk::DiskTier;
 use crate::sweep::run_sweep;
 use ezrt_artifacts::report::{self, JsonFields};
-use ezrt_artifacts::{
-    compute_outcome, compute_outcome_incremental, project_digest, structure_digest, ArtifactKind,
-    RenderError, SpecDigest, SynthesisOutcome,
-};
+use ezrt_artifacts::{project_digest, ArtifactKind, RenderError, SpecDigest, SynthesisOutcome};
 use ezrt_core::Project;
-use ezrt_obs::{Counter, Histogram, Registry};
-use ezrt_scheduler::{Parallelism, PorLevel, SchedulerConfig, SearchCounter, SearchStats};
+use ezrt_obs::{Histogram, Registry};
+use ezrt_scheduler::{Parallelism, PorLevel, SchedulerConfig};
 use ezrt_spec::sweep::SweepGrid;
 use std::collections::VecDeque;
 use std::io::{LineWriter, Read, Write};
@@ -252,10 +249,6 @@ struct Shared {
     cells: HttpCells,
     /// One histogram per [`HISTOGRAMS`] row.
     histograms: [Histogram; HISTOGRAMS.len()],
-    /// Per-miss search counters: one cell per [`SearchStats::COUNTERS`]
-    /// entry with a server family, in table order, summed over the
-    /// searches schedule misses ran.
-    search_counters: Vec<(&'static SearchCounter, Counter)>,
 }
 
 impl Shared {
@@ -399,10 +392,6 @@ impl Server {
             workers,
             max_pending: config.max_pending,
             started: Instant::now(),
-            search_counters: SearchStats::COUNTERS
-                .iter()
-                .filter_map(|c| Some((c, registry.counter(c.server_family?, c.help))))
-                .collect(),
             registry,
             log,
             cells,
@@ -734,7 +723,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         // assert, say) must not shrink the pool and must still answer
         // the client: catch the unwind and convert it to a 500.
         let mut response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            route(shared, &request, &mut timing)
+            route(shared, &request, &mut timing).unwrap_or_else(|response| response)
         }))
         .unwrap_or_else(|_| Response::error(500, "internal error while handling the request"));
         if response.status >= 400 {
@@ -1079,7 +1068,11 @@ fn if_none_match_hit(header: Option<&str>, etag: &str) -> bool {
         .any(|candidate| candidate == "*" || candidate == etag)
 }
 
-fn route(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> Response {
+/// A route's answer; `Err` is an early error response, sent like any
+/// other.
+type Handled = Result<Response, Response>;
+
+fn route(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> Handled {
     // HEAD answers like the underlying route, minus the body (the
     // suppression happens in the response writer, so handlers run
     // unchanged and headers stay identical). GET routes are the normal
@@ -1097,23 +1090,22 @@ fn route(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> Resp
     if let Some(rest) = request.path.strip_prefix("/v1/artifact/") {
         return match method {
             "GET" => artifact_get(shared, rest, request, timing),
-            _ => Response::error(405, "method not allowed"),
+            _ => Err(Response::error(405, "method not allowed")),
         };
     }
     match (method, request.path.as_str()) {
-        ("GET", "/v1/healthz") => Response::json(200, "{\n  \"status\": \"ok\"\n}".to_owned()),
-        ("GET", "/v1/stats") => stats(shared),
-        ("GET", "/v1/metrics") => metrics(shared),
+        ("GET", "/v1/healthz") => Ok(Response::json(200, "{\n  \"status\": \"ok\"\n}".to_owned())),
+        ("GET", "/v1/stats") => Ok(stats(shared)),
+        ("GET", "/v1/metrics") => Ok(metrics(shared)),
         ("POST", "/v1/schedule") => schedule(shared, request, timing),
-        ("POST", "/v1/check") => check(request, timing),
+        ("POST", "/v1/check") => check(shared, request, timing),
         ("POST", "/v1/table") => artifact_post(shared, request, ArtifactKind::Table, timing),
         ("POST", "/v1/codegen") => {
             let kind = match query_value(&request.query, "target") {
                 None => ArtifactKind::Codegen(ezrt_codegen::Target::PosixSim),
-                Some(target) => match ArtifactKind::parse(&format!("codegen:{target}")) {
-                    Ok(kind) => kind,
-                    Err(message) => return Response::error(400, &message),
-                },
+                Some(target) => {
+                    ArtifactKind::parse(&format!("codegen:{target}")).map_err(bad_request)?
+                }
             };
             artifact_post(shared, request, kind, timing)
         }
@@ -1121,14 +1113,17 @@ fn route(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> Resp
         ("POST", "/v1/sweep") => sweep(shared, request, timing),
         ("POST", "/v1/shutdown") => {
             shared.request_shutdown();
-            Response::json(200, "{\n  \"status\": \"shutting down\"\n}".to_owned())
+            Ok(Response::json(
+                200,
+                "{\n  \"status\": \"shutting down\"\n}".to_owned(),
+            ))
         }
         (
             _,
             "/v1/healthz" | "/v1/stats" | "/v1/metrics" | "/v1/schedule" | "/v1/check"
             | "/v1/table" | "/v1/codegen" | "/v1/gantt" | "/v1/sweep" | "/v1/shutdown",
-        ) => Response::error(405, "method not allowed"),
-        _ => Response::error(404, "not found"),
+        ) => Err(Response::error(405, "method not allowed")),
+        _ => Err(Response::error(404, "not found")),
     }
 }
 
@@ -1136,8 +1131,14 @@ fn route(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> Resp
 /// scheduler configuration with the request's effective `jobs` (the
 /// sweep fan-out width) and `por`. Note that `por` — unlike `jobs` — is
 /// part of the canonical config bytes, so requests at different levels
-/// key different cache entries.
-fn parse_project(shared: &Shared, request: &Request) -> Result<Project, Response> {
+/// key different cache entries. A bad body or query parameter is a
+/// 400; a document that does not parse is answered by `invalid_spec`
+/// with the parser's message.
+fn parse_project(
+    shared: &Shared,
+    request: &Request,
+    invalid_spec: fn(String) -> Response,
+) -> Result<Project, Response> {
     let xml = std::str::from_utf8(&request.body)
         .map_err(|_| Response::error(400, "spec body is not UTF-8"))?;
     let jobs = match query_value(&request.query, "jobs") {
@@ -1161,7 +1162,7 @@ fn parse_project(shared: &Shared, request: &Request) -> Result<Project, Response
         })?,
     };
     let project = Project::from_dsl(xml)
-        .map_err(|error| Response::error(400, &error.to_string()))?
+        .map_err(|error| invalid_spec(error.to_string()))?
         .with_config(SchedulerConfig {
             parallelism: jobs,
             por,
@@ -1170,12 +1171,38 @@ fn parse_project(shared: &Shared, request: &Request) -> Result<Project, Response
     Ok(project)
 }
 
-fn schedule(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> Response {
+/// A 400 with `message`.
+fn bad_request(message: impl AsRef<str>) -> Response {
+    Response::error(400, message.as_ref())
+}
+
+/// Resolves `project` through the cache and records the request's
+/// `cache` phase (the lookup less any warm-up and search) and, when
+/// this request ran them, its `warm` and `search` phases.
+fn resolve(
+    shared: &Shared,
+    project: &Project,
+    digest: SpecDigest,
+    warm: Warm<'_>,
+    timing: &mut RequestTiming,
+) -> Resolved {
+    let started = Instant::now();
+    let resolved = shared.cache.resolve(project, digest, warm);
+    let lookup_micros = started.elapsed().as_micros() as u64;
+    let (warm, search) = (resolved.warm_micros, resolved.search_micros);
+    let inner_micros = warm.unwrap_or(0) + search.unwrap_or(0);
+    timing.phase(Phase::Cache, lookup_micros.saturating_sub(inner_micros));
+    for (phase, micros) in [(Phase::Warm, warm), (Phase::Search, search)] {
+        if let Some(micros) = micros {
+            timing.phase(phase, micros);
+        }
+    }
+    resolved
+}
+
+fn schedule(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> Handled {
     shared.cells.schedule_requests.inc();
-    let project = match timing.time(Phase::Parse, || parse_project(shared, request)) {
-        Ok(project) => project,
-        Err(response) => return response,
-    };
+    let project = timing.time(Phase::Parse, || parse_project(shared, request, bad_request))?;
     let digest = timing.time(Phase::Digest, || project_digest(&project));
     // The report is addressed by the digest alone (the volatile `cache`
     // provenance field is not part of the resource), so a matching tag
@@ -1186,66 +1213,27 @@ fn schedule(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> R
     if if_none_match_hit(request.if_none_match.as_deref(), &etag) {
         let mut response = Response::not_modified("application/json", etag);
         response.headers.push(("X-Ezrt-Digest", digest.to_hex()));
-        return response;
+        return Ok(response);
     }
-    let warm_hint = match query_value(&request.query, "warm") {
-        Some(text) => match SpecDigest::from_hex(text) {
-            Some(warm) => Some(warm),
-            None => return Response::error(400, "warm must be a 48-hex-character digest"),
-        },
-        None => None,
-    };
-    let structure = structure_digest(&project);
-    // Misses run the closure on this thread, so the warm-start and
-    // search costs are measured inside it and subtracted from the
-    // surrounding lookup to leave the pure cache-coordination time.
-    let warm_micros = std::cell::Cell::new(0u64);
-    let search_micros = std::cell::Cell::new(0u64);
-    let lookup_started = Instant::now();
-    let (outcome, lookup) = shared.cache.get_or_compute(digest, || {
-        let warm_started = Instant::now();
-        let ancestor = warm_ancestor(shared, &project, digest, structure, warm_hint);
-        warm_micros.set(warm_started.elapsed().as_micros() as u64);
-        let search_started = Instant::now();
-        let outcome = match ancestor {
-            Some(ancestor) => compute_outcome_incremental(&project, digest, &ancestor),
-            None => compute_outcome(&project, digest),
-        };
-        search_micros.set(search_started.elapsed().as_micros() as u64);
-        outcome
-    });
-    let lookup_micros = lookup_started.elapsed().as_micros() as u64;
-    timing.phase(
-        Phase::Cache,
-        lookup_micros.saturating_sub(warm_micros.get() + search_micros.get()),
-    );
-    if lookup == Lookup::Miss {
-        timing.phase(Phase::Warm, warm_micros.get());
-        timing.phase(Phase::Search, search_micros.get());
+    let hint = query_value(&request.query, "warm").map(SpecDigest::from_hex);
+    if hint == Some(None) {
+        return Err(bad_request("warm must be a 48-hex-character digest"));
     }
-    // Only the flight that ran the search reports its warm-start
-    // counters (joiners and cache hits would double-count them), and
-    // only outcomes that actually hold a schedule become warm-start
-    // ancestors for later structural neighbours.
-    if lookup == Lookup::Miss {
-        for (counter, cell) in &shared.search_counters {
-            cell.add((counter.get)(&outcome.stats));
-        }
-    }
-    if outcome.feasible && matches!(lookup, Lookup::Miss | Lookup::Disk) {
-        shared.cache.note_ancestor(structure, digest);
-    }
+    let warm = Warm::Nearest(hint.flatten());
+    let Resolved {
+        outcome, lookup, ..
+    } = resolve(shared, &project, digest, warm, timing);
     let mut fields: JsonFields = outcome.fields.clone();
     fields.push(("cache", report::json_string(lookup.as_str())));
     // Infeasibility is a successful analysis with a negative verdict,
     // so it is 200 like any other completed synthesis.
     let mut response = Response::json(200, report::render_pretty(&fields));
     response.etag = Some(etag);
-    response.headers.push(("X-Ezrt-Digest", digest.to_hex()));
-    response
-        .headers
-        .push(("X-Ezrt-Cache", lookup.as_str().to_owned()));
-    response
+    response.headers = vec![
+        ("X-Ezrt-Digest", digest.to_hex()),
+        ("X-Ezrt-Cache", lookup.as_str().to_owned()),
+    ];
+    Ok(response)
 }
 
 /// `POST /v1/sweep?grid=...`: the base spec in the body, the grid in
@@ -1254,86 +1242,28 @@ fn schedule(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> R
 /// the point fan-out (per-point synthesis stays sequential), so it can
 /// never change the rows; wall-clock and dedup provenance travel in
 /// `X-Ezrt-Sweep-*` headers, never in the body.
-fn sweep(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> Response {
+fn sweep(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> Handled {
     shared.cells.sweep_requests.inc();
-    let project = match timing.time(Phase::Parse, || parse_project(shared, request)) {
-        Ok(project) => project,
-        Err(response) => return response,
-    };
-    let Some(grid_text) = query_value(&request.query, "grid") else {
-        return Response::error(
-            400,
-            "sweep requires a ?grid= parameter, e.g. grid=periods:100,150;deadlines:75,100",
-        );
-    };
-    let grid = match SweepGrid::parse(grid_text) {
-        Ok(grid) => grid,
-        Err(message) => return Response::error(400, &message),
-    };
+    let project = timing.time(Phase::Parse, || parse_project(shared, request, bad_request))?;
+    let grid_text = query_value(&request.query, "grid").ok_or_else(|| {
+        bad_request("sweep requires a ?grid= parameter, e.g. grid=periods:100,150;deadlines:75,100")
+    })?;
+    let grid = SweepGrid::parse(grid_text).map_err(bad_request)?;
     // Oversize grids come back from the engine as the only error it
     // reports; everything per-point is a row, not a failure.
-    let report = match timing.time(Phase::Search, || run_sweep(&project, &grid, &shared.cache)) {
-        Ok(report) => report,
-        Err(message) => return Response::error(400, &message),
-    };
+    let report = timing
+        .time(Phase::Search, || run_sweep(&project, &grid, &shared.cache))
+        .map_err(bad_request)?;
     shared.cells.sweep_points.add(report.rows.len() as u64);
     let mut response = Response::json(200, report.render());
     response.content_type = "application/x-ndjson";
-    response
-        .headers
-        .push(("X-Ezrt-Digest", report.base_digest.to_hex()));
-    response
-        .headers
-        .push(("X-Ezrt-Sweep-Points", report.rows.len().to_string()));
-    response
-        .headers
-        .push(("X-Ezrt-Sweep-Unique", report.unique_digests.to_string()));
-    response
-        .headers
-        .push(("X-Ezrt-Sweep-Feasible", report.feasible.to_string()));
-    response
-}
-
-/// Resolves the warm-start ancestor for a schedule-cache miss: the
-/// explicit `warm=<digest>` hint when it names a cached feasible
-/// outcome, otherwise the nearest ancestor from the structure index —
-/// among cached outcomes sharing this spec's structure digest, the one
-/// whose spec differs in the fewest task sub-digests, ties going to the
-/// most recently computed. Runs inside the singleflight compute (misses
-/// only), so hits and joiners never pay for it.
-fn warm_ancestor(
-    shared: &Shared,
-    project: &Project,
-    digest: SpecDigest,
-    structure: SpecDigest,
-    hint: Option<SpecDigest>,
-) -> Option<Arc<SynthesisOutcome>> {
-    if let Some(warm) = hint {
-        if warm == digest {
-            return None;
-        }
-        let (outcome, _) = shared.cache.lookup(warm)?;
-        return outcome.solution.is_some().then_some(outcome);
-    }
-    let mut best: Option<(usize, Arc<SynthesisOutcome>)> = None;
-    for candidate in shared.cache.ancestor_candidates(&structure) {
-        if candidate == digest {
-            continue;
-        }
-        let Some((outcome, _)) = shared.cache.lookup(candidate) else {
-            continue;
-        };
-        let Some(solution) = outcome.solution.as_ref() else {
-            continue;
-        };
-        let changed = project.changed_tasks(solution.spec()).len();
-        // Candidates arrive most-recent-first, so a strict `<` keeps
-        // the most recent among equally-close ancestors.
-        if best.as_ref().is_none_or(|(fewest, _)| changed < *fewest) {
-            best = Some((changed, outcome));
-        }
-    }
-    best.map(|(_, outcome)| outcome)
+    response.headers = vec![
+        ("X-Ezrt-Digest", report.base_digest.to_hex()),
+        ("X-Ezrt-Sweep-Points", report.rows.len().to_string()),
+        ("X-Ezrt-Sweep-Unique", report.unique_digests.to_string()),
+        ("X-Ezrt-Sweep-Feasible", report.feasible.to_string()),
+    ];
+    Ok(response)
 }
 
 /// `GET /v1/artifact/<digest>/<kind>`: serve an artifact of an already
@@ -1346,26 +1276,22 @@ fn artifact_get(
     rest: &str,
     request: &Request,
     timing: &mut RequestTiming,
-) -> Response {
+) -> Handled {
     shared.cells.artifact_requests.inc();
-    let Some((digest_hex, kind_text)) = rest.split_once('/') else {
-        return Response::error(400, "expected /v1/artifact/<digest>/<kind>");
-    };
-    let Some(digest) = SpecDigest::from_hex(digest_hex) else {
-        return Response::error(400, "digest must be 48 hex characters");
-    };
-    let kind = match ArtifactKind::parse(kind_text) {
-        Ok(kind) => kind,
-        Err(message) => return Response::error(400, &message),
-    };
+    let (digest_hex, kind_text) = rest
+        .split_once('/')
+        .ok_or_else(|| bad_request("expected /v1/artifact/<digest>/<kind>"))?;
+    let digest = SpecDigest::from_hex(digest_hex)
+        .ok_or_else(|| bad_request("digest must be 48 hex characters"))?;
+    let kind = ArtifactKind::parse(kind_text).map_err(bad_request)?;
     let lookup_result = timing.time(Phase::Cache, || shared.cache.lookup(digest));
-    let Some((outcome, lookup)) = lookup_result else {
-        return Response::error(
-            404,
-            &format!("no cached outcome for digest {digest}; POST the spec first"),
-        );
-    };
-    respond_artifact(shared, &outcome, kind, lookup, request, timing)
+    let (outcome, lookup) = lookup_result.ok_or_else(|| {
+        let message = format!("no cached outcome for digest {digest}; POST the spec first");
+        Response::error(404, &message)
+    })?;
+    Ok(respond_artifact(
+        shared, &outcome, kind, lookup, request, timing,
+    ))
 }
 
 /// `POST /v1/table|/v1/codegen|/v1/gantt`: synthesize (through the
@@ -1375,28 +1301,16 @@ fn artifact_post(
     request: &Request,
     kind: ArtifactKind,
     timing: &mut RequestTiming,
-) -> Response {
+) -> Handled {
     shared.cells.artifact_requests.inc();
-    let project = match timing.time(Phase::Parse, || parse_project(shared, request)) {
-        Ok(project) => project,
-        Err(response) => return response,
-    };
+    let project = timing.time(Phase::Parse, || parse_project(shared, request, bad_request))?;
     let digest = timing.time(Phase::Digest, || project_digest(&project));
-    let search_micros = std::cell::Cell::new(0u64);
-    let lookup_started = Instant::now();
-    let (outcome, lookup) = shared.cache.get_or_compute(digest, || {
-        let search_started = Instant::now();
-        let outcome = compute_outcome(&project, digest);
-        search_micros.set(search_started.elapsed().as_micros() as u64);
-        outcome
-    });
-    let lookup_micros = lookup_started.elapsed().as_micros() as u64;
-    let cache_micros = lookup_micros.saturating_sub(search_micros.get());
-    timing.phase(Phase::Cache, cache_micros);
-    if lookup == Lookup::Miss {
-        timing.phase(Phase::Search, search_micros.get());
-    }
-    respond_artifact(shared, &outcome, kind, lookup, request, timing)
+    let Resolved {
+        outcome, lookup, ..
+    } = resolve(shared, &project, digest, Warm::Cold, timing);
+    Ok(respond_artifact(
+        shared, &outcome, kind, lookup, request, timing,
+    ))
 }
 
 /// Serves `kind` of a cached outcome: a conditional hit is a
@@ -1454,23 +1368,17 @@ fn respond_artifact(
     }
 }
 
-fn check(request: &Request, timing: &mut RequestTiming) -> Response {
-    let xml = match std::str::from_utf8(&request.body) {
-        Ok(xml) => xml,
-        Err(_) => return Response::error(400, "spec body is not UTF-8"),
+/// `POST /v1/check`: the parse/validation verdict and a spec summary,
+/// its `spec_digest` keyed exactly as `/v1/schedule` keys the body.
+fn check(shared: &Shared, request: &Request, timing: &mut RequestTiming) -> Handled {
+    let failed = |message: String| {
+        let fields = [
+            ("ok", "false".to_owned()),
+            ("error", report::json_string(&message)),
+        ];
+        Response::json(400, report::render_pretty(&fields))
     };
-    let project = match timing.time(Phase::Parse, || Project::from_dsl(xml)) {
-        Ok(project) => project,
-        Err(error) => {
-            return Response::json(
-                400,
-                format!(
-                    "{{\n  \"ok\": false,\n  \"error\": {}\n}}",
-                    report::json_string(&error.to_string())
-                ),
-            )
-        }
-    };
+    let project = timing.time(Phase::Parse, || parse_project(shared, request, failed))?;
     let spec = project.spec();
     let fields: JsonFields = vec![
         ("ok", "true".to_owned()),
@@ -1485,7 +1393,7 @@ fn check(request: &Request, timing: &mut RequestTiming) -> Response {
         ("hyperperiod", spec.hyperperiod().to_string()),
         ("total_instances", spec.total_instances().to_string()),
     ];
-    Response::json(200, report::render_pretty(&fields))
+    Ok(Response::json(200, report::render_pretty(&fields)))
 }
 
 /// `GET /v1/stats`: the human-facing JSON counters. Each cell is read
@@ -1521,10 +1429,7 @@ fn stats(shared: &Shared) -> Response {
         ),
         ("max_pending", shared.max_pending.to_string()),
     ];
-    let search = shared
-        .search_counters
-        .iter()
-        .map(|(counter, cell)| (counter.field, cell.get()));
+    let search = shared.cache.search_totals();
     let cache = shared.cache.stats();
     let disk = shared.cache.disk_stats().unwrap_or_default();
     let rows = http
@@ -1567,6 +1472,7 @@ mod tests {
     use super::*;
     use crate::cache::CacheStats;
     use crate::disk::DiskStats;
+    use ezrt_scheduler::SearchStats;
 
     #[test]
     fn query_values_parse() {

@@ -54,8 +54,8 @@
 //! # Examples
 //!
 //! ```
-//! use ezrt_artifacts::{compute_outcome, project_digest};
-//! use ezrt_server::ResultCache;
+//! use ezrt_artifacts::project_digest;
+//! use ezrt_server::{ResultCache, Warm};
 //! use ezrt_core::Project;
 //! use ezrt_spec::corpus::small_control;
 //!
@@ -63,11 +63,11 @@
 //! let project = Project::new(small_control());
 //! let digest = project_digest(&project);
 //!
-//! let (first, lookup) = cache.get_or_compute(digest, || compute_outcome(&project, digest));
-//! assert_eq!(lookup.as_str(), "miss");
-//! let (second, lookup) = cache.get_or_compute(digest, || compute_outcome(&project, digest));
-//! assert_eq!(lookup.as_str(), "hit");
-//! assert!(std::sync::Arc::ptr_eq(&first, &second));
+//! let first = cache.resolve(&project, digest, Warm::Cold);
+//! assert_eq!(first.lookup.as_str(), "miss");
+//! let second = cache.resolve(&project, digest, Warm::Cold);
+//! assert_eq!(second.lookup.as_str(), "hit");
+//! assert!(std::sync::Arc::ptr_eq(&first.outcome, &second.outcome));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -79,6 +79,6 @@ pub mod disk;
 pub mod http;
 pub mod sweep;
 
-pub use cache::{CacheStats, Lookup, RenderedArtifact, ResultCache};
+pub use cache::{CacheStats, Lookup, RenderedArtifact, Resolved, ResultCache, Warm};
 pub use disk::{DiskStats, DiskTier};
 pub use http::{Server, ServerConfig};

@@ -18,22 +18,19 @@
 //! parameters, verdict, digest, search counters) — wall-clock time is
 //! reported out of band (CLI stderr, HTTP headers). Duplicate points
 //! (and repeat sweeps over one cache) deduplicate through
-//! [`ResultCache::get_or_compute`]: the identity point
+//! [`ResultCache::resolve`]: the identity point
 //! `periods=100 deadlines=100 jitter=0` shares its digest with the
 //! base spec itself.
 
 use crate::batch::fan_out;
-use crate::cache::{Lookup, ResultCache};
+use crate::cache::{Lookup, ResultCache, Warm};
 use ezrt_artifacts::report::{self, JsonFields};
-use ezrt_artifacts::{
-    compute_outcome, compute_outcome_incremental, project_digest, SpecDigest, SynthesisOutcome,
-};
+use ezrt_artifacts::{project_digest, SpecDigest, SynthesisOutcome};
 use ezrt_core::Project;
 use ezrt_scheduler::SchedulerConfig;
 use ezrt_spec::sweep::{SweepGrid, SweepPoint, MAX_SWEEP_POINTS};
 use ezrt_spec::EzSpec;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// One frontier row: a grid point and its rendered verdict.
 #[derive(Debug, Clone)]
@@ -102,19 +99,15 @@ pub fn run_sweep(
         ));
     }
     // The base outcome is the fixed warm-start ancestor for every
-    // point; computing it up front (before any fan-out) pins the seed
-    // all workers share.
+    // point (an infeasible base seeds nothing, so its points run cold);
+    // computing it up front (before any fan-out) pins the seed all
+    // workers share.
     let base_digest = project_digest(base);
-    let (base_outcome, _) =
-        cache.get_or_compute(base_digest, || compute_outcome(base, base_digest));
-    let ancestor = base_outcome
-        .solution
-        .is_some()
-        .then(|| Arc::clone(&base_outcome));
+    let ancestor = cache.resolve(base, base_digest, Warm::Cold).outcome;
 
     let (spec, config) = (base.spec(), base.config());
     let rows = fan_out(&grid.points(), config.parallelism, |point| {
-        process_point(spec, *point, config, ancestor.as_ref(), cache)
+        process_point(spec, *point, config, &ancestor, cache)
     });
 
     let unique: HashSet<SpecDigest> = rows.iter().filter_map(|row| row.digest).collect();
@@ -136,7 +129,7 @@ fn process_point(
     base: &EzSpec,
     point: SweepPoint,
     config: &SchedulerConfig,
-    ancestor: Option<&Arc<SynthesisOutcome>>,
+    ancestor: &SynthesisOutcome,
     cache: &ResultCache,
 ) -> SweepRow {
     let mut fields: JsonFields = vec![
@@ -160,10 +153,8 @@ fn process_point(
     };
     let project = Project::new(derived).with_config(config.clone());
     let digest = project_digest(&project);
-    let (outcome, lookup) = cache.get_or_compute(digest, || match ancestor {
-        Some(ancestor) => compute_outcome_incremental(&project, digest, ancestor),
-        None => compute_outcome(&project, digest),
-    });
+    let resolved = cache.resolve(&project, digest, Warm::From(ancestor));
+    let (outcome, lookup) = (resolved.outcome, resolved.lookup);
     let verdict = if outcome.feasible {
         "feasible"
     } else {

@@ -3,7 +3,7 @@
 //! cache behaviours the service exists for — singleflight coalescing,
 //! hit/miss reporting, LRU eviction.
 
-use ezrt_scheduler::{SchedulerConfig, SearchStats};
+use ezrt_scheduler::{PorLevel, SchedulerConfig, SearchStats};
 use ezrt_server::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -1282,5 +1282,126 @@ fn sweep_refuses_missing_malformed_and_oversized_grids() {
     assert_eq!(status, 200);
     assert_eq!(field(&stats, "cache_misses"), "0");
 
+    server.stop();
+}
+
+/// The small-control spec with its deadlines scaled to `percent`, as
+/// XML: a timing edit, which keeps the structure digest.
+fn small_control_deadlines_xml(percent: u32) -> String {
+    let grid = ezrt_spec::sweep::SweepGrid::parse(&format!("deadlines:{percent}"));
+    let point = grid.expect("grid parses").points()[0];
+    let spec = point
+        .apply(&ezrt_spec::corpus::small_control())
+        .expect("valid point");
+    ezrt_dsl::to_xml(&spec)
+}
+
+#[test]
+fn ancestor_probes_are_not_requests() {
+    let server = server(ServerConfig::default());
+    let addr = server.addr();
+    let (status, _) = request(addr, "POST", "/v1/schedule", &small_control_xml());
+    assert_eq!(status, 200);
+    let (status, edit) = request(
+        addr,
+        "POST",
+        "/v1/schedule",
+        &small_control_deadlines_xml(90),
+    );
+    assert_eq!(status, 200);
+    assert_eq!(field(&edit, "cache"), "\"miss\"");
+    assert_eq!(field(&edit, "incr_seed_hits"), "1", "{edit}");
+
+    // Choosing the ancestor looked the first outcome up, but no request
+    // hit the cache.
+    let (_, stats) = request(addr, "GET", "/v1/stats", "");
+    assert_eq!(field(&stats, "cache_hits"), "0", "{stats}");
+    assert_eq!(field(&stats, "cache_misses"), "2", "{stats}");
+    assert_eq!(field(&stats, "incr_seed_hits"), "1", "{stats}");
+    server.stop();
+}
+
+#[test]
+fn check_digests_and_validates_like_schedule() {
+    let server = server(ServerConfig {
+        scheduler: SchedulerConfig {
+            por: PorLevel::Off,
+            ..SchedulerConfig::default()
+        },
+        ..ServerConfig::default()
+    });
+    let addr = server.addr();
+    let xml = small_control_xml();
+    let (status, check) = request(addr, "POST", "/v1/check", &xml);
+    assert_eq!(status, 200, "{check}");
+    let (status, schedule) = request(addr, "POST", "/v1/schedule", &xml);
+    assert_eq!(status, 200);
+    let digest = field(&schedule, "spec_digest");
+    assert_eq!(field(&check, "spec_digest"), digest);
+
+    // A request-level `?por=` moves both digests alike.
+    let (_, check) = request(addr, "POST", "/v1/check?por=stubborn", &xml);
+    let (_, schedule) = request(addr, "POST", "/v1/schedule?por=stubborn", &xml);
+    assert_eq!(
+        field(&check, "spec_digest"),
+        field(&schedule, "spec_digest")
+    );
+    assert_ne!(field(&check, "spec_digest"), digest);
+
+    for target in ["/v1/check?jobs=0", "/v1/check?por=fast"] {
+        let (status, body) = request(addr, "POST", target, &xml);
+        assert_eq!(status, 400, "{target}: {body}");
+    }
+    // A document that does not parse keeps its verdict body.
+    let (status, body) = request(addr, "POST", "/v1/check", "<nonsense/>");
+    assert_eq!(status, 400);
+    assert_eq!(field(&body, "ok"), "false", "{body}");
+    assert!(body.contains("\"error\": "), "{body}");
+    server.stop();
+}
+
+#[test]
+fn every_search_the_server_runs_feeds_its_search_counters() {
+    const KEYS: [&str; 3] = ["por_stubborn_skips", "incr_seed_hits", "incr_replayed"];
+    let server = server(ServerConfig::default());
+    let addr = server.addr();
+    let read_stats = || {
+        let (_, stats) = request(addr, "GET", "/v1/stats", "");
+        KEYS.map(|key| field(&stats, key).parse::<u64>().expect("number"))
+    };
+    let before = read_stats();
+
+    // A table miss, then a sweep over the same base: the base is a hit,
+    // and so is the identity point; the other three points search.
+    let xml = small_control_xml();
+    let (status, head, _) = close_request(addr, "POST", "/v1/table", &[], &xml);
+    assert_eq!(status, 200, "{head}");
+    let mut digests = vec![header(&head, "X-Ezrt-Digest").expect("digest").to_owned()];
+    let grid = "/v1/sweep?grid=periods:100,150;deadlines:75,100";
+    let (status, _, rows) = close_request(addr, "POST", grid, &[], &xml);
+    assert_eq!(status, 200, "{rows}");
+    for row in rows.lines() {
+        let digest = row.split("\"spec_digest\": \"").nth(1).expect("digest");
+        let digest = digest[..48].to_owned();
+        if !digests.contains(&digest) {
+            digests.push(digest);
+        }
+    }
+    assert_eq!(digests.len(), 4, "{rows}");
+
+    let mut sums = [0u64; 3];
+    for digest in &digests {
+        let target = format!("/v1/artifact/{digest}/report-json");
+        let (status, report) = request(addr, "GET", &target, "");
+        assert_eq!(status, 200, "{report}");
+        for (sum, key) in sums.iter_mut().zip(KEYS) {
+            *sum += field(&report, key).parse::<u64>().expect("number");
+        }
+    }
+    assert!(sums[1] > 0, "the points warm-start from the base");
+    let after = read_stats();
+    for ((key, sum), (after, before)) in KEYS.iter().zip(sums).zip(after.iter().zip(before)) {
+        assert_eq!(after - before, sum, "{key}");
+    }
     server.stop();
 }

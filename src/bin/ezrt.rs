@@ -41,14 +41,11 @@
 //! All output goes to stdout so results compose with shell pipelines;
 //! diagnostics go to stderr and failures exit nonzero.
 
-use ezrealtime::artifacts::{
-    compute_outcome, compute_outcome_incremental, project_digest, report, ArtifactKind, SpecDigest,
-    SynthesisOutcome,
-};
+use ezrealtime::artifacts::{project_digest, report, ArtifactKind, SpecDigest, SynthesisOutcome};
 use ezrealtime::codegen::Target;
 use ezrealtime::core::Project;
 use ezrealtime::server::batch::run_batch;
-use ezrealtime::server::cache::{ResultCache, SHARDS};
+use ezrealtime::server::cache::{ResultCache, Warm, SHARDS};
 use ezrealtime::server::disk::DiskTier;
 use ezrealtime::server::sweep::run_sweep;
 use ezrealtime::server::{Server, ServerConfig};
@@ -70,14 +67,7 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<(), String> {
     let mut args: Vec<String> = args.to_vec();
-    let jobs = match take_option_value(&mut args, "--jobs")? {
-        Some(value) => value
-            .parse::<usize>()
-            .ok()
-            .filter(|&jobs| jobs >= 1)
-            .ok_or_else(|| format!("--jobs expects a positive number, found {value:?}"))?,
-        None => 1,
-    };
+    let jobs = take_number(&mut args, "--jobs", 1, "a positive number")?.unwrap_or(1);
     let por = match take_option_value(&mut args, "--por")? {
         Some(value) => ezrealtime::scheduler::PorLevel::parse(&value)
             .ok_or_else(|| format!("--por expects off|stubborn, found {value:?}"))?,
@@ -86,12 +76,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let json = take_flag(&mut args, "--json");
     let cache_dir = take_option_value(&mut args, "--cache-dir")?;
     let cache_dir = cache_dir.as_deref();
-    let cache_max_bytes = match take_option_value(&mut args, "--cache-max-bytes")? {
-        Some(value) => Some(value.parse::<u64>().map_err(|_| {
-            format!("--cache-max-bytes expects a number of bytes, found {value:?}")
-        })?),
-        None => None,
-    };
+    let cache_max_bytes = take_number(&mut args, "--cache-max-bytes", 0, "a number of bytes")?;
     if cache_max_bytes.is_some() && cache_dir.is_none() {
         return Err("--cache-max-bytes requires --cache-dir".to_owned());
     }
@@ -169,8 +154,9 @@ fn run(args: &[String]) -> Result<(), String> {
         .with_por(por);
     // The one-shot commands share the server's cache type so every
     // surface funnels through the same tiers: outcome memory (with the
-    // rendered bytes memoized on each outcome) + optional disk.
-    let cache = artifact_cache(cache_dir, cache_max_bytes)?;
+    // rendered bytes memoized on each outcome) + optional disk. A
+    // one-shot process holds few outcomes: one spec and its artifacts.
+    let cache = open_cache(16, 1, cache_dir, cache_max_bytes)?;
 
     let result = match command.as_str() {
         "check" => check(&project),
@@ -235,6 +221,23 @@ fn take_option_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String
         return Err(format!("{flag} may only be given once"));
     }
     Ok(Some(value))
+}
+
+/// Removes `--flag N` from `args`, returning N when present; N must
+/// parse and be at least `min`, or the error says what `flag` expects.
+fn take_number<T: std::str::FromStr + PartialOrd>(
+    args: &mut Vec<String>,
+    flag: &str,
+    min: T,
+    expects: &str,
+) -> Result<Option<T>, String> {
+    let Some(value) = take_option_value(args, flag)? else {
+        return Ok(None);
+    };
+    let number = value.parse::<T>().ok().filter(|number| *number >= min);
+    number
+        .map(Some)
+        .ok_or_else(|| format!("{flag} expects {expects}, found {value:?}"))
 }
 
 /// Removes a bare `--flag` from `args`, returning whether it was present.
@@ -318,26 +321,11 @@ fn serve(
 ) -> Result<(), String> {
     let addr = take_option_value(args, "--addr")?
         .ok_or_else(|| format!("serve requires --addr HOST:PORT\n{}", usage()))?;
-    let cache_capacity = match take_option_value(args, "--cache-cap")? {
-        Some(value) => value
-            .parse::<usize>()
-            .map_err(|_| format!("--cache-cap expects a number of entries, found {value:?}"))?,
-        None => 1024,
-    };
-    let workers = match take_option_value(args, "--workers")? {
-        Some(value) => value
-            .parse::<usize>()
-            .ok()
-            .filter(|&workers| workers >= 1)
-            .ok_or_else(|| format!("--workers expects a positive number, found {value:?}"))?,
-        None => 4,
-    };
-    let max_pending = match take_option_value(args, "--max-pending")? {
-        Some(value) => value.parse::<usize>().map_err(|_| {
-            format!("--max-pending expects a number of connections, found {value:?}")
-        })?,
-        None => 128,
-    };
+    let cache_capacity = take_number(args, "--cache-cap", 0, "a number of entries")?;
+    let cache_capacity = cache_capacity.unwrap_or(1024);
+    let workers = take_number(args, "--workers", 1, "a positive number")?.unwrap_or(4);
+    let max_pending = take_number(args, "--max-pending", 0, "a number of connections")?;
+    let max_pending = max_pending.unwrap_or(128);
     if let Some(extra) = args.get(1) {
         return Err(format!("serve: unexpected argument {extra:?}"));
     }
@@ -406,11 +394,7 @@ fn batch(
         por,
         ..ezrealtime::scheduler::SchedulerConfig::default()
     };
-    let disk = match cache_dir {
-        Some(dir) => Some(DiskTier::open_with_budget(dir, cache_max_bytes)?),
-        None => None,
-    };
-    let cache = ResultCache::with_disk(BATCH_CACHE_CAPACITY, SHARDS, disk);
+    let cache = open_cache(BATCH_CACHE_CAPACITY, SHARDS, cache_dir, cache_max_bytes)?;
     let rows = run_batch(std::path::Path::new(dir), &config, &cache)?;
     let mut failures = 0usize;
     for row in &rows {
@@ -473,23 +457,22 @@ fn check(project: &Project) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the cache the one-shot commands run through: the server's
+/// Builds the cache the CLI commands run through: the server's
 /// [`ResultCache`] (outcome memory tier with rendered bytes), backed
 /// by the `--cache-dir` disk store when given — so a result synthesized
 /// by any surface (CLI, `ezrt serve`, `ezrt batch`) is reused by every
 /// other, and `--cache-max-bytes` garbage-collects the shared
 /// directory on open and after writes.
-fn artifact_cache(
+fn open_cache(
+    capacity: usize,
+    shards: usize,
     cache_dir: Option<&str>,
     cache_max_bytes: Option<u64>,
 ) -> Result<ResultCache, String> {
-    let tier = match cache_dir {
-        Some(dir) => Some(DiskTier::open_with_budget(dir, cache_max_bytes)?),
-        None => None,
-    };
-    // A one-shot process holds few outcomes; the tiers are sized for
-    // one spec and its artifacts.
-    Ok(ResultCache::with_disk(16, 1, tier))
+    let tier = cache_dir
+        .map(|dir| DiskTier::open_with_budget(dir, cache_max_bytes))
+        .transpose()?;
+    Ok(ResultCache::with_disk(capacity, shards, tier))
 }
 
 /// Obtains the synthesis outcome for `project` through the shared
@@ -497,11 +480,11 @@ fn artifact_cache(
 /// consulted first — a prior run by any surface is reused without
 /// re-searching — and fresh results are written back; otherwise the
 /// outcome is computed by the exact code the server's cache runs on a
-/// miss.
-fn cached_outcome(cache: &ResultCache, project: &Project) -> Arc<SynthesisOutcome> {
-    let digest = project_digest(project);
-    let (outcome, _lookup) = cache.get_or_compute(digest, || compute_outcome(project, digest));
-    outcome
+/// miss, warm-started as `warm` asks.
+fn cached_outcome(cache: &ResultCache, project: &Project, warm: Warm<'_>) -> Arc<SynthesisOutcome> {
+    cache
+        .resolve(project, project_digest(project), warm)
+        .outcome
 }
 
 /// The `feasible: false` exit path shared by the artifact commands —
@@ -520,7 +503,7 @@ fn infeasible_error(outcome: &SynthesisOutcome) -> String {
 /// output to the corresponding HTTP artifact endpoint (and rendering
 /// through the same `ResultCache::render_artifact`).
 fn artifact(project: &Project, kind: ArtifactKind, cache: &ResultCache) -> Result<(), String> {
-    let outcome = cached_outcome(cache, project);
+    let outcome = cached_outcome(cache, project, Warm::Cold);
     let artifact = cache
         .render_artifact(&outcome, kind)
         .map_err(|error| error.to_string())?;
@@ -531,40 +514,35 @@ fn artifact(project: &Project, kind: ArtifactKind, cache: &ResultCache) -> Resul
 
 /// Resolves `--warm-from <file|digest>` to the ancestor outcome whose
 /// schedule prefix seeds this run's search. A 48-hex argument is a
-/// digest looked up in the (memory or `--cache-dir`) cache — absence
-/// warns to stderr and runs cold, so scripted edit loops never fail on
-/// an evicted ancestor. Anything else is a spec file: it is synthesized
-/// through the same cache (a prior run is revived, not re-searched)
-/// under the same scheduler config, then used as the ancestor.
+/// digest looked up in the (memory or `--cache-dir`) cache. Anything
+/// else is a spec file, synthesized through the same cache (a prior run
+/// is revived, not re-searched) under the same scheduler config. An
+/// absent or infeasible ancestor warns to stderr and the run goes cold,
+/// so scripted edit loops never fail on an evicted ancestor.
 fn warm_from_ancestor(
     cache: &ResultCache,
     project: &Project,
     warm_from: &str,
 ) -> Result<Option<Arc<SynthesisOutcome>>, String> {
-    if let Some(digest) = SpecDigest::from_hex(warm_from) {
-        match cache.lookup(digest) {
-            Some((outcome, _)) if outcome.solution.is_some() => return Ok(Some(outcome)),
-            Some(_) => {
-                eprintln!("ezrt: --warm-from {warm_from} holds no feasible schedule; running cold");
-                return Ok(None);
-            }
-            None => {
-                eprintln!("ezrt: --warm-from {warm_from} is not in the cache; running cold");
-                return Ok(None);
-            }
+    let ancestor = match SpecDigest::from_hex(warm_from) {
+        Some(digest) => cache.lookup(digest).map(|(outcome, _)| outcome),
+        None => {
+            let document = std::fs::read_to_string(warm_from)
+                .map_err(|e| format!("cannot read --warm-from {warm_from}: {e}"))?;
+            let previous = Project::from_dsl(&document)
+                .map_err(|e| format!("{warm_from}: {e}"))?
+                .with_config(project.config().clone());
+            Some(cached_outcome(cache, &previous, Warm::Cold))
         }
+    };
+    match &ancestor {
+        None => eprintln!("ezrt: --warm-from {warm_from} is not in the cache; running cold"),
+        Some(outcome) if outcome.solution.is_none() => {
+            eprintln!("ezrt: --warm-from {warm_from} has no feasible schedule; running cold");
+        }
+        Some(_) => {}
     }
-    let document = std::fs::read_to_string(warm_from)
-        .map_err(|e| format!("cannot read --warm-from {warm_from}: {e}"))?;
-    let previous = Project::from_dsl(&document)
-        .map_err(|e| format!("{warm_from}: {e}"))?
-        .with_config(project.config().clone());
-    let outcome = cached_outcome(cache, &previous);
-    if outcome.solution.is_none() {
-        eprintln!("ezrt: --warm-from {warm_from} has no feasible schedule; running cold");
-        return Ok(None);
-    }
-    Ok(Some(outcome))
+    Ok(ancestor)
 }
 
 fn schedule(
@@ -576,20 +554,10 @@ fn schedule(
     // The digest is the cache key of `ezrt serve` and the join key
     // across schedule/batch/server outputs; it covers the parsed spec
     // plus the result-relevant scheduler knobs (never `--jobs`).
-    let ancestor = match warm_from {
-        Some(source) => warm_from_ancestor(cache, project, source)?,
-        None => None,
-    };
-    let outcome = match ancestor {
-        Some(ancestor) => {
-            let digest = project_digest(project);
-            let (outcome, _) = cache.get_or_compute(digest, || {
-                compute_outcome_incremental(project, digest, &ancestor)
-            });
-            outcome
-        }
-        None => cached_outcome(cache, project),
-    };
+    let ancestor = warm_from.map(|source| warm_from_ancestor(cache, project, source));
+    let ancestor = ancestor.transpose()?.flatten();
+    let warm = ancestor.as_deref().map_or(Warm::Cold, Warm::From);
+    let outcome = cached_outcome(cache, project, warm);
     if json {
         // Hand-rolled JSON (the workspace builds offline, without
         // serde): one flat object so bench trajectories can be scripted
@@ -649,7 +617,7 @@ fn gantt(
     if to <= from {
         return Err("gantt window must be non-empty".to_owned());
     }
-    let outcome = cached_outcome(cache, project);
+    let outcome = cached_outcome(cache, project, Warm::Cold);
     let Some(solution) = outcome.solution.as_ref() else {
         return Err(infeasible_error(&outcome));
     };

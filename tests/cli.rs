@@ -577,3 +577,49 @@ fn infeasible_specs_fail_cleanly() {
     assert!(stdout.trim_end().ends_with('}'));
     assert!(!stdout.contains(",\n}"));
 }
+
+#[test]
+fn warm_from_seeds_the_search_and_falls_back_cold() {
+    let base = spec_file();
+    let grid = ezrealtime::spec::sweep::SweepGrid::parse("deadlines:90").expect("grid");
+    let edited = grid.points()[0]
+        .apply(&ezrealtime::spec::corpus::small_control())
+        .expect("valid point");
+    let edited = ezrealtime::dsl::to_xml(&edited);
+    let edited = tempfile_lite::TempFile::with_content("edited.xml", &edited);
+    let overload = ezrealtime::spec::SpecBuilder::new("overload")
+        .task("x", |t| t.computation(3).deadline(4).period(4))
+        .task("y", |t| t.computation(2).deadline(4).period(4))
+        .build()
+        .unwrap();
+    let overload = ezrealtime::dsl::to_xml(&overload);
+    let overload = tempfile_lite::TempFile::with_content("overload.xml", &overload);
+    let absent = "0".repeat(48);
+
+    // A feasible ancestor file seeds the edited spec's search; an
+    // absent digest or an infeasible ancestor warns and runs cold.
+    let cases = [
+        (base.path.to_str().unwrap(), "1", ""),
+        (absent.as_str(), "0", "is not in the cache; running cold"),
+        (
+            overload.path.to_str().unwrap(),
+            "0",
+            "has no feasible schedule; running cold",
+        ),
+    ];
+    for (source, seed_hits, warning) in cases {
+        let output = ezrt()
+            .args(["--warm-from", source, "schedule", "--json"])
+            .arg(&edited.path)
+            .output()
+            .expect("runs");
+        assert!(output.status.success(), "{source}");
+        let stdout = String::from_utf8(output.stdout).unwrap();
+        let fields = parse_flat_json(&stdout);
+        let hits = fields.iter().find(|(key, _)| key == "incr_seed_hits");
+        assert_eq!(hits.expect("incr_seed_hits").1, seed_hits, "{source}");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert!(stderr.contains(warning), "{source}: {stderr}");
+        assert_eq!(stderr.is_empty(), warning.is_empty(), "{source}: {stderr}");
+    }
+}

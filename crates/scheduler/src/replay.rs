@@ -7,8 +7,15 @@
 //! and the run must reach the desired final marking `MF`. It walks the
 //! run on the net's packed kernel
 //! ([`fire_into`](ezrt_tpn::TimePetriNet::fire_into)) with two
-//! state buffers and two enabled sets, swapped each step, and reads each
-//! state's fireable set off the same clock-bounds walk the searches use.
+//! state buffers and two enabled sets, swapped each step. Each step
+//! tests only the scheduled label: one
+//! [`fireable_domain`](ezrt_tpn::TimePetriNet::fireable_domain) call,
+//! two passes over the enabled clocks, answers whether the transition is
+//! in `FT(s)` and with which domain, without building the rest of the
+//! set. It shares no code with the DFS's carried bounds. Debug builds
+//! and the unit tests check every step against the full clock-bounds
+//! walk ([`clock_bounds_into`](ezrt_tpn::TimePetriNet::clock_bounds_into)
+//! and [`fireable_domains_into`](ezrt_tpn::TimePetriNet::fireable_domains_into)).
 //! A linear run revisits nothing, so no state is keyed or interned, and
 //! no step allocates.
 //!
@@ -20,7 +27,7 @@
 
 use crate::schedule::ScheduledFiring;
 use ezrt_compose::TaskNet;
-use ezrt_tpn::{ClockBounds, Time, TimeBound, TransitionId};
+use ezrt_tpn::{Time, TimeBound, TransitionId};
 use std::fmt;
 
 /// Why a replay rejected a firing sequence.
@@ -142,14 +149,13 @@ fn walk(tasknet: &TaskNet, firings: &[ScheduledFiring]) -> Result<ReplayReport, 
     net.write_initial_packed(&mut state);
     let (mut enabled, mut next_enabled) = (Vec::new(), Vec::new());
     net.enabled_into(&state, &mut enabled);
-    let (mut bounds, mut domains) = (ClockBounds::default(), Vec::new());
     let mut makespan: Time = 0;
 
     for (step, firing) in firings.iter().enumerate() {
-        net.clock_bounds_into(&state, &enabled, &mut bounds);
-        net.fireable_domains_into(&bounds, &mut domains);
-        let Some(&(_, dlb, upper)) = domains.iter().find(|&&(t, _, _)| t == firing.transition)
-        else {
+        let domain = net.fireable_domain(&state, &enabled, firing.transition);
+        #[cfg(any(test, debug_assertions))]
+        assert_domain_matches_walk(net, &state, &enabled, firing.transition, domain);
+        let Some((dlb, upper)) = domain else {
             return Err(ReplayError::NotFireable {
                 step,
                 transition: firing.transition,
@@ -188,6 +194,34 @@ fn walk(tasknet: &TaskNet, firings: &[ScheduledFiring]) -> Result<ReplayReport, 
     Err(ReplayError::NotFinal)
 }
 
+/// Checks one replay step's firing domain of `t`, from
+/// [`TimePetriNet::fireable_domain`], against the full walk of the
+/// state's clocks ([`TimePetriNet::clock_bounds_into`], then
+/// [`TimePetriNet::fireable_domains_into`]). Debug builds and the unit
+/// tests run it on every step.
+#[cfg(any(test, debug_assertions))]
+fn assert_domain_matches_walk(
+    net: &ezrt_tpn::TimePetriNet,
+    state: &[u32],
+    enabled: &[u64],
+    t: TransitionId,
+    domain: Option<(Time, TimeBound)>,
+) {
+    let (mut bounds, mut walked) = (ezrt_tpn::ClockBounds::default(), Vec::new());
+    net.clock_bounds_into(state, enabled, &mut bounds);
+    net.fireable_domains_into(&bounds, &mut walked);
+    let expected = walked
+        .iter()
+        .find(|&&(u, _, _)| u == t)
+        .map(|&(_, dlb, upper)| (dlb, upper));
+    assert_eq!(
+        domain, expected,
+        "the firing domain of {t} drifted from the walk"
+    );
+    #[cfg(test)]
+    tests::DOMAIN_CHECKS.with(|checks| checks.set(checks.get() + 1));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +229,14 @@ mod tests {
     use ezrt_compose::translate;
     use ezrt_spec::corpus::{figure3_spec, figure8_spec, mine_pump, small_control};
     use ezrt_tpn::reachability::Explorer;
+    use ezrt_tpn::ClockBounds;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Replay steps [`assert_domain_matches_walk`] checked on this
+        /// thread.
+        pub(super) static DOMAIN_CHECKS: Cell<usize> = const { Cell::new(0) };
+    }
 
     #[test]
     fn synthesized_schedules_replay_cleanly() {
@@ -255,6 +297,140 @@ mod tests {
             replay(&tasknet, &foreign),
             Err(ReplayError::NotFireable { step: 0, .. })
         ));
+    }
+
+    /// Every step of the pump's schedule is checked against the full
+    /// clock-bounds walk.
+    #[test]
+    fn every_step_is_checked_against_the_walk() {
+        let tasknet = translate(&mine_pump());
+        let synthesis = synthesize(&tasknet, &SchedulerConfig::default()).expect("feasible");
+        let before = DOMAIN_CHECKS.with(Cell::get);
+        replay(&tasknet, &synthesis.schedule).expect("replays");
+        assert_eq!(
+            DOMAIN_CHECKS.with(Cell::get) - before,
+            synthesis.schedule.firings().len()
+        );
+    }
+
+    /// The first step of `firings` at which `bad` can stand in for the
+    /// scheduled firing, as `(step, bad firing)`: walks the schedule and
+    /// asks `bad` for a replacement at each state, given the state's
+    /// words and enabled set.
+    fn first_bad_step(
+        tasknet: &TaskNet,
+        firings: &[ScheduledFiring],
+        mut bad: impl FnMut(&[u32], &[u64]) -> Option<(TransitionId, Time)>,
+    ) -> Option<(usize, ScheduledFiring)> {
+        let net = tasknet.net();
+        let mut state = vec![0; net.layout().words()];
+        let mut next = state.clone();
+        net.write_initial_packed(&mut state);
+        let (mut enabled, mut next_enabled) = (Vec::new(), Vec::new());
+        net.enabled_into(&state, &mut enabled);
+        for (step, firing) in firings.iter().enumerate() {
+            if let Some((transition, delay)) = bad(&state, &enabled) {
+                let bad = ScheduledFiring {
+                    transition,
+                    role: tasknet.role(transition),
+                    delay,
+                    at: firing.at - firing.delay + delay,
+                };
+                return Some((step, bad));
+            }
+            let (t, q) = (firing.transition, firing.delay);
+            net.fire_into(&state, &enabled, t, q, &mut next, &mut next_enabled);
+            std::mem::swap(&mut state, &mut next);
+            std::mem::swap(&mut enabled, &mut next_enabled);
+        }
+        None
+    }
+
+    /// Each way a firing can leave `FT(s)` or `FD_s(t)` is rejected at
+    /// its step, with its error: a disabled transition, an enabled one
+    /// cut by urgency (`DLB > min DUB`) or by priority, and a fireable one
+    /// fired before `DLB` or after `min DUB`. Each case is planted at the
+    /// first step of a synthesized schedule where it can occur.
+    #[test]
+    fn each_illegal_firing_is_rejected_at_its_step() {
+        let tasknet = translate(&mine_pump());
+        let net = tasknet.net();
+        let synthesis = synthesize(&tasknet, &SchedulerConfig::default()).expect("feasible");
+        let firings = synthesis.schedule.firings();
+        let layout = net.layout();
+        let dlb = |state: &[u32], t: TransitionId| {
+            net.transition(t)
+                .interval()
+                .dynamic_lower_bound(layout.clock(state, t))
+        };
+        let walk = |state: &[u32], enabled: &[u64]| {
+            let (mut bounds, mut domains) = (ClockBounds::default(), Vec::new());
+            net.clock_bounds_into(state, enabled, &mut bounds);
+            net.fireable_domains_into(&bounds, &mut domains);
+            (bounds.min_dub(), domains)
+        };
+        let members = |enabled: &[u64], wanted: bool| {
+            (0..net.transition_count())
+                .map(TransitionId::from_index)
+                .filter(move |t| ezrt_tpn::por::test_bit(enabled, t.index()) == wanted)
+                .collect::<Vec<_>>()
+        };
+        let disabled = first_bad_step(&tasknet, firings, |_, enabled| {
+            Some((*members(enabled, false).first()?, 0))
+        });
+        let urgency = first_bad_step(&tasknet, firings, |state, enabled| {
+            let (min_dub, _) = walk(state, enabled);
+            let t = members(enabled, true)
+                .into_iter()
+                .find(|&t| TimeBound::Finite(dlb(state, t)) > min_dub)?;
+            Some((t, dlb(state, t)))
+        });
+        let priority = first_bad_step(&tasknet, firings, |state, enabled| {
+            let (min_dub, domains) = walk(state, enabled);
+            let t = members(enabled, true).into_iter().find(|&t| {
+                TimeBound::Finite(dlb(state, t)) <= min_dub
+                    && domains.iter().all(|&(u, _, _)| u != t)
+            })?;
+            Some((t, dlb(state, t)))
+        });
+        let early = first_bad_step(&tasknet, firings, |state, enabled| {
+            let (_, domains) = walk(state, enabled);
+            let &(t, dlb, _) = domains.iter().find(|&&(_, dlb, _)| dlb > 0)?;
+            Some((t, dlb - 1))
+        });
+        let late = first_bad_step(&tasknet, firings, |state, enabled| {
+            let (_, domains) = walk(state, enabled);
+            match *domains.first()? {
+                (t, _, TimeBound::Finite(upper)) => Some((t, upper + 1)),
+                (_, _, TimeBound::Infinite) => None,
+            }
+        });
+
+        // Whether the planted firing is fireable, with a delay outside
+        // its domain.
+        let cases = [
+            ("disabled", disabled, false),
+            ("urgency", urgency, false),
+            ("priority", priority, false),
+            ("early", early, true),
+            ("late", late, true),
+        ];
+        for (case, planted, in_ft) in cases {
+            let (step, bad) = planted.unwrap_or_else(|| panic!("no {case} case on the pump"));
+            let mut run = firings[..step].to_vec();
+            run.push(bad);
+            let transition = bad.transition;
+            let expected = if in_ft {
+                ReplayError::DelayOutOfDomain {
+                    step,
+                    transition,
+                    delay: bad.delay,
+                }
+            } else {
+                ReplayError::NotFireable { step, transition }
+            };
+            assert_eq!(replay(&tasknet, &run), Err(expected), "{case}");
+        }
     }
 
     #[test]

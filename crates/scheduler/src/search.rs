@@ -18,15 +18,23 @@
 //! with its firing domains, the sleep-set guard's inputs and the
 //! candidates off them; no step re-walks every enabled clock. Debug
 //! builds check every push against that full walk
-//! ([`TimePetriNet::clock_bounds_into`]), which the replay oracle still
-//! uses. Frames pool their vectors across pushes, so in the
-//! steady state the loop performs **zero heap allocations per explored
-//! successor**. A finished search hands its arena, dead set, frames,
-//! carried bounds and path to one process-wide spare slot and the next
-//! search starts on them, so back-to-back searches do not map and fault
-//! fresh memory each time. The original value-typed search is preserved
-//! in [`reference`](crate::reference) and the two are equivalence-tested
-//! to return byte-identical schedules.
+//! ([`TimePetriNet::clock_bounds_into`]). Neither walker runs that walk
+//! per step: the replay oracle tests each scheduled label with
+//! [`TimePetriNet::fireable_domain`] and is checked against the same
+//! walk. On the long, nearly straight descent of a feasible search the
+//! child step takes two exact fast paths: a label fired first at a
+//! frame, after a delay or under an empty sleep set, gets an empty sleep
+//! set without the structural rules, and a state with one awake label
+//! skips the partial-order rules, which could only keep it. The unit
+//! tests check both against the full rules on every push. Frames pool
+//! their vectors across pushes, so in the steady state the loop performs
+//! **zero heap allocations per explored successor**. A finished search
+//! hands its arena, dead set, frames, carried bounds and path to one
+//! process-wide spare slot and the next search starts on them, so
+//! back-to-back searches do not map and fault fresh memory each time.
+//! The original value-typed search is preserved in
+//! [`reference`](crate::reference) and the two are equivalence-tested to
+//! return byte-identical schedules.
 
 use crate::config::{BranchOrdering, PorLevel, SchedulerConfig};
 use crate::error::SynthesizeError;
@@ -328,6 +336,16 @@ impl<'a> Dfs<'a> {
             &mut self.child_sleep,
         );
         #[cfg(test)]
+        tests::assert_sleep_fast_path_matches(
+            self.tasknet,
+            self.config,
+            &parent.sleep,
+            &parent.candidates[..parent.next - 1],
+            (firing.transition, firing.delay),
+            (min_dub, holders),
+            &self.child_sleep,
+        );
+        #[cfg(test)]
         tests::assert_guard_matches_floor(
             self.tasknet,
             self.config,
@@ -358,6 +376,15 @@ impl<'a> Dfs<'a> {
             &frame.sleep,
             &mut self.scratch,
             &mut frame.candidates,
+        );
+        #[cfg(test)]
+        tests::assert_label_fast_path_matches(
+            self.tasknet,
+            &self.domains,
+            self.config,
+            &self.edf,
+            &frame.sleep,
+            &frame.candidates,
         );
         self.path.push(firing);
         self.depth += 1;
@@ -1266,7 +1293,8 @@ fn search_on(
 /// `FT(s)` with its firing domains is `domains` into the caller's
 /// reusable buffer: `FT(s)` expanded to `(t, q)` pairs per the delay
 /// mode, filtered by the frame's sleep set, reduced by the configured
-/// partial-order rule, and sorted by the branch ordering.
+/// partial-order rule ([`reduce`], skipped when at most one label is
+/// awake), and sorted by the branch ordering.
 ///
 /// Returns whether the raw fireable set `FT(s)` was non-empty. No
 /// candidates from a non-empty `FT(s)` means every candidate was asleep:
@@ -1302,11 +1330,26 @@ fn candidates(
         let before = labels.len();
         labels.retain(|&(t, q)| q != 0 || !test_bit(sleep, t.index()));
         scratch.sleep_skips += before - labels.len();
-        if labels.is_empty() {
-            return true;
-        }
     }
+    // At most one label left: the rules below can only keep it, and skip
+    // nothing.
+    if labels.len() > 1 {
+        reduce(tasknet, domains, config, edf, scratch, labels);
+    }
+    true
+}
 
+/// The partial-order rules of [`candidates`] on the `labels` left awake,
+/// at least one, of the fireable set `domains`: cuts them and puts them
+/// in branch order.
+fn reduce(
+    tasknet: &TaskNet,
+    domains: &[(TransitionId, Time, TimeBound)],
+    config: &SchedulerConfig,
+    edf: &EdfKeys,
+    scratch: &mut PorScratch,
+    labels: &mut Vec<(TransitionId, Time)>,
+) {
     // Partial-order reduction on bookkeeping classes (forced [0,0] or
     // exact timed sources; all members share one delay). Conflict-free
     // classes collapse to the single earliest candidate — firing order
@@ -1340,7 +1383,7 @@ fn candidates(
             scratch.stubborn_skips += labels.len() - 1;
             labels.clear();
             labels.push(best);
-            return true;
+            return;
         }
         sort_labels(config, edf, labels);
         // Stubborn closure seeded from the first-explored candidate: add
@@ -1373,11 +1416,10 @@ fn candidates(
         let before = labels.len();
         labels.retain(|&(t, _)| test_bit(&scratch.closure, t.index()));
         scratch.stubborn_skips += before - labels.len();
-        return true;
+        return;
     }
 
     sort_labels(config, edf, labels);
-    true
 }
 
 /// Sorts candidate labels by the configured branch ordering. Both keys
@@ -1428,6 +1470,9 @@ fn sort_labels(config: &SchedulerConfig, edf: &EdfKeys, labels: &mut [(Transitio
 ///   structural relation sees, so it is re-checked dynamically against
 ///   every child state.
 ///
+/// When [`sleeps_nothing`] holds, the structural rules add nothing and
+/// the guard has nothing to test, so the set is empty at once.
+///
 /// [`DependencyMatrix::build_sleep_closure`]: ezrt_tpn::por::DependencyMatrix::build_sleep_closure
 fn child_sleep_into(
     tasknet: &TaskNet,
@@ -1438,11 +1483,26 @@ fn child_sleep_into(
     floor: (Option<Time>, &[u64]),
     out: &mut Vec<u64>,
 ) {
+    if sleeps_nothing(parent_sleep, earlier, fired) {
+        out.clear();
+        return;
+    }
     sleep_rules_into(tasknet, config, parent_sleep, earlier, fired, out);
     urgency_guard(out, floor, tasknet.deps());
     if out.iter().all(|&word| word == 0) {
         out.clear();
     }
+}
+
+/// Whether the structural rules of [`child_sleep_into`] add nothing to
+/// the child of `fired`: with no earlier sibling there is no equal-delay
+/// addition, and nothing persists when time advances or nothing sleeps.
+fn sleeps_nothing(
+    parent_sleep: &[u64],
+    earlier: &[(TransitionId, Time)],
+    (_, fired_q): (TransitionId, Time),
+) -> bool {
+    earlier.is_empty() && (fired_q != 0 || parent_sleep.is_empty())
 }
 
 /// The structural rules of [`child_sleep_into`]: equal-delay additions,
@@ -1527,6 +1587,103 @@ mod tests {
         /// Frames whose carried bounds [`assert_carried_matches_walk`]
         /// checked on this thread, the root frames included.
         pub(super) static CARRIED_CHECKS: Cell<usize> = const { Cell::new(0) };
+        /// Child steps on this thread whose sleep set
+        /// ([`assert_sleep_fast_path_matches`]) and whose candidates
+        /// ([`assert_label_fast_path_matches`]) took their fast path and
+        /// matched the full rules.
+        static FAST_PATH_CHECKS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    /// Run by [`Dfs::push`] in test builds on every child step: when
+    /// [`child_sleep_into`] takes its fast path ([`sleeps_nothing`]), the
+    /// child's sleep set `child_sleep` equals the full rules'
+    /// ([`sleep_rules_into`], then [`urgency_guard`]).
+    pub(super) fn assert_sleep_fast_path_matches(
+        tasknet: &TaskNet,
+        config: &SchedulerConfig,
+        parent_sleep: &[u64],
+        earlier: &[(TransitionId, Time)],
+        fired: (TransitionId, Time),
+        floor: (Option<Time>, &[u64]),
+        child_sleep: &[u64],
+    ) {
+        if !sleeps_nothing(parent_sleep, earlier, fired) {
+            return;
+        }
+        let mut full = Vec::new();
+        sleep_rules_into(tasknet, config, parent_sleep, earlier, fired, &mut full);
+        urgency_guard(&mut full, floor, tasknet.deps());
+        if full.iter().all(|&word| word == 0) {
+            full.clear();
+        }
+        assert_eq!(child_sleep, full, "sleep fast path after {fired:?}");
+        FAST_PATH_CHECKS.with(|checks| {
+            let (sleeps, labels) = checks.get();
+            checks.set((sleeps + 1, labels));
+        });
+    }
+
+    /// Run by [`Dfs::push`] in test builds on every child step: when
+    /// [`candidates`] left one label awake and returned it unreduced, the
+    /// partial-order rules ([`reduce`]) keep exactly that label and skip
+    /// nothing.
+    pub(super) fn assert_label_fast_path_matches(
+        tasknet: &TaskNet,
+        domains: &[(TransitionId, Time, TimeBound)],
+        config: &SchedulerConfig,
+        edf: &EdfKeys,
+        sleep: &[u64],
+        labels: &[(TransitionId, Time)],
+    ) {
+        if config.por == PorLevel::Off {
+            return;
+        }
+        let mut awake = Vec::new();
+        ezrt_tpn::reachability::expand_delay_labels(config.delay_mode, domains, &mut awake);
+        awake.retain(|&(t, q)| q != 0 || !test_bit(sleep, t.index()));
+        if awake.len() != 1 {
+            return;
+        }
+        let mut scratch = PorScratch::new();
+        reduce(tasknet, domains, config, edf, &mut scratch, &mut awake);
+        assert_eq!(labels, awake, "one-label fast path");
+        assert_eq!(scratch.stubborn_skips, 0, "one-label fast path skipped");
+        FAST_PATH_CHECKS.with(|checks| {
+            let (sleeps, labels) = checks.get();
+            checks.set((sleeps, labels + 1));
+        });
+    }
+
+    /// Both fast paths of the child step are taken, and checked against
+    /// the full rules, on the stubborn searches of the pump, figure 8 and
+    /// the near-harmonic instance of
+    /// [`stubborn_sleep_respects_urgency_floor`], whose first children
+    /// at delay 0 inherit sleep entries.
+    #[test]
+    fn fast_paths_match_the_full_rules() {
+        use ezrt_spec::generate::{family_spec, Family};
+        let near_harmonic = family_spec(
+            &Family::NearHarmonic {
+                tasks: 3,
+                base_period: 10,
+                utilization: 0.60,
+            },
+            4042907925473843452,
+        );
+        let config = SchedulerConfig {
+            por: PorLevel::Stubborn,
+            ..SchedulerConfig::default()
+        };
+        for spec in [mine_pump(), figure8_spec(), near_harmonic] {
+            FAST_PATH_CHECKS.with(|checks| checks.set((0, 0)));
+            synthesize(&translate(&spec), &config).expect("feasible");
+            let (sleeps, labels) = FAST_PATH_CHECKS.with(Cell::get);
+            assert!(
+                sleeps > 0 && labels > 0,
+                "{}: {sleeps} sleep, {labels} label fast paths",
+                spec.name()
+            );
+        }
     }
 
     /// The urgency-floor guard by its definition, O(|sleep| · |enabled|):

@@ -5,7 +5,7 @@ use crate::error::{BuildNetError, FireError};
 use crate::ids::{PlaceId, TransitionId};
 use crate::interval::{TimeBound, TimeInterval};
 use crate::marking::Marking;
-use crate::por::set_bit;
+use crate::por::{set_bit, test_bit};
 use crate::state::{Firing, State};
 use crate::Time;
 
@@ -659,8 +659,12 @@ impl TimePetriNet {
     /// set (from [`enabled_into`](Self::enabled_into) or
     /// [`fire_into`](Self::fire_into)), together with `min DUB` over them
     /// and the transitions that hold it, into the caller's reusable
-    /// `out`. [`fireable_domains_into`](Self::fireable_domains_into) and
-    /// the scheduler's sleep-set guard both read it.
+    /// `out`. [`fireable_domains_into`](Self::fireable_domains_into)
+    /// reads `FT(s)` off it. Neither walker runs it per step: the
+    /// scheduler's DFS carries its bounds from frame to frame and the
+    /// replay tests one label with
+    /// [`fireable_domain`](Self::fireable_domain). It is the debug oracle
+    /// both are checked against.
     pub fn clock_bounds_into(&self, state: &[u32], enabled: &[u64], out: &mut ClockBounds) {
         let places = self.places.len();
         out.lower.clear();
@@ -729,6 +733,68 @@ impl TimePetriNet {
                 out.push((t, dlb, upper));
             }
         }
+    }
+
+    /// Packed counterpart of [`fireable`](Self::fireable) and
+    /// [`firing_domain`](Self::firing_domain) for one transition: the
+    /// firing domain `FD_s(t) = (DLB(t), min DUB)` of `t` in the packed
+    /// `state`, whose enabled set is `enabled`, when `t ∈ FT(s)`, and
+    /// `None` otherwise (disabled, cut by urgency or by priority, or not
+    /// a transition of this net). What
+    /// [`fireable_domains_into`](Self::fireable_domains_into) writes for
+    /// `t`, without building the rest of `FT(s)`.
+    ///
+    /// Two passes over `ET(s)` read only the kernel record and the
+    /// enabled clocks, and allocate nothing: the first takes `min DUB`
+    /// over the members with a finite `LFT`; once `t` passes the urgency
+    /// filter (`DLB(t) ≤ min DUB`), the second looks for an
+    /// urgency-eligible member of higher priority (smaller `π`).
+    pub fn fireable_domain(
+        &self,
+        state: &[u32],
+        enabled: &[u64],
+        t: TransitionId,
+    ) -> Option<(Time, TimeBound)> {
+        // A transition the net does not have has no bit in `enabled`.
+        if !test_bit(enabled, t.index()) {
+            return None;
+        }
+        let places = self.places.len();
+        let clock = |k: usize| {
+            let at = places + 2 * k;
+            Time::from(state[at]) | (Time::from(state[at + 1]) << 32)
+        };
+        let mut min_dub: Option<Time> = None;
+        for (w, &word) in enabled.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let k = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if let Some(lft) = self.kernel[k].lft {
+                    let dub = lft.saturating_sub(clock(k));
+                    min_dub = Some(min_dub.map_or(dub, |min| min.min(dub)));
+                }
+            }
+        }
+        let ceiling = min_dub.unwrap_or(Time::MAX);
+        let own = &self.kernel[t.index()];
+        let dlb = own.eft.saturating_sub(clock(t.index()));
+        if dlb > ceiling {
+            return None;
+        }
+        for (w, &word) in enabled.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let k = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let kernel = &self.kernel[k];
+                if kernel.priority < own.priority && kernel.eft.saturating_sub(clock(k)) <= ceiling
+                {
+                    return None;
+                }
+            }
+        }
+        Some((dlb, min_dub.map_or(TimeBound::Infinite, TimeBound::Finite)))
     }
 
     /// Packed counterpart of [`fire_unchecked`](Self::fire_unchecked):

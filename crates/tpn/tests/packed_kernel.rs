@@ -1,7 +1,8 @@
-//! Packed-kernel oracles: the packed firing/enumeration API must agree
-//! with the value-typed boundary API on arbitrary nets, the enabled sets
-//! and state keys it carries from state to state must equal full scans
-//! and full recomputations, the delay modes must offer nested label sets,
+//! Packed-kernel oracles: the packed firing/enumeration API and its
+//! one-label fireability test must agree with the value-typed boundary
+//! API on arbitrary nets, the enabled sets and state keys it carries from
+//! state to state must equal full scans and full recomputations, the
+//! delay modes must offer nested label sets,
 //! and an arena built on recycled buffers or fed carried keys must behave
 //! and account exactly like a fresh one fed full keys.
 
@@ -59,6 +60,12 @@ fn random_net_strategy() -> impl Strategy<Value = RandomNet> {
 }
 
 fn build(desc: &RandomNet) -> TimePetriNet {
+    build_with_open(desc, &[])
+}
+
+/// [`build`], with an infinite `LFT` for each transition `i` whose
+/// `open[i]` is set.
+fn build_with_open(desc: &RandomNet, open: &[bool]) -> TimePetriNet {
     let mut b = TpnBuilder::new("random");
     let places: Vec<_> = desc
         .place_tokens
@@ -67,7 +74,11 @@ fn build(desc: &RandomNet) -> TimePetriNet {
         .map(|(i, &tok)| b.place_with_tokens(format!("p{i}"), tok))
         .collect();
     for (i, t) in desc.transitions.iter().enumerate() {
-        let interval = TimeInterval::new(t.eft, t.eft + t.width).expect("eft <= lft");
+        let interval = if open.get(i).copied().unwrap_or(false) {
+            TimeInterval::at_least(t.eft)
+        } else {
+            TimeInterval::new(t.eft, t.eft + t.width).expect("eft <= lft")
+        };
         let id = b.transition_full(format!("t{i}"), interval, t.priority, None);
         for &(p, w) in &t.inputs {
             b.arc_place_to_transition(places[p], id, w);
@@ -109,6 +120,52 @@ fn domains_of(
     net.clock_bounds_into(words, enabled, &mut bounds);
     net.fireable_domains_into(&bounds, &mut domains);
     domains
+}
+
+/// Walks `net` from its initial state along `choices`, each step firing
+/// the chosen member of `FT(s)` after its `DLB` plus the chosen extra
+/// delay (capped at `min DUB`), and checks at every state that
+/// `fireable_domain` agrees with the value API for every transition.
+/// Returns the number of states checked.
+fn fireable_domain_matches_along(
+    net: &TimePetriNet,
+    choices: &[(prop::sample::Index, u64)],
+) -> Result<usize, TestCaseError> {
+    let mut words = vec![0u32; net.layout().words()];
+    let mut next = words.clone();
+    net.write_initial_packed(&mut words);
+    let mut state = net.initial_state();
+    let (mut enabled, mut next_enabled) = (Vec::new(), Vec::new());
+    net.enabled_into(&words, &mut enabled);
+    let mut checked = 0;
+    for &(choice, extra) in choices {
+        let fireable = net.fireable(&state);
+        for (t, _) in net.transitions() {
+            let expected = if fireable.contains(&t) {
+                net.firing_domain(&state, t)
+            } else {
+                None
+            };
+            prop_assert_eq!(net.fireable_domain(&words, &enabled, t), expected, "{}", t);
+        }
+        let foreign = TransitionId::from_index(net.transition_count());
+        prop_assert_eq!(net.fireable_domain(&words, &enabled, foreign), None);
+        checked += 1;
+
+        let Some(&t) = fireable.get(choice.index(fireable.len().max(1))) else {
+            break; // deadlock
+        };
+        let (dlb, upper) = net.firing_domain(&state, t).expect("fireable ⇒ enabled");
+        let delay = match upper {
+            TimeBound::Finite(ub) => dlb + extra.min(ub - dlb),
+            TimeBound::Infinite => dlb + extra,
+        };
+        net.fire_into(&words, &enabled, t, delay, &mut next, &mut next_enabled);
+        state = net.fire_unchecked(&state, t, delay);
+        std::mem::swap(&mut words, &mut next);
+        std::mem::swap(&mut enabled, &mut next_enabled);
+    }
+    Ok(checked)
 }
 
 /// The labels `mode` offers from the fireable domains `domains`.
@@ -495,6 +552,26 @@ proptest! {
             std::mem::swap(&mut enabled, &mut next_enabled);
         }
     }
+    /// Along random walks on random nets, some with unbounded
+    /// transitions, and on every translated corpus net, the packed
+    /// one-label test `fireable_domain(state, enabled, t)` equals the
+    /// value API's `firing_domain` for every `t ∈ FT(s)` (`fireable`) and
+    /// is `None` for every other transition, enabled or not, and for an
+    /// id past the net's last transition.
+    #[test]
+    fn fireable_domain_matches_the_value_api(
+        desc in random_net_strategy(),
+        open in prop::collection::vec(any::<bool>(), 6),
+        choices in prop::collection::vec((any::<prop::sample::Index>(), 0u64..4), 24),
+    ) {
+        let net = build_with_open(&desc, &open);
+        fireable_domain_matches_along(&net, &choices)?;
+        for (name, net) in corpus_nets() {
+            let checked = fireable_domain_matches_along(net, &choices)?;
+            prop_assert!(checked > 1, "{}: the walk leaves the initial state", name);
+        }
+    }
+
     /// Along random legal walks on random nets, fanning out to every
     /// corner label of each state, an explorer that interns by carried
     /// keys — on fresh and on dirty recycled buffers — assigns every
